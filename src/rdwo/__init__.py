@@ -9,12 +9,8 @@ checks the computable error bound on seeded synthetic runs.
 """
 
 from .core import (
-    ActiveSet,
-    CenteredDistance,
     EstimatorConfig,
-    NoSupportError,
     Sample,
-    WeightSolution,
     active_set,
     batch_weights,
     batch_weights_arrays,
@@ -23,50 +19,18 @@ from .core import (
     grid_estimates,
     objective_value,
     optimal_objective,
-    phi_hat_values,
     signed_objective_value,
 )
-from .oracle import (
-    OracleForm,
-    OracleResult,
-    maximize_signed,
-    maximize_simplex,
-    random_instance,
-)
-from .simulate import (
-    Atan,
-    ExperimentReport,
-    ExperimentSpec,
-    FunctionSpec,
-    NoisySample,
-    PiecewiseLinear,
-    QueryRecord,
-    Sine,
-    error_bound,
-    generate_dataset,
-    lipschitz_scan,
-    load_spec,
-    max_relative_deviation,
-    run_experiment,
-)
-from .streaming import (
-    Absorbed,
-    LedgerDisabledError,
-    LedgerEntry,
-    RecursiveState,
-    Skipped,
-    StreamingGrid,
-)
+from .oracle import maximize_signed, maximize_simplex
+from .simulate import load_spec, max_relative_deviation, run_experiment
+from .streaming import RecursiveState, StreamingGrid
 
 __version__ = "0.1.0"
 
+# What the README and the demos use; everything else is imported from its module.
 __all__ = [
-    "ActiveSet",
-    "CenteredDistance",
     "EstimatorConfig",
-    "NoSupportError",
     "Sample",
-    "WeightSolution",
     "active_set",
     "batch_weights",
     "batch_weights_arrays",
@@ -75,32 +39,13 @@ __all__ = [
     "grid_estimates",
     "objective_value",
     "optimal_objective",
-    "phi_hat_values",
     "signed_objective_value",
-    "OracleForm",
-    "OracleResult",
     "maximize_signed",
     "maximize_simplex",
-    "random_instance",
-    "Atan",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "FunctionSpec",
-    "NoisySample",
-    "PiecewiseLinear",
-    "QueryRecord",
-    "Sine",
-    "error_bound",
-    "generate_dataset",
-    "lipschitz_scan",
     "load_spec",
     "max_relative_deviation",
     "run_experiment",
-    "Absorbed",
-    "LedgerDisabledError",
-    "LedgerEntry",
     "RecursiveState",
-    "Skipped",
     "StreamingGrid",
     "__version__",
 ]

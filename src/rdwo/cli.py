@@ -8,7 +8,8 @@ random instances.  Output is JSON lines by default or CSV on request, with
 floats printed to 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on a verification failure, 2 on bad input or
-configuration.
+configuration, and 141 (128 + SIGPIPE) when the reader of stdout closes it
+early, as ``head`` does; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -16,20 +17,28 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import EstimatorConfig, batch_weights, objective_value, optimal_objective
-from .dataio import (
+from .core import (
+    EstimatorConfig,
+    batch_weights,
+    objective_value,
+    optimal_objective,
+    sorted_windows,
+)
+from .dataio import (  # noqa: F401  (read_samples: perfbench/tracer.py wraps it by name)
     InputFormatError,
     csv_row,
     iter_samples,
     json_record,
     parse_grid,
     parse_grid_list,
+    read_arrays,
     read_samples,
 )
 from .oracle import maximize_signed, maximize_simplex, random_instance
@@ -57,12 +66,8 @@ class RunConfig:
     emit_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.command not in ("fit", "stream"):
-            raise ValueError(f"unknown command {self.command!r}")
         if not self.grid:
             raise ValueError("query grid must be nonempty")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.emit_every < 0:
             raise ValueError("--emit-every must be >= 0")
 
@@ -154,28 +159,23 @@ def _estimation_run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     rc = _estimation_run_config(args)
-    samples = read_samples(rc.input_path)
-    n = len(samples)
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=n)
-    ys = np.fromiter((s.y for s in samples), dtype=float, count=n)
-    delta = rc.config.delta
+    phis, ys = read_arrays(rc.input_path)
+    n = phis.size
 
     header = ["x", "estimate", "active_count", "objective"]
     if rc.diagnostics:
         header += ["support_sum", "n_seen"]
     rows = []
-    for x in rc.grid:
-        margins = delta - np.abs(x - phis)
-        mask = margins > 0.0
-        count = int(np.count_nonzero(mask))
+    windows = sorted_windows(np.asarray(rc.grid), phis, rc.config.delta)
+    for x, (positions, support) in zip(rc.grid, windows):
+        count = positions.size
         if count == 0:
             row = [x, None, 0, None]
             if rc.diagnostics:
                 row += [None, n]
         else:
-            support = margins[mask]
             total = float(np.sum(support))
-            est = float(np.dot(support / total, ys[mask]))
+            est = float(np.dot(support / total, ys[positions]))
             obj = math.sqrt(float(np.dot(support, support)))
             row = [x, est, count, obj]
             if rc.diagnostics:
@@ -375,7 +375,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early, as in ``rdwo fit ... | head -1``.  Point the
+        # stdout descriptor at the null device so the flush at exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,8 @@ __all__ = [
     "signed_objective_value",
     "optimal_objective",
     "grid_estimates",
+    "window_margins",
+    "sorted_windows",
 ]
 
 # Max absolute slack allowed when checking that weights sum to one.
@@ -201,10 +203,43 @@ def active_set(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> 
     """
     if not samples:
         raise ValueError("samples must be nonempty")
-    members = sorted(
-        s.index for s in samples if centered_distance(x, s.phi, config).phi_hat > 0.0
-    )
-    return ActiveSet(members=tuple(members))
+    x = _require_finite("x", x)
+    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
+    positions, _ = window_margins(x, phis, config.delta)
+    return ActiveSet(members=tuple(sorted(samples[p].index for p in positions)))
+
+
+def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and margins of the regressors strictly inside ``(x - delta, x + delta)``.
+
+    The margin is ``delta - |x - phi|``; a sample is in the window exactly
+    when it is positive.  Positions ascend, so sums over the margins always
+    run in sample order.
+    """
+    margins = delta - np.abs(x - phis)
+    positions = np.flatnonzero(margins > 0.0)
+    return positions, margins[positions]
+
+
+def sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
+    """Yield ``(positions, margins)`` of every query in ``xs``, as
+    :func:`window_margins` over all of ``phis`` would give them.
+
+    The regressors are sorted once.  Each query then scans only the slice
+    between the binary-search bounds ``fl(x - delta)`` and ``fl(x + delta)``,
+    gathered back in sample order, so it sees the same operands in the same
+    order as a scan of all samples.  The slice holds the whole window:
+    rounding is monotone, so a positive margin implies ``x - delta < phi <
+    x + delta`` exactly, and no double lies strictly between a real number
+    and its nearest double, so ``fl(x - delta) <= phi <= fl(x + delta)``.
+    """
+    order = np.argsort(phis)  # need not be stable: each slice is re-sorted by position
+    lo = np.searchsorted(phis, xs - delta, side="left", sorter=order)
+    hi = np.searchsorted(phis, xs + delta, side="right", sorter=order)
+    for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
+        candidates = np.sort(order[a:b])
+        positions, margins = window_margins(x, phis[candidates], delta)
+        yield candidates[positions], margins
 
 
 def batch_weights_arrays(
@@ -230,23 +265,20 @@ def batch_weights_arrays(
         raise ValueError("phis must be a nonempty 1-D array")
     if not np.all(np.isfinite(phis)):
         raise ValueError("phis must be finite")
-    ph = config.delta - np.abs(x - phis)
-    mask = ph > 0.0
-    if not mask.any():
+    positions, support = window_margins(x, phis, config.delta)
+    if positions.size == 0:
         raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
-    support = ph[mask]
-    total = float(np.sum(support))
+    active_weights = support / float(np.sum(support))
     weights = np.zeros(phis.size)
-    weights[mask] = support / total
-    positions = np.nonzero(mask)[0]
+    weights[positions] = active_weights
     if indices is None:
         members = tuple(int(p) + 1 for p in positions)
     else:
         if len(indices) != phis.size:
             raise ValueError("indices must align with phis")
         members = tuple(sorted(int(indices[p]) for p in positions))
-    numer = float(np.dot(weights, ph))
-    denom = math.sqrt(float(np.dot(weights, weights)))
+    numer = float(np.dot(active_weights, support))
+    denom = math.sqrt(float(np.dot(active_weights, active_weights)))
     return WeightSolution(weights=weights, active=ActiveSet(members), objective=numer / denom)
 
 
@@ -300,9 +332,8 @@ def objective_value(
     inputs.
     """
     w = _as_weight_array(weights, len(samples))
-    x = _require_finite("x", x)
     phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    ph = config.delta - np.abs(x - phis)
+    ph = phi_hat_values(x, phis, config)
     return float(np.dot(w, ph)) / math.sqrt(float(np.dot(w, w)))
 
 
@@ -334,8 +365,7 @@ def optimal_objective(x: float, samples: Sequence[Sample], config: EstimatorConf
         raise ValueError("samples must be nonempty")
     x = _require_finite("x", x)
     phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    ph = config.delta - np.abs(x - phis)
-    support = ph[ph > 0.0]
+    _, support = window_margins(x, phis, config.delta)
     if support.size == 0:
         raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
     return math.sqrt(float(np.dot(support, support)))
@@ -359,14 +389,8 @@ def grid_estimates(
         raise ValueError("phis and ys must be aligned 1-D arrays")
     estimates = np.full(xs.size, np.nan)
     counts = np.zeros(xs.size, dtype=int)
-    for i, x in enumerate(xs):
-        ph = config.delta - np.abs(x - phis)
-        mask = ph > 0.0
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            continue
-        support = ph[mask]
-        total = float(np.sum(support))
-        estimates[i] = float(np.dot(support / total, ys[mask]))
-        counts[i] = count
+    for i, (positions, support) in enumerate(sorted_windows(xs, phis, config.delta)):
+        if positions.size:
+            estimates[i] = float(np.dot(support / float(np.sum(support)), ys[positions]))
+            counts[i] = positions.size
     return estimates, counts

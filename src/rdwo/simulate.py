@@ -21,6 +21,7 @@ from .core import (
     Sample,
     WeightSolution,
     _require_finite,
+    sorted_windows,
 )
 from .streaming import StreamingGrid
 
@@ -319,13 +320,15 @@ def error_bound(
     if len(solution.weights) != n:
         raise ValueError(f"solution covers {len(solution.weights)} samples, got {n}")
     x = _require_finite("x", x)
-    phis = np.fromiter((ns.sample.phi for ns in noisy_samples), dtype=float, count=n)
-    noises = np.fromiter((ns.noise for ns in noisy_samples), dtype=float, count=n)
-    dist = np.abs(x - phis)
-    w = solution.weights
-    deterministic = config.l1 * float(np.dot(np.abs(w), dist))
-    stochastic = abs(float(np.dot(w, noises)))
-    return deterministic + stochastic
+    active = np.flatnonzero(solution.weights)
+    phis = np.array([noisy_samples[p].sample.phi for p in active], dtype=float)
+    noises = np.array([noisy_samples[p].noise for p in active], dtype=float)
+    return _active_bound(solution.weights[active], x, phis, noises, config.l1)
+
+
+def _active_bound(weights, x, phis, noises, l1: float) -> float:
+    """:func:`error_bound` over the active samples only, nonnegative weights."""
+    return l1 * float(np.dot(weights, np.abs(x - phis))) + abs(float(np.dot(weights, noises)))
 
 
 @dataclass(frozen=True)
@@ -390,8 +393,6 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
     if mode not in ("batch", "streaming"):
         raise ValueError(f"mode must be 'batch' or 'streaming', got {mode!r}")
     phis, truths, noises, ys = _dataset_arrays(spec)
-    delta = spec.config.delta
-    l1 = spec.config.l1
     grid = np.asarray(spec.query_grid)
 
     streamed = None
@@ -403,13 +404,10 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
     records = []
     errors = []
     violations = 0
-    for qi, x in enumerate(grid):
-        dist = np.abs(x - phis)
-        margins = delta - dist
-        mask = margins > 0.0
-        count = int(np.count_nonzero(mask))
+    windows = sorted_windows(grid, phis, spec.config.delta)
+    for qi, (x, (positions, support)) in enumerate(zip(grid, windows)):
         truth_x = float(spec.function(x))
-        if count == 0:
+        if positions.size == 0:
             records.append(
                 QueryRecord(
                     x=float(x),
@@ -422,16 +420,13 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
                 )
             )
             continue
-        support = margins[mask]
         weights = support / float(np.sum(support))
         if mode == "batch":
-            est = float(np.dot(weights, ys[mask]))
+            est = float(np.dot(weights, ys[positions]))
         else:
             est = float(streamed[qi])
         err = abs(est - truth_x)
-        bound = l1 * float(np.dot(weights, dist[mask])) + abs(
-            float(np.dot(weights, noises[mask]))
-        )
+        bound = _active_bound(weights, x, phis[positions], noises[positions], spec.config.l1)
         holds = err * err <= bound * bound
         if not holds:
             violations += 1
@@ -444,7 +439,7 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
                 abs_error=err,
                 bound_z=bound,
                 bound_holds=holds,
-                active_count=count,
+                active_count=positions.size,
             )
         )
     supported = len(errors)

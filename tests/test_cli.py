@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import subprocess
@@ -194,6 +195,17 @@ class TestBadInput:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("row", ["1_0,0.1,1.5", "2,1_0.5,0"])
+    def test_underscore_in_field(self, capsys, tmp_path, row):
+        path = tmp_path / "underscore.csv"
+        path.write_text(f"k,phi,y\n{row}\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(path), "--delta", "1.0", "--grid-list", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -339,3 +351,27 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == expected
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_is_quiet(self, capsys, monkeypatch, tmp_path, tiny_csv):
+        sink = open(tmp_path / "sink", "w", encoding="utf-8")
+
+        class ClosedPipe:
+            """A stdout whose reader has gone away."""
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["fit", "--input", tiny_csv, "--delta", "1.0", "--grid=-1:2:5"])
+        monkeypatch.undo()
+        sink.close()
+        assert code == 141
+        assert capsys.readouterr().err == ""

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rdwo.dataio import (
@@ -13,6 +13,7 @@ from rdwo.dataio import (
     json_record,
     parse_grid,
     parse_grid_list,
+    read_arrays,
     read_samples,
 )
 
@@ -116,3 +117,74 @@ class TestIterSamples:
     def test_read_samples(self, make_file):
         samples = read_samples(make_file(EXPECTED_HEADER, "1,0.0,1.0"))
         assert len(samples) == 1 and samples[0].y == 1.0
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1_0,0.1,1.5",  # int() would read index 10
+            "2,1_0.5,0",  # float() would read phi 10.5
+            "3,0.5,1_0",
+            "+4,0.5,1.0",
+            "-5,0.5,1.0",
+            "6.0,0.5,1.0",
+            "\u0667,0.5,1.0",  # an Arabic-Indic seven
+            "8,\uff11.5,1.0",  # a fullwidth one
+            "9,0.5,1.0\u00a0",  # a trailing no-break space
+        ],
+    )
+    def test_strict_field_grammar(self, make_file, row):
+        path = make_file(EXPECTED_HEADER, row)
+        for reader in (read_samples, read_arrays):
+            with pytest.raises(InputFormatError, match="^line 2: "):
+                reader(path)
+
+
+class TestReadArrays:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return tmp_path / "data.csv"
+
+    def test_values_in_file_order(self, path):
+        path.write_text("k,phi,y\n3,0.5,1.5\n\n1,-0.25,2e-3\n", encoding="utf-8")
+        phis, ys = read_arrays(path)
+        assert phis.tolist() == [0.5, -0.25]
+        assert ys.tolist() == [1.5, 0.002]
+
+    def test_empty_file_gives_empty_arrays(self, path):
+        path.write_text("", encoding="utf-8")
+        phis, ys = read_arrays(path)
+        assert phis.size == 0 and ys.size == 0
+
+    FIELDS = st.sampled_from(
+        ["1", "2", "07", "0", "-1", "+3", "1_0", " 4 ", "1e3", "0.5", "-2.25", "1_0.5",
+         "2.5e-310", "1e400", "nan", "-inf", "x", "", "0x10", "\u0663", "\uff12"]
+    )
+    LINES = st.one_of(
+        st.lists(FIELDS, min_size=1, max_size=4).map(",".join),
+        st.sampled_from(["", "   ", EXPECTED_HEADER]),
+    )
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            return "ok", read(path)
+        except InputFormatError as exc:
+            return "error", str(exc)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.sampled_from([EXPECTED_HEADER, f" {EXPECTED_HEADER}", "k,phi", ""]),
+        lines=st.lists(LINES, max_size=8),
+    )
+    def test_accepts_and_rejects_like_iter_samples(self, path, header, lines):
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        kind, got = self._outcome(read_arrays, path)
+        want_kind, want = self._outcome(
+            lambda p: [(s.phi, s.y) for s in iter_samples(p)], path
+        )
+        assert kind == want_kind
+        if kind == "ok":
+            phis, ys = got
+            assert list(zip(phis.tolist(), ys.tolist())) == want
+        else:
+            assert got == want
