@@ -188,11 +188,17 @@ def centered_distance(x: float, phi: float, config: EstimatorConfig) -> Centered
     return CenteredDistance(phi_tilde=phi_tilde, phi_hat=config.delta - phi_tilde)
 
 
+def _margins(x, phis, delta: float):
+    """Elementwise endpoint margins ``delta - |x - phi|``; the one form every
+    array path uses, so their margins agree bit for bit."""
+    return delta - np.abs(x - phis)
+
+
 def phi_hat_values(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.ndarray:
     """Vectorized endpoint margins ``delta - |x - phis|``."""
     x = _require_finite("x", x)
     phis = np.asarray(phis, dtype=float)
-    return config.delta - np.abs(x - phis)
+    return _margins(x, phis, config.delta)
 
 
 def active_set(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> ActiveSet:
@@ -216,7 +222,7 @@ def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray
     when it is positive.  Positions ascend, so sums over the margins always
     run in sample order.
     """
-    margins = delta - np.abs(x - phis)
+    margins = _margins(x, phis, delta)
     positions = np.flatnonzero(margins > 0.0)
     return positions, margins[positions]
 

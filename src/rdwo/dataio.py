@@ -7,7 +7,7 @@ doubles exactly, so repeated runs over the same input are byte-identical.
 from __future__ import annotations
 
 import json
-from itertools import starmap
+from itertools import chain, islice, starmap
 from math import isfinite
 from typing import Iterator, Sequence
 
@@ -21,6 +21,7 @@ __all__ = [
     "iter_samples",
     "read_samples",
     "read_arrays",
+    "iter_blocks",
     "format_float",
     "json_record",
     "csv_row",
@@ -44,6 +45,9 @@ def _parse_rows(fh) -> Iterator[tuple[int, float, float]]:
     ``y`` finite floats, and no index twice.  Any breach raises
     :class:`InputFormatError` naming the line.
     """
+    # The indices seen so far are the run run_lo..run_hi plus the set; files
+    # numbered in order keep the set empty, so the check takes O(1) memory.
+    run_lo, run_hi = 1, 0
     seen: set[int] = set()
     header_done = False
     for line_no, raw in enumerate(fh, start=1):
@@ -77,9 +81,14 @@ def _parse_rows(fh) -> Iterator[tuple[int, float, float]]:
                 raise ValueError(f"phi and y must be finite, got {phi!r} and {y!r}")
         except ValueError as exc:
             raise InputFormatError(f"line {line_no}: {exc}") from None
-        if k in seen:
+        if run_lo <= k <= run_hi or k in seen:
             raise InputFormatError(f"line {line_no}: duplicate sample index {k}")
-        seen.add(k)
+        if k == run_hi + 1:
+            run_hi = k
+        elif run_hi < run_lo:
+            run_lo = run_hi = k
+        else:
+            seen.add(k)
         yield k, phi, y
 
 
@@ -113,6 +122,26 @@ def read_arrays(path) -> tuple[np.ndarray, np.ndarray]:
             phis.append(phi)
             ys.append(y)
     return np.frombuffer(phis), np.frombuffer(ys)
+
+
+def iter_blocks(path, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The regressors and outputs of a CSV file as float arrays, ``size`` rows
+    at a time, in file order; only the last block may be shorter.
+
+    Accepts and rejects exactly what :func:`iter_samples` does, without
+    building a :class:`Sample` per row.  The rows before a malformed line
+    come out in whole blocks, and then the error is raised.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _parse_rows(fh)
+        while True:
+            # Flattened (phi, y) pairs; no row outlives its own parse.
+            flat = np.fromiter(
+                chain.from_iterable((phi, y) for _, phi, y in islice(rows, size)), float
+            )
+            if flat.size == 0:
+                return
+            yield flat[0::2], flat[1::2]
 
 
 def format_float(value: float) -> str:

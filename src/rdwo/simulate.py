@@ -38,7 +38,9 @@ __all__ = [
     "generate_dataset",
     "error_bound",
     "run_experiment",
+    "stream_estimates",
     "max_relative_deviation",
+    "estimate_deviation",
     "load_spec",
 ]
 
@@ -395,11 +397,7 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
     phis, truths, noises, ys = _dataset_arrays(spec)
     grid = np.asarray(spec.query_grid)
 
-    streamed = None
-    if mode == "streaming":
-        engine = StreamingGrid(grid, spec.config)
-        engine.extend(phis, ys)
-        streamed = engine.estimates()
+    streamed = stream_estimates(spec) if mode == "streaming" else None
 
     records = []
     errors = []
@@ -454,19 +452,40 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
     )
 
 
+def stream_estimates(spec: ExperimentSpec) -> np.ndarray:
+    """Estimates at the query grid from one streaming pass over the seeded
+    dataset, nan where no sample was absorbed."""
+    phis, _, _, ys = _dataset_arrays(spec)
+    engine = StreamingGrid(np.asarray(spec.query_grid), spec.config)
+    engine.extend(phis, ys)
+    return engine.estimates()
+
+
 def max_relative_deviation(a: ExperimentReport, b: ExperimentReport) -> float:
     """Largest relative disagreement between the estimates of two reports.
 
     Reports must cover the same query grid with the same support pattern.
     """
-    if len(a.records) != len(b.records):
+    if [ra.x for ra in a.records] != [rb.x for rb in b.records]:
+        raise ValueError("reports cover different query grids")
+    return estimate_deviation(a, [rb.estimate for rb in b.records])
+
+
+def estimate_deviation(report: ExperimentReport, estimates: Sequence) -> float:
+    """Largest relative disagreement between a report's estimates and
+    ``estimates``, one per record, with None or nan where unsupported.
+
+    The support pattern must be the report's.
+    """
+    if len(report.records) != len(estimates):
         raise ValueError("reports cover different query grids")
     worst = 0.0
-    for ra, rb in zip(a.records, b.records):
-        if ra.x != rb.x or (ra.estimate is None) != (rb.estimate is None):
+    for record, other in zip(report.records, estimates):
+        unsupported = other is None or math.isnan(other)
+        if (record.estimate is None) != unsupported:
             raise ValueError("reports cover different query grids")
-        if ra.estimate is None:
+        if unsupported:
             continue
-        scale = max(abs(ra.estimate), abs(rb.estimate), 1e-300)
-        worst = max(worst, abs(ra.estimate - rb.estimate) / scale)
+        scale = max(abs(record.estimate), abs(other), 1e-300)
+        worst = max(worst, abs(record.estimate - other) / scale)
     return worst

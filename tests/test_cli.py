@@ -4,9 +4,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rdwo.cli import main
+from rdwo.core import EstimatorConfig
+from rdwo.streaming import StreamingGrid
 
 HAND_ESTIMATE = 21 / 13
 HAND_OPTIMUM = 0.9433981132056605
@@ -174,6 +177,77 @@ class TestStream:
         assert code == 0
         (record,) = json_lines(out)
         assert record["estimate"] is None
+
+
+STREAM_GRID = (-0.8, -0.1, 0.0, 0.45, 0.9)
+
+
+@pytest.fixture()
+def stream_rows():
+    rng = np.random.default_rng(40)
+    return list(zip(rng.uniform(-1, 1, 24).tolist(), rng.normal(0, 1, 24).tolist()))
+
+
+def write_rows(path, rows, bad_row=None):
+    lines = ["k,phi,y"] + [f"{k},{p!r},{y!r}" for k, (p, y) in enumerate(rows, start=1)]
+    if bad_row is not None:
+        lines[bad_row] = f"{bad_row},abc,1"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def expected_snapshots(rows, emit_every):
+    """Snapshot records at each n_seen, from an engine fed one sample at a time."""
+    engine = StreamingGrid(np.array(STREAM_GRID), EstimatorConfig(delta=0.5))
+    wanted = [n for n in range(emit_every, len(rows) + 1, emit_every)] + [len(rows)]
+    records = []
+    for n, (p, y) in enumerate(rows, start=1):
+        engine.update(p, y)
+        for _ in range(wanted.count(n)):
+            for x, est, count, obj in zip(
+                STREAM_GRID, engine.estimates(), engine.active_counts(), engine.objectives()
+            ):
+                supported = count > 0
+                records.append(
+                    {
+                        "x": x,
+                        "estimate": float(est) if supported else None,
+                        "active_count": int(count),
+                        "objective": float(obj) if supported else None,
+                        "n_seen": n,
+                    }
+                )
+    return records
+
+
+class TestStreamBlocks:
+    GRID_ARGS = ("--delta", "0.5", "--grid-list=" + ",".join(map(str, STREAM_GRID)))
+
+    @pytest.mark.parametrize(
+        "emit_every, blocks",
+        [(5, [5, 10, 15, 20, 24]), (50, [24]), (8, [8, 16, 24, 24])],
+        ids=["not-dividing", "larger-than-n", "dividing"],
+    )
+    def test_emit_points(self, capsys, tmp_path, stream_rows, emit_every, blocks):
+        path = write_rows(tmp_path / "rows.csv", stream_rows)
+        code, out, err = run_cli(
+            capsys, "stream", "--input", path, *self.GRID_ARGS, "--emit-every", str(emit_every)
+        )
+        assert code == 0 and err == ""
+        records = json_lines(out)
+        assert [r["n_seen"] for r in records[:: len(STREAM_GRID)]] == blocks
+        assert records == expected_snapshots(stream_rows, emit_every)
+
+    def test_malformed_row_after_snapshots(self, capsys, tmp_path, stream_rows):
+        # data row 14 sits on line 15; the snapshots at 5 and 10 are out by then
+        path = write_rows(tmp_path / "bad.csv", stream_rows, bad_row=14)
+        code, out, err = run_cli(
+            capsys, "stream", "--input", path, *self.GRID_ARGS, "--emit-every", "5"
+        )
+        assert code == 2
+        assert err == "error: line 15: could not convert string to float: 'abc'\n"
+        want = expected_snapshots(stream_rows, 5)[: 2 * len(STREAM_GRID)]
+        assert json_lines(out) == want
 
 
 class TestBadInput:

@@ -9,6 +9,7 @@ from rdwo.dataio import (
     InputFormatError,
     csv_row,
     format_float,
+    iter_blocks,
     iter_samples,
     json_record,
     parse_grid,
@@ -104,6 +105,24 @@ class TestIterSamples:
         with pytest.raises(InputFormatError, match="duplicate"):
             list(iter_samples(make_file(EXPECTED_HEADER, "1,0,0", "1,1,1")))
 
+    @given(st.lists(st.integers(1, 12), max_size=14))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_duplicates_found_in_any_index_order(self, make_file, indices):
+        path = make_file(EXPECTED_HEADER, *(f"{k},0.5,1.0" for k in indices))
+        seen, first_repeat = set(), None
+        for line_no, k in enumerate(indices, start=2):
+            if k in seen:
+                first_repeat = (line_no, k)
+                break
+            seen.add(k)
+        if first_repeat is None:
+            assert [s.index for s in iter_samples(path)] == indices
+        else:
+            line_no, k = first_repeat
+            with pytest.raises(InputFormatError) as exc:
+                list(iter_samples(path))
+            assert str(exc.value) == f"line {line_no}: duplicate sample index {k}"
+
     def test_empty_file_yields_nothing(self, make_file):
         assert list(iter_samples(make_file())) == []
         assert list(iter_samples(make_file(EXPECTED_HEADER))) == []
@@ -188,3 +207,26 @@ class TestReadArrays:
             assert list(zip(phis.tolist(), ys.tolist())) == want
         else:
             assert got == want
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.sampled_from([EXPECTED_HEADER, "k,phi", ""]),
+        lines=st.lists(LINES, max_size=8),
+        size=st.integers(1, 4),
+    )
+    def test_blocks_concatenate_to_read_arrays(self, path, header, lines, size):
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        kind, want = self._outcome(read_arrays, path)
+        blocks = []
+        try:
+            for phis, ys in iter_blocks(path, size):
+                blocks.append((phis.tolist(), ys.tolist()))
+        except InputFormatError as exc:
+            assert kind == "error" and str(exc) == want
+            assert all(len(phis) == size for phis, _ in blocks)
+            return
+        assert kind == "ok"
+        assert all(len(phis) == size for phis, _ in blocks[:-1])
+        assert all(0 < len(phis) <= size for phis, _ in blocks)
+        assert sum((phis for phis, _ in blocks), []) == want[0].tolist()
+        assert sum((ys for _, ys in blocks), []) == want[1].tolist()

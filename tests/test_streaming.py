@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rdwo.core import (
     estimate,
     optimal_objective,
 )
+from rdwo import streaming
 from rdwo.streaming import (
     Absorbed,
     LedgerDisabledError,
@@ -80,19 +82,23 @@ class TestRecursiveState:
         state = RecursiveState(0.0, CFG)
         assert isinstance(state.update(Sample(1, 1.0, 3.0)), Skipped)
 
-    def test_rescale_factor_stays_below_one(self):
-        # A margin this small vanishes when added to the running sum; the
-        # guard must keep the factor strictly inside [0, 1).
-        state = RecursiveState(0.0, CFG)
-        state.update(Sample(1, 0.0, 1.0))
-        state.update(Sample(2, 0.0, 1.0))
-        assert state.support_sum == 2.0
-        tiny_phi = 0.9999999999999999
-        outcome = state.update(Sample(3, tiny_phi, 100.0))
-        assert isinstance(outcome, Absorbed)
-        assert 0.0 < outcome.reweight < 1.0
-        assert outcome.new_weight > 0.0
-        assert math.isfinite(state.estimate)
+    def test_tiny_margins_match_fraction_reference(self):
+        # 2e5 samples of margin 1, then 1e6 of margin 2**-53: each tiny margin
+        # vanishes when added to the running sum, so its weight must come out
+        # as its own share of about 5.6e-22, not as a share of one ulp.
+        config = EstimatorConfig(delta=1.0, l1=1.0)
+        state = RecursiveState(0.0, config)
+        big = Sample(1, 0.0, 1.0)
+        tiny = Sample(2, 1.0 - 2.0**-53, 11.0)
+        for _ in range(200_000):
+            state.update(big)
+        for _ in range(1_000_000):
+            outcome = state.update(tiny)
+        assert state.support_sum == 200_000.0
+        assert outcome.reweight == 1.0 and 0.0 < outcome.new_weight < 1e-21
+        d = Fraction(2) ** -53
+        exact = (200_000 * 1 + 1_000_000 * d * 11) / (200_000 + 1_000_000 * d)
+        assert abs(Fraction(state.estimate) - exact) / exact <= Fraction(1, 10**14)
 
     @given(streams())
     @settings(max_examples=100)
@@ -137,9 +143,9 @@ class TestRecursiveState:
             if isinstance(outcome, Skipped):
                 continue
             absorbed += 1
-            assert 0.0 <= outcome.reweight < 1.0
             assert (outcome.reweight == 0.0) == (absorbed == 1)
-            assert outcome.new_weight == 1.0 - outcome.reweight
+            assert 0.0 < outcome.new_weight <= 1.0
+            assert abs(outcome.reweight + outcome.new_weight - 1.0) <= 2.0**-51
 
 
 class TestWeightsSnapshot:
@@ -264,3 +270,113 @@ class TestStreamingGrid:
         grid = StreamingGrid(np.array([0.0, 1.0]), CFG)
         with pytest.raises(ValueError):
             grid.xs[0] = 5.0
+
+
+def run_three_ways(xs, delta, phis, ys):
+    """Feed one stream to ``extend``, to a loop of ``update`` and to one
+    ``RecursiveState`` per grid point; every state must agree with ``==``."""
+    config = EstimatorConfig(delta=delta, l1=1.0)
+    phis = np.asarray(phis, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    extended = StreamingGrid(xs, config)
+    extended.extend(phis, ys)
+    looped = StreamingGrid(xs, config)
+    for p, y in zip(phis.tolist(), ys.tolist()):
+        looped.update(p, y)
+    states = [RecursiveState(float(x), config) for x in xs]
+    for k, (p, y) in enumerate(zip(phis.tolist(), ys.tolist()), start=1):
+        sample = Sample(k, p, y)
+        for state in states:
+            state.update(sample)
+    for grid in (extended, looped):
+        assert grid.n_seen == phis.size
+        assert grid.n_active.tolist() == [s.n_active for s in states]
+        assert grid.support_sum.tolist() == [s.support_sum for s in states]
+        assert grid.support_sq_sum.tolist() == [s.support_sq_sum for s in states]
+        want = [math.nan if s.estimate is None else s.estimate for s in states]
+        assert np.array_equal(grid.estimates(), want, equal_nan=True)
+    return extended
+
+
+class TestGridKernel:
+    def test_unsorted_and_duplicated_grid(self):
+        rng = np.random.default_rng(30)
+        xs = np.array([0.5, -1.0, 0.5, 2.0, -1.0, 0.0, 0.5, -2.5])
+        grid = run_three_ways(xs, 0.6, rng.uniform(-3, 3, 700), rng.normal(0, 1, 700))
+        assert grid.n_active[0] == grid.n_active[2] == grid.n_active[6] > 0
+        assert grid.estimates()[1] == grid.estimates()[4]
+
+    def test_samples_exactly_on_window_edges(self):
+        xs = np.array([-1.0, 0.0, 0.25, 1.0])
+        delta = 0.25
+        edges = np.concatenate([xs - delta, xs + delta, xs, xs - delta / 2])
+        grid = run_three_ways(xs, delta, np.tile(edges, 3), np.arange(3.0 * edges.size))
+        # every value here is exact in binary, so a sample on an edge has
+        # margin exactly 0 and is skipped
+        assert grid.n_active.tolist() == [6, 12, 9, 6]
+
+    def test_delta_of_one_ulp(self):
+        xs = np.array([1.0, 1.0 + 2.0**-52, 3.0])
+        near = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 3.0, 3.0 + 2.0**-51]
+        grid = run_three_ways(xs, 2.0**-52, near * 4, np.arange(20.0))
+        # 1 takes itself and its lower neighbour, half an ulp of 1 away
+        assert grid.n_active.tolist() == [8, 4, 4]
+
+    def test_large_offset(self):
+        rng = np.random.default_rng(31)
+        xs = 1e8 + np.linspace(-1.0, 1.0, 41)
+        phis = 1e8 + rng.uniform(-1.5, 1.5, 900)
+        run_three_ways(xs, 0.1, phis, rng.normal(0, 1, 900))
+
+    def test_point_hit_more_often_than_the_pair_budget(self):
+        # Every sample lands in the windows of the first seven points: each
+        # sub-block expands to more pairs than the budget, chunks of pairs
+        # end inside a sample's window, and the first point is hit more
+        # often than one chunk holds.
+        n = streaming._PAIR_BUDGET + 700
+        rng = np.random.default_rng(32)
+        xs = np.append(np.linspace(0.0, 0.05, 7), 5.0)
+        grid = run_three_ways(xs, 0.1, rng.uniform(-0.04, 0.04, n), rng.normal(0, 1, n))
+        assert grid.n_active.tolist() == [n] * 7 + [0]
+        assert 7 * streaming._SUB_BLOCK > streaming._PAIR_BUDGET
+        assert streaming._PAIR_BUDGET % 7 != 0
+
+    def test_all_windows_empty(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        grid = run_three_ways(xs, 0.1, np.full(50, 7.0), np.ones(50))
+        assert grid.n_seen == 50 and not grid.n_active.any()
+        assert np.isnan(grid.estimates()).all()
+
+    @given(
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-10.0, 10.0)), max_size=60),
+        st.floats(0.01, 1.5),
+    )
+    @settings(max_examples=75)
+    def test_hypothesis_streams(self, xs, pairs, delta):
+        phis = [p for p, _ in pairs]
+        ys = [y for _, y in pairs]
+        run_three_ways(np.array(xs), delta, phis, ys)
+
+    @pytest.mark.parametrize("where", [0, 5, streaming._SUB_BLOCK + 3])
+    @pytest.mark.parametrize("field", ["phi", "y"])
+    def test_non_finite_sample_stops_where_the_loop_stops(self, where, field):
+        rng = np.random.default_rng(33)
+        n = streaming._SUB_BLOCK + 50
+        phis = rng.uniform(-1, 1, n)
+        ys = rng.normal(0, 1, n)
+        (phis if field == "phi" else ys)[where] = math.nan
+        xs = np.linspace(-1.0, 1.0, 7)
+        extended = StreamingGrid(xs, CFG)
+        with pytest.raises(ValueError) as by_extend:
+            extended.extend(phis, ys)
+        looped = StreamingGrid(xs, CFG)
+        with pytest.raises(ValueError) as by_loop:
+            for p, y in zip(phis.tolist(), ys.tolist()):
+                looped.update(p, y)
+        assert str(by_extend.value) == str(by_loop.value) == f"{field} must be finite, got nan"
+        assert extended.n_seen == looped.n_seen == where
+        assert np.array_equal(extended.n_active, looped.n_active)
+        assert np.array_equal(extended.support_sum, looped.support_sum)
+        assert np.array_equal(extended.support_sq_sum, looped.support_sq_sum)
+        assert np.array_equal(extended.estimates(), looped.estimates(), equal_nan=True)
