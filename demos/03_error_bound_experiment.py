@@ -17,7 +17,7 @@ print(f"experiment: {spec.function} on {spec.input_range}, "
 print(f"estimator: delta = {spec.config.delta}, l1 = {spec.config.l1}")
 print()
 
-report = rdwo.run_experiment(spec, mode="batch")
+report = rdwo.run_experiment(spec)
 print(f"{'x':>6} {'truth':>9} {'estimate':>9} {'|error|':>9} {'bound z':>9}  ok")
 for r in report.records:
     if r.estimate is None:
@@ -33,15 +33,16 @@ print(f"bound violations  : {report.violation_count}")
 print(f"mean |error|      : {report.mean_abs_error:.5f}")
 print(f"max  |error|      : {report.max_abs_error:.5f}")
 
-streaming = rdwo.run_experiment(spec, mode="streaming")
-dev = rdwo.max_relative_deviation(report, streaming)
+# One streaming pass over the same seeded data must reproduce the estimates.
+streamed = rdwo.stream_estimates(spec)
+dev = rdwo.max_relative_deviation(report, streamed)
 print(f"batch vs streaming: max relative deviation = {dev:.2e}")
 
 # Noiseless collapse: with sigma = 0 every error is below l1 * delta.
 import dataclasses
 
 quiet = dataclasses.replace(spec, noise_sigma=0.0)
-quiet_report = rdwo.run_experiment(quiet, mode="batch")
+quiet_report = rdwo.run_experiment(quiet)
 cap = quiet.config.l1 * quiet.config.delta
 print()
 print(f"noiseless rerun: max |error| = {quiet_report.max_abs_error:.5f} "

@@ -22,7 +22,7 @@ from .core import (
     signed_objective_value,
 )
 from .oracle import maximize_signed, maximize_simplex
-from .simulate import load_spec, max_relative_deviation, run_experiment
+from .simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
 from .streaming import RecursiveState, StreamingGrid
 
 __version__ = "0.1.0"
@@ -45,6 +45,7 @@ __all__ = [
     "load_spec",
     "max_relative_deviation",
     "run_experiment",
+    "stream_estimates",
     "RecursiveState",
     "StreamingGrid",
     "__version__",

@@ -7,9 +7,9 @@ and ``verify`` certifies the closed form against the search oracles on
 random instances.  Output is JSON lines by default or CSV on request, with
 floats printed to 17 significant digits so reruns are byte-identical.
 
-Exit codes: 0 on success, 1 on a verification failure, 2 on bad input or
-configuration, and 141 (128 + SIGPIPE) when the reader of stdout closes it
-early, as ``head`` does; nothing is printed then.
+Exit codes: 0 on success, 1 on a verification failure only, 2 on bad input,
+configuration or any other error, and 141 (128 + SIGPIPE) when the reader of
+stdout closes it early, as ``head`` does; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -27,12 +26,13 @@ import numpy as np
 from .core import (
     EstimatorConfig,
     batch_weights,
+    grid_solve,
     objective_value,
     optimal_objective,
-    sorted_windows,
 )
-# iter_samples, read_samples and max_relative_deviation are unused here, but
-# perfbench/tracer.py wraps them by name in this module.
+# iter_samples and read_samples are unused here: fit and stream read through
+# read_arrays and iter_blocks.  perfbench/tracer.py still wraps the two by
+# name in this module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
     InputFormatError,
     csv_row,
@@ -45,8 +45,7 @@ from .dataio import (  # noqa: F401
     read_samples,
 )
 from .oracle import maximize_signed, maximize_simplex, random_instance
-from .simulate import (  # noqa: F401
-    estimate_deviation,
+from .simulate import (
     load_spec,
     max_relative_deviation,
     run_experiment,
@@ -54,7 +53,7 @@ from .simulate import (  # noqa: F401
 )
 from .streaming import StreamingGrid
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 # Largest tolerated relative disagreement between execution modes, and the
 # certification tolerance for oracle-vs-closed-form objectives.
@@ -63,25 +62,6 @@ ORACLE_TOL = 1e-6
 
 # Rows `stream` reads and folds at once when no --emit-every is given.
 STREAM_BLOCK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of options for the estimation commands."""
-
-    command: str
-    input_path: str
-    config: EstimatorConfig
-    grid: tuple[float, ...]
-    output_format: str
-    diagnostics: bool
-    emit_every: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.grid:
-            raise ValueError("query grid must be nonempty")
-        if self.emit_every < 0:
-            raise ValueError("--emit-every must be >= 0")
 
 
 def _add_estimation_args(sub: argparse.ArgumentParser) -> None:
@@ -156,89 +136,68 @@ def _emit(out: TextIO, fmt: str, header: Sequence[str], rows, *, with_header: bo
             print(csv_row(row), file=out)
 
 
-def _estimation_run_config(args: argparse.Namespace) -> RunConfig:
-    grid = parse_grid(args.grid) if args.grid else parse_grid_list(args.grid_list)
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        config=EstimatorConfig(delta=args.delta, l1=args.l1),
-        grid=grid,
-        output_format=args.format,
-        diagnostics=args.diagnostics,
-        emit_every=getattr(args, "emit_every", 0),
-    )
+def _query_grid(args: argparse.Namespace) -> np.ndarray:
+    return np.asarray(parse_grid(args.grid) if args.grid else parse_grid_list(args.grid_list))
+
+
+def _grid_rows(xs: np.ndarray, solution, diagnostics: bool, n_seen: int | None):
+    """Header and rows of one grid snapshot, the same for ``fit`` and ``stream``.
+
+    ``solution`` holds the per-point estimates, active counts, objectives and
+    support sums.  A point with no sample in its window prints a null
+    estimate, objective and support sum.  ``support_sum`` is a column with
+    ``diagnostics``, and ``n_seen`` is the last one unless it is None.
+    """
+    width = 5 if diagnostics else 4
+    header = ["x", "estimate", "active_count", "objective", "support_sum"][:width]
+    tail = []
+    if n_seen is not None:
+        header.append("n_seen")
+        tail.append(n_seen)
+    rows = []
+    for row in zip(xs.tolist(), *(column.tolist() for column in solution)):
+        if not row[2]:
+            row = (row[0], None, 0, None, None)
+        rows.append([*row[:width], *tail])
+    return header, rows
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
-    rc = _estimation_run_config(args)
-    phis, ys = read_arrays(rc.input_path)
-    n = phis.size
-
-    header = ["x", "estimate", "active_count", "objective"]
-    if rc.diagnostics:
-        header += ["support_sum", "n_seen"]
-    rows = []
-    windows = sorted_windows(np.asarray(rc.grid), phis, rc.config.delta)
-    for x, (positions, support) in zip(rc.grid, windows):
-        count = positions.size
-        if count == 0:
-            row = [x, None, 0, None]
-            if rc.diagnostics:
-                row += [None, n]
-        else:
-            total = float(np.sum(support))
-            est = float(np.dot(support / total, ys[positions]))
-            obj = math.sqrt(float(np.dot(support, support)))
-            row = [x, est, count, obj]
-            if rc.diagnostics:
-                row += [total, n]
-        rows.append(row)
-    _emit(out, rc.output_format, header, rows, with_header=True)
+    grid = _query_grid(args)
+    config = EstimatorConfig(delta=args.delta, l1=args.l1)
+    phis, ys = read_arrays(args.input)
+    solution = grid_solve(grid, phis, ys, config)
+    n_seen = phis.size if args.diagnostics else None
+    header, rows = _grid_rows(grid, solution, args.diagnostics, n_seen)
+    _emit(out, args.format, header, rows, with_header=True)
     return 0
 
 
-def _stream_rows(engine: StreamingGrid, rc: RunConfig, n_seen: int | None):
-    ests = engine.estimates()
-    objs = engine.objectives()
-    counts = engine.active_counts()
-    sums = engine.support_sums()
-    rows = []
-    for i, x in enumerate(engine.xs):
-        supported = counts[i] > 0
-        row = [
-            float(x),
-            float(ests[i]) if supported else None,
-            int(counts[i]),
-            float(objs[i]) if supported else None,
-        ]
-        if rc.diagnostics:
-            row.append(float(sums[i]) if supported else None)
-        if n_seen is not None:
-            row.append(n_seen)
-        rows.append(row)
-    return rows
-
-
 def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
-    rc = _estimation_run_config(args)
-    engine = StreamingGrid(np.asarray(rc.grid), rc.config)
+    grid = _query_grid(args)
+    config = EstimatorConfig(delta=args.delta, l1=args.l1)
+    if args.emit_every < 0:
+        raise ValueError("--emit-every must be >= 0")
+    engine = StreamingGrid(grid, config)
+    track_n = args.emit_every > 0 or args.diagnostics
 
-    track_n = rc.emit_every > 0 or rc.diagnostics
-    header = ["x", "estimate", "active_count", "objective"]
-    if rc.diagnostics:
-        header.append("support_sum")
-    if track_n:
-        header.append("n_seen")
+    def emit(n_seen: int | None, with_header: bool) -> None:
+        solution = (
+            engine.estimates(),
+            engine.active_counts(),
+            engine.objectives(),
+            engine.support_sums(),
+        )
+        header, rows = _grid_rows(engine.xs, solution, args.diagnostics, n_seen)
+        _emit(out, args.format, header, rows, with_header=with_header)
 
     first_block = True
-    for phis, ys in iter_blocks(rc.input_path, rc.emit_every or STREAM_BLOCK_ROWS):
+    for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
         engine.extend(phis, ys)
-        if phis.size == rc.emit_every:
-            rows = _stream_rows(engine, rc, engine.n_seen)
-            _emit(out, rc.output_format, header, rows, with_header=first_block)
+        if phis.size == args.emit_every:
+            emit(engine.n_seen, first_block)
             first_block = False
-    rows = _stream_rows(engine, rc, engine.n_seen if track_n else None)
-    _emit(out, rc.output_format, header, rows, with_header=first_block)
+    emit(engine.n_seen if track_n else None, first_block)
     return 0
 
 
@@ -246,8 +205,8 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    batch = run_experiment(spec, "batch")
-    deviation = estimate_deviation(batch, stream_estimates(spec))
+    batch = run_experiment(spec)
+    deviation = max_relative_deviation(batch, stream_estimates(spec))
     failures = []
     if deviation > MODE_AGREEMENT_RTOL:
         failures.append(
@@ -256,14 +215,10 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     if batch.violation_count > 0:
         failures.append(f"{batch.violation_count} error-bound violation(s)")
 
-    header = ["x", "truth", "estimate", "abs_error", "bound_z", "bound_holds", "active_count"]
-    rows = [
-        [r.x, r.truth, r.estimate, r.abs_error, r.bound_z, r.bound_holds, r.active_count]
-        for r in batch.records
-    ]
+    records = [r.to_dict() for r in batch.records]
     if args.format == "json":
-        for row in rows:
-            print(json_record([("type", "query")] + list(zip(header, row))), file=out)
+        for record in records:
+            print(json_record([("type", "query"), *record.items()]), file=out)
         print(
             json_record(
                 [
@@ -279,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
             file=out,
         )
     else:
-        _emit(out, "csv", header, rows, with_header=True)
+        _emit(out, "csv", list(records[0]), [list(r.values()) for r in records], with_header=True)
         print(
             f"summary: supported={batch.supported_count} "
             f"no_support={batch.no_support_count} violations={batch.violation_count} "
@@ -397,6 +352,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 141
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 is kept for a real verification failure, so a defect or an
+        # input no check anticipated still exits 2, named by its type.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "objective_value",
     "signed_objective_value",
     "optimal_objective",
+    "grid_solve",
     "grid_estimates",
     "window_margins",
     "sorted_windows",
@@ -377,16 +378,18 @@ def optimal_objective(x: float, samples: Sequence[Sample], config: EstimatorConf
     return math.sqrt(float(np.dot(support, support)))
 
 
-def grid_estimates(
+def grid_solve(
     xs: np.ndarray,
     phis: np.ndarray,
     ys: np.ndarray,
     config: EstimatorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form estimates at many query points over one dataset.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form solution at many query points over one dataset.
 
-    Returns ``(estimates, active_counts)``.  Queries with empty support get
-    ``nan`` estimates and a zero count.
+    Returns ``(estimates, active_counts, objectives, support_sums)``, the
+    per-point arrays a :class:`~rdwo.streaming.StreamingGrid` reports.
+    Queries with empty support get ``nan`` estimates and objectives and zero
+    counts and sums.
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -395,8 +398,27 @@ def grid_estimates(
         raise ValueError("phis and ys must be aligned 1-D arrays")
     estimates = np.full(xs.size, np.nan)
     counts = np.zeros(xs.size, dtype=int)
+    objectives = np.full(xs.size, np.nan)
+    sums = np.zeros(xs.size)
     for i, (positions, support) in enumerate(sorted_windows(xs, phis, config.delta)):
         if positions.size:
-            estimates[i] = float(np.dot(support / float(np.sum(support)), ys[positions]))
+            total = float(np.sum(support))
+            estimates[i] = float(np.dot(support / total, ys[positions]))
             counts[i] = positions.size
+            objectives[i] = math.sqrt(float(np.dot(support, support)))
+            sums[i] = total
+    return estimates, counts, objectives, sums
+
+
+def grid_estimates(
+    xs: np.ndarray,
+    phis: np.ndarray,
+    ys: np.ndarray,
+    config: EstimatorConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form estimates at many query points over one dataset.
+
+    Returns ``(estimates, active_counts)`` of :func:`grid_solve`.
+    """
+    estimates, counts, _, _ = grid_solve(xs, phis, ys, config)
     return estimates, counts

@@ -3,8 +3,9 @@
 A run draws regressors uniformly on an input range, evaluates a known
 Lipschitz target function, adds Gaussian noise, estimates at a grid of query
 points, and checks the realized error of every supported query against its
-computed bound.  Batch and streaming execution modes are both available and
-must agree to tight tolerance.
+computed bound.  One streaming pass over the same seeded data,
+:func:`stream_estimates`, must agree with the batch estimates to tight
+tolerance, as :func:`max_relative_deviation` measures.
 """
 
 from __future__ import annotations
@@ -12,17 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    EstimatorConfig,
-    Sample,
-    WeightSolution,
-    _require_finite,
-    sorted_windows,
-)
+from .core import EstimatorConfig, _require_finite, sorted_windows
 from .streaming import StreamingGrid
 
 __all__ = [
@@ -30,17 +25,13 @@ __all__ = [
     "Atan",
     "PiecewiseLinear",
     "FunctionSpec",
-    "NoisySample",
     "ExperimentSpec",
     "QueryRecord",
     "ExperimentReport",
     "lipschitz_scan",
-    "generate_dataset",
-    "error_bound",
     "run_experiment",
     "stream_estimates",
     "max_relative_deviation",
-    "estimate_deviation",
     "load_spec",
 ]
 
@@ -136,28 +127,6 @@ def lipschitz_scan(fn, lo: float, hi: float, points: int = 4001) -> float:
 
 
 @dataclass(frozen=True)
-class NoisySample:
-    """A sample together with the ground truth and noise that produced it.
-
-    The observed output must reproduce ``truth + noise`` exactly, bit for
-    bit; the constructor rejects anything else.
-    """
-
-    sample: Sample
-    truth: float
-    noise: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "truth", _require_finite("truth", self.truth))
-        object.__setattr__(self, "noise", _require_finite("noise", self.noise))
-        if self.sample.y != self.truth + self.noise:
-            raise ValueError(
-                f"observed output {self.sample.y!r} is not truth + noise "
-                f"({self.truth!r} + {self.noise!r})"
-            )
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of one seeded experiment.
 
@@ -183,11 +152,11 @@ class ExperimentSpec:
         if sigma < 0.0:
             raise ValueError(f"noise_sigma must be nonnegative, got {sigma}")
         object.__setattr__(self, "noise_sigma", sigma)
-        n = int(self.n_samples)
+        n = _require_int("n_samples", self.n_samples)
         if n < 1:
             raise ValueError(f"n_samples must be >= 1, got {n}")
         object.__setattr__(self, "n_samples", n)
-        seed = int(self.seed)
+        seed = _require_int("seed", self.seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -221,6 +190,7 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentSpec":
+        _reject_unknown("experiment spec", data, _SPEC_KEYS)
         try:
             function = _function_from_dict(data["function"])
             config = EstimatorConfig(delta=data["delta"], l1=data["l1"])
@@ -239,6 +209,32 @@ class ExperimentSpec:
             raise ValueError(f"experiment spec is missing field {exc.args[0]!r}") from None
 
 
+_SPEC_KEYS = (
+    "function", "delta", "l1", "input_range", "noise_sigma", "n_samples", "seed", "query_grid"
+)
+_FUNCTION_KEYS = {
+    "sine": ("kind", "amplitude", "frequency"),
+    "atan": ("kind", "scale"),
+    "piecewise_linear": ("kind", "knots"),
+}
+
+
+def _reject_unknown(where: str, data: dict, known) -> None:
+    """A misspelled key would silently fall back to a default, so none passes."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} field(s): {', '.join(map(repr, unknown))}")
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; whole floats pass, fractions and booleans do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _function_to_dict(fn: FunctionSpec) -> dict:
     if isinstance(fn, Sine):
         return {"kind": "sine", "amplitude": fn.amplitude, "frequency": fn.frequency}
@@ -250,24 +246,32 @@ def _function_to_dict(fn: FunctionSpec) -> dict:
 
 
 def _function_from_dict(data: dict) -> FunctionSpec:
+    if not isinstance(data, dict):
+        raise ValueError(f"function must be an object, got {type(data).__name__}")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _FUNCTION_KEYS:
+        raise ValueError(f"unknown target function kind: {kind!r}")
+    _reject_unknown(f"{kind} function", data, _FUNCTION_KEYS[kind])
     if kind == "sine":
         return Sine(
             amplitude=data.get("amplitude", 1.0), frequency=data.get("frequency", 1.0)
         )
     if kind == "atan":
         return Atan(scale=data.get("scale", 1.0))
-    if kind == "piecewise_linear":
-        return PiecewiseLinear(knots=tuple(tuple(k) for k in data["knots"]))
-    raise ValueError(f"unknown target function kind: {kind!r}")
+    return PiecewiseLinear(knots=tuple(tuple(k) for k in data["knots"]))
 
 
 def _grid_from_value(value) -> tuple[float, ...]:
     if isinstance(value, dict):
-        count = int(value["count"])
+        _reject_unknown("query_grid", value, ("min", "max", "count"))
+        count = _require_int("grid count", value["count"])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
         return tuple(float(v) for v in np.linspace(value["min"], value["max"], count))
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(
+            f"query_grid must be a list or a {{min, max, count}} object, got {value!r}"
+        )
     return tuple(float(v) for v in value)
 
 
@@ -293,43 +297,14 @@ def _dataset_arrays(spec: ExperimentSpec):
     return phis, truths, noises, ys
 
 
-def generate_dataset(spec: ExperimentSpec) -> list[NoisySample]:
-    """Materialize the seeded dataset of an experiment."""
-    phis, truths, noises, ys = _dataset_arrays(spec)
-    return [
-        NoisySample(
-            sample=Sample(index=k + 1, phi=float(phis[k]), y=float(ys[k])),
-            truth=float(truths[k]),
-            noise=float(noises[k]),
-        )
-        for k in range(spec.n_samples)
-    ]
-
-
-def error_bound(
-    solution: WeightSolution,
-    x: float,
-    noisy_samples: Sequence[NoisySample],
-    config: EstimatorConfig,
-) -> float:
-    """Computable bound on the absolute estimation error at ``x``.
-
-    Sum of a deterministic smoothness term, ``l1 * sum(|w| * |x - phi|)``,
-    and the realized weighted noise magnitude ``|sum(w * noise)|``.  The
-    squared error of the weighted estimate never exceeds this bound squared.
-    """
-    n = len(noisy_samples)
-    if len(solution.weights) != n:
-        raise ValueError(f"solution covers {len(solution.weights)} samples, got {n}")
-    x = _require_finite("x", x)
-    active = np.flatnonzero(solution.weights)
-    phis = np.array([noisy_samples[p].sample.phi for p in active], dtype=float)
-    noises = np.array([noisy_samples[p].noise for p in active], dtype=float)
-    return _active_bound(solution.weights[active], x, phis, noises, config.l1)
-
-
 def _active_bound(weights, x, phis, noises, l1: float) -> float:
-    """:func:`error_bound` over the active samples only, nonnegative weights."""
+    """Computable bound on the absolute estimation error at ``x``, over the
+    active samples and their nonnegative weights.
+
+    Sum of a deterministic smoothness term, ``l1 * sum(w * |x - phi|)``, and
+    the realized weighted noise magnitude ``|sum(w * noise)|``.  The squared
+    error of the weighted estimate never exceeds this bound squared.
+    """
     return l1 * float(np.dot(weights, np.abs(x - phis))) + abs(float(np.dot(weights, noises)))
 
 
@@ -361,7 +336,6 @@ class QueryRecord:
 class ExperimentReport:
     """Aggregated outcome of one experiment run."""
 
-    mode: str
     records: tuple[QueryRecord, ...]
     supported_count: int
     no_support_count: int
@@ -371,7 +345,6 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "supported_count": self.supported_count,
             "no_support_count": self.no_support_count,
             "violation_count": self.violation_count,
@@ -381,29 +354,20 @@ class ExperimentReport:
         }
 
 
-Mode = Literal["batch", "streaming"]
-
-
-def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run one seeded experiment end to end.
 
-    In batch mode every query is answered from the closed-form weights over
-    the full dataset; in streaming mode the dataset is folded through
-    one-pass states instead.  Error bounds are evaluated from the weight
-    vectors, which are identical in both modes.
+    Every query is answered from the closed-form weights over the full
+    dataset, and its error bound is evaluated from the same weights.
     """
-    if mode not in ("batch", "streaming"):
-        raise ValueError(f"mode must be 'batch' or 'streaming', got {mode!r}")
     phis, truths, noises, ys = _dataset_arrays(spec)
     grid = np.asarray(spec.query_grid)
-
-    streamed = stream_estimates(spec) if mode == "streaming" else None
 
     records = []
     errors = []
     violations = 0
     windows = sorted_windows(grid, phis, spec.config.delta)
-    for qi, (x, (positions, support)) in enumerate(zip(grid, windows)):
+    for x, (positions, support) in zip(grid, windows):
         truth_x = float(spec.function(x))
         if positions.size == 0:
             records.append(
@@ -419,10 +383,7 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
             )
             continue
         weights = support / float(np.sum(support))
-        if mode == "batch":
-            est = float(np.dot(weights, ys[positions]))
-        else:
-            est = float(streamed[qi])
+        est = float(np.dot(weights, ys[positions]))
         err = abs(est - truth_x)
         bound = _active_bound(weights, x, phis[positions], noises[positions], spec.config.l1)
         holds = err * err <= bound * bound
@@ -442,7 +403,6 @@ def run_experiment(spec: ExperimentSpec, mode: Mode = "batch") -> ExperimentRepo
         )
     supported = len(errors)
     return ExperimentReport(
-        mode=mode,
         records=tuple(records),
         supported_count=supported,
         no_support_count=len(records) - supported,
@@ -461,29 +421,19 @@ def stream_estimates(spec: ExperimentSpec) -> np.ndarray:
     return engine.estimates()
 
 
-def max_relative_deviation(a: ExperimentReport, b: ExperimentReport) -> float:
-    """Largest relative disagreement between the estimates of two reports.
-
-    Reports must cover the same query grid with the same support pattern.
-    """
-    if [ra.x for ra in a.records] != [rb.x for rb in b.records]:
-        raise ValueError("reports cover different query grids")
-    return estimate_deviation(a, [rb.estimate for rb in b.records])
-
-
-def estimate_deviation(report: ExperimentReport, estimates: Sequence) -> float:
+def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:
     """Largest relative disagreement between a report's estimates and
     ``estimates``, one per record, with None or nan where unsupported.
 
     The support pattern must be the report's.
     """
     if len(report.records) != len(estimates):
-        raise ValueError("reports cover different query grids")
+        raise ValueError(f"{len(estimates)} estimates for {len(report.records)} queries")
     worst = 0.0
     for record, other in zip(report.records, estimates):
         unsupported = other is None or math.isnan(other)
         if (record.estimate is None) != unsupported:
-            raise ValueError("reports cover different query grids")
+            raise ValueError(f"support differs from the report's at x={record.x!r}")
         if unsupported:
             continue
         scale = max(abs(record.estimate), abs(other), 1e-300)

@@ -211,7 +211,7 @@ def test_criterion_06_error_bound_holds():
             seed=seed,
             query_grid=grid,
         )
-        report = run_experiment(spec, "batch")
+        report = run_experiment(spec)
         total_violations += report.violation_count
         total_supported += report.supported_count
     elapsed = time.perf_counter() - start
@@ -236,7 +236,7 @@ def test_criterion_07_noiseless_error_collapse():
         seed=123,
         query_grid=tuple(np.linspace(-2.9, 2.9, 41)),
     )
-    report = run_experiment(spec, "batch")
+    report = run_experiment(spec)
     cap = config.l1 * config.delta
     ok = (
         report.no_support_count == 0

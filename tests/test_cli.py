@@ -1,16 +1,21 @@
 import errno
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig
 from rdwo.streaming import StreamingGrid
 
+REPO = Path(__file__).resolve().parents[1]
 HAND_ESTIMATE = 21 / 13
 HAND_OPTIMUM = 0.9433981132056605
 
@@ -371,6 +376,98 @@ class TestSimulate:
         assert err.startswith("error:")
 
 
+def demo_spec():
+    return json.loads((REPO / "demos" / "data" / "sine_experiment.json").read_text("utf-8"))
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Malformed spec values: scalars where an object or list belongs, keys no
+# schema knows, and counts that are fractional, boolean or not numbers.
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+KNOWN_KEYS = {*demo_spec(), *demo_spec()["function"], *demo_spec()["query_grid"]}
+NOT_WHOLE = st.one_of(
+    st.booleans(), st.floats().filter(lambda v: not v.is_integer()), st.text(max_size=3)
+)
+SPEC_FAULTS = st.one_of(
+    st.tuples(st.just(None), st.just("function"), SCALARS | st.lists(SCALARS, max_size=2)),
+    st.tuples(st.just(None), st.just("query_grid"), SCALARS),
+    st.tuples(
+        st.sampled_from([None, "function", "query_grid"]),
+        st.text(max_size=8).filter(lambda key: key not in KNOWN_KEYS),
+        SCALARS,
+    ),
+    st.tuples(st.just(None), st.sampled_from(["n_samples", "seed"]), NOT_WHOLE),
+    st.tuples(st.just("query_grid"), st.just("count"), NOT_WHOLE),
+)
+
+
+class TestSpecErrors:
+    """A malformed spec exits 2 with one line, never 1: exit 1 claims a
+    verification failure."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "function", 5),
+            (None, "function", ["sine"]),
+            (None, "query_grid", 3),
+            (None, "query_grid", "12"),
+            (None, "noise_sgima", 0.1),
+            (None, "n_samples", 5.7),
+            (None, "n_samples", True),
+            (None, "seed", 7.5),
+            (None, "seed", False),
+            ("function", "amplitdue", 2.0),
+            ("query_grid", "step", 0.25),
+            ("query_grid", "count", 21.5),
+            ("query_grid", "count", True),
+        ],
+    )
+    def test_rejected(self, capsys, tmp_path, section, key, value):
+        spec = demo_spec()
+        (spec if section is None else spec[section])[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert_one_line_error(code, out, err)
+        assert key in err
+
+    def test_unanticipated_error_exits_2(self, capsys, tmp_path):
+        spec = demo_spec()
+        spec["input_range"] = 5
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert_one_line_error(code, out, err)
+        assert err.startswith("error: TypeError: ")
+
+    def test_whole_float_counts_accepted(self, capsys, tmp_path):
+        spec = demo_spec()
+        spec.update(n_samples=300.0, seed=7.0)
+        spec["query_grid"]["count"] = 5.0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(path))
+        assert code == 0
+        assert json_lines(out)[-1]["supported_count"] == 5
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fault=SPEC_FAULTS)
+    def test_fuzzed_faults_exit_2(self, capsys, tmp_path, fault):
+        section, key, value = fault
+        spec = demo_spec()
+        spec["n_samples"] = 50
+        (spec if section is None else spec[section])[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert_one_line_error(*run_cli(capsys, "simulate", "--spec", str(path)))
+
+
 class TestVerify:
     def test_clean_pass(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--instances", "5")
@@ -449,3 +546,26 @@ class TestBrokenPipe:
         sink.close()
         assert code == 141
         assert capsys.readouterr().err == ""
+
+
+def readme_examples():
+    """``$ rdwo ...`` commands of the README with their output lines, leaving
+    out those whose output is abridged by a ``...`` line."""
+    examples = []
+    for block in (REPO / "README.md").read_text("utf-8").split("```sh\n")[1:]:
+        lines = block.split("```")[0].splitlines()
+        if lines and lines[0].startswith("$ rdwo ") and "..." not in lines[1:]:
+            examples.append((lines[0][len("$ rdwo "):], lines[1:]))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_some_example_is_checked(self):
+        assert readme_examples()
+
+    @pytest.mark.parametrize("command, expected", readme_examples())
+    def test_output_matches(self, capsys, monkeypatch, command, expected):
+        monkeypatch.chdir(REPO)
+        code, out, _ = run_cli(capsys, *shlex.split(command))
+        assert code == 0
+        assert out.splitlines() == expected

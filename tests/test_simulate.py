@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from rdwo.core import EstimatorConfig, Sample, batch_weights
+from rdwo.core import EstimatorConfig
 from rdwo.simulate import (
     Atan,
     ExperimentSpec,
-    NoisySample,
     PiecewiseLinear,
     Sine,
-    error_bound,
-    generate_dataset,
+    _dataset_arrays,
     lipschitz_scan,
     load_spec,
     max_relative_deviation,
     run_experiment,
+    stream_estimates,
 )
 
 
@@ -73,17 +72,6 @@ class TestTargetFunctions:
             lipschitz_scan(Sine(), 1.0, 1.0)
 
 
-class TestNoisySample:
-    def test_exact_decomposition_accepted(self):
-        truth, noise = 0.7, -0.2
-        ns = NoisySample(sample=Sample(1, 0.0, truth + noise), truth=truth, noise=noise)
-        assert ns.sample.y == truth + noise
-
-    def test_inexact_decomposition_rejected(self):
-        with pytest.raises(ValueError):
-            NoisySample(sample=Sample(1, 0.0, 0.5000001), truth=0.7, noise=-0.2)
-
-
 class TestExperimentSpec:
     def test_valid_spec_roundtrips(self):
         spec = small_spec()
@@ -135,50 +123,49 @@ class TestExperimentSpec:
 class TestGenerateDataset:
     def test_deterministic_and_well_formed(self):
         spec = small_spec(n_samples=100)
-        a = generate_dataset(spec)
-        b = generate_dataset(spec)
-        assert a == b
-        assert len(a) == 100
+        a = _dataset_arrays(spec)
+        b = _dataset_arrays(spec)
+        for first, again in zip(a, b):
+            np.testing.assert_array_equal(first, again)
+        phis, truths, noises, ys = a
         lo, hi = spec.input_range
-        for k, ns in enumerate(a, start=1):
-            assert ns.sample.index == k
-            assert lo <= ns.sample.phi <= hi
-            assert ns.sample.y == ns.truth + ns.noise
+        for column in a:
+            assert column.shape == (100,) and np.all(np.isfinite(column))
+        assert np.all((lo <= phis) & (phis <= hi))
+        assert np.array_equal(ys, truths + noises)
 
     def test_noiseless_dataset(self):
         spec = small_spec(noise_sigma=0.0, n_samples=50)
-        for ns in generate_dataset(spec):
-            assert ns.noise == 0.0
-            assert ns.sample.y == ns.truth
+        _, truths, noises, ys = _dataset_arrays(spec)
+        assert np.all(noises == 0.0)
+        assert np.array_equal(ys, truths)
 
 
 class TestErrorBound:
     def test_matches_plain_arithmetic(self):
-        spec = small_spec(n_samples=60)
-        data = generate_dataset(spec)
-        samples = [ns.sample for ns in data]
-        x = 0.4
-        sol = batch_weights(x, samples, spec.config)
-        z = error_bound(sol, x, data, spec.config)
-        smooth = math.fsum(
-            w * abs(x - ns.sample.phi) for w, ns in zip(sol.weights, data)
+        spec = small_spec(
+            n_samples=60,
+            query_grid=(-2.0, 0.4, 1.7),
+            config=EstimatorConfig(delta=0.5, l1=2.5),
         )
-        noise = math.fsum(w * ns.noise for w, ns in zip(sol.weights, data))
-        expected = spec.config.l1 * smooth + abs(noise)
-        assert math.isclose(z, expected, rel_tol=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        spec = small_spec(n_samples=10)
-        data = generate_dataset(spec)
-        sol = batch_weights(0.0, [ns.sample for ns in data], spec.config)
-        with pytest.raises(ValueError):
-            error_bound(sol, 0.0, data[:5], spec.config)
+        rng = np.random.default_rng(spec.seed)
+        phis = rng.uniform(*spec.input_range, spec.n_samples).tolist()
+        noises = rng.normal(0.0, spec.noise_sigma, spec.n_samples).tolist()
+        report = run_experiment(spec)
+        for x, record in zip(spec.query_grid, report.records):
+            margins = [spec.config.delta - abs(x - phi) for phi in phis]
+            active = [k for k, m in enumerate(margins) if m > 0.0]
+            assert record.active_count == len(active) > 0
+            total = math.fsum(margins[k] for k in active)
+            smooth = math.fsum(margins[k] / total * abs(x - phis[k]) for k in active)
+            noise = math.fsum(margins[k] / total * noises[k] for k in active)
+            expected = spec.config.l1 * smooth + abs(noise)
+            assert math.isclose(record.bound_z, expected, rel_tol=1e-12)
 
 
 class TestRunExperiment:
     def test_batch_report_shape(self):
-        report = run_experiment(small_spec(), "batch")
-        assert report.mode == "batch"
+        report = run_experiment(small_spec())
         assert len(report.records) == 11
         assert report.supported_count + report.no_support_count == 11
         assert report.violation_count == 0
@@ -193,20 +180,17 @@ class TestRunExperiment:
 
     def test_modes_agree(self):
         spec = small_spec(n_samples=2000)
-        batch = run_experiment(spec, "batch")
-        streaming = run_experiment(spec, "streaming")
-        assert max_relative_deviation(batch, streaming) <= 1e-10
-        assert streaming.mode == "streaming"
+        assert max_relative_deviation(run_experiment(spec), stream_estimates(spec)) <= 1e-10
 
     def test_unsupported_queries_reported(self):
         spec = small_spec(query_grid=(0.0, 50.0))
-        report = run_experiment(spec, "batch")
+        report = run_experiment(spec)
         assert report.records[1].estimate is None
         assert report.no_support_count == 1
 
     def test_noiseless_errors_capped_by_window(self):
         spec = small_spec(noise_sigma=0.0, n_samples=5000, seed=11)
-        report = run_experiment(spec, "batch")
+        report = run_experiment(spec)
         cap = spec.config.l1 * spec.config.delta
         assert report.supported_count > 0
         assert report.max_abs_error <= cap
@@ -214,14 +198,9 @@ class TestRunExperiment:
             if r.bound_z is not None:
                 assert r.bound_z <= cap
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment(small_spec(), "online")
-
     def test_report_to_dict(self):
-        report = run_experiment(small_spec(), "batch")
+        report = run_experiment(small_spec())
         data = report.to_dict()
-        assert data["mode"] == "batch"
         assert len(data["records"]) == len(report.records)
         assert data["violation_count"] == 0
 
@@ -237,7 +216,7 @@ class TestRunExperiment:
                     n_samples=n, seed=seed, query_grid=grid,
                     config=EstimatorConfig(delta=0.25, l1=1.0),
                 )
-                report = run_experiment(spec, "batch")
+                report = run_experiment(spec)
                 if report.mean_abs_error is not None:
                     sink.append(report.mean_abs_error)
         assert np.mean(large_means) < np.mean(small_means)
@@ -245,11 +224,31 @@ class TestRunExperiment:
 
 class TestMaxRelativeDeviation:
     def test_zero_for_identical_reports(self):
-        report = run_experiment(small_spec(), "batch")
-        assert max_relative_deviation(report, report) == 0.0
+        report = run_experiment(small_spec())
+        assert max_relative_deviation(report, [r.estimate for r in report.records]) == 0.0
 
     def test_mismatched_grids_rejected(self):
-        a = run_experiment(small_spec(), "batch")
-        b = run_experiment(small_spec(query_grid=(0.0,)), "batch")
+        a = run_experiment(small_spec())
+        b = run_experiment(small_spec(query_grid=(0.0,)))
         with pytest.raises(ValueError):
-            max_relative_deviation(a, b)
+            max_relative_deviation(a, [r.estimate for r in b.records])
+
+    @pytest.mark.parametrize("unsupported", [None, math.nan])
+    def test_unsupported_against_an_estimate_rejected(self, unsupported):
+        report = run_experiment(small_spec())
+        estimates = [r.estimate for r in report.records]
+        estimates[3] = unsupported
+        with pytest.raises(ValueError):
+            max_relative_deviation(report, estimates)
+
+    @pytest.mark.parametrize("unsupported", [None, math.nan])
+    def test_unsupported_queries_skipped(self, unsupported):
+        report = run_experiment(small_spec(query_grid=(0.0, 50.0)))
+        estimate = report.records[0].estimate
+        assert max_relative_deviation(report, [estimate, unsupported]) == 0.0
+        with pytest.raises(ValueError):
+            max_relative_deviation(report, [estimate, estimate])
+        shifted = estimate * (1.0 + 1e-9)
+        assert max_relative_deviation(report, [shifted, unsupported]) == pytest.approx(
+            1e-9, rel=1e-6
+        )
