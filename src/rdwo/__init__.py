@@ -21,6 +21,10 @@ from .core import (
     optimal_objective,
     signed_objective_value,
 )
+# Imported here, ahead of cli.py.  Imported from cli, dataio is compiled
+# right after cli.py, and with no bytecode cache that raised the peak memory
+# of every command by 0.27 MiB.
+from . import dataio  # noqa: F401
 from .oracle import maximize_signed, maximize_simplex
 from .simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
 from .streaming import RecursiveState, StreamingGrid

@@ -30,12 +30,14 @@ from .core import (
     objective_value,
     optimal_objective,
 )
-# iter_samples and read_samples are unused here: fit and stream read through
-# read_arrays and iter_blocks.  perfbench/tracer.py still wraps the two by
-# name in this module, so they stay bound until the tracer follows.
+# iter_samples, read_samples and csv_row are unused here: fit and stream read
+# through read_arrays and iter_blocks, and tables print through format_rows.
+# perfbench/tracer.py still wraps the three by name in this module, so they
+# stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
     InputFormatError,
     csv_row,
+    format_rows,
     iter_blocks,
     iter_samples,
     json_record,
@@ -125,41 +127,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out: TextIO, fmt: str, header: Sequence[str], rows, *, with_header: bool) -> None:
-    if fmt == "json":
-        for row in rows:
-            print(json_record(list(zip(header, row))), file=out)
-    else:
-        if with_header:
-            print(",".join(header), file=out)
-        for row in rows:
-            print(csv_row(row), file=out)
+def _emit(out: TextIO, fmt: str, header, kinds: str, columns, *, with_header=True, **rows):
+    """Write a table: the CSV header line if asked for, then the texts of
+    :func:`~rdwo.dataio.format_rows`."""
+    if fmt == "csv" and with_header:
+        out.write(",".join(header) + "\n")
+    for text in format_rows(fmt, header, kinds, columns, **rows):
+        out.write(text)
 
 
 def _query_grid(args: argparse.Namespace) -> np.ndarray:
     return np.asarray(parse_grid(args.grid) if args.grid else parse_grid_list(args.grid_list))
 
 
-def _grid_rows(xs: np.ndarray, solution, diagnostics: bool, n_seen: int | None):
-    """Header and rows of one grid snapshot, the same for ``fit`` and ``stream``.
+def _emit_grid(out, args, xs: np.ndarray, solution, n_seen: int | None, with_header: bool):
+    """One grid snapshot, the same for ``fit`` and ``stream``.
 
     ``solution`` holds the per-point estimates, active counts, objectives and
     support sums.  A point with no sample in its window prints a null
     estimate, objective and support sum.  ``support_sum`` is a column with
-    ``diagnostics``, and ``n_seen`` is the last one unless it is None.
+    ``--diagnostics``, and ``n_seen`` is the last one unless it is None.
     """
-    width = 5 if diagnostics else 4
+    width = 5 if args.diagnostics else 4
     header = ["x", "estimate", "active_count", "objective", "support_sum"][:width]
-    tail = []
+    kinds = "ffdff"[:width]
+    columns = [xs.tolist(), *(column.tolist() for column in solution[: width - 1])]
     if n_seen is not None:
         header.append("n_seen")
-        tail.append(n_seen)
-    rows = []
-    for row in zip(xs.tolist(), *(column.tolist() for column in solution)):
-        if not row[2]:
-            row = (row[0], None, 0, None, None)
-        rows.append([*row[:width], *tail])
-    return header, rows
+        kinds += "d"
+        columns.append([n_seen] * xs.size)
+    _emit(
+        out,
+        args.format,
+        header,
+        kinds,
+        columns,
+        with_header=with_header,
+        supported=(solution[1] > 0).tolist(),
+        nullable=("estimate", "objective", "support_sum"),
+    )
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
@@ -167,9 +173,7 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     config = EstimatorConfig(delta=args.delta, l1=args.l1)
     phis, ys = read_arrays(args.input)
     solution = grid_solve(grid, phis, ys, config)
-    n_seen = phis.size if args.diagnostics else None
-    header, rows = _grid_rows(grid, solution, args.diagnostics, n_seen)
-    _emit(out, args.format, header, rows, with_header=True)
+    _emit_grid(out, args, grid, solution, phis.size if args.diagnostics else None, True)
     return 0
 
 
@@ -188,8 +192,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
             engine.objectives(),
             engine.support_sums(),
         )
-        header, rows = _grid_rows(engine.xs, solution, args.diagnostics, n_seen)
-        _emit(out, args.format, header, rows, with_header=with_header)
+        _emit_grid(out, args, engine.xs, solution, n_seen, with_header)
 
     first_block = True
     for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
@@ -199,6 +202,19 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
             first_block = False
     emit(engine.n_seen if track_n else None, first_block)
     return 0
+
+
+# The fields of a simulate query record, as QueryRecord.to_dict orders them,
+# with their column kinds.
+_QUERY_COLUMNS = (
+    ("x", "f"),
+    ("truth", "f"),
+    ("estimate", "f"),
+    ("abs_error", "f"),
+    ("bound_z", "f"),
+    ("bound_holds", "b"),
+    ("active_count", "d"),
+)
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
@@ -215,10 +231,18 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     if batch.violation_count > 0:
         failures.append(f"{batch.violation_count} error-bound violation(s)")
 
-    records = [r.to_dict() for r in batch.records]
+    records = batch.records
+    _emit(
+        out,
+        args.format,
+        [key for key, _ in _QUERY_COLUMNS],
+        "".join(kind for _, kind in _QUERY_COLUMNS),
+        [[getattr(record, key) for record in records] for key, _ in _QUERY_COLUMNS],
+        supported=[record.estimate is not None for record in records],
+        nullable=("estimate", "abs_error", "bound_z", "bound_holds"),
+        prefix=[("type", "query")],
+    )
     if args.format == "json":
-        for record in records:
-            print(json_record([("type", "query"), *record.items()]), file=out)
         print(
             json_record(
                 [
@@ -234,7 +258,6 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
             file=out,
         )
     else:
-        _emit(out, "csv", list(records[0]), [list(r.values()) for r in records], with_header=True)
         print(
             f"summary: supported={batch.supported_count} "
             f"no_support={batch.no_support_count} violations={batch.violation_count} "
@@ -305,9 +328,8 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         rows.append(
             [i, n, claimed, simplex.objective, signed.objective, simplex_dev, signed_excess, ok]
         )
+    _emit(out, args.format, header, "ddfffffb", list(zip(*rows)), prefix=[("type", "instance")])
     if args.format == "json":
-        for row in rows:
-            print(json_record([("type", "instance")] + list(zip(header, row))), file=out)
         print(
             json_record(
                 [
@@ -322,7 +344,6 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             file=out,
         )
     else:
-        _emit(out, "csv", header, rows, with_header=True)
         print(
             f"summary: instances={args.instances} failures={failures} "
             f"max_simplex_abs_dev={max_simplex_dev:g} "

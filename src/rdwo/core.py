@@ -55,6 +55,27 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+# The checks of experiment-spec numbers live here, not in simulate.py: that
+# is the largest module, and its compile sets the peak memory of the import.
+def _number(name: str, value) -> float:
+    """A spec's JSON number as a float; a string, boolean or null is refused
+    rather than read by ``float()``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return _require_finite(name, value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def _numbers(name: str, value, count: int | None = None) -> tuple[float, ...]:
+    """A spec's JSON list of numbers, of ``count`` items if given."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        shape = "a list of numbers" if count is None else f"a list of {count} numbers"
+        raise ValueError(f"{name} must be {shape}, got {value!r}")
+    return tuple(_number(f"{name} item", item) for item in value)
+
+
 @dataclass(frozen=True)
 class Sample:
     """One observation: a positive integer index, regressor value, and output."""

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EstimatorConfig, _require_finite, sorted_windows
+from .core import EstimatorConfig, _number, _numbers, _require_finite, sorted_windows
 from .streaming import StreamingGrid
 
 __all__ = [
@@ -193,14 +193,15 @@ class ExperimentSpec:
         _reject_unknown("experiment spec", data, _SPEC_KEYS)
         try:
             function = _function_from_dict(data["function"])
-            config = EstimatorConfig(delta=data["delta"], l1=data["l1"])
-            lo, hi = data["input_range"]
+            config = EstimatorConfig(
+                delta=_number("delta", data["delta"]), l1=_number("l1", data["l1"])
+            )
             grid = _grid_from_value(data["query_grid"])
             return ExperimentSpec(
                 function=function,
                 config=config,
-                input_range=(lo, hi),
-                noise_sigma=data.get("noise_sigma", 0.0),
+                input_range=_numbers("input_range", data["input_range"], 2),
+                noise_sigma=_number("noise_sigma", data.get("noise_sigma", 0.0)),
                 n_samples=data["n_samples"],
                 seed=data.get("seed", 0),
                 query_grid=grid,
@@ -254,11 +255,15 @@ def _function_from_dict(data: dict) -> FunctionSpec:
     _reject_unknown(f"{kind} function", data, _FUNCTION_KEYS[kind])
     if kind == "sine":
         return Sine(
-            amplitude=data.get("amplitude", 1.0), frequency=data.get("frequency", 1.0)
+            amplitude=_number("amplitude", data.get("amplitude", 1.0)),
+            frequency=_number("frequency", data.get("frequency", 1.0)),
         )
     if kind == "atan":
-        return Atan(scale=data.get("scale", 1.0))
-    return PiecewiseLinear(knots=tuple(tuple(k) for k in data["knots"]))
+        return Atan(scale=_number("scale", data.get("scale", 1.0)))
+    knots = data["knots"]
+    if not isinstance(knots, (list, tuple)):
+        raise ValueError(f"knots must be a list of [x, y] pairs, got {knots!r}")
+    return PiecewiseLinear(knots=tuple(_numbers("knot", knot, 2) for knot in knots))
 
 
 def _grid_from_value(value) -> tuple[float, ...]:
@@ -267,12 +272,14 @@ def _grid_from_value(value) -> tuple[float, ...]:
         count = _require_int("grid count", value["count"])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
-        return tuple(float(v) for v in np.linspace(value["min"], value["max"], count))
+        lo = _number("query_grid min", value["min"])
+        hi = _number("query_grid max", value["max"])
+        return tuple(float(v) for v in np.linspace(lo, hi, count))
     if not isinstance(value, (list, tuple)):
         raise ValueError(
             f"query_grid must be a list or a {{min, max, count}} object, got {value!r}"
         )
-    return tuple(float(v) for v in value)
+    return _numbers("query_grid", value)
 
 
 def load_spec(path) -> ExperimentSpec:

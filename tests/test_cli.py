@@ -11,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rdwo.cli import main
-from rdwo.core import EstimatorConfig
+from rdwo.cli import MODE_AGREEMENT_RTOL, main
+from rdwo.core import EstimatorConfig, grid_solve
+from rdwo.dataio import csv_row, json_record, read_arrays
+from rdwo.simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
 from rdwo.streaming import StreamingGrid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -255,6 +257,115 @@ class TestStreamBlocks:
         assert json_lines(out) == want
 
 
+def grid_reference(fmt, xs, solution, diagnostics, n_seen, with_header=True):
+    """One grid snapshot printed field by field through json_record/csv_row."""
+    width = 5 if diagnostics else 4
+    header = ["x", "estimate", "active_count", "objective", "support_sum"][:width]
+    if n_seen is not None:
+        header.append("n_seen")
+    lines = [",".join(header)] if fmt == "csv" and with_header else []
+    for x, est, count, obj, support in zip(xs.tolist(), *(c.tolist() for c in solution)):
+        row = [x, est, count, obj, support] if count else [x, None, 0, None, None]
+        row = row[:width] + ([] if n_seen is None else [n_seen])
+        lines.append(json_record(list(zip(header, row))) if fmt == "json" else csv_row(row))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestPinnedOutput:
+    """stdout of fit, stream and simulate against a reference printed one
+    field at a time, on a seeded 300-row input with unsupported points."""
+
+    GRID = "--grid=-3.5:3.5:57"
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        rng = np.random.default_rng(300)
+        phi = rng.uniform(-3, 3, 300)
+        rows = list(zip(phi.tolist(), (np.sin(phi) + rng.normal(0, 0.1, 300)).tolist()))
+        return write_rows(tmp_path / "seeded.csv", rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_fit(self, capsys, data, fmt, diagnostics):
+        extra = ["--diagnostics"] if diagnostics else []
+        code, out, err = run_cli(
+            capsys, "fit", "--input", data, "--delta", "0.1", self.GRID,
+            "--format", fmt, *extra,
+        )
+        assert code == 0 and err == ""
+        phis, ys = read_arrays(data)
+        xs = np.linspace(-3.5, 3.5, 57)
+        solution = grid_solve(xs, phis, ys, EstimatorConfig(delta=0.1))
+        n_seen = 300 if diagnostics else None
+        assert out == grid_reference(fmt, xs, solution, diagnostics, n_seen)
+        assert '"estimate": null' in out or ",," in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_stream_emit_every(self, capsys, data, fmt, diagnostics):
+        extra = ["--diagnostics"] if diagnostics else []
+        code, out, err = run_cli(
+            capsys, "stream", "--input", data, "--delta", "0.1", self.GRID,
+            "--format", fmt, "--emit-every", "64", *extra,
+        )
+        assert code == 0 and err == ""
+        phis, ys = read_arrays(data)
+        engine = StreamingGrid(np.linspace(-3.5, 3.5, 57), EstimatorConfig(delta=0.1))
+        want = []
+        for start in range(0, 300, 64):
+            engine.extend(phis[start : start + 64], ys[start : start + 64])
+            if engine.n_seen % 64 == 0:
+                solution = (engine.estimates(), engine.active_counts(), engine.objectives(),
+                            engine.support_sums())
+                want.append(grid_reference(fmt, engine.xs, solution, diagnostics,
+                                           engine.n_seen, not want))
+        solution = (engine.estimates(), engine.active_counts(), engine.objectives(),
+                    engine.support_sums())
+        want.append(grid_reference(fmt, engine.xs, solution, diagnostics, 300, False))
+        assert out == "".join(want)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_simulate(self, capsys, tmp_path, fmt):
+        spec_data = {
+            "function": {"kind": "atan", "scale": 2.0},
+            "delta": 0.05,
+            "l1": 2.0,
+            "input_range": [-2.0, 2.0],
+            "noise_sigma": 0.2,
+            "n_samples": 300,
+            "seed": 11,
+            "query_grid": {"min": -2.5, "max": 2.5, "count": 41},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_data), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(path), "--format", fmt)
+        spec = load_spec(path)
+        report = run_experiment(spec)
+        deviation = max_relative_deviation(report, stream_estimates(spec))
+        assert deviation <= MODE_AGREEMENT_RTOL
+        assert code == (1 if report.violation_count else 0)
+        records = [r.to_dict() for r in report.records]
+        assert any(r["estimate"] is None for r in records)
+        if fmt == "json":
+            lines = [json_record([("type", "query"), *r.items()]) for r in records]
+            lines.append(
+                json_record(
+                    [
+                        ("type", "summary"),
+                        ("supported_count", report.supported_count),
+                        ("no_support_count", report.no_support_count),
+                        ("violation_count", report.violation_count),
+                        ("mean_abs_error", report.mean_abs_error),
+                        ("max_abs_error", report.max_abs_error),
+                        ("mode_max_rel_dev", deviation),
+                    ]
+                )
+            )
+        else:
+            lines = [",".join(records[0])] + [csv_row(list(r.values())) for r in records]
+        assert out == "".join(line + "\n" for line in lines)
+
+
 class TestBadInput:
     def test_wrong_header(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -426,6 +537,14 @@ class TestSpecErrors:
             ("query_grid", "step", 0.25),
             ("query_grid", "count", 21.5),
             ("query_grid", "count", True),
+            # Number fields take JSON numbers only, not strings or booleans.
+            (None, "delta", True),
+            (None, "noise_sigma", "0.1"),
+            (None, "l1", True),
+            (None, "input_range", ["-3", 3]),
+            ("function", "amplitude", "1"),
+            (None, "query_grid", ["0.5", 1]),
+            ("query_grid", "max", None),
         ],
     )
     def test_rejected(self, capsys, tmp_path, section, key, value):
@@ -437,14 +556,42 @@ class TestSpecErrors:
         assert_one_line_error(code, out, err)
         assert key in err
 
-    def test_unanticipated_error_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("input_range", 5, "input_range must be a list of 2 numbers, got 5"),
+            ("input_range", [1, 2, 3], "input_range must be a list of 2 numbers, got [1, 2, 3]"),
+            ("knots", 5, "knots must be a list of [x, y] pairs, got 5"),
+            ("knots", [[0, 0], [1]], "knot must be a list of 2 numbers, got [1]"),
+            ("knots", [[0, 0], [1, "2"]], "knot item must be a number, got '2'"),
+            ("min", "min", "query_grid min must be a number, got 'min'"),
+        ],
+        ids=["range-scalar", "range-three", "knots-scalar", "knot-short", "knot-text", "grid-min"],
+    )
+    def test_wrong_shape_names_the_field(self, capsys, tmp_path, field, value, message):
         spec = demo_spec()
-        spec["input_range"] = 5
+        if field == "knots":
+            spec["function"] = {"kind": "piecewise_linear", "knots": value}
+        elif field == "min":
+            spec["query_grid"]["min"] = value
+        else:
+            spec[field] = value
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
         assert_one_line_error(code, out, err)
-        assert err.startswith("error: TypeError: ")
+        assert err == f"error: {message}\n"
+
+    def test_unanticipated_error_exits_2(self, capsys, monkeypatch, sim_spec):
+        """An error no check anticipated still exits 2, named by its type."""
+
+        def broken(path):
+            raise TypeError("cannot unpack non-iterable int object")
+
+        monkeypatch.setattr("rdwo.cli.load_spec", broken)
+        code, out, err = run_cli(capsys, "simulate", "--spec", sim_spec)
+        assert_one_line_error(code, out, err)
+        assert err == "error: TypeError: cannot unpack non-iterable int object\n"
 
     def test_whole_float_counts_accepted(self, capsys, tmp_path):
         spec = demo_spec()
@@ -521,6 +668,23 @@ class TestModuleEntryPoint:
             check=False,
         )
         assert result.returncode == 0
+        assert result.stdout == expected
+
+
+    def test_fit_reads_a_pipe(self, capsys, tmp_path):
+        # /dev/stdin is a pipe here: read_arrays cannot count its lines first.
+        rng = np.random.default_rng(5)
+        path = write_rows(tmp_path / "rows.csv", rng.uniform(-1, 1, (1500, 2)).tolist())
+        argv = ["fit", "--delta", "0.1", "--grid=-1:1:21", "--diagnostics"]
+        _, expected, _ = run_cli(capsys, *argv, "--input", path)
+        result = subprocess.run(
+            [sys.executable, "-m", "rdwo", *argv, "--input", "/dev/stdin"],
+            input=Path(path).read_text(encoding="utf-8"),
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 0 and result.stderr == ""
         assert result.stdout == expected
 
 

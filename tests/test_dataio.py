@@ -1,14 +1,18 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rdwo import dataio
 from rdwo.dataio import (
     EXPECTED_HEADER,
     InputFormatError,
     csv_row,
     format_float,
+    format_rows,
     iter_blocks,
     iter_samples,
     json_record,
@@ -230,3 +234,245 @@ class TestReadArrays:
         assert all(0 < len(phis) <= size for phis, _ in blocks)
         assert sum((phis for phis, _ in blocks), []) == want[0].tolist()
         assert sum((ys for _, ys in blocks), []) == want[1].tolist()
+
+
+def _ingest_outcomes(path, size):
+    """What iter_samples, read_arrays and iter_blocks make of one file."""
+
+    def run(read):
+        try:
+            return "ok", read()
+        except InputFormatError as exc:
+            return "error", str(exc)
+
+    reference = run(lambda: [(s.phi, s.y) for s in iter_samples(path)])
+    arrays = run(lambda: list(zip(*(column.tolist() for column in read_arrays(path)))))
+    blocks = []
+
+    def read_blocks():
+        for phis, ys in iter_blocks(path, size):
+            blocks.append(len(phis))
+            yield from zip(phis.tolist(), ys.tolist())
+
+    return reference, arrays, run(lambda: list(read_blocks())), blocks
+
+
+class TestChunkedIngest:
+    """read_arrays and iter_blocks with runs of a few characters, so that
+    files span many runs and rows straddle their ends."""
+
+    ROWS = [f"{k},{k / 8 - 3!r},{(-1) ** k * k / 7!r}" for k in range(1, 41)]
+
+    @pytest.fixture(params=[1, 7, 64, 1 << 14])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", request.param)
+        return request.param
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return tmp_path / "data.csv"
+
+    def check(self, path, data: bytes, *, size=3):
+        path.write_bytes(data)
+        reference, arrays, blocks, sizes = _ingest_outcomes(path, size)
+        assert arrays == reference
+        if reference[0] == "ok":
+            assert blocks == reference
+            assert all(n == size for n in sizes[:-1])
+        else:
+            assert blocks[0] == "error" and blocks[1] == reference[1]
+            assert all(n == size for n in sizes)
+        return reference
+
+    def test_rows_straddling_run_ends(self, chunk, path):
+        kind, rows = self.check(path, "\n".join([EXPECTED_HEADER, *self.ROWS, ""]).encode())
+        assert kind == "ok" and len(rows) == 40 and rows[-1] == (2.0, 40 / 7)
+
+    def test_error_line_in_a_later_run(self, chunk, path):
+        lines = [EXPECTED_HEADER, *self.ROWS[:30], "31,0.5", *self.ROWS[31:]]
+        kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert (kind, message) == ("error", "line 32: expected 3 comma-separated fields, got 2")
+
+    def test_bad_float_in_a_later_run(self, chunk, path):
+        lines = [EXPECTED_HEADER, *self.ROWS[:25], "26,0x10,1", *self.ROWS[26:]]
+        kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert kind == "error" and message.startswith("line 27: ")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "3,1_0.5,0",  # float() would read phi 10.5
+            "3,0.5,1_0",
+            "3,nan,0",
+            "3,0.5,-inf",
+            "3,1e400,0",
+            "3,0x10,0",
+            "3,,0",
+            "3,0.5,0,",
+            "+3,0.5,0",
+            "3,\u00bd,0",
+            # Four fields, then two: the commas balance over the two lines,
+            # and the tokens 3 and 4 still fall where indices belong.
+            "3,0.5,0.5,4\n0.5,0.5",
+            "3,0.5\n0.5,0.5,4,0.5,0.5",
+        ],
+    )
+    def test_rows_in_index_order_keep_the_grammar(self, chunk, path, bad):
+        # The rows after the bad ones go on with the next free index.
+        rows = [*self.ROWS[:2], bad, *self.ROWS[2 + bad.count("\n") + 1 :]]
+        kind, message = self.check(path, "\n".join([EXPECTED_HEADER, *rows, ""]).encode())
+        assert kind == "error" and message.startswith("line 4: ")
+
+    def test_leading_zeros_in_an_index(self, chunk, path):
+        rows = [*self.ROWS[:2], "003,0.5,1.5", *self.ROWS[3:]]
+        kind, rows = self.check(path, "\n".join([EXPECTED_HEADER, *rows, ""]).encode())
+        assert kind == "ok" and rows[2] == (0.5, 1.5)
+
+    def test_crlf_line_endings(self, chunk, path):
+        kind, rows = self.check(path, "\r\n".join([EXPECTED_HEADER, *self.ROWS, ""]).encode())
+        assert kind == "ok" and len(rows) == 40
+
+    def test_no_trailing_newline(self, chunk, path):
+        kind, rows = self.check(path, "\n".join([EXPECTED_HEADER, *self.ROWS]).encode())
+        assert kind == "ok" and len(rows) == 40
+
+    def test_blank_and_padded_lines_mid_file(self, chunk, path):
+        lines = [EXPECTED_HEADER, *self.ROWS[:10], "", "   ", f" {self.ROWS[10]} ", *self.ROWS[11:]]
+        kind, rows = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert kind == "ok" and len(rows) == 40
+
+    def test_out_of_order_indices(self, chunk, path):
+        lines = [EXPECTED_HEADER, *self.ROWS[20:], *self.ROWS[:20]]
+        kind, rows = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert kind == "ok" and rows[0] == (21 / 8 - 3, -21 / 7)
+
+    def test_duplicate_index_in_a_later_run(self, chunk, path):
+        lines = [EXPECTED_HEADER, *self.ROWS[:35], "12,0.5,1.5", *self.ROWS[35:]]
+        kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert (kind, message) == ("error", "line 37: duplicate sample index 12")
+
+    def test_index_reappearing_after_a_gap(self, chunk, path):
+        # 50 is set aside while 1..49 run in order, so the bulk check must
+        # look at the set as well as at the run.
+        more = [f"{k},0.5,{k}" for k in range(41, 61)]
+        lines = [EXPECTED_HEADER, *self.ROWS[:10], "50,0,0", *self.ROWS[10:], *more]
+        kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
+        assert (kind, message) == ("error", "line 52: duplicate sample index 50")
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        chunk_chars=st.integers(1, 40),
+        lines=st.lists(TestReadArrays.LINES, max_size=12),
+        size=st.integers(1, 4),
+    )
+    def test_any_run_length_agrees_with_iter_samples(self, path, chunk_chars, lines, size):
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars):
+            self.check(path, "\n".join([EXPECTED_HEADER, *lines]).encode(), size=size)
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+DECIMALS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=40),
+    st.one_of(st.just(""), st.text("0123456789", max_size=40).map(".{}".format)),
+    st.one_of(
+        st.just(""),
+        st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                  st.integers(0, 400)),
+    ),
+)
+SPECIALS = st.sampled_from(
+    ["inf", "-Inf", "+INF", "infinity", "-Infinity", "iNfInItY", "nan", "-NaN", "+nan",
+     "NAN", "nan(1)", "infinit", "1e-324", "2.4703282292062328e-324", "4.9e-324", "1e309",
+     "0x10", "1_0", "", ".", "e5", "1e", "--1"]
+)
+
+
+class TestNumpyFloatParse:
+    """The bulk reader converts its float fields with numpy; this holds it to
+    Python's float(), the line parser's conversion."""
+
+    @staticmethod
+    def _parse(convert, text):
+        try:
+            return convert(text)
+        except ValueError:
+            return "error"
+
+    @given(pad_left=SPACES, body=st.one_of(DECIMALS, SPECIALS), pad_right=SPACES)
+    def test_numpy_reads_like_float(self, pad_left, body, pad_right):
+        text = pad_left + body + pad_right
+        want = self._parse(float, text)
+        got = self._parse(lambda s: float(np.array([s], dtype=float)[0]), text)
+        if want == "error" or got == "error":
+            assert got == want
+        elif math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 123456789.12345678]
+    ),
+)
+
+
+class TestFormatRows:
+    """The row templates print exactly what json_record and csv_row print."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(EDGE_FLOATS, EDGE_FLOATS, st.integers(-(2**62), 2**62), st.booleans(),
+                      EDGE_FLOATS, st.booleans()),
+            max_size=12,
+        ),
+        support_sum=st.booleans(),
+        n_seen=st.one_of(st.none(), st.integers(0, 2**62)),
+        prefix=st.sampled_from([(), (("type", "query"),)]),
+    )
+    def test_matches_json_record_and_csv_row(self, rows, support_sum, n_seen, prefix):
+        header = ["x", "estimate", "active_count", "ok", "support_sum"]
+        kinds = "ffdbf"
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(6)]
+        supported = columns.pop()
+        if not support_sum:
+            header, kinds, columns = header[:4], kinds[:4], columns[:4]
+        if n_seen is not None:
+            header, kinds = header + ["n_seen"], kinds + "d"
+            columns.append([n_seen] * len(rows))
+        nullable = ("estimate", "ok", "support_sum")
+        cells = [
+            [None if key in nullable and not ok else value for key, value in zip(header, row)]
+            for ok, row in zip(supported, zip(*columns))
+        ]
+        for fmt in ("json", "csv"):
+            want = "".join(
+                (json_record([*prefix, *zip(header, row)]) if fmt == "json" else csv_row(row))
+                + "\n"
+                for row in cells
+            )
+            got = "".join(
+                format_rows(
+                    fmt, header, kinds, columns, supported=supported, nullable=nullable,
+                    prefix=prefix,
+                )
+            )
+            assert got == want
+
+    def test_all_supported_without_a_mask(self):
+        text = "".join(format_rows("json", ["n", "ok"], "db", [[1, 2], [True, False]]))
+        assert text == '{"n": 1, "ok": true}\n{"n": 2, "ok": false}\n'
+
+    def test_long_tables_come_in_texts_of_whole_lines(self):
+        size = dataio._EMIT_ROWS
+        texts = list(format_rows("csv", ["n"], "d", [range(2 * size + 5)]))
+        assert [text.count("\n") for text in texts] == [size, size, 5]
+        assert "".join(texts) == "".join(f"{n}\n" for n in range(2 * size + 5))
+
+    def test_percent_in_a_key_is_literal(self):
+        assert "".join(format_rows("json", ["a%d"], "d", [[7]])) == '{"a%d": 7}\n'
