@@ -304,15 +304,37 @@ def _dataset_arrays(spec: ExperimentSpec):
     return phis, truths, noises, ys
 
 
-def _active_bound(weights, x, phis, noises, l1: float) -> float:
-    """Computable bound on the absolute estimation error at ``x``, over the
-    active samples and their nonnegative weights.
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Sum of a deterministic smoothness term, ``l1 * sum(w * |x - phi|)``, and
-    the realized weighted noise magnitude ``|sum(w * noise)|``.  The squared
-    error of the weighted estimate never exceeds this bound squared.
+
+def _error_check(est, x, truth, weights, ys, phis, noises, l1: float):
+    """Absolute error of ``est`` at ``x``, its computable bound, and whether
+    the bound holds, over the active samples and their nonnegative weights.
+
+    The bound is the sum of a deterministic smoothness term,
+    ``l1 * sum(w * |x - phi|)``, and the realized weighted noise magnitude
+    ``|sum(w * noise)|``; it holds exactly for weights summing to one.  The
+    check allows for the rounding of the arithmetic that produced ``est`` and
+    the bound: an n-term dot product computed in floating point is within
+    ``gamma_n * sum(|w| * |v|)`` of the exact one, ``gamma_n = n*u/(1 - n*u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1).
+    That covers the estimate ``w . y``, both bound terms and the weights'
+    normalisation, whose sum is within ``gamma_n`` of one and so moves the
+    estimate by at most ``gamma_n * |truth|``.  Each term carries one more
+    rounding (a weight's quotient, a gap's subtraction), hence ``n + 1``.
     """
-    return l1 * float(np.dot(weights, np.abs(x - phis))) + abs(float(np.dot(weights, noises)))
+    err = abs(est - truth)
+    smooth = l1 * float(np.dot(weights, np.abs(x - phis)))
+    bound = smooth + abs(float(np.dot(weights, noises)))
+    magnitude = (
+        float(np.dot(weights, np.abs(ys)))
+        + smooth
+        + float(np.dot(weights, np.abs(noises)))
+        + abs(truth)
+    )
+    nu = (weights.size + 1) * _UNIT_ROUNDOFF
+    return err, bound, err <= bound + nu / (1.0 - nu) * magnitude
 
 
 @dataclass(frozen=True)
@@ -390,10 +412,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             )
             continue
         weights = support / float(np.sum(support))
-        est = float(np.dot(weights, ys[positions]))
-        err = abs(est - truth_x)
-        bound = _active_bound(weights, x, phis[positions], noises[positions], spec.config.l1)
-        holds = err * err <= bound * bound
+        window_ys = ys[positions]
+        est = float(np.dot(weights, window_ys))
+        err, bound, holds = _error_check(
+            est, x, truth_x, weights, window_ys, phis[positions], noises[positions], spec.config.l1
+        )
         if not holds:
             violations += 1
         errors.append(err)

@@ -14,11 +14,16 @@ margin too small to change ``S`` moves the estimate by its own tiny share,
 not by a share of one ulp, so such samples cannot drag the estimate away.
 
 :class:`RecursiveState` holds one query point.  :class:`StreamingGrid` holds
-many and pays only for the grid points inside each sample's window: it finds
-them by binary search in the sorted grid, expands a block of samples into
-(sample, grid point) pairs, and applies them in rounds, where round ``r``
-holds the ``r``-th pair of every grid point.  Each grid point therefore runs
-the same IEEE operations, in the same order, as a :class:`RecursiveState`.
+many and pays only for the grid points inside each sample's window, found by
+binary search in the sorted grid.  The recursions of different grid points
+are independent, and each is sequential only along its own samples, so the
+grid kernel stores a chunk of (sample, grid point) pairs as jagged diagonals
+(Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4): grid
+columns ordered by pair count, most first, and diagonal ``r`` holding the
+``r``-th pair of every column that has one.  Each diagonal is a prefix of
+the columns, so it updates contiguous slices of the chunk's state, and each
+grid point runs the same IEEE operations, in the same order, as a
+:class:`RecursiveState`.
 """
 
 from __future__ import annotations
@@ -49,11 +54,13 @@ __all__ = [
 ]
 
 # Samples whose windows the grid kernel looks up at once, and the
-# (sample, grid point) pairs it expands and applies at once (at most 2**16,
-# so a pair's rank fits 16 bits).  The pair arrays are the kernel's working
-# memory, about 60 bytes per pair.
+# (sample, grid point) pairs it lays out and applies at once.  A chunk holds
+# whole samples, so a sample whose window alone holds more pairs is a chunk
+# by itself.  At 8 bytes an entry, every chunk array of a full chunk stays
+# under glibc's 128 KiB mmap threshold and is recycled from the heap rather
+# than mapped and faulted in afresh.
 _SUB_BLOCK = 1024
-_PAIR_BUDGET = 4096
+_PAIR_BUDGET = 8192
 
 
 class LedgerDisabledError(RuntimeError):
@@ -180,6 +187,17 @@ class StreamingGrid:
     for bit with running one scalar state per grid point.  The cost follows
     the windows: a sample touches only the grid points within ``delta`` of
     it, found by binary search in the sorted grid.
+
+    Samples are folded in chunks of about ``_PAIR_BUDGET`` pairs.  A chunk's
+    pairs are grouped by grid column with one stable sort, which keeps
+    stream order within each column, and laid out as jagged diagonals
+    (Saad, section 3.4): diagonal ``r`` holds the ``r``-th pair of every
+    column with more than ``r`` pairs, and with the columns ordered by pair
+    count it is a prefix of them.  The chunk's state is gathered once, each
+    diagonal is six in-place ufunc calls on contiguous slices, and the state
+    is scattered back once.  When no column has two pairs, as in any
+    one-sample call, the pairs in sample order already form the single
+    diagonal and the sort is skipped.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -198,7 +216,6 @@ class StreamingGrid:
         self._estimates = np.zeros(xs.size)
         self._order = np.argsort(self.xs, kind="stable")
         self._sorted = self.xs[self._order]
-        self._round = np.empty((3, min(xs.size, _PAIR_BUDGET)))
 
     def update(self, phi: float, y: float) -> None:
         """Fold one sample into every grid point's state."""
@@ -227,80 +244,78 @@ class StreamingGrid:
             self._absorb(block_phis, block_ys)
 
     def _absorb(self, phis: np.ndarray, ys: np.ndarray) -> None:
-        """Fold a sub-block of finite samples, ``_PAIR_BUDGET`` (sample, grid
-        point) pairs at a time."""
+        """Fold a sub-block of finite samples in chunks of whole samples,
+        about ``_PAIR_BUDGET`` (sample, grid point) pairs each."""
         delta = self.config.delta
         # A positive margin means |x - phi| < delta exactly, so x lies between
         # fl(phi - delta) and fl(phi + delta); see core.sorted_windows.
         lo = np.searchsorted(self._sorted, phis - delta, side="left")
-        counts = np.searchsorted(self._sorted, phis + delta, side="right") - lo
-        # Pair p, numbered sample by sample, belongs to the sample whose
-        # cumulative count first exceeds p, and its grid position is p minus
-        # that sample's offset.  Every chunk but the last is the same size.
-        ends = np.cumsum(counts)
-        offsets = ends - counts - lo
+        hi = np.searchsorted(self._sorted, phis + delta, side="right")
+        ends = (hi - lo).cumsum()
         total = int(ends[-1]) if ends.size else 0
-        for first in range(0, total, _PAIR_BUDGET):
-            pos = np.arange(first, min(total, first + _PAIR_BUDGET))
-            sample = np.searchsorted(ends, pos, side="right")
-            pos -= offsets[sample]
-            self._apply(pos, sample, phis, ys)
+        start = done = 0
+        while done < total:
+            stop = phis.size
+            if total - done > _PAIR_BUDGET:
+                cut = int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right"))
+                stop = max(cut, start + 1)
+            end = int(ends[stop - 1])
+            if end > done:
+                chunk = slice(start, stop)
+                self._chunk(lo[chunk], hi[chunk], phis[chunk], ys[chunk], end - done)
+            start, done = stop, end
         self.n_seen += phis.size
 
-    def _apply(self, pos: np.ndarray, sample: np.ndarray, phis, ys) -> None:
-        """Fold (sample, grid point) pairs, given in stream order, in rounds.
+    def _chunk(self, lo, hi, phis, ys, total: int) -> None:
+        """Fold the ``total`` pairs of a run of samples, diagonal by diagonal.
 
-        Round ``r`` holds the ``r``-th pair of every grid point, so within a
-        round no grid point repeats and across rounds each one sees its
-        samples in stream order.
+        Diagonal ``r`` holds the ``r``-th pair of every grid column with
+        more than ``r`` pairs, so no grid point repeats within a diagonal
+        and each one meets its samples in stream order across them.
         """
-        d = _margins(self._sorted[pos], phis[sample], self.config.delta)
+        counts = hi - lo
+        base = int(lo.min())
+        # Pairs sample by sample: grid column relative to base, margin, y.
+        col = np.arange(total) - np.repeat(counts.cumsum() - counts - (lo - base), counts)
+        d = _margins(self._sorted[base:][col], np.repeat(phis, counts), self.config.delta)
+        y = np.repeat(ys, counts)
         inside = d > 0.0
         if not inside.all():
             # Rounding can leave a margin <= 0 at either end of a window.
             keep = np.flatnonzero(inside)
-            pos, sample, d = pos[keep], sample[keep], d[keep]
-        per_point = np.bincount(pos, minlength=self.xs.size)
-        self.n_active[self._order] += per_point
-        # A pair's rank among the pairs of its grid point is its offset from
-        # the group start after a stable sort by grid point.  Stable sorts of
-        # 16-bit keys run as radix sorts.  The chunk arrays are the kernel's
-        # working memory, so each is dropped once used.
-        key = pos.astype(np.uint16) if self.xs.size <= 1 << 16 else pos
-        rank = np.empty_like(pos)
-        rank[np.argsort(key, kind="stable")] = np.arange(pos.size) - np.repeat(
-            np.cumsum(per_point) - per_point, per_point
-        )
-        del key
-        # Grouping by rank is all a round needs; rank < _PAIR_BUDGET <= 2**16.
-        order = np.argsort(rank.astype(np.uint16), kind="stable")
-        bounds = np.cumsum(np.bincount(rank)).tolist()
-        del rank
-        points = self._order[pos[order]]
-        y = ys[sample[order]]
-        d = d[order]
-        del pos, sample, order
+            col, d, y = col[keep], d[keep], y[keep]
+        widths = [col.size]
+        added = 1
+        if phis.size > 1:
+            per_col = np.bincount(col, minlength=int(hi.max()) - base)
+            if per_col.max() > 1:
+                col, perm, widths, added = _diagonals(col, per_col)
+                d = d[perm]
+                y = y[perm]
+        points = self._order[base + col]
+        s, e, q = self.support_sum[points], self._estimates[points], self.support_sq_sum[points]
         dd = d * d
-        s_sum, est_all, sq_sum = self.support_sum, self._estimates, self.support_sq_sum
-        # Round buffers: at most one pair per grid point, reused every round.
-        buf = self._round
+        share = np.empty(widths[0])
+        step = np.empty(widths[0])
+        # West's update on the first w columns; per grid point these are the
+        # operations of RecursiveState.update, in its order.
         a = 0
-        for b in bounds:
-            m = b - a
-            idx = points[a:b]
-            s_new = np.take(s_sum, idx, out=buf[0, :m])
-            s_new += d[a:b]
-            s_sum[idx] = s_new
-            share = np.divide(d[a:b], s_new, out=buf[0, :m])
-            est = np.take(est_all, idx, out=buf[1, :m])
-            step = np.subtract(y[a:b], est, out=buf[2, :m])
-            step *= share
-            est += step
-            est_all[idx] = est
-            sq = np.take(sq_sum, idx, out=buf[0, :m])
-            sq += dd[a:b]
-            sq_sum[idx] = sq
+        for w in widths:
+            b = a + w
+            dr = d[a:b]
+            sw = s[:w]
+            sw += dr
+            np.divide(dr, sw, out=share[:w])
+            ew = e[:w]
+            t = np.subtract(y[a:b], ew, out=step[:w])
+            t *= share[:w]
+            ew += t
+            q[:w] += dd[a:b]
             a = b
+        self.support_sum[points] = s
+        self._estimates[points] = e
+        self.support_sq_sum[points] = q
+        self.n_active[points] += added
 
     def estimates(self) -> np.ndarray:
         """Per-point estimates, nan where no sample has been absorbed."""
@@ -320,3 +335,31 @@ class StreamingGrid:
 
     def support_sums(self) -> np.ndarray:
         return self.support_sum.copy()
+
+
+def _diagonals(col, per_col):
+    """Lay out a chunk's pairs, given sample by sample, as jagged diagonals
+    (Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).
+
+    Returns the columns that have pairs, by pair count, most first; the
+    permutation that takes the pairs from sample order to diagonal order,
+    which keeps stream order within each column; each diagonal's width; and
+    each column's pair count.
+    """
+    # A stable sort by column keeps stream order within each column; stable
+    # sorts of 16-bit keys run as radix sorts.
+    key = col.astype(np.uint16) if per_col.size <= 1 << 16 else col
+    order = np.argsort(key, kind="stable")
+    cols = np.flatnonzero(per_col)
+    count = per_col[cols]
+    by_count = np.argsort(-count, kind="stable")
+    # Diagonal r holds the columns with more than r pairs.
+    widths = (cols.size - np.bincount(count).cumsum()[:-1]).tolist()
+    # The r-th pair of the column in slot j is at start[j] + r in column order.
+    start = (count.cumsum() - count)[by_count]
+    src = np.empty_like(order)
+    a = 0
+    for r, w in enumerate(widths):
+        np.add(start[:w], r, out=src[a : a + w])
+        a += w
+    return cols[by_count], order[src], widths, count[by_count]

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from rdwo.core import EstimatorConfig
+from rdwo.cli import main
+from rdwo.core import EstimatorConfig, sorted_windows
 from rdwo.simulate import (
     Atan,
     ExperimentSpec,
     PiecewiseLinear,
     Sine,
     _dataset_arrays,
+    _error_check,
     lipschitz_scan,
     load_spec,
     max_relative_deviation,
@@ -161,6 +163,52 @@ class TestErrorBound:
             noise = math.fsum(margins[k] / total * noises[k] for k in active)
             expected = spec.config.l1 * smooth + abs(noise)
             assert math.isclose(record.bound_z, expected, rel_tol=1e-12)
+
+
+def edge_spec():
+    """A noiseless line of slope l1 queried at the edge of the input range:
+    every sample lies on one side of x, so the error equals the bound in
+    exact arithmetic and rounding alone decides the comparison."""
+    return ExperimentSpec(
+        function=PiecewiseLinear(knots=((-10.0, -7.3), (10.0, 12.7))),
+        config=EstimatorConfig(delta=0.05, l1=1.0),
+        input_range=(0.37, 1.0),
+        noise_sigma=0.0,
+        n_samples=2000,
+        seed=0,
+        query_grid=(0.37, 1.0),
+    )
+
+
+class TestRoundingAllowance:
+    def test_error_equal_to_the_bound_holds(self):
+        report = run_experiment(edge_spec())
+        assert report.violation_count == 0
+        assert [r.bound_holds for r in report.records] == [True, True]
+        # the computed error does exceed the computed bound at x = 0.37
+        first = report.records[0]
+        assert first.active_count == 163 and first.abs_error > first.bound_z
+
+    def test_cli_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(edge_spec().to_dict()), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 0
+        assert '"violation_count": 0' in capsys.readouterr().out
+
+    def test_a_real_bias_still_fails(self):
+        spec = edge_spec()
+        phis, truths, noises, ys = _dataset_arrays(spec)
+        x = spec.query_grid[0]
+        positions, support = next(iter(sorted_windows(np.array([x]), phis, spec.config.delta)))
+        weights = support / float(np.sum(support))
+        est = float(np.dot(weights, ys[positions]))
+        truth = float(spec.function(x))
+        args = (x, truth, weights, ys[positions], phis[positions], noises[positions], 1.0)
+        err, bound, holds = _error_check(est, *args)
+        record = run_experiment(spec).records[0]
+        assert (err, bound, holds) == (record.abs_error, record.bound_z, True)
+        assert _error_check(est + 1e-9, *args)[2] is False
+        assert _error_check(est - 1e-9, *args)[2] is True
 
 
 class TestRunExperiment:

@@ -298,6 +298,32 @@ def run_three_ways(xs, delta, phis, ys):
     return extended
 
 
+def spy_chunks(monkeypatch):
+    """Record the sample and pair counts of every chunk the grid kernel folds."""
+    sizes = []
+    original = StreamingGrid._chunk
+
+    def chunk(self, lo, hi, phis, ys, total):
+        sizes.append((phis.size, total))
+        return original(self, lo, hi, phis, ys, total)
+
+    monkeypatch.setattr(StreamingGrid, "_chunk", chunk)
+    return sizes
+
+
+def spy_diagonals(monkeypatch):
+    """Record the column span of every chunk laid out as jagged diagonals."""
+    spans = []
+    original = streaming._diagonals
+
+    def diagonals(col, per_col):
+        spans.append(per_col.size)
+        return original(col, per_col)
+
+    monkeypatch.setattr(streaming, "_diagonals", diagonals)
+    return spans
+
+
 class TestGridKernel:
     def test_unsorted_and_duplicated_grid(self):
         rng = np.random.default_rng(30)
@@ -329,17 +355,68 @@ class TestGridKernel:
         run_three_ways(xs, 0.1, phis, rng.normal(0, 1, 900))
 
     def test_point_hit_more_often_than_the_pair_budget(self):
-        # Every sample lands in the windows of the first seven points: each
-        # sub-block expands to more pairs than the budget, chunks of pairs
-        # end inside a sample's window, and the first point is hit more
-        # often than one chunk holds.
+        # Every sample lands in the windows of the first nine points: a
+        # chunk holds whole samples, each sub-block is cut into more than one
+        # chunk, and every one of the nine points is hit more often than one
+        # chunk holds, so its recursion carries across chunks.
         n = streaming._PAIR_BUDGET + 700
         rng = np.random.default_rng(32)
-        xs = np.append(np.linspace(0.0, 0.05, 7), 5.0)
+        xs = np.append(np.linspace(0.0, 0.05, 9), 5.0)
         grid = run_three_ways(xs, 0.1, rng.uniform(-0.04, 0.04, n), rng.normal(0, 1, n))
-        assert grid.n_active.tolist() == [n] * 7 + [0]
-        assert 7 * streaming._SUB_BLOCK > streaming._PAIR_BUDGET
-        assert streaming._PAIR_BUDGET % 7 != 0
+        assert grid.n_active.tolist() == [n] * 9 + [0]
+        assert 9 * streaming._SUB_BLOCK > streaming._PAIR_BUDGET
+
+    def test_window_wider_than_the_pair_budget(self, monkeypatch):
+        # Samples near 0 see a dense cluster of more grid points than the
+        # budget, so each is a chunk by itself; the samples between them see
+        # a few sparse points and share chunks.
+        budget = streaming._PAIR_BUDGET
+        xs = np.concatenate([np.linspace(0.0, 0.01, budget + 500), np.linspace(1.0, 2.0, 41)])
+        rng = np.random.default_rng(34)
+        phis = rng.uniform(1.0, 2.0, 24)
+        phis[::5] = rng.uniform(0.0, 0.01, 5)
+        sizes = spy_chunks(monkeypatch)
+        grid = run_three_ways(xs, 0.05, phis, rng.normal(0, 1, 24))
+        assert grid.n_active[: budget + 500].tolist() == [5] * (budget + 500)
+        assert max(pairs for _, pairs in sizes) > budget
+        assert all(pairs <= budget or samples == 1 for samples, pairs in sizes)
+
+    def test_grid_wider_than_sixteen_bits(self, monkeypatch):
+        # Two clusters of samples 2**16 columns apart on a 70,001-point grid:
+        # one chunk spans more columns than a 16-bit key can number, and
+        # 16-bit keys would merge each column of one cluster with its twin
+        # in the other.
+        xs = np.linspace(0.0, 1.0, 70_001)
+        rng = np.random.default_rng(35)
+        jitter = rng.uniform(0.0, 2e-5, 3)
+        phis = np.concatenate([xs[70] + jitter, xs[70 + (1 << 16)] + jitter])
+        spans = spy_diagonals(monkeypatch)
+        grid = run_three_ways(xs, 4e-5, phis[[0, 3, 1, 4, 2, 5]], rng.normal(0, 1, 6))
+        assert max(grid.n_active) == 3
+        assert spans and max(spans) > 1 << 16
+
+    def test_chunk_with_one_pair_per_column(self, monkeypatch):
+        # Windows that never overlap, in shuffled order: every grid column of
+        # a many-sample chunk has one pair, so the sample-major order is
+        # already the layout and no sort runs.
+        xs = np.linspace(0.0, 10.0, 101)
+        rng = np.random.default_rng(36)
+        phis = rng.permutation(np.arange(0.1, 10.0, 0.5))
+        spans = spy_diagonals(monkeypatch)
+        grid = run_three_ways(xs, 0.22, phis, rng.normal(0, 1, phis.size))
+        assert grid.n_active.max() == 1 and grid.n_active.sum() > 4 * phis.size
+        assert spans == []
+
+    def test_skewed_samples_on_a_wide_grid(self):
+        # Nine samples in ten fall in a narrow band of a wide grid, so within
+        # a chunk some columns have hundreds of pairs and others one.
+        xs = np.linspace(-10.0, 10.0, 201)
+        rng = np.random.default_rng(37)
+        band = rng.random(1000) < 0.9
+        phis = np.where(band, rng.uniform(0.0, 0.05, 1000), rng.uniform(-10.0, 10.0, 1000))
+        grid = run_three_ways(xs, 0.35, phis, rng.normal(0, 1, 1000))
+        hit = grid.n_active[grid.n_active > 0]
+        assert hit.max() > 800 and hit.min() < 10
 
     def test_all_windows_empty(self):
         xs = np.linspace(-1.0, 1.0, 5)
