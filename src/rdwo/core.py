@@ -210,17 +210,18 @@ def centered_distance(x: float, phi: float, config: EstimatorConfig) -> Centered
     return CenteredDistance(phi_tilde=phi_tilde, phi_hat=config.delta - phi_tilde)
 
 
-def _margins(x, phis, delta: float):
-    """Elementwise endpoint margins ``delta - |x - phi|``; the one form every
-    array path uses, so their margins agree bit for bit."""
-    return delta - np.abs(x - phis)
+def _margins(dist, delta: float):
+    """Elementwise endpoint margins ``delta - dist`` of the distances
+    ``dist = |x - phi|``; the one form every array path uses, so their
+    margins agree bit for bit."""
+    return delta - dist
 
 
 def phi_hat_values(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.ndarray:
     """Vectorized endpoint margins ``delta - |x - phis|``."""
     x = _require_finite("x", x)
     phis = np.asarray(phis, dtype=float)
-    return _margins(x, phis, config.delta)
+    return _margins(np.abs(x - phis), config.delta)
 
 
 def active_set(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> ActiveSet:
@@ -244,30 +245,44 @@ def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray
     when it is positive.  Positions ascend, so sums over the margins always
     run in sample order.
     """
-    margins = _margins(x, phis, delta)
+    margins = _margins(np.abs(x - phis), delta)
     positions = np.flatnonzero(margins > 0.0)
     return positions, margins[positions]
 
 
 def sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
-    """Yield ``(positions, margins)`` of every query in ``xs``, as
-    :func:`window_margins` over all of ``phis`` would give them.
+    """Yield ``(positions, distances, margins)`` of every query in ``xs``:
+    the positions and margins :func:`window_margins` over all of ``phis``
+    would give, and the distances ``|x - phi|`` the margins came from.
 
     The regressors are sorted once.  Each query then scans only the slice
     between the binary-search bounds ``fl(x - delta)`` and ``fl(x + delta)``,
-    gathered back in sample order, so it sees the same operands in the same
+    put back in sample order, so it sees the same operands in the same
     order as a scan of all samples.  The slice holds the whole window:
     rounding is monotone, so a positive margin implies ``x - delta < phi <
     x + delta`` exactly, and no double lies strictly between a real number
     and its nearest double, so ``fl(x - delta) <= phi <= fl(x + delta)``.
+    Only rounding at the two ends can put a sample with a margin <= 0 in
+    the slice, so it is compressed only when one is there.
     """
     order = np.argsort(phis)  # need not be stable: each slice is re-sorted by position
     lo = np.searchsorted(phis, xs - delta, side="left", sorter=order)
     hi = np.searchsorted(phis, xs + delta, side="right", sorter=order)
+    # Each slice is sorted as int32, twice as fast as int64; casting the
+    # slice, not the whole order, keeps a second copy of it out of memory.
+    # The sorted positions go back to intp at once: a gather through int32
+    # indices casts them again each time, and callers gather several times.
+    position_type = np.int32 if phis.size <= np.iinfo(np.int32).max else np.intp
     for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
-        candidates = np.sort(order[a:b])
-        positions, margins = window_margins(x, phis[candidates], delta)
-        yield candidates[positions], margins
+        positions = order[a:b].astype(position_type)
+        positions.sort()
+        positions = positions.astype(np.intp, copy=False)
+        distances = np.abs(x - phis[positions])
+        margins = _margins(distances, delta)
+        inside = margins > 0.0
+        if not inside.all():
+            positions, distances, margins = positions[inside], distances[inside], margins[inside]
+        yield positions, distances, margins
 
 
 def batch_weights_arrays(
@@ -421,7 +436,7 @@ def grid_solve(
     counts = np.zeros(xs.size, dtype=int)
     objectives = np.full(xs.size, np.nan)
     sums = np.zeros(xs.size)
-    for i, (positions, support) in enumerate(sorted_windows(xs, phis, config.delta)):
+    for i, (positions, _, support) in enumerate(sorted_windows(xs, phis, config.delta)):
         if positions.size:
             total = float(np.sum(support))
             estimates[i] = float(np.dot(support / total, ys[positions]))

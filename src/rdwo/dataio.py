@@ -7,6 +7,7 @@ doubles exactly, so repeated runs over the same input are byte-identical.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import starmap
 from math import isfinite
 from typing import Iterator, Sequence
@@ -339,6 +340,16 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
+@lru_cache(maxsize=32)
+def _templates(fmt: str, header: tuple, kinds: str, nullable: tuple, prefix: tuple):
+    """The full and the null row template of one table shape, built once:
+    ``stream --emit-every`` prints a table of the same shape per snapshot."""
+    return (
+        _row_template(fmt, header, kinds, (), prefix),
+        _row_template(fmt, header, kinds, nullable, prefix),
+    )
+
+
 def format_rows(
     fmt: str, header, kinds: str, columns, *, supported=None, nullable=(), prefix=()
 ) -> Iterator[str]:
@@ -353,8 +364,9 @@ def format_rows(
     JSON records lead with the ``prefix`` fields, CSV rows leave them out.
     Each line is one ``%`` format of its row.
     """
-    full = _row_template(fmt, header, kinds, (), prefix)
-    null = _row_template(fmt, header, kinds, nullable, prefix)
+    full, null = _templates(
+        fmt, tuple(header), kinds, tuple(nullable), tuple(map(tuple, prefix))
+    )
     columns = [
         [_BOOL_TEXT.get(value) for value in column] if kind == "b" else column
         for kind, column in zip(kinds, columns)

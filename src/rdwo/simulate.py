@@ -308,9 +308,10 @@ def _dataset_arrays(spec: ExperimentSpec):
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _error_check(est, x, truth, weights, ys, phis, noises, l1: float):
-    """Absolute error of ``est`` at ``x``, its computable bound, and whether
-    the bound holds, over the active samples and their nonnegative weights.
+def _error_check(est, truth, weights, ys, distances, noises, l1: float):
+    """Absolute error of ``est``, its computable bound, and whether the bound
+    holds, over the active samples, their nonnegative weights and their
+    distances ``|x - phi|`` from the query point ``x``.
 
     The bound is the sum of a deterministic smoothness term,
     ``l1 * sum(w * |x - phi|)``, and the realized weighted noise magnitude
@@ -325,7 +326,7 @@ def _error_check(est, x, truth, weights, ys, phis, noises, l1: float):
     rounding (a weight's quotient, a gap's subtraction), hence ``n + 1``.
     """
     err = abs(est - truth)
-    smooth = l1 * float(np.dot(weights, np.abs(x - phis)))
+    smooth = l1 * float(np.dot(weights, distances))
     bound = smooth + abs(float(np.dot(weights, noises)))
     magnitude = (
         float(np.dot(weights, np.abs(ys)))
@@ -387,21 +388,25 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run one seeded experiment end to end.
 
     Every query is answered from the closed-form weights over the full
-    dataset, and its error bound is evaluated from the same weights.
+    dataset, and its error bound is evaluated from the same weights and the
+    distances they came from.  The target is evaluated once on the whole
+    grid; its elementwise ufuncs give each point what a scalar call gives.
     """
     phis, truths, noises, ys = _dataset_arrays(spec)
     grid = np.asarray(spec.query_grid)
+    grid_truths = np.asarray(spec.function(grid), dtype=float)
 
     records = []
     errors = []
     violations = 0
     windows = sorted_windows(grid, phis, spec.config.delta)
-    for x, (positions, support) in zip(grid, windows):
-        truth_x = float(spec.function(x))
+    for x, truth_x, (positions, distances, support) in zip(
+        grid.tolist(), grid_truths.tolist(), windows
+    ):
         if positions.size == 0:
             records.append(
                 QueryRecord(
-                    x=float(x),
+                    x=x,
                     truth=truth_x,
                     estimate=None,
                     abs_error=None,
@@ -415,14 +420,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         window_ys = ys[positions]
         est = float(np.dot(weights, window_ys))
         err, bound, holds = _error_check(
-            est, x, truth_x, weights, window_ys, phis[positions], noises[positions], spec.config.l1
+            est, truth_x, weights, window_ys, distances, noises[positions], spec.config.l1
         )
         if not holds:
             violations += 1
         errors.append(err)
         records.append(
             QueryRecord(
-                x=float(x),
+                x=x,
                 truth=truth_x,
                 estimate=est,
                 abs_error=err,

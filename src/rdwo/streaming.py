@@ -277,7 +277,7 @@ class StreamingGrid:
         base = int(lo.min())
         # Pairs sample by sample: grid column relative to base, margin, y.
         col = np.arange(total) - np.repeat(counts.cumsum() - counts - (lo - base), counts)
-        d = _margins(self._sorted[base:][col], np.repeat(phis, counts), self.config.delta)
+        d = _margins(np.abs(self._sorted[base:][col] - np.repeat(phis, counts)), self.config.delta)
         y = np.repeat(ys, counts)
         inside = d > 0.0
         if not inside.all():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rdwo import dataio
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
 from rdwo.dataio import csv_row, json_record, read_arrays
@@ -165,6 +166,29 @@ class TestStream:
         assert len(lines) == 5
         assert not any(line.startswith("x,") for line in lines[1:])
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_emit_every_builds_each_template_once(self, capsys, monkeypatch, fmt):
+        built = []
+        original = dataio._row_template
+
+        def spy(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dataio, "_row_template", spy)
+        dataio._templates.cache_clear()
+        code, out, _ = run_cli(
+            capsys,
+            "stream", "--input", str(REPO / "demos" / "data" / "tiny.csv"), "--delta", "1.0",
+            "--grid-list", "0,1.5", "--emit-every", "1", "--format", fmt,
+        )
+        dataio._templates.cache_clear()
+        assert code == 0
+        assert out == TINY_SNAPSHOTS[fmt]
+        # every snapshot is one table shape: its full and its null row
+        # template are built once each
+        assert len(built) == 2
+
     def test_header_only_input(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("k,phi,y\n", encoding="utf-8")
@@ -184,6 +208,33 @@ class TestStream:
         assert code == 0
         (record,) = json_lines(out)
         assert record["estimate"] is None
+
+
+# `rdwo stream --input demos/data/tiny.csv --delta 1.0 --grid-list 0,1.5
+# --emit-every 1`: one snapshot per sample, then the final state again.
+TINY_SNAPSHOTS = {
+    "json": (
+        '{"x": 0, "estimate": 1, "active_count": 1, "objective": 0.5, "n_seen": 1}\n'
+        '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 1}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 2}\n'
+        '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 2}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
+        '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
+        '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
+    ),
+    "csv": (
+        'x,estimate,active_count,objective,n_seen\n'
+        '0,1,1,0.5,1\n'
+        '1.5,,0,,1\n'
+        '0,1.6153846153846154,2,0.94339811320566047,2\n'
+        '1.5,,0,,2\n'
+        '0,1.6153846153846154,2,0.94339811320566047,3\n'
+        '1.5,100,1,0.5,3\n'
+        '0,1.6153846153846154,2,0.94339811320566047,3\n'
+        '1.5,100,1,0.5,3\n'
+    ),
+}
 
 
 STREAM_GRID = (-0.8, -0.1, 0.0, 0.45, 0.9)

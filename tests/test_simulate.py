@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rdwo.cli import main
-from rdwo.core import EstimatorConfig, sorted_windows
+from rdwo.core import EstimatorConfig, sorted_windows, window_margins
 from rdwo.simulate import (
     Atan,
     ExperimentSpec,
     PiecewiseLinear,
+    QueryRecord,
     Sine,
     _dataset_arrays,
     _error_check,
@@ -199,16 +200,86 @@ class TestRoundingAllowance:
         spec = edge_spec()
         phis, truths, noises, ys = _dataset_arrays(spec)
         x = spec.query_grid[0]
-        positions, support = next(iter(sorted_windows(np.array([x]), phis, spec.config.delta)))
+        windows = sorted_windows(np.array([x]), phis, spec.config.delta)
+        positions, distances, support = next(iter(windows))
+        assert distances.tolist() == np.abs(x - phis[positions]).tolist()
         weights = support / float(np.sum(support))
         est = float(np.dot(weights, ys[positions]))
         truth = float(spec.function(x))
-        args = (x, truth, weights, ys[positions], phis[positions], noises[positions], 1.0)
+        args = (truth, weights, ys[positions], distances, noises[positions], 1.0)
         err, bound, holds = _error_check(est, *args)
         record = run_experiment(spec).records[0]
         assert (err, bound, holds) == (record.abs_error, record.bound_z, True)
         assert _error_check(est + 1e-9, *args)[2] is False
         assert _error_check(est - 1e-9, *args)[2] is True
+
+
+def reference_records(spec):
+    """Per-query records from the single-query window helper over all
+    samples and a scalar target call per query point."""
+    phis, _, noises, ys = _dataset_arrays(spec)
+    records = []
+    for x in spec.query_grid:
+        truth = float(spec.function(x))
+        positions, support = window_margins(x, phis, spec.config.delta)
+        if positions.size == 0:
+            records.append(QueryRecord(x, truth, None, None, None, None, 0))
+            continue
+        weights = support / float(np.sum(support))
+        est = float(np.dot(weights, ys[positions]))
+        err, bound, holds = _error_check(
+            est,
+            truth,
+            weights,
+            ys[positions],
+            np.abs(x - phis[positions]),
+            noises[positions],
+            spec.config.l1,
+        )
+        records.append(QueryRecord(x, truth, est, err, bound, holds, positions.size))
+    return records
+
+
+# Each grid holds points outside the input range (-1.5, 1.5) that still
+# have support, and points with none; the piecewise-linear one also holds
+# every knot.
+KNOTS = ((-2.0, -1.0), (-0.5, 0.5), (0.25, 0.125), (1.0, 1.0), (2.0, 2.5))
+
+
+@pytest.mark.parametrize(
+    "function, grid",
+    [
+        pytest.param(
+            Sine(amplitude=1.5, frequency=2.0),
+            (-9.0, -1.9, -1.5, -0.3, 0.0, 0.1, 1.0, 1.5, 1.8, 40.0),
+            id="sine",
+        ),
+        pytest.param(
+            Atan(scale=3.0), (-5.0, -1.6, -1.0, 0.0, 1e-3, 0.7, 1.49, 1.7, 2.2), id="atan"
+        ),
+        pytest.param(
+            PiecewiseLinear(knots=KNOTS),
+            (-7.0, *(a for a, _ in KNOTS), -1.2, 0.0, 0.6, 1.3, 1.75, 8.0),
+            id="piecewise-linear",
+        ),
+    ],
+)
+def test_records_match_a_per_query_reference(function, grid):
+    spec = small_spec(
+        function=function,
+        config=EstimatorConfig(delta=0.4, l1=function.l1),
+        input_range=(-1.5, 1.5),
+        n_samples=700,
+        seed=23,
+        query_grid=grid,
+    )
+    report = run_experiment(spec)
+    reference = reference_records(spec)
+    assert report.records == tuple(reference)
+    supported = [r.estimate is not None for r in reference]
+    outside = [abs(x) > 1.5 for x in grid]
+    assert any(supported) and not all(supported)
+    assert any(s and o for s, o in zip(supported, outside))
 
 
 class TestRunExperiment:

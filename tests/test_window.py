@@ -2,8 +2,8 @@
 
 ``sorted_windows`` must hand every query the same operands, in the same
 order, as a scan of all samples, so every sum and dot product over a window
-is bit-identical: counts equal, and estimates, objectives and support sums
-compared with ``==``, not a tolerance.
+is bit-identical: counts equal, and distances, estimates, objectives and
+support sums compared with ``==``, not a tolerance.
 """
 
 import json
@@ -23,7 +23,7 @@ ULP = 2.0**-52
 def window_rows(positions_and_margins, ys):
     """(count, estimate, objective, support_sum) per query, as ``cmd_fit`` forms them."""
     rows = []
-    for positions, support in positions_and_margins:
+    for positions, _, support in positions_and_margins:
         if positions.size == 0:
             rows.append((0, None, None, None))
             continue
@@ -35,9 +35,19 @@ def window_rows(positions_and_margins, ys):
 
 def full_scan(xs, phis, delta):
     for x in xs:
-        margins = delta - np.abs(x - phis)
+        distances = np.abs(x - phis)
+        margins = delta - distances
         mask = margins > 0.0
-        yield np.flatnonzero(mask), margins[mask]
+        yield np.flatnonzero(mask), distances[mask], margins[mask]
+
+
+def slice_sizes(xs, phis, delta):
+    """Candidates per query between the binary-search bounds, before the
+    samples with a margin <= 0 are dropped."""
+    ordered = np.sort(phis)
+    lo = np.searchsorted(ordered, np.asarray(xs) - delta, side="left")
+    hi = np.searchsorted(ordered, np.asarray(xs) + delta, side="right")
+    return (hi - lo).tolist()
 
 
 def assert_matches_full_scan(xs, phis, ys, delta):
@@ -46,8 +56,9 @@ def assert_matches_full_scan(xs, phis, ys, delta):
     ys = np.asarray(ys, dtype=float)
     fast = list(sorted_windows(xs, phis, delta))
     slow = list(full_scan(xs, phis, delta))
-    for (fp, fm), (sp, sm) in zip(fast, slow, strict=True):
+    for (fp, fd, fm), (sp, sd, sm) in zip(fast, slow, strict=True):
         assert fp.tolist() == sp.tolist()
+        assert fd.tolist() == sd.tolist()
         assert fm.tolist() == sm.tolist()
     assert window_rows(fast, ys) == window_rows(slow, ys)
     estimates, counts = grid_estimates(xs, phis, ys, EstimatorConfig(delta=delta))
@@ -96,20 +107,48 @@ def test_adversarial_inputs(xs, phis, delta):
 
 def test_unsorted_regressors_keep_sample_order():
     phis = RNG.permutation(np.repeat(STEPS, 3))
-    positions, _ = next(sorted_windows(np.array([0.0]), phis, 0.25))
+    positions, _, _ = next(sorted_windows(np.array([0.0]), phis, 0.25))
     assert positions.tolist() == sorted(positions.tolist())
     assert_matches_full_scan(STEPS, phis, RNG.normal(size=phis.size), 0.25)
 
 
 def test_empty_data_has_no_support():
     windows = list(sorted_windows(np.array([0.0, 1.0]), np.array([]), 1.0))
-    assert [p.size for p, _ in windows] == [0, 0]
+    assert [p.size for p, _, _ in windows] == [0, 0]
 
 
 def test_single_query_helper_matches_driver():
     positions, margins = window_margins(0.1, UNIFORM, 0.2)
-    (dp, dm), = sorted_windows(np.array([0.1]), UNIFORM, 0.2)
+    (dp, dd, dm), = sorted_windows(np.array([0.1]), UNIFORM, 0.2)
     assert positions.tolist() == dp.tolist() and margins.tolist() == dm.tolist()
+    assert dd.tolist() == np.abs(0.1 - UNIFORM[positions]).tolist()
+
+
+def test_all_inside_windows_match_full_scan():
+    # No sample sits at a rounded window end, so every candidate is inside
+    # and each window is handed on without being compressed.
+    xs = np.linspace(-0.9, 0.9, 19)
+    sizes = slice_sizes(xs, UNIFORM, 0.15)
+    windows = list(sorted_windows(xs, UNIFORM, 0.15))
+    assert [p.size for p, _, _ in windows] == sizes and min(sizes) > 0
+    assert_matches_full_scan(xs, UNIFORM, NOISE, 0.15)
+
+
+@pytest.mark.parametrize(
+    "xs, phis, delta",
+    [
+        pytest.param(STEPS, STEPS, 0.1, id="samples-at-x-plus-minus-delta"),
+        pytest.param([0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0, 1.5], 0.5, id="exact-edges"),
+        pytest.param(TINY, TINY, 3 * ULP, id="delta-three-ulps"),
+        pytest.param(STEPS + 0.05, STEPS, 0.05, id="samples-at-window-ends-midway"),
+    ],
+)
+def test_windows_with_samples_on_their_ends_are_compressed(xs, phis, delta):
+    # test_adversarial_inputs checks these windows against the full scan;
+    # here a sample with a margin <= 0 is in some slice and is dropped.
+    phis = np.asarray(phis, dtype=float)
+    windows = list(sorted_windows(np.asarray(xs, dtype=float), phis, delta))
+    assert any(p.size < size for (p, _, _), size in zip(windows, slice_sizes(xs, phis, delta)))
 
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
