@@ -229,7 +229,15 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
             f"batch and streaming estimates disagree (max relative deviation {deviation:g})"
         )
     if batch.violation_count > 0:
-        failures.append(f"{batch.violation_count} error-bound violation(s)")
+        worst = max(
+            (r for r in batch.records if r.bound_holds is False),
+            key=lambda r: r.abs_error - r.bound_z,
+        )
+        failures.append(
+            f"{batch.violation_count} error-bound violation(s), worst at x={worst.x!r}: "
+            f"abs_error={worst.abs_error!r} bound_z={worst.bound_z!r} "
+            f"excess={worst.abs_error - worst.bound_z!r}"
+        )
 
     records = batch.records
     _emit(
@@ -304,7 +312,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         "ok",
     ]
     rows = []
-    failures = 0
+    failures = []
     max_simplex_dev = 0.0
     max_signed_excess = -math.inf
     for i in range(args.instances):
@@ -316,13 +324,16 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             claimed = _perturbed_objective(x, samples, config, solution)
         else:
             claimed = optimal_objective(x, samples, config)
-        simplex = maximize_simplex(x, samples, config, seed=i)
-        signed = maximize_signed(x, samples, config, seed=i)
+        simplex = maximize_simplex(x, samples, config)
+        signed = maximize_signed(x, samples, config)
         simplex_dev = abs(claimed - simplex.objective)
         signed_excess = signed.objective - claimed
         ok = simplex_dev <= ORACLE_TOL and signed_excess <= ORACLE_TOL
         if not ok:
-            failures += 1
+            failures.append(
+                f"instance {i} of seed {args.seed} (n={n}): "
+                f"simplex_abs_dev={simplex_dev:.2g} signed_excess={signed_excess:.2g}"
+            )
         max_simplex_dev = max(max_simplex_dev, simplex_dev)
         max_signed_excess = max(max_signed_excess, signed_excess)
         rows.append(
@@ -335,7 +346,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                 [
                     ("type", "summary"),
                     ("instances", args.instances),
-                    ("failures", failures),
+                    ("failures", len(failures)),
                     ("max_simplex_abs_dev", max_simplex_dev),
                     ("max_signed_excess", max_signed_excess),
                     ("fault_injected", args.inject_fault),
@@ -345,11 +356,13 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         )
     else:
         print(
-            f"summary: instances={args.instances} failures={failures} "
+            f"summary: instances={args.instances} failures={len(failures)} "
             f"max_simplex_abs_dev={max_simplex_dev:g} "
             f"max_signed_excess={max_signed_excess:g}",
             file=sys.stderr,
         )
+    for failure in failures:
+        print(f"verification failure: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 

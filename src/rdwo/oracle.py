@@ -1,10 +1,19 @@
 """Search-based certification of the closed-form weights.
 
-The maximizers here know nothing about the closed-form solution: they climb
-the objective directly through multi-start local search over pairwise mass
-transfers that preserve the weight-sum constraint.  They are intentionally
-naive and only meant for small instances, as an independent check that the
-algebraic optimum is what it claims to be.
+Both maximizers climb one objective, ``(delta - sum |w_k| d_k) / ||w||`` with
+``d_k = |x - phi_k|``, over weights that sum to one.  The simplex form keeps
+them nonnegative, where the objective equals ``sum w_k phi_hat_k / ||w||``;
+the signed form lets them take any sign.  Neither knows the closed form.
+
+The climber is pair coordinate ascent with an exact line search, the move of
+Platt's SMO (Sequential Minimal Optimization, 1998): mass ``t`` moves from
+``w_i`` to ``w_j``, and ``t`` is the best point of the whole feasible line.
+The objective is quasi-concave on both domains (for ``c >= 0`` the set
+``{w : delta - sum |w| d >= c ||w||}`` is convex), and any feasible direction
+splits into pair moves, so a point of positive objective that no pair move
+improves is the global maximum and one start at uniform weights is enough.
+Meant for small instances only, as an independent check of the algebraic
+optimum.
 """
 
 from __future__ import annotations
@@ -29,12 +38,6 @@ __all__ = [
 
 MAX_ORACLE_SAMPLES = 12
 
-# Search schedule: transfer fractions (or absolute amounts, for the signed
-# form) are halved from _STEP_START until _STEP_MIN, which resolves weights
-# far below the certification tolerances.
-_STEP_START = 0.5
-_STEP_MIN = 1e-6
-
 
 class OracleForm(Enum):
     SIMPLEX = "simplex"
@@ -55,194 +58,103 @@ class OracleResult:
     form: OracleForm
 
 
-def _margins(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> list[float]:
+def _objective(w: Sequence[float], d: Sequence[float], delta: float) -> float:
+    num = delta - sum(abs(wk) * dk for wk, dk in zip(w, d))
+    return num / math.sqrt(sum(wk * wk for wk in w))
+
+
+def _line_candidates(wi, wj, di, dj, rest, b, signed):
+    """Transfers ``t`` (``w_i -= t``, ``w_j += t``) that hold the line's best.
+
+    The line splits at ``t = w_i`` and ``t = -w_j`` into pieces on which the
+    signs of ``w_i - t`` and ``w_j + t`` stay fixed; on the simplex only the
+    middle piece is feasible.  On a piece the numerator is ``a + p*t`` and
+    ``sum w^2`` is ``b + 2*q*t + 2*t^2``, whose ratio is stationary at
+    ``t* = (a*q - p*b) / (p*q - 2*a)``; ``t*`` clipped to each piece and the
+    piece ends are the candidates.  ``rest`` is the numerator without the
+    pair's two terms.
+    """
+    lo, hi = sorted((-wj, wi))
+    pieces = [(lo, hi, 0.5 * (lo + hi))]
+    if signed:
+        pieces += [(-math.inf, lo, lo - 1.0), (hi, math.inf, hi + 1.0)]
+    q = wj - wi
+    candidates = {lo, hi}
+    for start, stop, inner in pieces:
+        si = 1.0 if inner < wi else -1.0
+        sj = 1.0 if inner > -wj else -1.0
+        a = rest - si * wi * di - sj * wj * dj
+        p = si * di - sj * dj
+        den = p * q - 2.0 * a
+        if den != 0.0:
+            candidates.add(min(max((a * q - p * b) / den, start), stop))
+    candidates.discard(0.0)
+    return sorted(candidates)
+
+
+def _maximize(x, samples, config, budget, form: OracleForm) -> OracleResult:
     n = len(samples)
     if n == 0:
         raise ValueError("samples must be nonempty")
     if n > MAX_ORACLE_SAMPLES:
-        raise ValueError(
-            f"oracle search is limited to {MAX_ORACLE_SAMPLES} samples, got {n}"
-        )
-    ph = [centered_distance(x, s.phi, config).phi_hat for s in samples]
-    if max(ph) <= 0.0:
+        raise ValueError(f"oracle search is limited to {MAX_ORACLE_SAMPLES} samples, got {n}")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    d = [centered_distance(x, s.phi, config).phi_tilde for s in samples]
+    delta = config.delta
+    if delta - min(d) <= 0.0:
         raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
-    return ph
-
-
-def _simplex_starts(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    return [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for _ in range(2)]
-
-
-def _signed_starts(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    alternating = np.where(np.arange(n) % 2 == 0, 2.0, -1.0)
-    alternating /= alternating.sum()
-    return [np.full(n, 1.0 / n), alternating, rng.dirichlet(np.ones(n))]
-
-
-def _climb_simplex(
-    w: list[float], ph: list[float], budget: int, used: int
-) -> tuple[list[float], float, int]:
-    """Greedy pairwise-transfer ascent of sum(w*ph)/sqrt(sum(w^2))."""
-    n = len(w)
-    a = sum(wi * pi for wi, pi in zip(w, ph))
-    b = sum(wi * wi for wi in w)
-    cur = a / math.sqrt(b)
-    step = _STEP_START
-    while step >= _STEP_MIN and used < budget:
-        improved = False
+    signed = form is OracleForm.SIGNED
+    w = [1.0 / n] * n
+    used = 1
+    gain = True
+    while gain and used < budget:
+        gain = False
+        # Fresh sums once a sweep, so incremental rounding cannot pile up.
+        num = delta - sum(abs(wk) * dk for wk, dk in zip(w, d))
+        sq = sum(wk * wk for wk in w)
+        cur = num / math.sqrt(sq)
         for i in range(n):
-            for j in range(n):
-                if j == i or w[i] <= 0.0:
-                    continue
-                for t in (step * w[i], w[i]):
+            for j in range(i + 1, n):
+                wi, wj, di, dj = w[i], w[j], d[i], d[j]
+                rest = num + abs(wi) * di + abs(wj) * dj
+                best, best_t = cur, 0.0
+                for t in _line_candidates(wi, wj, di, dj, rest, sq, signed):
                     if used >= budget:
-                        return w, _simplex_objective(w, ph), used
-                    used += 1
-                    a2 = a + t * (ph[j] - ph[i])
-                    b2 = b + 2.0 * t * (w[j] - w[i]) + 2.0 * t * t
-                    cand = a2 / math.sqrt(b2)
-                    if cand > cur + 1e-14 * (1.0 + abs(cur)):
-                        w[i] -= t
-                        w[j] += t
-                        a, b, cur = a2, b2, cand
-                        improved = True
                         break
-        if not improved:
-            step *= 0.5
-            # Refresh the running sums so incremental rounding cannot pile up.
-            a = sum(wi * pi for wi, pi in zip(w, ph))
-            b = sum(wi * wi for wi in w)
-            cur = a / math.sqrt(b)
-    return w, _simplex_objective(w, ph), used
-
-
-def _simplex_objective(w: Sequence[float], ph: Sequence[float]) -> float:
-    a = sum(wi * pi for wi, pi in zip(w, ph))
-    b = sum(wi * wi for wi in w)
-    return a / math.sqrt(b)
-
-
-def _signed_objective(w: Sequence[float], dist: Sequence[float], delta: float) -> float:
-    p = sum(abs(wi) * di for wi, di in zip(w, dist))
-    b = sum(wi * wi for wi in w)
-    return (delta - p) / math.sqrt(b)
-
-
-def _climb_signed(
-    w: list[float], dist: list[float], delta: float, budget: int, used: int
-) -> tuple[list[float], float, int]:
-    """Greedy pairwise-transfer ascent of (delta - sum(|w|*dist))/sqrt(sum(w^2)).
-
-    Weights may take any sign; only the sum-to-one constraint is preserved.
-    Ordered pairs with a positive transfer cover both move directions, and
-    the full transfer ``t = w[i]`` lets the search zero a coordinate exactly.
-    """
-    n = len(w)
-    p = sum(abs(wi) * di for wi, di in zip(w, dist))
-    b = sum(wi * wi for wi in w)
-    cur = (delta - p) / math.sqrt(b)
-    step = _STEP_START
-    while step >= _STEP_MIN and used < budget:
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                for t in (step, w[i]):
-                    if t == 0.0:
-                        continue
-                    if used >= budget:
-                        return w, _signed_objective(w, dist, delta), used
                     used += 1
-                    wi2 = w[i] - t
-                    wj2 = w[j] + t
-                    p2 = (
-                        p
-                        + (abs(wi2) - abs(w[i])) * dist[i]
-                        + (abs(wj2) - abs(w[j])) * dist[j]
+                    value = (rest - abs(wi - t) * di - abs(wj + t) * dj) / math.sqrt(
+                        sq + 2.0 * t * (wj - wi) + 2.0 * t * t
                     )
-                    b2 = b + 2.0 * t * (w[j] - w[i]) + 2.0 * t * t
-                    cand = (delta - p2) / math.sqrt(b2)
-                    if cand > cur + 1e-14 * (1.0 + abs(cur)):
-                        w[i] = wi2
-                        w[j] = wj2
-                        p, b, cur = p2, b2, cand
-                        improved = True
-                        break
-        if not improved:
-            step *= 0.5
-            p = sum(abs(wi) * di for wi, di in zip(w, dist))
-            b = sum(wi * wi for wi in w)
-            cur = (delta - p) / math.sqrt(b)
-    return w, _signed_objective(w, dist, delta), used
+                    if value > best:
+                        best, best_t = value, t
+                if best > cur + 1e-15 * (1.0 + abs(cur)):
+                    w[i], w[j] = wi - best_t, wj + best_t
+                    num = rest - abs(w[i]) * di - abs(w[j]) * dj
+                    sq += w[i] * w[i] + w[j] * w[j] - wi * wi - wj * wj
+                    cur = best
+                    gain = True
+    return OracleResult(
+        weights=tuple(w), objective=_objective(w, d, delta), evaluations=used, form=form
+    )
 
 
 def maximize_simplex(
-    x: float,
-    samples: Sequence[Sample],
-    config: EstimatorConfig,
-    *,
-    budget: int = 100_000,
-    seed: int = 0,
+    x: float, samples: Sequence[Sample], config: EstimatorConfig, *, budget: int = 100_000
 ) -> OracleResult:
-    """Maximize the simplex-form objective by multi-start local search.
-
-    Restricted to nonnegative weights summing to one.  With the default
-    budget the search resolves the optimum far beyond the certification
-    tolerances for instances up to ``MAX_ORACLE_SAMPLES`` samples.
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    ph = _margins(x, samples, config)
-    rng = np.random.default_rng(seed)
-    used = 0
-    best_w: list[float] | None = None
-    best = -math.inf
-    for start in _simplex_starts(rng, len(ph)):
-        if used >= budget and best_w is not None:
-            break
-        w, val, used = _climb_simplex([float(v) for v in start], ph, budget, used)
-        if val > best:
-            best, best_w = val, w
-    assert best_w is not None
-    return OracleResult(
-        weights=tuple(best_w), objective=best, evaluations=used, form=OracleForm.SIMPLEX
-    )
+    """Maximize the objective over nonnegative weights summing to one."""
+    return _maximize(x, samples, config, budget, OracleForm.SIMPLEX)
 
 
 def maximize_signed(
-    x: float,
-    samples: Sequence[Sample],
-    config: EstimatorConfig,
-    *,
-    budget: int = 100_000,
-    seed: int = 0,
+    x: float, samples: Sequence[Sample], config: EstimatorConfig, *, budget: int = 100_000
 ) -> OracleResult:
-    """Maximize the signed-form objective by multi-start local search.
+    """Maximize the objective over weights of any sign summing to one.
 
-    Weights may take any sign.  The signed optimum never exceeds the simplex
-    optimum, which certification leans on.
+    The signed optimum never exceeds the simplex optimum, which
+    certification leans on.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    _margins(x, samples, config)
-    dist = [centered_distance(x, s.phi, config).phi_tilde for s in samples]
-    rng = np.random.default_rng(seed)
-    used = 0
-    best_w: list[float] | None = None
-    best = -math.inf
-    for start in _signed_starts(rng, len(dist)):
-        if used >= budget and best_w is not None:
-            break
-        w, val, used = _climb_signed(
-            [float(v) for v in start], dist, config.delta, budget, used
-        )
-        if val > best:
-            best, best_w = val, w
-    assert best_w is not None
-    return OracleResult(
-        weights=tuple(best_w), objective=best, evaluations=used, form=OracleForm.SIGNED
-    )
+    return _maximize(x, samples, config, budget, OracleForm.SIGNED)
 
 
 def random_instance(

@@ -55,10 +55,10 @@ def test_criterion_01_simplex_oracle_matches_closed_form():
     max_obj_dev = 0.0
     max_w_dev = 0.0
     count = 0
-    for i, (x, samples, config) in _oracle_instances():
+    for _, (x, samples, config) in _oracle_instances():
         solution = batch_weights(x, samples, config)
         claimed = optimal_objective(x, samples, config)
-        result = maximize_simplex(x, samples, config, seed=i)
+        result = maximize_simplex(x, samples, config)
         max_obj_dev = max(max_obj_dev, abs(result.objective - claimed))
         max_w_dev = max(
             max_w_dev, float(np.max(np.abs(np.asarray(result.weights) - solution.weights)))
@@ -79,9 +79,9 @@ def test_criterion_02_signed_oracle_matches_closed_form():
     start = time.perf_counter()
     max_dev = 0.0
     count = 0
-    for i, (x, samples, config) in _oracle_instances():
+    for _, (x, samples, config) in _oracle_instances():
         claimed = optimal_objective(x, samples, config)
-        result = maximize_signed(x, samples, config, seed=i)
+        result = maximize_signed(x, samples, config)
         max_dev = max(max_dev, abs(result.objective - claimed))
         count += 1
     elapsed = time.perf_counter() - start

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rdwo import dataio
+from rdwo import cli, dataio
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
 from rdwo.dataio import csv_row, json_record, read_arrays
@@ -532,6 +533,25 @@ class TestSimulate:
         assert len(lines) == 10
         assert err.startswith("summary:")
 
+    def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch):
+        report = run_experiment(load_spec(sim_spec))
+        bad = dataclasses.replace(
+            report.records[3], abs_error=report.records[3].bound_z + 0.25, bound_holds=False
+        )
+        records = report.records[:3] + (bad,) + report.records[4:]
+        stub = dataclasses.replace(report, records=records, violation_count=1)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: stub)
+        code, out, err = run_cli(capsys, "simulate", "--spec", sim_spec)
+        assert code == 1
+        assert err == (
+            f"verification failure: 1 error-bound violation(s), worst at x={bad.x!r}: "
+            f"abs_error={bad.abs_error!r} bound_z={bad.bound_z!r} "
+            f"excess={bad.abs_error - bad.bound_z!r}\n"
+        )
+        queries = [r for r in json_lines(out) if r["type"] == "query"]
+        assert queries == [{"type": "query", **r.to_dict()} for r in records]
+        assert json_lines(out)[-1]["violation_count"] == 1
+
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "no.json"))
         assert code == 2
@@ -686,6 +706,30 @@ class TestVerify:
         summary = json_lines(out)[-1]
         assert summary["failures"] >= 1
         assert summary["fault_injected"] is True
+
+    def test_fault_injection_names_each_failing_instance(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--instances", "10", "--inject-fault")
+        assert code == 1
+        failing = [r for r in json_lines(out) if r["type"] == "instance" and not r["ok"]]
+        lines = err.splitlines()
+        assert len(failing) >= 1 and len(lines) == len(failing)
+        for record, line in zip(failing, lines):
+            assert line == (
+                f"verification failure: instance {record['instance']} of seed 0 "
+                f"(n={record['n']}): simplex_abs_dev={record['simplex_abs_dev']:.2g} "
+                f"signed_excess={record['signed_excess']:.2g}"
+            )
+        # The line is enough to replay the instance as the last of a shorter run.
+        last = failing[-1]["instance"]
+        _, replay, _ = run_cli(
+            capsys, "verify", "--instances", str(last + 1), "--seed", "0", "--inject-fault"
+        )
+        assert json_lines(replay)[-2] == failing[-1]
+
+    def test_seed_with_a_former_false_failure_passes(self, capsys):
+        # A step-halving search stalled 7.9e-6 short of the optimum at instance 139.
+        assert main(["verify", "--instances", "140", "--seed", "74857987"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--instances", "4", "--seed", "3")

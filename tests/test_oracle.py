@@ -42,9 +42,9 @@ class TestSimplexSearch:
         assert abs(result.weights[0] - 0.5) <= 1e-3
         assert abs(result.weights[1] - 0.5) <= 1e-3
 
-    def test_deterministic_for_fixed_seed(self):
-        a = maximize_simplex(0.0, HAND, CFG, seed=9)
-        b = maximize_simplex(0.0, HAND, CFG, seed=9)
+    def test_deterministic(self):
+        a = maximize_simplex(0.0, HAND, CFG)
+        b = maximize_simplex(0.0, HAND, CFG)
         assert a == b
 
     def test_budget_is_respected(self):
@@ -74,9 +74,9 @@ class TestSignedSearch:
         # the out-of-window coordinate should carry no mass in either form
         assert abs(result.weights[2]) <= 1e-3
 
-    def test_deterministic_for_fixed_seed(self):
-        a = maximize_signed(0.0, HAND, CFG, seed=3)
-        b = maximize_signed(0.0, HAND, CFG, seed=3)
+    def test_deterministic(self):
+        a = maximize_signed(0.0, HAND, CFG)
+        b = maximize_signed(0.0, HAND, CFG)
         assert a == b
 
     def test_no_support_raises(self):
@@ -92,12 +92,79 @@ class TestSweep:
             rng = np.random.default_rng([500, i])
             x, samples, config = random_instance(rng, n_samples=2 + (i % 11))
             closed = optimal_objective(x, samples, config)
-            simplex = maximize_simplex(x, samples, config, seed=i)
-            signed = maximize_signed(x, samples, config, seed=i)
+            simplex = maximize_simplex(x, samples, config)
+            signed = maximize_signed(x, samples, config)
             worst_dev = max(worst_dev, abs(simplex.objective - closed))
             worst_excess = max(worst_excess, signed.objective - closed)
         assert worst_dev <= 1e-6
         assert worst_excess <= 1e-6
+
+
+BOTH_FORMS = pytest.mark.parametrize(
+    "maximize, form",
+    [(maximize_simplex, OracleForm.SIMPLEX), (maximize_signed, OracleForm.SIGNED)],
+)
+
+
+def verify_instance(seed, i):
+    """Instance ``i`` of ``rdwo verify --seed <seed>``."""
+    return random_instance(np.random.default_rng([seed, i]), n_samples=2 + (i % 11))
+
+
+class TestKnownStalls:
+    """Instances on which a step-halving search stalled 1.2e-6 to 7.9e-6 below
+    the optimum, each with one active margin below 3e-3."""
+
+    @BOTH_FORMS
+    @pytest.mark.parametrize("seed, i", [(7, 18), (7, 141), (10, 153), (74857987, 139)])
+    def test_reaches_the_closed_form(self, maximize, form, seed, i):
+        x, samples, config = verify_instance(seed, i)
+        result = maximize(x, samples, config)
+        assert abs(result.objective - optimal_objective(x, samples, config)) <= 1e-12
+
+
+class TestBudgetAndEdges:
+    @BOTH_FORMS
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7])
+    def test_tiny_budgets(self, maximize, form, budget):
+        x, samples, config = verify_instance(74857987, 139)
+        result = maximize(x, samples, config, budget=budget)
+        assert result.form is form
+        assert result.evaluations <= budget
+        assert math.isfinite(result.objective)
+        assert abs(math.fsum(result.weights) - 1.0) <= 1e-12
+        if form is OracleForm.SIMPLEX:
+            assert min(result.weights) >= 0.0
+
+    @BOTH_FORMS
+    def test_single_sample(self, maximize, form):
+        result = maximize(0.0, [Sample(1, -0.3, 2.0)], CFG)
+        assert result.weights == (1.0,)
+        assert math.isclose(result.objective, 0.7, rel_tol=1e-12)
+
+    @BOTH_FORMS
+    def test_equal_distances_keep_uniform_weights(self, maximize, form):
+        samples = [Sample(k + 1, 0.25 * (-1) ** k, float(k)) for k in range(5)]
+        result = maximize(0.0, samples, CFG)
+        assert result.weights == (0.2,) * 5
+        closed = optimal_objective(0.0, samples, CFG)
+        assert abs(result.objective - closed) <= 1e-12
+
+    @BOTH_FORMS
+    def test_sample_on_the_window_edge_gets_no_weight(self, maximize, form):
+        samples = [Sample(1, 1.0, 5.0), Sample(2, 0.1, 1.0), Sample(3, -0.6, 2.0)]
+        result = maximize(0.0, samples, CFG)
+        assert result.weights[0] == 0.0
+        closed = batch_weights(0.0, samples, CFG).weights
+        assert float(np.max(np.abs(np.array(result.weights) - closed))) <= 1e-12
+        assert abs(result.objective - optimal_objective(0.0, samples, CFG)) <= 1e-12
+
+    @BOTH_FORMS
+    def test_out_of_window_samples_end_with_zero_weight(self, maximize, form):
+        samples = HAND + [Sample(4, -3.5, 7.0), Sample(5, 1.5, -1.0)]
+        result = maximize(0.0, samples, CFG)
+        assert result.weights[2:] == (0.0, 0.0, 0.0)
+        assert abs(result.objective - HAND_OPTIMUM) <= 1e-12
 
 
 class TestRandomInstance:
