@@ -37,10 +37,14 @@ from .core import (
 from .dataio import (  # noqa: F401
     InputFormatError,
     csv_row,
+    format_float,
+    format_heads,
     format_rows,
     iter_blocks,
     iter_samples,
+    join_lines,
     json_record,
+    line_tail,
     parse_grid,
     parse_grid_list,
     read_arrays,
@@ -140,32 +144,67 @@ def _query_grid(args: argparse.Namespace) -> np.ndarray:
     return np.asarray(parse_grid(args.grid) if args.grid else parse_grid_list(args.grid_list))
 
 
-def _emit_grid(out, args, xs: np.ndarray, solution, n_seen: int | None, with_header: bool):
-    """One grid snapshot, the same for ``fit`` and ``stream``.
+# The columns of a grid table, the last only with --diagnostics, and those a
+# point with no sample in its window prints null.
+_GRID_HEADER = ("x", "estimate", "active_count", "objective", "support_sum")
+_GRID_NULLABLE = ("estimate", "objective", "support_sum")
 
-    ``solution`` holds the per-point estimates, active counts, objectives and
-    support sums.  A point with no sample in its window prints a null
-    estimate, objective and support sum.  ``support_sum`` is a column with
-    ``--diagnostics``, and ``n_seen`` is the last one unless it is None.
+
+class _GridTable:
+    """The grid table of ``fit`` and ``stream``, printed once or per snapshot.
+
+    A snapshot is a ``solution``: the per-point estimates, active counts,
+    objectives and support sums.  ``support_sum`` is a column with
+    ``--diagnostics``, and ``n_seen``, when given, is one literal tail
+    joined onto every line.
+
+    With ``keep``, each point's ``x`` text is formatted once, and the table
+    keeps each point's line up to that tail (its head) between snapshots.
+    A snapshot formats a head again only when the point's active count
+    moved: a point that absorbed no sample has the same support sum,
+    estimate and sum of squares, bit for bit.  Without ``keep``, as for
+    ``fit``'s one table, lines are formatted a text at a time, ``x`` as a
+    float cell, and none is kept.
     """
-    width = 5 if args.diagnostics else 4
-    header = ["x", "estimate", "active_count", "objective", "support_sum"][:width]
-    kinds = "ffdff"[:width]
-    columns = [xs.tolist(), *(column.tolist() for column in solution[: width - 1])]
-    if n_seen is not None:
-        header.append("n_seen")
-        kinds += "d"
-        columns.append([n_seen] * xs.size)
-    _emit(
-        out,
-        args.format,
-        header,
-        kinds,
-        columns,
-        with_header=with_header,
-        supported=(solution[1] > 0).tolist(),
-        nullable=("estimate", "objective", "support_sum"),
-    )
+
+    def __init__(self, args: argparse.Namespace, xs: np.ndarray, keep: bool):
+        self.fmt = args.format
+        self.width = 5 if args.diagnostics else 4
+        self.header = _GRID_HEADER[: self.width]
+        self.heads = None
+        if keep:
+            self.x_cells = np.array(list(map(format_float, xs.tolist())), dtype=object)
+            self.kinds = "sfdff"[: self.width]
+            self.heads = np.empty(xs.size, dtype=object)
+            self.counts = np.full(xs.size, -1)
+        else:
+            self.x_cells, self.kinds = xs, "ffdff"[: self.width]
+
+    def write(self, out: TextIO, solution, n_seen: int | None, with_header: bool) -> None:
+        suffix = [] if n_seen is None else [("n_seen", n_seen)]
+        if self.fmt == "csv" and with_header:
+            out.write(",".join([*self.header, *(key for key, _ in suffix)]) + "\n")
+        counts = solution[1]
+        cells = (self.x_cells, *solution)[: self.width]
+        if self.heads is None:
+            texts = format_rows(
+                self.fmt, self.header, self.kinds, [column.tolist() for column in cells],
+                supported=(counts > 0).tolist(), nullable=_GRID_NULLABLE, suffix=suffix,
+            )
+        else:
+            changed = np.flatnonzero(counts != self.counts)
+            self.counts = counts
+            if changed.size:
+                # Free the stale lines first, so that their memory takes the new ones.
+                self.heads[changed] = None
+                self.heads[changed] = format_heads(
+                    self.fmt, self.header, self.kinds,
+                    [column[changed].tolist() for column in cells],
+                    supported=(counts[changed] > 0).tolist(), nullable=_GRID_NULLABLE,
+                )
+            texts = join_lines(self.heads.tolist(), line_tail(self.fmt, suffix))
+        for text in texts:
+            out.write(text)
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
@@ -173,7 +212,8 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     config = EstimatorConfig(delta=args.delta, l1=args.l1)
     phis, ys = read_arrays(args.input)
     solution = grid_solve(grid, phis, ys, config)
-    _emit_grid(out, args, grid, solution, phis.size if args.diagnostics else None, True)
+    n_seen = phis.size if args.diagnostics else None
+    _GridTable(args, grid, keep=False).write(out, solution, n_seen, True)
     return 0
 
 
@@ -183,6 +223,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     if args.emit_every < 0:
         raise ValueError("--emit-every must be >= 0")
     engine = StreamingGrid(grid, config)
+    table = _GridTable(args, engine.xs, keep=args.emit_every > 0)
     track_n = args.emit_every > 0 or args.diagnostics
 
     def emit(n_seen: int | None, with_header: bool) -> None:
@@ -192,7 +233,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
             engine.objectives(),
             engine.support_sums(),
         )
-        _emit_grid(out, args, engine.xs, solution, n_seen, with_header)
+        table.write(out, solution, n_seen, with_header)
 
     first_block = True
     for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):

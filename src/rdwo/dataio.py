@@ -27,6 +27,9 @@ __all__ = [
     "json_record",
     "csv_row",
     "format_rows",
+    "format_heads",
+    "join_lines",
+    "line_tail",
     "parse_grid",
     "parse_grid_list",
 ]
@@ -315,25 +318,28 @@ def csv_row(values: Sequence[object]) -> str:
     return ",".join(_csv_cell(v) for v in values)
 
 
-# Lines per text that format_rows hands out, about 8 KiB of them: a whole
-# table as one string raised the peak memory of `stream` by 0.25 MiB.
+# Lines per text that format_rows and join_lines hand out, about 8 KiB of
+# them: a whole table as one string raised the peak memory of `stream` by
+# 0.25 MiB.
 _EMIT_ROWS = 64
 
-# Cell templates by column kind: float, int, and bool (fed as its text).
-_CELLS = {"f": "%.17g", "d": "%d", "b": "%s"}
+# Cell templates by column kind: float, int, bool (fed as its text), and
+# text printed as it is.
+_CELLS = {"f": "%.17g", "d": "%d", "b": "%s", "s": "%s"}
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _row_template(fmt: str, header, kinds: str, nulls, prefix) -> str:
-    """One ``%`` template for a whole line.  A null cell swallows its value
-    with ``%.0s``, so every row feeds the template the same tuple."""
+    """One ``%`` template for a line up to its tail (see :func:`line_tail`).
+    A null cell swallows its value with ``%.0s``, so every row feeds the
+    template the same tuple."""
     null = ("null" if fmt == "json" else "") + "%.0s"
     cells = [null if key in nulls else _CELLS[kind] for key, kind in zip(header, kinds)]
     if fmt == "csv":
-        return ",".join(cells) + "\n"
+        return ",".join(cells)
     fields = [_literal(f'"{key}": {_json_scalar(value)}') for key, value in prefix]
     fields += [f'"{_literal(key)}": {cell}' for key, cell in zip(header, cells)]
-    return "{" + ", ".join(fields) + "}\n"
+    return "{" + ", ".join(fields)
 
 
 def _literal(text: str) -> str:
@@ -350,34 +356,71 @@ def _templates(fmt: str, header: tuple, kinds: str, nullable: tuple, prefix: tup
     )
 
 
-def format_rows(
-    fmt: str, header, kinds: str, columns, *, supported=None, nullable=(), prefix=()
-) -> Iterator[str]:
-    """The lines :func:`json_record` (``fmt`` ``"json"``) or :func:`csv_row`
-    (``"csv"``) give for a table, each ended by a newline, joined into texts
-    of up to ``_EMIT_ROWS`` lines.
+def line_tail(fmt: str, suffix=()) -> str:
+    """The end of every line of a table: the ``suffix`` fields, which hold
+    the same value in every row, then the newline, after a JSON record's
+    closing brace."""
+    if fmt == "csv":
+        return "".join("," + _csv_cell(value) for _, value in suffix) + "\n"
+    return "".join(f', "{key}": {_json_scalar(value)}' for key, value in suffix) + "}\n"
+
+
+def format_heads(fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=()):
+    """Each row's line up to its tail, as a list: one ``%`` format of the
+    row per line, through the cached templates of the table shape.
 
     ``columns`` holds the cells column by column, and ``kinds`` one letter
-    per column: ``f`` float, ``d`` int, ``b`` bool.  A row whose
-    ``supported`` entry is false prints null in the ``nullable`` columns,
-    whatever they hold; all rows are supported when ``supported`` is None.
-    JSON records lead with the ``prefix`` fields, CSV rows leave them out.
-    Each line is one ``%`` format of its row.
+    per column: ``f`` float, ``d`` int, ``b`` bool, ``s`` text printed as it
+    is.  A row whose ``supported`` entry is false prints null in the
+    ``nullable`` columns, whatever they hold; all rows are supported when
+    ``supported`` is None.  JSON records lead with the ``prefix`` fields,
+    CSV rows leave them out.
     """
     full, null = _templates(
         fmt, tuple(header), kinds, tuple(nullable), tuple(map(tuple, prefix))
     )
-    columns = [
+    rows = zip(*(
         [_BOOL_TEXT.get(value) for value in column] if kind == "b" else column
         for kind, column in zip(kinds, columns)
-    ]
+    ))
+    if supported is None or all(supported):
+        return list(map(full.__mod__, rows))
+    return [(null, full)[ok] % row for ok, row in zip(supported, rows)]
+
+
+def join_lines(heads, tail: str) -> Iterator[str]:
+    """The lines ``heads``, each ended by ``tail``, in texts of up to
+    ``_EMIT_ROWS`` lines."""
+    for start in range(0, len(heads), _EMIT_ROWS):
+        yield tail.join(heads[start : start + _EMIT_ROWS]) + tail
+
+
+def format_rows(
+    fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=(), suffix=()
+) -> Iterator[str]:
+    """The lines :func:`json_record` (``fmt`` ``"json"``) or :func:`csv_row`
+    (``"csv"``) give for a table, in texts of up to ``_EMIT_ROWS`` lines,
+    formatted a text at a time.
+
+    The cells are as :func:`format_heads` takes them; each line ends with
+    the ``suffix`` fields, which both formats print after the columns.
+    """
+    tail = line_tail(fmt, suffix)
     for start in range(0, len(columns[0]) if columns else 0, _EMIT_ROWS):
-        rows = zip(*(column[start : start + _EMIT_ROWS] for column in columns))
-        if supported is None:
-            yield "".join(map(full.__mod__, rows))
-        else:
-            oks = supported[start : start + _EMIT_ROWS]
-            yield "".join([(null, full)[ok] % row for ok, row in zip(oks, rows)])
+        stop = start + _EMIT_ROWS
+        heads = format_heads(
+            fmt, header, kinds, [column[start:stop] for column in columns],
+            supported=None if supported is None else supported[start:stop],
+            nullable=nullable, prefix=prefix,
+        )
+        yield tail.join(heads) + tail
+
+
+def _require_plain(text: str, what: str) -> None:
+    """The CSV number grammar's character rule: ASCII only, and no ``_``,
+    which ``float()`` and ``int()`` would read as a digit separator."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{what} may hold only ASCII characters and no '_', got {text!r}")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -385,6 +428,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must have the form min:max:count, got {text!r}")
+    _require_plain(text, "grid fields")
     try:
         lo = float(parts[0])
         hi = float(parts[1])
@@ -399,12 +443,16 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_grid_list(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated list of query points."""
+    """Parse a comma-separated list of query points; each item is one
+    number, with or without surrounding spaces."""
     items = [chunk.strip() for chunk in text.split(",")]
     if not any(items):
         raise ValueError("query list must be nonempty")
+    if not all(items):
+        raise ValueError(f"query list has an empty item, got {text!r}")
+    _require_plain(text, "query list items")
     try:
-        grid = tuple(float(chunk) for chunk in items if chunk)
+        grid = tuple(map(float, items))
     except ValueError:
         raise ValueError(f"query list must contain numbers, got {text!r}") from None
     if not all(np.isfinite(v) for v in grid):

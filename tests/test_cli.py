@@ -377,6 +377,23 @@ class TestPinnedOutput:
         assert out == "".join(want)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fit_formats_a_text_at_a_time(self, capsys, monkeypatch, data, fmt):
+        # fit keeps no line between texts: format_rows formats 64 at a time
+        sizes = []
+        real = dataio.format_heads
+
+        def spy(fmt, header, kinds, columns, **rows):
+            sizes.append(len(columns[0]))
+            return real(fmt, header, kinds, columns, **rows)
+
+        monkeypatch.setattr(dataio, "format_heads", spy)
+        monkeypatch.setattr(cli, "format_heads", spy)
+        code, out, _ = run_cli(capsys, "fit", "--input", data, "--delta", "0.1",
+                               "--grid=-3.5:3.5:150", "--format", fmt)
+        assert code == 0 and out.count("\n") == 150 + (fmt == "csv")
+        assert sizes == [64, 64, 22]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_simulate(self, capsys, tmp_path, fmt):
         spec_data = {
             "function": {"kind": "atan", "scale": 2.0},
@@ -416,6 +433,107 @@ class TestPinnedOutput:
         else:
             lines = [",".join(records[0])] + [csv_row(list(r.values())) for r in records]
         assert out == "".join(line + "\n" for line in lines)
+
+
+def stream_reference(xs, phis, ys, delta, fmt, diagnostics, emit_every):
+    """stream's stdout from grid_reference, one snapshot per full block of
+    emit_every samples and the final state."""
+    engine = StreamingGrid(xs, EstimatorConfig(delta=delta))
+    want = []
+
+    def snapshot(n_seen):
+        solution = (engine.estimates(), engine.active_counts(), engine.objectives(),
+                    engine.support_sums())
+        want.append(grid_reference(fmt, xs, solution, diagnostics, n_seen, not want))
+
+    for start in range(0, phis.size, emit_every):
+        engine.extend(phis[start : start + emit_every], ys[start : start + emit_every])
+        if engine.n_seen - start == emit_every:
+            snapshot(engine.n_seen)
+    snapshot(engine.n_seen)
+    return "".join(want)
+
+
+class TestChangeDrivenSnapshots:
+    """stream keeps each grid point's line between snapshots and formats it
+    again only when the point absorbed a sample; fit formats a text at a
+    time.  Both print what grid_reference prints field by field."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-1, 1), st.floats(-1e6, 1e6, allow_subnormal=False)),
+            max_size=90,
+        ),
+        points=st.lists(st.floats(-1.5, 1.5) | st.sampled_from([-0.5, 0.0, 0.5]),
+                        min_size=1, max_size=12),
+        delta=st.sampled_from([0.05, 0.3, 1.0]),
+        emit_every=st.integers(1, 40),
+        dividing=st.booleans(),
+        fmt=st.sampled_from(["json", "csv"]),
+        diagnostics=st.booleans(),
+    )
+    def test_every_snapshot_matches_the_reference(
+        self, capsys, tmp_path, rows, points, delta, emit_every, dividing, fmt, diagnostics
+    ):
+        if dividing:
+            rows = rows[: len(rows) - len(rows) % emit_every]
+        # unsorted, with a duplicate and a point no sample reaches
+        xs = np.array([*points, 9.0, points[0]])
+        path = write_rows(tmp_path / "rows.csv", rows)
+        phis, ys = np.array([p for p, _ in rows]), np.array([y for _, y in rows])
+        extra = ["--diagnostics"] if diagnostics else []
+        grid = "--grid-list=" + ",".join(map(repr, xs.tolist()))
+        common = ("--input", path, f"--delta={delta}", grid, "--format", fmt, *extra)
+        code, out, err = run_cli(capsys, "stream", *common, f"--emit-every={emit_every}")
+        assert code == 0 and err == ""
+        assert out == stream_reference(xs, phis, ys, delta, fmt, diagnostics, emit_every)
+        code, out, err = run_cli(capsys, "fit", *common)
+        assert code == 0 and err == ""
+        solution = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
+        assert out == grid_reference(fmt, xs, solution, diagnostics,
+                                     phis.size if diagnostics else None)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_snapshot_formats_only_the_rows_that_changed(
+        self, capsys, monkeypatch, tmp_path, stream_rows, fmt
+    ):
+        grid = (*STREAM_GRID, 5.0, STREAM_GRID[1])
+        formatted, x_texts = [], []
+        real_heads, real_float = cli.format_heads, cli.format_float
+
+        def heads_spy(fmt, header, kinds, columns, **rows):
+            formatted.append(list(columns[0]))
+            return real_heads(fmt, header, kinds, columns, **rows)
+
+        def float_spy(value):
+            x_texts.append(value)
+            return real_float(value)
+
+        monkeypatch.setattr(cli, "format_heads", heads_spy)
+        monkeypatch.setattr(cli, "format_float", float_spy)
+        path = write_rows(tmp_path / "rows.csv", stream_rows)
+        code, out, _ = run_cli(
+            capsys, "stream", "--input", path, "--delta", "0.5",
+            "--grid-list=" + ",".join(map(str, grid)), "--emit-every", "3", "--format", fmt,
+        )
+        assert code == 0
+        phis, ys = read_arrays(path)
+        assert out == stream_reference(np.array(grid), phis, ys, 0.5, fmt, False, 3)
+        # each x is formatted once; a snapshot formats the rows whose active
+        # count moved since the last one, all of them at the first
+        assert x_texts == list(grid)
+        engine = StreamingGrid(np.array(grid), EstimatorConfig(delta=0.5))
+        before, want = np.full(len(grid), -1), []
+        for n_seen in [*range(3, 25, 3), 24]:
+            engine.extend(phis[engine.n_seen : n_seen], ys[engine.n_seen : n_seen])
+            changed = np.flatnonzero(engine.n_active != before)
+            before = engine.active_counts()
+            if changed.size:
+                want.append([real_float(grid[i]) for i in changed])
+        assert formatted == want
+        assert len(want) < 9 and sum(map(len, want)) < 9 * len(grid)
 
 
 class TestBadInput:
@@ -464,6 +582,18 @@ class TestBadInput:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--grid-list=0,,1.5", "--grid-list=0,1.5,", "--grid-list= ,0", "--grid-list=1_0",
+         "--grid-list=\uff11", "--grid=0:1_0:1_1", "--grid=0:\uff11:3"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "stream"])
+    def test_grid_follows_the_csv_number_grammar(self, capsys, tiny_csv, command, flag):
+        code, out, err = run_cli(capsys, command, "--input", tiny_csv, "--delta", "1.0", flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(flag.split("=", 1)[1]) in err
 
     def test_nonpositive_delta(self, capsys, tiny_csv):
         code, _, err = run_cli(

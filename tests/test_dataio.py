@@ -12,10 +12,13 @@ from rdwo.dataio import (
     InputFormatError,
     csv_row,
     format_float,
+    format_heads,
     format_rows,
     iter_blocks,
     iter_samples,
+    join_lines,
     json_record,
+    line_tail,
     parse_grid,
     parse_grid_list,
     read_arrays,
@@ -70,6 +73,30 @@ class TestParseGrid:
     def test_list_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_grid_list("1,x")
+
+    @pytest.mark.parametrize("text", ["0,,1.5", "0,1.5,", " ,0", ",0"])
+    def test_list_rejects_an_empty_item(self, text):
+        with pytest.raises(ValueError, match="empty item") as info:
+            parse_grid_list(text)
+        assert repr(text) in str(info.value)
+
+    # float() and int() read "_" as a digit separator and take non-ASCII
+    # digits and spaces; the CSV number grammar takes neither.
+    @pytest.mark.parametrize("text", ["1_0", "0,1_0", "\uff11", "0,\u0661", "1\u00a0"])
+    def test_list_follows_the_csv_number_grammar(self, text):
+        with pytest.raises(ValueError, match="ASCII") as info:
+            parse_grid_list(text)
+        assert repr(text) in str(info.value)
+
+    @pytest.mark.parametrize("text", ["0:1_0:1_1", "0:1:1_1", "0:\uff11:3", "\u0660:1:3"])
+    def test_linspace_follows_the_csv_number_grammar(self, text):
+        with pytest.raises(ValueError, match="ASCII") as info:
+            parse_grid(text)
+        assert repr(text) in str(info.value)
+
+    def test_spaces_around_fields_stay_accepted(self):
+        assert parse_grid(" 0 : 1 : 3 ") == (0.0, 0.5, 1.0)
+        assert parse_grid_list(" 1 ,\t2 ") == (1.0, 2.0)
 
 
 class TestIterSamples:
@@ -463,6 +490,33 @@ class TestFormatRows:
                 )
             )
             assert got == want
+
+    @given(
+        values=st.lists(st.tuples(EDGE_FLOATS, st.integers(-(2**62), 2**62), st.booleans()),
+                        max_size=3 * dataio._EMIT_ROWS),
+        n_seen=st.integers(0, 2**62),
+    )
+    def test_text_cells_and_a_suffix(self, values, n_seen):
+        # a text cell prints as it is; the suffix ends every line in both formats
+        header, nullable = ["x", "n"], ("n",)
+        xs, ns, oks = (list(column) for column in zip(*values)) if values else ([], [], [])
+        texts = [format_float(x) for x in xs]
+        for fmt in ("json", "csv"):
+            want = [
+                (json_record([("x", x), ("n", n if ok else None), ("n_seen", n_seen)])
+                 if fmt == "json" else csv_row([x, n if ok else None, n_seen])) + "\n"
+                for x, n, ok in values
+            ]
+            got = list(format_rows(fmt, header, "sd", [texts, ns], supported=oks,
+                                   nullable=nullable, suffix=[("n_seen", n_seen)]))
+            assert "".join(got) == "".join(want)
+            assert [text.count("\n") for text in got] == [
+                len(want[start : start + dataio._EMIT_ROWS])
+                for start in range(0, len(want), dataio._EMIT_ROWS)
+            ]
+            heads = format_heads(fmt, header, "sd", [texts, ns], supported=oks,
+                                 nullable=nullable)
+            assert list(join_lines(heads, line_tail(fmt, [("n_seen", n_seen)]))) == got
 
     def test_all_supported_without_a_mask(self):
         text = "".join(format_rows("json", ["n", "ok"], "db", [[1, 2], [True, False]]))
