@@ -11,61 +11,58 @@ import numpy as np
 
 from rdwo import (
     EstimatorConfig,
-    Sample,
-    active_set,
-    batch_weights,
-    centered_distance,
-    estimate,
-    objective_value,
-    optimal_objective,
-    signed_objective_value,
+    grid_solve,
+    query_weights,
+    signed_objective,
+    simplex_objective,
+    window_margins,
 )
 
 config = EstimatorConfig(delta=1.0, l1=1.0)
-samples = [
-    Sample(index=1, phi=-0.5, y=1.0),
-    Sample(index=2, phi=0.2, y=2.0),
-    Sample(index=3, phi=2.0, y=100.0),
-]
+phis = np.array([-0.5, 0.2, 2.0])
+ys = np.array([1.0, 2.0, 100.0])
 x = 0.0
 
 print(f"query x = {x}, window = ({x - config.delta}, {x + config.delta})")
 print()
 print("per-sample distances:")
-for s in samples:
-    d = centered_distance(x, s.phi, config)
-    status = "inside" if d.inside else "outside"
+for k, phi in enumerate(phis.tolist(), start=1):
+    distance = abs(x - phi)
+    margin = config.delta - distance
+    status = "inside" if margin > 0.0 else "outside"
     print(
-        f"  sample {s.index}: phi = {s.phi:5.2f}  |x - phi| = {d.phi_tilde:4.2f}  "
-        f"margin = {d.phi_hat:5.2f}  ({status})"
+        f"  sample {k}: phi = {phi:5.2f}  |x - phi| = {distance:4.2f}  "
+        f"margin = {margin:5.2f}  ({status})"
     )
 
-active = active_set(x, samples, config)
+positions, margins = window_margins(x, phis, config.delta)
+active = tuple(int(p) + 1 for p in positions)
 print()
-print(f"active set: {active.members} (size {active.size})")
+print(f"active set: {active} (size {len(active)})")
 
-solution = batch_weights(x, samples, config)
+weights = query_weights(x, phis, config)
 print()
 print("closed-form weights (margin / sum of active margins):")
-for s, w in zip(samples, solution.weights):
-    print(f"  sample {s.index}: w = {w:.12f}")
-print(f"  sum = {float(np.sum(solution.weights)):.17f}")
-print(f"  sample 3 sits outside, so its weight is exactly {solution.weights[2]!r}")
+for k, w in enumerate(weights, start=1):
+    print(f"  sample {k}: w = {w:.12f}")
+print(f"  sum = {float(np.sum(weights)):.17f}")
+print(f"  sample 3 sits outside, so its weight is exactly {weights[2]!r}")
 
 print()
-print(f"estimate = {estimate(solution, samples):.12f}")
+print(f"estimate = {float(np.dot(weights, ys)):.12f}")
 print("(the far-away output 100 contributes nothing)")
 
 print()
 print("the weights maximize an accuracy objective over the simplex:")
-print(f"  achieved objective  = {solution.objective:.12f}")
-print(f"  theoretical optimum = {optimal_objective(x, samples, config):.12f}")
+simplex_form = simplex_objective(weights, x, phis, config)
+print(f"  achieved objective  = {simplex_form:.12f}")
+optimum = grid_solve([x], phis, ys, config)[2][0]
+print(f"  theoretical optimum = {optimum:.12f}")
 uniform = [1.0 / 3.0] * 3
-print(f"  uniform weights get = {objective_value(uniform, x, samples, config):.12f}")
+print(f"  uniform weights get = {simplex_objective(uniform, x, phis, config):.12f}")
 
 print()
 print("the signed form of the objective agrees on simplex inputs:")
-simplex_form = objective_value(solution.weights, x, samples, config)
-signed_form = signed_objective_value(solution.weights, x, samples, config)
+signed_form = signed_objective(weights, x, phis, config)
 print(f"  simplex form = {simplex_form:.15f}")
 print(f"  signed form  = {signed_form:.15f}")

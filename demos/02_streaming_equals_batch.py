@@ -9,14 +9,7 @@ not matter.
 
 import numpy as np
 
-from rdwo import (
-    EstimatorConfig,
-    Sample,
-    StreamingGrid,
-    batch_weights_arrays,
-    RecursiveState,
-    grid_estimates,
-)
+from rdwo import EstimatorConfig, StreamingGrid, grid_solve, query_weights
 
 rng = np.random.default_rng(11)
 config = EstimatorConfig(delta=0.3, l1=1.0)
@@ -24,32 +17,27 @@ n = 5000
 phis = rng.uniform(-3.0, 3.0, n)
 ys = np.sin(phis) + rng.normal(0.0, 0.1, n)
 
-# One scalar state, checked against the batch weights at a few prefixes.
+# A grid of one query point, checked against the batch weights at a few prefixes.
 x = 0.7
-state = RecursiveState(x, config, diagnostics=True)
+single = StreamingGrid([x], config)
 print(f"streaming a single query point x = {x}:")
-for k, (phi, y) in enumerate(zip(phis, ys), start=1):
-    state.update(Sample(index=k, phi=float(phi), y=float(y)))
-    if k in (10, 100, 1000, n):
-        batch = batch_weights_arrays(x, phis[:k], config)
-        batch_est = float(np.dot(batch.weights, ys[:k]))
-        stream_est = state.estimate
-        print(
-            f"  after {k:5d} samples: stream = {stream_est:.12f}  "
-            f"batch = {batch_est:.12f}  |diff| = {abs(stream_est - batch_est):.2e}"
-        )
-
-snapshot = state.weights_snapshot()
-batch = batch_weights_arrays(x, phis, config)
-print(f"  final weight snapshot vs batch: max |diff| = "
-      f"{float(np.max(np.abs(snapshot.weights - batch.weights))):.2e} "
-      f"over {snapshot.active.size} active samples")
+for k in (10, 100, 1000, n):
+    single.extend(phis[single.n_seen : k], ys[single.n_seen : k])
+    weights = query_weights(x, phis[:k], config)
+    batch_est = float(np.dot(weights, ys[:k]))
+    stream_est = float(single.estimates()[0])
+    print(
+        f"  after {k:5d} samples: stream = {stream_est:.12f}  "
+        f"batch = {batch_est:.12f}  |diff| = {abs(stream_est - batch_est):.2e}"
+    )
+print(f"  active samples: stream = {single.active_counts()[0]}  "
+      f"batch = {np.count_nonzero(weights)}")
 
 # A whole grid of query points streamed at once.
 xs = np.linspace(-2.5, 2.5, 11)
 grid = StreamingGrid(xs, config)
 grid.extend(phis, ys)
-batch_est, batch_counts = grid_estimates(xs, phis, ys, config)
+batch_est, batch_counts, _, _ = grid_solve(xs, phis, ys, config)
 stream_est = grid.estimates()
 print()
 print("streaming the full grid:")

@@ -9,7 +9,7 @@ and the signed search should never beat it.
 
 import numpy as np
 
-from rdwo import batch_weights, maximize_signed, maximize_simplex, optimal_objective
+from rdwo import grid_solve, maximize_signed, maximize_simplex, query_weights
 from rdwo.oracle import random_instance
 
 print(f"{'inst':>4} {'n':>3} {'closed form':>14} {'simplex search':>14} "
@@ -19,16 +19,16 @@ worst_dev = 0.0
 worst_excess = -np.inf
 for i in range(12):
     rng = np.random.default_rng([2024, i])
-    x, samples, config = random_instance(rng, n_samples=2 + (i % 11))
-    closed = optimal_objective(x, samples, config)
-    simplex = maximize_simplex(x, samples, config)
-    signed = maximize_signed(x, samples, config)
+    x, phis, config = random_instance(rng, n_samples=2 + (i % 11))
+    closed = float(grid_solve([x], phis, np.zeros(phis.size), config)[2][0])
+    simplex = maximize_simplex(x, phis, config)
+    signed = maximize_signed(x, phis, config)
     dev = abs(simplex.objective - closed)
     excess = signed.objective - closed
     worst_dev = max(worst_dev, dev)
     worst_excess = max(worst_excess, excess)
     print(
-        f"{i:4d} {len(samples):3d} {closed:14.9f} {simplex.objective:14.9f} "
+        f"{i:4d} {phis.size:3d} {closed:14.9f} {simplex.objective:14.9f} "
         f"{signed.objective:14.9f} {dev:13.2e} {excess:13.2e}"
     )
 
@@ -38,9 +38,9 @@ print(f"worst signed excess    : {worst_excess:.2e} (must stay <= 1e-6)")
 
 # The searched weights agree with the closed form coordinate by coordinate.
 rng = np.random.default_rng(5)
-x, samples, config = random_instance(rng, n_samples=6)
-closed_w = batch_weights(x, samples, config).weights
-searched_w = np.array(maximize_simplex(x, samples, config).weights)
+x, phis, config = random_instance(rng, n_samples=6)
+closed_w = query_weights(x, phis, config)
+searched_w = np.array(maximize_simplex(x, phis, config).weights)
 print()
 print("one instance, weight by weight:")
 for k, (a, b) in enumerate(zip(closed_w, searched_w), start=1):

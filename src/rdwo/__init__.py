@@ -8,49 +8,30 @@ Search-based oracles certify the closed form, and a simulation harness
 checks the computable error bound on seeded synthetic runs.
 """
 
-from .core import (
-    EstimatorConfig,
-    Sample,
-    active_set,
-    batch_weights,
-    batch_weights_arrays,
-    centered_distance,
-    estimate,
-    grid_estimates,
-    objective_value,
-    optimal_objective,
-    signed_objective_value,
-)
+from .core import EstimatorConfig, grid_solve, query_weights, simplex_objective, window_margins
 # Imported here, ahead of cli.py.  Imported from cli, dataio is compiled
 # right after cli.py, and with no bytecode cache that raised the peak memory
 # of every command by 0.27 MiB.
 from . import dataio  # noqa: F401
-from .oracle import maximize_signed, maximize_simplex
+from .oracle import maximize_signed, maximize_simplex, signed_objective
 from .simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
-from .streaming import RecursiveState, StreamingGrid
+from .streaming import StreamingGrid
 
 __version__ = "0.1.0"
 
 # What the README and the demos use; everything else is imported from its module.
 __all__ = [
     "EstimatorConfig",
-    "Sample",
-    "active_set",
-    "batch_weights",
-    "batch_weights_arrays",
-    "centered_distance",
-    "estimate",
-    "grid_estimates",
-    "objective_value",
-    "optimal_objective",
-    "signed_objective_value",
+    "grid_solve",
+    "query_weights",
+    "simplex_objective",
+    "window_margins",
     "maximize_signed",
     "maximize_simplex",
+    "signed_objective",
     "load_spec",
     "max_relative_deviation",
     "run_experiment",
     "stream_estimates",
-    "RecursiveState",
     "StreamingGrid",
-    "__version__",
 ]

@@ -23,13 +23,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import (
-    EstimatorConfig,
-    batch_weights,
-    grid_solve,
-    objective_value,
-    optimal_objective,
-)
+from .core import EstimatorConfig, grid_solve, query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
 # through read_arrays and iter_blocks, and tables print through format_rows.
 # perfbench/tracer.py still wraps the three by name in this module, so they
@@ -320,9 +314,10 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _perturbed_objective(x, samples, config, solution):
-    """Shift a little mass off the best coordinate; must trip the check."""
-    w = solution.weights.copy()
+def _perturbed_objective(x, phis, config):
+    """Shift a little mass off the best coordinate of the closed-form
+    weights; must trip the check."""
+    w = query_weights(x, phis, config)
     src = int(np.argmax(w))
     zeros = np.nonzero(w == 0.0)[0]
     if zeros.size:
@@ -334,7 +329,7 @@ def _perturbed_objective(x, samples, config, solution):
             dst = int(positive[-1]) if positive[-1] != src else int(positive[0])
     w[src] -= 1e-3
     w[dst] += 1e-3
-    return objective_value(w, x, samples, config)
+    return simplex_objective(w, x, phis, config)
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
@@ -359,14 +354,13 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     for i in range(args.instances):
         n = 2 + (i % 11)
         rng = np.random.default_rng([args.seed, i])
-        x, samples, config = random_instance(rng, n_samples=n)
-        solution = batch_weights(x, samples, config)
+        x, phis, config = random_instance(rng, n_samples=n)
         if args.inject_fault:
-            claimed = _perturbed_objective(x, samples, config, solution)
+            claimed = _perturbed_objective(x, phis, config)
         else:
-            claimed = optimal_objective(x, samples, config)
-        simplex = maximize_simplex(x, samples, config)
-        signed = maximize_signed(x, samples, config)
+            claimed = float(grid_solve([x], phis, np.zeros(n), config)[2][0])
+        simplex = maximize_simplex(x, phis, config)
+        signed = maximize_signed(x, phis, config)
         simplex_dev = abs(claimed - simplex.objective)
         signed_excess = signed.objective - claimed
         ok = simplex_dev <= ORACLE_TOL and signed_excess <= ORACLE_TOL

@@ -5,43 +5,27 @@ outputs of all samples whose regressor lies strictly inside the window
 ``(x - delta, x + delta)``.  The weight of an in-window sample is
 proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
-holds the domain types and the closed-form batch solver; see
+holds the estimator parameters and the closed form on arrays: the weights
+and objective of one query, and :func:`grid_solve` for many; see
 :mod:`rdwo.streaming` for the one-pass variant.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Sample",
     "EstimatorConfig",
-    "CenteredDistance",
-    "ActiveSet",
-    "WeightSolution",
     "NoSupportError",
-    "centered_distance",
-    "phi_hat_values",
-    "active_set",
-    "batch_weights",
-    "batch_weights_arrays",
-    "estimate",
-    "objective_value",
-    "signed_objective_value",
-    "optimal_objective",
+    "query_weights",
+    "simplex_objective",
     "grid_solve",
-    "grid_estimates",
     "window_margins",
     "sorted_windows",
 ]
-
-# Max absolute slack allowed when checking that weights sum to one.
-WEIGHT_SUM_TOL = 1e-12
 
 
 class NoSupportError(ValueError):
@@ -76,21 +60,14 @@ def _numbers(name: str, value, count: int | None = None) -> tuple[float, ...]:
     return tuple(_number(f"{name} item", item) for item in value)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: a positive integer index, regressor value, and output."""
-
-    index: int
-    phi: float
-    y: float
-
-    def __post_init__(self) -> None:
-        index = operator.index(self.index)
-        if index < 1:
-            raise ValueError(f"sample index must be >= 1, got {index}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "phi", _require_finite("phi", self.phi))
-        object.__setattr__(self, "y", _require_finite("y", self.y))
+def _even_grid(what: str, lo: float, hi: float, count: int) -> tuple[float, ...]:
+    """``count`` evenly spaced points from ``lo`` to ``hi``, both finite, for
+    ``--grid`` and a spec's ``{min, max, count}``, named ``what`` in errors.
+    A span ``hi - lo`` that overflows is refused first: ``np.linspace`` would
+    warn and make inf and nan points of it."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{what} span from {lo!r} to {hi!r} overflows")
+    return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
 @dataclass(frozen=True)
@@ -121,121 +98,12 @@ class EstimatorConfig:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "l1", l1)
 
-    @property
-    def delta_prime(self) -> float:
-        """Window half-width expressed in output units, ``l1 * delta``."""
-        return self.l1 * self.delta
-
-
-@dataclass(frozen=True)
-class CenteredDistance:
-    """Distance of one regressor from a query point, in two forms.
-
-    ``phi_tilde`` is the plain distance ``|x - phi|``.  ``phi_hat`` is the
-    margin from the nearer window endpoint, ``delta - phi_tilde``; it is
-    positive exactly when the sample sits strictly inside the window.  Both
-    are produced by :func:`centered_distance` with a single subtraction, so
-    ``phi_tilde + phi_hat`` reproduces ``delta`` up to one rounding.
-    """
-
-    phi_tilde: float
-    phi_hat: float
-
-    @property
-    def inside(self) -> bool:
-        return self.phi_hat > 0.0
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices of the samples strictly inside a query window, ascending."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.members, self.members[1:]):
-            if a >= b:
-                raise ValueError("active set members must be strictly increasing")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, index: object) -> bool:
-        return index in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-@dataclass(frozen=True)
-class WeightSolution:
-    """A weight vector over the samples of one query, plus its active set
-    and achieved objective value.
-
-    ``weights`` is positional: entry ``i`` belongs to the ``i``-th sample of
-    the sequence the solution was built from.  Entries outside the active set
-    are exactly zero, active entries are positive, and the vector sums to one
-    within ``WEIGHT_SUM_TOL``.
-    """
-
-    weights: np.ndarray
-    active: ActiveSet
-    objective: float
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a 1-D array")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if int(np.count_nonzero(weights > 0.0)) != self.active.size:
-            raise ValueError("positive weight count must match the active set size")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "objective", _require_finite("objective", self.objective))
-
-
-def centered_distance(x: float, phi: float, config: EstimatorConfig) -> CenteredDistance:
-    """Distance forms of one regressor relative to the query point ``x``."""
-    x = _require_finite("x", x)
-    phi = _require_finite("phi", phi)
-    phi_tilde = abs(x - phi)
-    return CenteredDistance(phi_tilde=phi_tilde, phi_hat=config.delta - phi_tilde)
-
 
 def _margins(dist, delta: float):
     """Elementwise endpoint margins ``delta - dist`` of the distances
     ``dist = |x - phi|``; the one form every array path uses, so their
     margins agree bit for bit."""
     return delta - dist
-
-
-def phi_hat_values(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    """Vectorized endpoint margins ``delta - |x - phis|``."""
-    x = _require_finite("x", x)
-    phis = np.asarray(phis, dtype=float)
-    return _margins(np.abs(x - phis), config.delta)
-
-
-def active_set(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> ActiveSet:
-    """Indices of the samples strictly inside the window around ``x``.
-
-    Boundary samples (``phi_hat == 0``) are excluded.  The result may be
-    empty; emptiness is meaningful, not an error.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    x = _require_finite("x", x)
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    positions, _ = window_margins(x, phis, config.delta)
-    return ActiveSet(members=tuple(sorted(samples[p].index for p in positions)))
 
 
 def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +116,48 @@ def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray
     margins = _margins(np.abs(x - phis), delta)
     positions = np.flatnonzero(margins > 0.0)
     return positions, margins[positions]
+
+
+def query_weights(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    """Closed-form weights of the query ``x``, positional over ``phis``.
+
+    An in-window regressor's weight is its margin over the sum of the
+    window's margins; every other weight is exactly zero.  The vector
+    maximizes :func:`simplex_objective` over the simplex, and the maximum is
+    the Euclidean norm of the margins, the objective :func:`grid_solve`
+    reports.
+
+    Raises
+    ------
+    NoSupportError
+        If no regressor lies strictly inside the window.
+    ValueError
+        If ``x`` or a regressor is not finite.
+    """
+    phis = np.asarray(phis, dtype=float)
+    if not (math.isfinite(x) and np.all(np.isfinite(phis))):
+        raise ValueError("x and phis must be finite")
+    positions, margins = window_margins(x, phis, config.delta)
+    if positions.size == 0:
+        raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
+    weights = np.zeros(phis.size)
+    weights[positions] = margins / float(np.sum(margins))
+    return weights
+
+
+def simplex_objective(
+    weights: np.ndarray, x: float, phis: np.ndarray, config: EstimatorConfig
+) -> float:
+    """Simplex-form accuracy objective ``sum(w * m) / sqrt(sum(w^2))`` of a
+    weight vector positional over ``phis``, with ``m = delta - |x - phi|``
+    over every regressor, negative outside the window.
+
+    For nonnegative weights summing to one it equals the signed form that
+    the oracles of :mod:`rdwo.oracle` climb, up to rounding.
+    """
+    w = np.asarray(weights, dtype=float)
+    margins = _margins(np.abs(x - np.asarray(phis, dtype=float)), config.delta)
+    return float(np.dot(w, margins)) / math.sqrt(float(np.dot(w, w)))
 
 
 def sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
@@ -285,135 +195,6 @@ def sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
         yield positions, distances, margins
 
 
-def batch_weights_arrays(
-    x: float,
-    phis: np.ndarray,
-    config: EstimatorConfig,
-    indices: Sequence[int] | None = None,
-) -> WeightSolution:
-    """Closed-form weights for the query ``x`` over regressors ``phis``.
-
-    Array-level twin of :func:`batch_weights`.  ``indices`` supplies the
-    sample indices aligned with ``phis``; positions ``1..n`` are assumed when
-    omitted.
-
-    Raises
-    ------
-    NoSupportError
-        If no regressor lies strictly inside the window.
-    """
-    x = _require_finite("x", x)
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 1 or phis.size == 0:
-        raise ValueError("phis must be a nonempty 1-D array")
-    if not np.all(np.isfinite(phis)):
-        raise ValueError("phis must be finite")
-    positions, support = window_margins(x, phis, config.delta)
-    if positions.size == 0:
-        raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
-    active_weights = support / float(np.sum(support))
-    weights = np.zeros(phis.size)
-    weights[positions] = active_weights
-    if indices is None:
-        members = tuple(int(p) + 1 for p in positions)
-    else:
-        if len(indices) != phis.size:
-            raise ValueError("indices must align with phis")
-        members = tuple(sorted(int(indices[p]) for p in positions))
-    numer = float(np.dot(active_weights, support))
-    denom = math.sqrt(float(np.dot(active_weights, active_weights)))
-    return WeightSolution(weights=weights, active=ActiveSet(members), objective=numer / denom)
-
-
-def batch_weights(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> WeightSolution:
-    """Closed-form weights for the query ``x`` over ``samples``.
-
-    The weight of sample ``k`` is its endpoint margin divided by the sum of
-    the margins over the active set; out-of-window samples get exactly zero.
-    This vector maximizes :func:`objective_value` over the simplex, with
-    optimum :func:`optimal_objective`.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    indices = [s.index for s in samples]
-    return batch_weights_arrays(x, phis, config, indices=indices)
-
-
-def estimate(solution: WeightSolution, samples: Sequence[Sample]) -> float:
-    """Weighted-output estimate for the query the solution was built for."""
-    if len(solution.weights) != len(samples):
-        raise ValueError(
-            f"solution covers {len(solution.weights)} samples, got {len(samples)}"
-        )
-    ys = np.fromiter((s.y for s in samples), dtype=float, count=len(samples))
-    return float(np.dot(solution.weights, ys))
-
-
-def _as_weight_array(weights: Sequence[float], n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != n:
-        raise ValueError(f"weights must be a 1-D array of length {n}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if not np.any(w != 0.0):
-        raise ValueError("weights must not be all zero")
-    return w
-
-
-def objective_value(
-    weights: Sequence[float],
-    x: float,
-    samples: Sequence[Sample],
-    config: EstimatorConfig,
-) -> float:
-    """Simplex-form accuracy objective of a weight vector.
-
-    Computes ``sum(w * phi_hat) / sqrt(sum(w^2))``.  For nonnegative weights
-    summing to one this equals :func:`signed_objective_value`; the identity is
-    an algebraic rearrangement, so the two forms agree to rounding on simplex
-    inputs.
-    """
-    w = _as_weight_array(weights, len(samples))
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    ph = phi_hat_values(x, phis, config)
-    return float(np.dot(w, ph)) / math.sqrt(float(np.dot(w, w)))
-
-
-def signed_objective_value(
-    weights: Sequence[float],
-    x: float,
-    samples: Sequence[Sample],
-    config: EstimatorConfig,
-) -> float:
-    """Signed-form accuracy objective, defined for arbitrary weight signs.
-
-    Computes ``(delta - sum(|w| * phi_tilde)) / sqrt(sum(w^2))``.
-    """
-    w = _as_weight_array(weights, len(samples))
-    x = _require_finite("x", x)
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    dist = np.abs(x - phis)
-    numer = config.delta - float(np.dot(np.abs(w), dist))
-    return numer / math.sqrt(float(np.dot(w, w)))
-
-
-def optimal_objective(x: float, samples: Sequence[Sample], config: EstimatorConfig) -> float:
-    """Maximum of :func:`objective_value` over the simplex.
-
-    Equals the Euclidean norm of the active endpoint margins,
-    ``sqrt(sum over active of phi_hat^2)``, achieved by :func:`batch_weights`.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    x = _require_finite("x", x)
-    phis = np.fromiter((s.phi for s in samples), dtype=float, count=len(samples))
-    _, support = window_margins(x, phis, config.delta)
-    if support.size == 0:
-        raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
-    return math.sqrt(float(np.dot(support, support)))
-
-
 def grid_solve(
     xs: np.ndarray,
     phis: np.ndarray,
@@ -423,9 +204,10 @@ def grid_solve(
     """Closed-form solution at many query points over one dataset.
 
     Returns ``(estimates, active_counts, objectives, support_sums)``, the
-    per-point arrays a :class:`~rdwo.streaming.StreamingGrid` reports.
-    Queries with empty support get ``nan`` estimates and objectives and zero
-    counts and sums.
+    per-point arrays a :class:`~rdwo.streaming.StreamingGrid` reports.  An
+    objective is the maximum of :func:`simplex_objective`, the Euclidean norm
+    of the window's margins.  Queries with empty support get ``nan``
+    estimates and objectives and zero counts and sums.
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -444,17 +226,3 @@ def grid_solve(
             objectives[i] = math.sqrt(float(np.dot(support, support)))
             sums[i] = total
     return estimates, counts, objectives, sums
-
-
-def grid_estimates(
-    xs: np.ndarray,
-    phis: np.ndarray,
-    ys: np.ndarray,
-    config: EstimatorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form estimates at many query points over one dataset.
-
-    Returns ``(estimates, active_counts)`` of :func:`grid_solve`.
-    """
-    estimates, counts, _, _ = grid_solve(xs, phis, ys, config)
-    return estimates, counts

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import starmap
 from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Sample
+from .core import _even_grid
 
 __all__ = [
     "EXPECTED_HEADER",
@@ -213,18 +212,19 @@ def _column_runs(fh) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             raise error
 
 
-def iter_samples(path) -> Iterator[Sample]:
-    """Yield the samples of a CSV file with header ``k,phi,y``, in file order.
+def iter_samples(path) -> Iterator[tuple[int, float, float]]:
+    """Yield the rows ``(k, phi, y)`` of a CSV file with header ``k,phi,y``,
+    in file order.
 
     A file with no content at all yields nothing; see :func:`_parse_rows`
     for the grammar.  This is the line-by-line reference that
     :func:`read_arrays` and :func:`iter_blocks` are tested against.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        yield from starmap(Sample, _parse_rows(fh, _ParseState()))
+        yield from _parse_rows(fh, _ParseState())
 
 
-def read_samples(path) -> list[Sample]:
+def read_samples(path) -> list[tuple[int, float, float]]:
     return list(iter_samples(path))
 
 
@@ -232,7 +232,7 @@ def read_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """The regressors and outputs of a CSV file as float arrays, in file order.
 
     Accepts and rejects exactly what :func:`iter_samples` does, without
-    building a :class:`Sample` per row.
+    building a tuple per row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         if fh.seekable():
@@ -257,8 +257,8 @@ def iter_blocks(path, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     at a time, in file order; only the last block may be shorter.
 
     Accepts and rejects exactly what :func:`iter_samples` does, without
-    building a :class:`Sample` per row.  The rows before a malformed line
-    come out in whole blocks, and then the error is raised.
+    building a tuple per row.  The rows before a malformed line come out in
+    whole blocks, and then the error is raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         runs, held = [], 0
@@ -439,7 +439,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return _even_grid("grid", lo, hi, count)
 
 
 def parse_grid_list(text: str) -> tuple[float, ...]:

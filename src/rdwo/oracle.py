@@ -1,9 +1,11 @@
 """Search-based certification of the closed-form weights.
 
-Both maximizers climb one objective, ``(delta - sum |w_k| d_k) / ||w||`` with
-``d_k = |x - phi_k|``, over weights that sum to one.  The simplex form keeps
-them nonnegative, where the objective equals ``sum w_k phi_hat_k / ||w||``;
-the signed form lets them take any sign.  Neither knows the closed form.
+Both maximizers climb one objective, :func:`signed_objective`,
+``(delta - sum |w_k| d_k) / ||w||`` with ``d_k = |x - phi_k|``, over weights
+that sum to one.  The simplex form keeps them nonnegative, where the
+objective equals :func:`rdwo.core.simplex_objective`; the signed form lets
+them take any sign.  Neither knows the closed form.  An instance is a query
+``x``, an array of regressors and an :class:`~rdwo.core.EstimatorConfig`.
 
 The climber is pair coordinate ascent with an exact line search, the move of
 Platt's SMO (Sequential Minimal Optimization, 1998): mass ``t`` moves from
@@ -21,15 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .core import EstimatorConfig, NoSupportError, Sample, centered_distance
+from .core import EstimatorConfig, NoSupportError
 
 __all__ = [
     "OracleForm",
     "OracleResult",
+    "signed_objective",
     "maximize_simplex",
     "maximize_signed",
     "random_instance",
@@ -58,9 +60,13 @@ class OracleResult:
     form: OracleForm
 
 
-def _objective(w: Sequence[float], d: Sequence[float], delta: float) -> float:
-    num = delta - sum(abs(wk) * dk for wk, dk in zip(w, d))
-    return num / math.sqrt(sum(wk * wk for wk in w))
+def signed_objective(weights, x: float, phis: np.ndarray, config: EstimatorConfig) -> float:
+    """Signed-form accuracy objective ``(delta - sum |w_k| d_k) / ||w||`` of a
+    weight vector of any signs, positional over ``phis``, with
+    ``d_k = |x - phi_k|``; the sums run in sample order."""
+    d = np.abs(x - np.asarray(phis, dtype=float)).tolist()
+    num = config.delta - sum(abs(wk) * dk for wk, dk in zip(weights, d))
+    return float(num / math.sqrt(sum(wk * wk for wk in weights)))
 
 
 def _line_candidates(wi, wj, di, dj, rest, b, signed):
@@ -92,15 +98,18 @@ def _line_candidates(wi, wj, di, dj, rest, b, signed):
     return sorted(candidates)
 
 
-def _maximize(x, samples, config, budget, form: OracleForm) -> OracleResult:
-    n = len(samples)
-    if n == 0:
-        raise ValueError("samples must be nonempty")
+def _maximize(x, phis, config, budget, form: OracleForm) -> OracleResult:
+    phis = np.asarray(phis, dtype=float)
+    n = phis.size
+    if phis.ndim != 1 or n == 0:
+        raise ValueError("phis must be a nonempty 1-D array")
     if n > MAX_ORACLE_SAMPLES:
         raise ValueError(f"oracle search is limited to {MAX_ORACLE_SAMPLES} samples, got {n}")
     if budget < 1:
         raise ValueError("budget must be positive")
-    d = [centered_distance(x, s.phi, config).phi_tilde for s in samples]
+    d = np.abs(x - phis).tolist()
+    if not all(map(math.isfinite, d)):
+        raise ValueError("x and phis must be finite")
     delta = config.delta
     if delta - min(d) <= 0.0:
         raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
@@ -135,36 +144,41 @@ def _maximize(x, samples, config, budget, form: OracleForm) -> OracleResult:
                     cur = best
                     gain = True
     return OracleResult(
-        weights=tuple(w), objective=_objective(w, d, delta), evaluations=used, form=form
+        weights=tuple(w),
+        objective=signed_objective(w, x, phis, config),
+        evaluations=used,
+        form=form,
     )
 
 
 def maximize_simplex(
-    x: float, samples: Sequence[Sample], config: EstimatorConfig, *, budget: int = 100_000
+    x: float, phis: np.ndarray, config: EstimatorConfig, *, budget: int = 100_000
 ) -> OracleResult:
-    """Maximize the objective over nonnegative weights summing to one."""
-    return _maximize(x, samples, config, budget, OracleForm.SIMPLEX)
+    """Maximize the objective over nonnegative weights summing to one,
+    positional over ``phis``."""
+    return _maximize(x, phis, config, budget, OracleForm.SIMPLEX)
 
 
 def maximize_signed(
-    x: float, samples: Sequence[Sample], config: EstimatorConfig, *, budget: int = 100_000
+    x: float, phis: np.ndarray, config: EstimatorConfig, *, budget: int = 100_000
 ) -> OracleResult:
     """Maximize the objective over weights of any sign summing to one.
 
     The signed optimum never exceeds the simplex optimum, which
     certification leans on.
     """
-    return _maximize(x, samples, config, budget, OracleForm.SIGNED)
+    return _maximize(x, phis, config, budget, OracleForm.SIGNED)
 
 
 def random_instance(
     rng: np.random.Generator, n_samples: int | None = None
-) -> tuple[float, list[Sample], EstimatorConfig]:
-    """One random problem instance with a guaranteed nonempty active set.
+) -> tuple[float, np.ndarray, EstimatorConfig]:
+    """One random problem instance ``(x, phis, config)`` with a guaranteed
+    nonempty active set.
 
     The window half-width, query point, and regressors are drawn so that
     roughly half the samples land inside the window; draws are repeated until
-    at least one does.  Outputs are standard normal.
+    at least one does.  The weights need no outputs, so none are drawn.
     """
     if n_samples is None:
         n = int(rng.integers(2, MAX_ORACLE_SAMPLES + 1))
@@ -178,6 +192,4 @@ def random_instance(
         phis = rng.uniform(x - 2.0 * delta, x + 2.0 * delta, size=n)
         if np.any(np.abs(x - phis) < delta):
             break
-    ys = rng.standard_normal(n)
-    samples = [Sample(index=k + 1, phi=float(phis[k]), y=float(ys[k])) for k in range(n)]
-    return x, samples, EstimatorConfig(delta=delta, l1=1.0)
+    return x, phis, EstimatorConfig(delta=delta, l1=1.0)

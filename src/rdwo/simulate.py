@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EstimatorConfig, _number, _numbers, _require_finite, sorted_windows
+from .core import (
+    EstimatorConfig,
+    _even_grid,
+    _number,
+    _numbers,
+    _require_finite,
+    sorted_windows,
+)
 from .streaming import StreamingGrid
 
 __all__ = [
@@ -274,7 +281,7 @@ def _grid_from_value(value) -> tuple[float, ...]:
             raise ValueError(f"grid count must be >= 1, got {count}")
         lo = _number("query_grid min", value["min"])
         hi = _number("query_grid max", value["max"])
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
+        return _even_grid("query_grid", lo, hi, count)
     if not isinstance(value, (list, tuple)):
         raise ValueError(
             f"query_grid must be a list or a {{min, max, count}} object, got {value!r}"

@@ -13,45 +13,26 @@ where ``S`` is the running sum of absorbed margins.  The state is a pair
 margin too small to change ``S`` moves the estimate by its own tiny share,
 not by a share of one ulp, so such samples cannot drag the estimate away.
 
-:class:`RecursiveState` holds one query point.  :class:`StreamingGrid` holds
-many and pays only for the grid points inside each sample's window, found by
-binary search in the sorted grid.  The recursions of different grid points
+:class:`StreamingGrid` holds the states of a grid of query points and pays
+only for the grid points inside each sample's window, found by binary
+search in the sorted grid.  The recursions of different grid points
 are independent, and each is sequential only along its own samples, so the
 grid kernel stores a chunk of (sample, grid point) pairs as jagged diagonals
 (Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4): grid
 columns ordered by pair count, most first, and diagonal ``r`` holding the
 ``r``-th pair of every column that has one.  Each diagonal is a prefix of
 the columns, so it updates contiguous slices of the chunk's state, and each
-grid point runs the same IEEE operations, in the same order, as a
-:class:`RecursiveState`.
+grid point runs the same IEEE operations, in the same order, as the scalar
+recursion above fed the same samples.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .core import (
-    ActiveSet,
-    EstimatorConfig,
-    NoSupportError,
-    Sample,
-    WeightSolution,
-    _margins,
-    _require_finite,
-)
+from .core import EstimatorConfig, _margins, _require_finite
 
-__all__ = [
-    "Absorbed",
-    "Skipped",
-    "LedgerEntry",
-    "LedgerDisabledError",
-    "RecursiveState",
-    "StreamingGrid",
-]
+__all__ = ["StreamingGrid"]
 
 # Samples whose windows the grid kernel looks up at once, and the
 # (sample, grid point) pairs it lays out and applies at once.  A chunk holds
@@ -63,128 +44,12 @@ _SUB_BLOCK = 1024
 _PAIR_BUDGET = 8192
 
 
-class LedgerDisabledError(RuntimeError):
-    """Weight reconstruction was requested from a state built without it."""
-
-
-@dataclass(frozen=True)
-class Absorbed:
-    """Outcome of an update that took the sample in.
-
-    ``reweight`` is the factor ``S/(S + phi_hat)`` applied to every
-    previously absorbed weight; ``new_weight`` is the weight
-    ``phi_hat/(S + phi_hat)`` given to the incoming sample.  Each is one
-    correctly rounded quotient, so they sum to one up to rounding; a margin
-    too small to change ``S`` gives ``reweight == 1.0`` and a positive
-    ``new_weight``.  ``reweight`` is zero exactly on the first absorption.
-    """
-
-    reweight: float
-    new_weight: float
-
-
-@dataclass(frozen=True)
-class Skipped:
-    """Outcome of an update that ignored an out-of-window sample."""
-
-
-class LedgerEntry(NamedTuple):
-    position: int
-    index: int
-    phi_hat: float
-    y: float
-
-
-class RecursiveState:
-    """Streaming estimator state for a single query point.
-
-    Constant memory unless ``diagnostics`` is set, in which case every
-    absorbed sample is recorded so the implied weight vector can be
-    reconstructed with :meth:`weights_snapshot`.
-    """
-
-    __slots__ = (
-        "query_x",
-        "config",
-        "n_seen",
-        "n_active",
-        "support_sum",
-        "support_sq_sum",
-        "_estimate",
-        "_ledger",
-    )
-
-    def __init__(self, query_x: float, config: EstimatorConfig, *, diagnostics: bool = False):
-        self.query_x = _require_finite("query_x", query_x)
-        self.config = config
-        self.n_seen = 0
-        self.n_active = 0
-        self.support_sum = 0.0
-        self.support_sq_sum = 0.0
-        self._estimate = 0.0
-        self._ledger: list[LedgerEntry] | None = [] if diagnostics else None
-
-    @property
-    def estimate(self) -> float | None:
-        """Current estimate, or None while no sample has been absorbed."""
-        return self._estimate if self.n_active > 0 else None
-
-    def update(self, sample: Sample) -> Absorbed | Skipped:
-        """Fold one sample into the state.
-
-        Out-of-window samples (endpoint margin <= 0) leave the estimate
-        untouched.  Absorbing a sample costs O(1) regardless of how many
-        samples came before.
-        """
-        pos = self.n_seen
-        d = self.config.delta - abs(self.query_x - sample.phi)
-        self.n_seen = pos + 1
-        if d <= 0.0:
-            return Skipped()
-        s_old = self.support_sum
-        s_new = s_old + d
-        share = d / s_new
-        self._estimate += share * (sample.y - self._estimate)
-        self.support_sum = s_new
-        self.support_sq_sum += d * d
-        self.n_active += 1
-        if self._ledger is not None:
-            self._ledger.append(LedgerEntry(pos, sample.index, d, sample.y))
-        return Absorbed(reweight=s_old / s_new, new_weight=share)
-
-    def weights_snapshot(self) -> WeightSolution:
-        """Reconstruct the weight vector implied by the samples seen so far.
-
-        The vector is positional over the stream: entry ``i`` belongs to the
-        ``i``-th sample fed to :meth:`update`.  Requires diagnostics mode.
-        """
-        if self._ledger is None:
-            raise LedgerDisabledError(
-                "weights_snapshot requires a state built with diagnostics=True"
-            )
-        if self.n_active == 0:
-            raise NoSupportError("no sample absorbed yet")
-        weights = np.zeros(self.n_seen)
-        margins = np.zeros(self.n_active)
-        for slot, entry in enumerate(self._ledger):
-            share = entry.phi_hat / self.support_sum
-            weights[entry.position] = share
-            margins[slot] = entry.phi_hat
-        members = tuple(sorted(entry.index for entry in self._ledger))
-        active_w = margins / self.support_sum
-        numer = float(np.dot(active_w, margins))
-        denom = math.sqrt(float(np.dot(active_w, active_w)))
-        return WeightSolution(
-            weights=weights, active=ActiveSet(members), objective=numer / denom
-        )
-
-
 class StreamingGrid:
     """Streaming estimator states for many query points at once.
 
-    Each grid point runs the same sequence of IEEE operations as a
-    :class:`RecursiveState` fed the same samples, so the estimates agree bit
-    for bit with running one scalar state per grid point.  The cost follows
+    Each grid point runs the same sequence of IEEE operations as the scalar
+    recursion fed the same samples, so the estimates agree bit for bit with
+    running West's update once per grid point.  The cost follows
     the windows: a sample touches only the grid points within ``delta`` of
     it, found by binary search in the sorted grid.
 
@@ -298,7 +163,7 @@ class StreamingGrid:
         share = np.empty(widths[0])
         step = np.empty(widths[0])
         # West's update on the first w columns; per grid point these are the
-        # operations of RecursiveState.update, in its order.
+        # operations of the scalar recursion, in its order.
         a = 0
         for w in widths:
             b = a + w

@@ -18,18 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from rdwo.cli import main
-from rdwo.core import (
-    EstimatorConfig,
-    Sample,
-    batch_weights,
-    batch_weights_arrays,
-    grid_estimates,
-    objective_value,
-    optimal_objective,
-)
+from rdwo.core import EstimatorConfig, grid_solve, query_weights, simplex_objective
 from rdwo.oracle import maximize_signed, maximize_simplex, random_instance
 from rdwo.simulate import ExperimentSpec, Sine, run_experiment
-from rdwo.streaming import RecursiveState, StreamingGrid
+from rdwo.streaming import StreamingGrid
+from reference import optimum, west
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TINY_CSV = REPO_ROOT / "demos" / "data" / "tiny.csv"
@@ -55,13 +48,13 @@ def test_criterion_01_simplex_oracle_matches_closed_form():
     max_obj_dev = 0.0
     max_w_dev = 0.0
     count = 0
-    for _, (x, samples, config) in _oracle_instances():
-        solution = batch_weights(x, samples, config)
-        claimed = optimal_objective(x, samples, config)
-        result = maximize_simplex(x, samples, config)
+    for _, (x, phis, config) in _oracle_instances():
+        weights = query_weights(x, phis, config)
+        claimed = optimum(x, phis, config)
+        result = maximize_simplex(x, phis, config)
         max_obj_dev = max(max_obj_dev, abs(result.objective - claimed))
         max_w_dev = max(
-            max_w_dev, float(np.max(np.abs(np.asarray(result.weights) - solution.weights)))
+            max_w_dev, float(np.max(np.abs(np.asarray(result.weights) - weights)))
         )
         count += 1
     elapsed = time.perf_counter() - start
@@ -79,9 +72,9 @@ def test_criterion_02_signed_oracle_matches_closed_form():
     start = time.perf_counter()
     max_dev = 0.0
     count = 0
-    for _, (x, samples, config) in _oracle_instances():
-        claimed = optimal_objective(x, samples, config)
-        result = maximize_signed(x, samples, config)
+    for _, (x, phis, config) in _oracle_instances():
+        claimed = optimum(x, phis, config)
+        result = maximize_signed(x, phis, config)
         max_dev = max(max_dev, abs(result.objective - claimed))
         count += 1
     elapsed = time.perf_counter() - start
@@ -109,7 +102,7 @@ def test_criterion_03_streaming_equals_batch():
         engine.extend(phis, ys)
         streamed = engine.estimates()
         counts = engine.active_counts()
-        batch_est, batch_counts = grid_estimates(xs, phis, ys, config)
+        batch_est, batch_counts, _, _ = grid_solve(xs, phis, ys, config)
 
         assert np.array_equal(counts, batch_counts)
         mask = batch_counts > 0
@@ -117,16 +110,14 @@ def test_criterion_03_streaming_equals_batch():
         dev = np.abs(streamed[mask] - batch_est[mask]) / np.abs(batch_est[mask])
         max_grid_dev = max(max_grid_dev, float(np.max(dev)))
 
-        samples = [Sample(k + 1, float(phis[k]), float(ys[k])) for k in range(phis.size)]
         for qi in (10, 50, 90):
-            state = RecursiveState(float(xs[qi]), config, diagnostics=True)
-            for s in samples:
-                state.update(s)
+            estimate, s, _, positions, margins = west(float(xs[qi]), phis, ys, config.delta)
             # scalar and vectorized paths perform identical float ops
-            assert state.estimate == streamed[qi]
-            snapshot = state.weights_snapshot()
-            closed = batch_weights_arrays(float(xs[qi]), phis, config)
-            snap_dev = float(np.max(np.abs(snapshot.weights - closed.weights)))
+            assert estimate == streamed[qi]
+            snapshot = np.zeros(phis.size)
+            snapshot[positions] = np.array(margins) / s
+            closed = query_weights(float(xs[qi]), phis, config)
+            snap_dev = float(np.max(np.abs(snapshot - closed)))
             max_snap_dev = max(max_snap_dev, snap_dev)
     elapsed = time.perf_counter() - start
     ok = max_grid_dev <= 1e-10 and max_snap_dev <= 1e-12 and elapsed <= 10.0
@@ -151,11 +142,11 @@ def test_criterion_04_exact_support_sparsity():
         margins = delta - np.abs(x - phis)
         if not np.any(margins > 0.0):
             continue
-        solution = batch_weights_arrays(x, phis, EstimatorConfig(delta=delta))
+        weights = query_weights(x, phis, EstimatorConfig(delta=delta))
         inside = margins > 0.0
         if not (
-            np.array_equal(solution.weights == 0.0, ~inside)
-            and np.array_equal(solution.weights > 0.0, inside)
+            np.array_equal(weights == 0.0, ~inside)
+            and np.array_equal(weights > 0.0, inside)
         ):
             violations += 1
         checked += 1
@@ -175,17 +166,15 @@ def test_criterion_05_closed_form_achieves_optimum():
     while checked < 10_000:
         n = int(rng.integers(1, 41))
         phis = rng.uniform(-3.0, 3.0, n)
-        ys = rng.normal(0.0, 1.0, n)
+        rng.normal(0.0, 1.0, n)  # outputs, which the objective does not use
         x = float(rng.uniform(-2.0, 2.0))
         delta = float(rng.uniform(0.05, 1.5))
         if not np.any(delta - np.abs(x - phis) > 0.0):
             continue
         config = EstimatorConfig(delta=delta)
-        samples = [Sample(k + 1, float(phis[k]), float(ys[k])) for k in range(n)]
-        solution = batch_weights(x, samples, config)
-        achieved = objective_value(solution.weights, x, samples, config)
-        optimum = optimal_objective(x, samples, config)
-        max_rel_dev = max(max_rel_dev, abs(achieved - optimum) / optimum)
+        achieved = simplex_objective(query_weights(x, phis, config), x, phis, config)
+        best = optimum(x, phis, config)
+        max_rel_dev = max(max_rel_dev, abs(achieved - best) / best)
         checked += 1
     ok = max_rel_dev <= 1e-12
     _report(
@@ -289,16 +278,14 @@ def test_criterion_09_shift_and_scale_invariance():
     count = 0
     for i in range(200):
         rng = np.random.default_rng([55, i])
-        x, samples, config = random_instance(rng)
-        base = batch_weights(x, samples, config).weights
+        x, phis, config = random_instance(rng)
+        base = query_weights(x, phis, config)
         for shift in (-10.0, 3.7):
-            moved = [Sample(s.index, s.phi + shift, s.y) for s in samples]
-            w = batch_weights(x + shift, moved, config).weights
+            w = query_weights(x + shift, phis + shift, config)
             max_dev = max(max_dev, float(np.max(np.abs(w - base))))
         for scale in (0.5, 100.0):
             scaled_config = EstimatorConfig(delta=config.delta * scale, l1=config.l1)
-            scaled = [Sample(s.index, s.phi * scale, s.y) for s in samples]
-            w = batch_weights(x * scale, scaled, scaled_config).weights
+            w = query_weights(x * scale, phis * scale, scaled_config)
             max_dev = max(max_dev, float(np.max(np.abs(w - base))))
         count += 1
     ok = max_dev <= 1e-12

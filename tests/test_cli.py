@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import errno
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rdwo
 from rdwo import cli, dataio
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
@@ -325,7 +327,8 @@ def grid_reference(fmt, xs, solution, diagnostics, n_seen, with_header=True):
 
 class TestPinnedOutput:
     """stdout of fit, stream and simulate against a reference printed one
-    field at a time, on a seeded 300-row input with unsupported points."""
+    field at a time, on a seeded 300-row input with unsupported points, and
+    stdout of verify against pinned text."""
 
     GRID = "--grid=-3.5:3.5:57"
 
@@ -433,6 +436,67 @@ class TestPinnedOutput:
         else:
             lines = [",".join(records[0])] + [csv_row(list(r.values())) for r in records]
         assert out == "".join(line + "\n" for line in lines)
+
+    # stdout of `rdwo verify --instances 12 --seed 3`: the instances, the
+    # closed-form and searched objectives and their deviations, bit for bit.
+    VERIFY_JSON = """\
+{"type": "instance", "instance": 0, "n": 2, "claimed": 0.39317665517593858, "simplex": 0.39317665517593858, "signed": 0.39317665517593858, "simplex_abs_dev": 0, "signed_excess": 0, "ok": true}
+{"type": "instance", "instance": 1, "n": 3, "claimed": 0.87562441240995148, "simplex": 0.87562441240995015, "signed": 0.87562441240995015, "simplex_abs_dev": 1.3322676295501878e-15, "signed_excess": -1.3322676295501878e-15, "ok": true}
+{"type": "instance", "instance": 2, "n": 4, "claimed": 0.46075484498662661, "simplex": 0.46075484498662655, "signed": 0.46075484498662655, "simplex_abs_dev": 5.5511151231257827e-17, "signed_excess": -5.5511151231257827e-17, "ok": true}
+{"type": "instance", "instance": 3, "n": 5, "claimed": 0.69472775256689434, "simplex": 0.69472775256689423, "signed": 0.69472775256689423, "simplex_abs_dev": 1.1102230246251565e-16, "signed_excess": -1.1102230246251565e-16, "ok": true}
+{"type": "instance", "instance": 4, "n": 6, "claimed": 1.3544004751987957, "simplex": 1.3544004751987957, "signed": 1.3544004751987957, "simplex_abs_dev": 0, "signed_excess": 0, "ok": true}
+{"type": "instance", "instance": 5, "n": 7, "claimed": 0.47141590591393973, "simplex": 0.47141590591393912, "signed": 0.47141590591393912, "simplex_abs_dev": 6.106226635438361e-16, "signed_excess": -6.106226635438361e-16, "ok": true}
+{"type": "instance", "instance": 6, "n": 8, "claimed": 0.68839117031918207, "simplex": 0.68839117031918129, "signed": 0.68839117031918129, "simplex_abs_dev": 7.7715611723760958e-16, "signed_excess": -7.7715611723760958e-16, "ok": true}
+{"type": "instance", "instance": 7, "n": 9, "claimed": 1.1456136486308597, "simplex": 1.1456136486308575, "signed": 1.1456136486308575, "simplex_abs_dev": 2.2204460492503131e-15, "signed_excess": -2.2204460492503131e-15, "ok": true}
+{"type": "instance", "instance": 8, "n": 10, "claimed": 1.4690666796585345, "simplex": 1.4690666796585323, "signed": 1.4690666796585323, "simplex_abs_dev": 2.2204460492503131e-15, "signed_excess": -2.2204460492503131e-15, "ok": true}
+{"type": "instance", "instance": 9, "n": 11, "claimed": 2.0586943444128956, "simplex": 2.0586943444128951, "signed": 2.0586943444128951, "simplex_abs_dev": 4.4408920985006262e-16, "signed_excess": -4.4408920985006262e-16, "ok": true}
+{"type": "instance", "instance": 10, "n": 12, "claimed": 1.1198879607027028, "simplex": 1.1198879607026984, "signed": 1.1198879607026984, "simplex_abs_dev": 4.4408920985006262e-15, "signed_excess": -4.4408920985006262e-15, "ok": true}
+{"type": "instance", "instance": 11, "n": 2, "claimed": 0.68757930233147346, "simplex": 0.68757930233147335, "signed": 0.68757930233147335, "simplex_abs_dev": 1.1102230246251565e-16, "signed_excess": -1.1102230246251565e-16, "ok": true}
+{"type": "summary", "instances": 12, "failures": 0, "max_simplex_abs_dev": 4.4408920985006262e-15, "max_signed_excess": 0, "fault_injected": false}
+"""
+    VERIFY_CSV = """\
+instance,n,claimed,simplex,signed,simplex_abs_dev,signed_excess,ok
+0,2,0.39317665517593858,0.39317665517593858,0.39317665517593858,0,0,true
+1,3,0.87562441240995148,0.87562441240995015,0.87562441240995015,1.3322676295501878e-15,-1.3322676295501878e-15,true
+2,4,0.46075484498662661,0.46075484498662655,0.46075484498662655,5.5511151231257827e-17,-5.5511151231257827e-17,true
+3,5,0.69472775256689434,0.69472775256689423,0.69472775256689423,1.1102230246251565e-16,-1.1102230246251565e-16,true
+4,6,1.3544004751987957,1.3544004751987957,1.3544004751987957,0,0,true
+5,7,0.47141590591393973,0.47141590591393912,0.47141590591393912,6.106226635438361e-16,-6.106226635438361e-16,true
+6,8,0.68839117031918207,0.68839117031918129,0.68839117031918129,7.7715611723760958e-16,-7.7715611723760958e-16,true
+7,9,1.1456136486308597,1.1456136486308575,1.1456136486308575,2.2204460492503131e-15,-2.2204460492503131e-15,true
+8,10,1.4690666796585345,1.4690666796585323,1.4690666796585323,2.2204460492503131e-15,-2.2204460492503131e-15,true
+9,11,2.0586943444128956,2.0586943444128951,2.0586943444128951,4.4408920985006262e-16,-4.4408920985006262e-16,true
+10,12,1.1198879607027028,1.1198879607026984,1.1198879607026984,4.4408920985006262e-15,-4.4408920985006262e-15,true
+11,2,0.68757930233147346,0.68757930233147335,0.68757930233147335,1.1102230246251565e-16,-1.1102230246251565e-16,true
+"""
+    VERIFY_FAULT_JSON = """\
+{"type": "instance", "instance": 0, "n": 2, "claimed": 0.39305622262722756, "simplex": 0.39317665517593858, "signed": 0.39317665517593858, "simplex_abs_dev": 0.00012043254871102471, "signed_excess": 0.00012043254871102471, "ok": false}
+{"type": "instance", "instance": 1, "n": 3, "claimed": 0.87562222344337526, "simplex": 0.87562441240995015, "signed": 0.87562441240995015, "simplex_abs_dev": 2.1889665748897613e-06, "signed_excess": 2.1889665748897613e-06, "ok": false}
+{"type": "instance", "instance": 2, "n": 4, "claimed": 0.46017057058284394, "simplex": 0.46075484498662655, "signed": 0.46075484498662655, "simplex_abs_dev": 0.00058427440378261419, "signed_excess": 0.00058427440378261419, "ok": false}
+{"type": "instance", "instance": 3, "n": 5, "claimed": 0.69387697965346706, "simplex": 0.69472775256689423, "signed": 0.69472775256689423, "simplex_abs_dev": 0.00085077291342716688, "signed_excess": 0.00085077291342716688, "ok": false}
+{"type": "instance", "instance": 4, "n": 6, "claimed": 1.353549381055932, "simplex": 1.3544004751987957, "signed": 1.3544004751987957, "simplex_abs_dev": 0.00085109414286366203, "signed_excess": 0.00085109414286366203, "ok": false}
+{"type": "instance", "instance": 5, "n": 7, "claimed": 0.47087496746749058, "simplex": 0.47141590591393912, "signed": 0.47141590591393912, "simplex_abs_dev": 0.00054093844644853561, "signed_excess": 0.00054093844644853561, "ok": false}
+{"type": "instance", "instance": 6, "n": 8, "claimed": 0.68727417853323447, "simplex": 0.68839117031918129, "signed": 0.68839117031918129, "simplex_abs_dev": 0.0011169917859468192, "signed_excess": 0.0011169917859468192, "ok": false}
+{"type": "instance", "instance": 7, "n": 9, "claimed": 1.1443773407939308, "simplex": 1.1456136486308575, "signed": 1.1456136486308575, "simplex_abs_dev": 0.0012363078369266312, "signed_excess": 0.0012363078369266312, "ok": false}
+{"type": "instance", "instance": 8, "n": 10, "claimed": 1.4683666417050798, "simplex": 1.4690666796585323, "signed": 1.4690666796585323, "simplex_abs_dev": 0.00070003795345252584, "signed_excess": 0.00070003795345252584, "ok": false}
+{"type": "instance", "instance": 9, "n": 11, "claimed": 2.0564637363916036, "simplex": 2.0586943444128951, "signed": 2.0586943444128951, "simplex_abs_dev": 0.0022306080212914914, "signed_excess": 0.0022306080212914914, "ok": false}
+{"type": "instance", "instance": 10, "n": 12, "claimed": 1.1197376907935381, "simplex": 1.1198879607026984, "signed": 1.1198879607026984, "simplex_abs_dev": 0.00015026990916022775, "signed_excess": 0.00015026990916022775, "ok": false}
+{"type": "instance", "instance": 11, "n": 2, "claimed": 0.6875787188677891, "simplex": 0.68757930233147335, "signed": 0.68757930233147335, "simplex_abs_dev": 5.8346368425610251e-07, "signed_excess": 5.8346368425610251e-07, "ok": true}
+{"type": "summary", "instances": 12, "failures": 11, "max_simplex_abs_dev": 0.0022306080212914914, "max_signed_excess": 0.0022306080212914914, "fault_injected": true}
+"""
+
+    @pytest.mark.parametrize(
+        "extra, code, want",
+        [
+            ([], 0, VERIFY_JSON),
+            (["--format", "csv"], 0, VERIFY_CSV),
+            (["--inject-fault"], 1, VERIFY_FAULT_JSON),
+        ],
+        ids=["json", "csv", "json-fault"],
+    )
+    def test_verify(self, capsys, extra, code, want):
+        got = run_cli(capsys, "verify", "--instances", "12", "--seed", "3", *extra)
+        assert got[:2] == (code, want)
 
 
 def stream_reference(xs, phis, ys, delta, fmt, diagnostics, emit_every):
@@ -575,13 +639,15 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("grid", ["0:1", "0:1:0", "1:2:x"])
+    # The last span overflows, which np.linspace would turn into inf and nan
+    # points with two RuntimeWarnings on stderr.
+    @pytest.mark.parametrize("grid", ["0:1", "0:1:0", "1:2:x", "-1e308:1e308:3"])
     def test_malformed_grid(self, capsys, tiny_csv, grid):
-        code, _, err = run_cli(
-            capsys, "fit", "--input", tiny_csv, "--delta", "1.0", "--grid", grid
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        for command in ("fit", "stream"):
+            code, out, err = run_cli(
+                capsys, command, "--input", tiny_csv, "--delta", "1.0", f"--grid={grid}"
+            )
+            assert_one_line_error(code, out, err)
 
     @pytest.mark.parametrize(
         "flag",
@@ -746,6 +812,7 @@ class TestSpecErrors:
             ("function", "amplitude", "1"),
             (None, "query_grid", ["0.5", 1]),
             ("query_grid", "max", None),
+            (None, "query_grid", {"min": -1e308, "max": 1e308, "count": 3}),
         ],
     )
     def test_rejected(self, capsys, tmp_path, section, key, value):
@@ -958,3 +1025,42 @@ class TestReadmeExamples:
         code, out, _ = run_cli(capsys, *shlex.split(command))
         assert code == 0
         assert out.splitlines() == expected
+
+
+def quick_start():
+    """The python block under "Library quick start" in the README."""
+    section = (REPO / "README.md").read_text("utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def doc_imports():
+    """The names the README's python blocks and ``demos/*.py`` take from
+    ``rdwo``: by ``from rdwo import ...``, or as ``rdwo.<name>``."""
+    readme = (REPO / "README.md").read_text("utf-8")
+    sources = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    sources += [path.read_text("utf-8") for path in sorted((REPO / "demos").glob("*.py"))]
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "rdwo":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "rdwo":
+                    names.add(node.attr)
+    return names
+
+
+class TestLibraryDocs:
+    def test_quick_start_prints_its_comments(self, capsys):
+        code = quick_start()
+        prints = [line for line in code.splitlines() if line.startswith("print(")]
+        assert prints and all("  # " in line for line in prints)
+        exec(compile(code, "README quick start", "exec"), {})
+        want = [line.split("  # ", 1)[1].strip() for line in prints]
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_all_is_what_the_docs_import(self):
+        assert set(rdwo.__all__) == doc_imports()
+        assert len(rdwo.__all__) == len(set(rdwo.__all__))
+        for name in rdwo.__all__:
+            assert getattr(rdwo, name) is not None

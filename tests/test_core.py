@@ -6,25 +6,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdwo.core import (
-    ActiveSet,
     EstimatorConfig,
     NoSupportError,
-    Sample,
-    WeightSolution,
-    active_set,
-    batch_weights,
-    batch_weights_arrays,
-    centered_distance,
-    estimate,
-    grid_estimates,
-    objective_value,
-    optimal_objective,
-    phi_hat_values,
-    signed_objective_value,
+    grid_solve,
+    query_weights,
+    simplex_objective,
+    window_margins,
 )
+from rdwo.dataio import InputFormatError, iter_samples
+from rdwo.oracle import signed_objective
+from reference import optimum
 
 CFG = EstimatorConfig(delta=1.0, l1=1.0)
-HAND = [Sample(1, -0.5, 1.0), Sample(2, 0.2, 2.0), Sample(3, 2.0, 100.0)]
+HAND_PHIS = np.array([-0.5, 0.2, 2.0])
+HAND_YS = np.array([1.0, 2.0, 100.0])
 
 # Hand-derived reference values for the three-sample instance at x = 0:
 # margins [0.5, 0.8, -1.0], active {1, 2}, weights [0.5/1.3, 0.8/1.3, 0],
@@ -44,34 +39,36 @@ def instances(draw, min_n=1, max_n=20, require_active=True):
     x = draw(st.floats(-2.0, 2.0))
     delta = draw(st.floats(0.05, 2.0))
     config = EstimatorConfig(delta=delta, l1=1.0)
-    samples = [Sample(k + 1, p, y) for k, (p, y) in enumerate(zip(phis, ys))]
     if require_active:
         assume(any(abs(x - p) < delta for p in phis))
-    return x, samples, config
+    return x, np.array(phis), np.array(ys), config
+
+
+def one_row(tmp_path, row):
+    path = tmp_path / "data.csv"
+    path.write_text(f"k,phi,y\n{row}\n", encoding="utf-8")
+    return list(iter_samples(path))
 
 
 class TestSample:
-    def test_valid(self):
-        s = Sample(index=3, phi=0.5, y=-1.0)
-        assert (s.index, s.phi, s.y) == (3, 0.5, -1.0)
+    """A sample is a row ``(k, phi, y)`` of the CSV grammar."""
 
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Sample(index=0, phi=0.0, y=0.0)
+    def test_valid(self, tmp_path):
+        assert one_row(tmp_path, "3,0.5,-1.0") == [(3, 0.5, -1.0)]
+
+    def test_index_must_be_positive(self, tmp_path):
+        with pytest.raises(InputFormatError):
+            one_row(tmp_path, "0,0.0,0.0")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            Sample(index=1, phi=bad, y=0.0)
-        with pytest.raises(ValueError):
-            Sample(index=1, phi=0.0, y=bad)
+    def test_rejects_nonfinite(self, tmp_path, bad):
+        with pytest.raises(InputFormatError):
+            one_row(tmp_path, f"1,{bad},0.0")
+        with pytest.raises(InputFormatError):
+            one_row(tmp_path, f"1,0.0,{bad}")
 
 
 class TestEstimatorConfig:
-    def test_delta_prime(self):
-        cfg = EstimatorConfig(delta=0.5, l1=2.0)
-        assert cfg.delta_prime == 1.0
-
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError):
@@ -84,26 +81,25 @@ class TestEstimatorConfig:
 
 
 class TestCenteredDistance:
+    """Margins ``delta - |x - phi|`` of single regressors."""
+
     def test_at_query_point(self):
-        d = centered_distance(0.0, 0.0, CFG)
-        assert d.phi_tilde == 0.0
-        assert d.phi_hat == 1.0
-        assert d.inside
+        positions, margins = window_margins(0.0, np.array([0.0]), 1.0)
+        assert positions.tolist() == [0] and margins.tolist() == [1.0]
 
     def test_outside_window(self):
-        d = centered_distance(2.0, 3.5, CFG)
-        assert d.phi_tilde == 1.5
-        assert d.phi_hat == -0.5
-        assert not d.inside
+        positions, margins = window_margins(2.0, np.array([3.5]), 1.0)
+        assert positions.size == 0 and margins.size == 0
+        assert simplex_objective([1.0], 2.0, [3.5], CFG) == -0.5
 
     def test_boundary_is_outside(self):
-        d = centered_distance(0.0, 1.0, CFG)
-        assert d.phi_hat == 0.0
-        assert not d.inside
+        positions, _ = window_margins(0.0, np.array([1.0]), 1.0)
+        assert positions.size == 0
+        assert simplex_objective([1.0], 0.0, [1.0], CFG) == 0.0
 
     def test_margin_is_distance_to_nearer_endpoint(self):
-        d = centered_distance(0.0, 0.2, CFG)
-        assert d.phi_hat == min(abs(0.2 - (0.0 - 1.0)), abs(0.2 - (0.0 + 1.0)))
+        _, margins = window_margins(0.0, np.array([0.2]), 1.0)
+        assert margins[0] == min(abs(0.2 - (0.0 - 1.0)), abs(0.2 - (0.0 + 1.0)))
 
     @given(
         x=st.floats(-2.0, 2.0),
@@ -111,21 +107,24 @@ class TestCenteredDistance:
         delta=st.floats(0.05, 2.0),
     )
     def test_endpoint_identity(self, x, phi, delta):
-        config = EstimatorConfig(delta=delta, l1=1.0)
-        d = centered_distance(x, phi, config)
-        if not d.inside:
+        positions, margins = window_margins(x, np.array([phi]), delta)
+        if positions.size == 0:
             return
         nearer = min(abs(phi - (x - delta)), abs(phi - (x + delta)))
-        assert math.isclose(d.phi_hat, nearer, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(margins[0], nearer, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_rejects_nonfinite_query(self):
         with pytest.raises(ValueError):
-            centered_distance(math.nan, 0.0, CFG)
+            query_weights(math.nan, np.array([0.0]), CFG)
+        with pytest.raises(ValueError):
+            query_weights(0.0, np.array([0.0, math.inf]), CFG)
 
 
 class TestActiveSet:
+    """The active set is the positions ``window_margins`` gives."""
+
     def test_hand_instance(self):
-        assert active_set(0.0, HAND, CFG).members == (1, 2)
+        assert window_margins(0.0, HAND_PHIS, 1.0)[0].tolist() == [0, 1]
 
     def test_matches_brute_scan(self):
         rng = np.random.default_rng(3)
@@ -134,239 +133,201 @@ class TestActiveSet:
             phis = rng.uniform(-2, 2, n)
             x = float(rng.uniform(-1, 1))
             delta = float(rng.uniform(0.1, 1.5))
-            config = EstimatorConfig(delta=delta, l1=1.0)
-            samples = [Sample(k + 1, float(p), 0.0) for k, p in enumerate(phis)]
-            brute = tuple(
-                s.index for s in samples if config.delta - abs(x - s.phi) > 0.0
-            )
-            assert active_set(x, samples, config).members == brute
+            brute = [k for k, p in enumerate(phis.tolist()) if delta - abs(x - p) > 0.0]
+            assert window_margins(x, phis, delta)[0].tolist() == brute
 
     def test_boundary_sample_excluded(self):
-        samples = [Sample(1, 1.0, 5.0)]
-        assert active_set(0.0, samples, CFG).members == ()
+        assert window_margins(0.0, np.array([1.0]), 1.0)[0].tolist() == []
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            active_set(0.0, [], CFG)
+            query_weights(0.0, np.array([]), CFG)
 
     def test_members_must_increase(self):
-        with pytest.raises(ValueError):
-            ActiveSet(members=(2, 1))
-
-    def test_container_protocol(self):
-        a = ActiveSet(members=(1, 4, 9))
-        assert len(a) == 3 and a.size == 3
-        assert 4 in a and 5 not in a
-        assert list(a) == [1, 4, 9]
+        rng = np.random.default_rng(4)
+        phis = rng.uniform(-2, 2, 200)
+        positions, _ = window_margins(0.3, phis, 0.8)
+        assert positions.size > 1 and np.all(np.diff(positions) > 0)
 
 
 class TestBatchWeights:
     def test_hand_instance(self):
-        sol = batch_weights(0.0, HAND, CFG)
+        weights = query_weights(0.0, HAND_PHIS, CFG)
         np.testing.assert_allclose(
-            sol.weights, [0.5 / 1.3, 0.8 / 1.3, 0.0], rtol=0, atol=1e-15
+            weights, [0.5 / 1.3, 0.8 / 1.3, 0.0], rtol=0, atol=1e-15
         )
-        assert sol.weights[2] == 0.0
-        assert sol.active.members == (1, 2)
-        assert abs(float(np.sum(sol.weights)) - 1.0) <= 1e-12
-        assert math.isclose(sol.objective, HAND_OPTIMUM, rel_tol=1e-12)
+        assert weights[2] == 0.0
+        assert np.flatnonzero(weights).tolist() == [0, 1]
+        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+        achieved = simplex_objective(weights, 0.0, HAND_PHIS, CFG)
+        assert math.isclose(achieved, HAND_OPTIMUM, rel_tol=1e-12)
 
     def test_symmetric_pair_gets_exact_halves(self):
-        samples = [Sample(1, -0.4, 1.0), Sample(2, 0.4, 3.0)]
-        sol = batch_weights(0.0, samples, CFG)
-        assert sol.weights[0] == 0.5 and sol.weights[1] == 0.5
+        weights = query_weights(0.0, np.array([-0.4, 0.4]), CFG)
+        assert weights[0] == 0.5 and weights[1] == 0.5
 
     def test_single_active_sample_takes_all(self):
-        samples = [Sample(1, 0.3, 7.0), Sample(2, 5.0, -2.0)]
-        sol = batch_weights(0.0, samples, CFG)
-        assert sol.weights[0] == 1.0 and sol.weights[1] == 0.0
+        weights = query_weights(0.0, np.array([0.3, 5.0]), CFG)
+        assert weights[0] == 1.0 and weights[1] == 0.0
 
     def test_no_support_raises(self):
         with pytest.raises(NoSupportError):
-            batch_weights(0.0, [Sample(1, 5.0, 1.0)], CFG)
+            query_weights(0.0, np.array([5.0]), CFG)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            batch_weights(0.0, [], CFG)
+            query_weights(0.0, [], CFG)
 
     def test_arrays_twin_agrees(self):
-        sol = batch_weights(0.0, HAND, CFG)
-        twin = batch_weights_arrays(0.0, np.array([-0.5, 0.2, 2.0]), CFG)
-        assert np.array_equal(sol.weights, twin.weights)
-        assert sol.active.members == twin.active.members
-        assert sol.objective == twin.objective
-
-    def test_weights_are_readonly(self):
-        sol = batch_weights(0.0, HAND, CFG)
-        with pytest.raises(ValueError):
-            sol.weights[0] = 0.9
+        # The one-query weights and the grid solve give the same support,
+        # estimate and objective.
+        weights = query_weights(0.0, HAND_PHIS, CFG)
+        estimates, counts, objectives, sums = grid_solve([0.0], HAND_PHIS, HAND_YS, CFG)
+        assert np.count_nonzero(weights) == counts[0]
+        assert float(np.dot(weights, HAND_YS)) == estimates[0]
+        _, margins = window_margins(0.0, HAND_PHIS, 1.0)
+        assert np.array_equal(weights[weights > 0.0], margins / sums[0])
+        assert math.isclose(
+            simplex_objective(weights, 0.0, HAND_PHIS, CFG), objectives[0], rel_tol=1e-15
+        )
 
     @given(instances())
     @settings(max_examples=150)
     def test_simplex_invariants(self, inst):
-        x, samples, config = inst
-        sol = batch_weights(x, samples, config)
-        assert abs(float(np.sum(sol.weights)) - 1.0) <= 1e-12
-        assert np.all(sol.weights >= 0.0)
-        margins = phi_hat_values(x, np.array([s.phi for s in samples]), config)
-        assert np.all(sol.weights[margins <= 0.0] == 0.0)
-        assert np.all(sol.weights[margins > 0.0] > 0.0)
-        active = {s.index for s, m in zip(samples, margins) if m > 0.0}
-        assert set(sol.active.members) == active
+        x, phis, _, config = inst
+        weights = query_weights(x, phis, config)
+        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+        assert np.all(weights >= 0.0)
+        margins = config.delta - np.abs(x - phis)
+        assert np.all(weights[margins <= 0.0] == 0.0)
+        assert np.all(weights[margins > 0.0] > 0.0)
+        assert np.flatnonzero(weights).tolist() == window_margins(x, phis, config.delta)[0].tolist()
 
     @given(instances())
     @settings(max_examples=100)
     def test_achieves_the_optimum(self, inst):
-        x, samples, config = inst
-        sol = batch_weights(x, samples, config)
-        opt = optimal_objective(x, samples, config)
-        assert math.isclose(sol.objective, opt, rel_tol=1e-12)
+        x, phis, _, config = inst
+        achieved = simplex_objective(query_weights(x, phis, config), x, phis, config)
+        assert math.isclose(achieved, optimum(x, phis, config), rel_tol=1e-12)
 
     @given(instances(min_n=2))
     @settings(max_examples=100)
     def test_uniform_weights_never_beat_it(self, inst):
-        x, samples, config = inst
-        n = len(samples)
-        opt = optimal_objective(x, samples, config)
-        uniform = objective_value([1.0 / n] * n, x, samples, config)
-        assert uniform <= opt * (1.0 + 1e-12) + 1e-15
+        x, phis, _, config = inst
+        n = phis.size
+        uniform = simplex_objective([1.0 / n] * n, x, phis, config)
+        assert uniform <= optimum(x, phis, config) * (1.0 + 1e-12) + 1e-15
 
     @given(instances(min_n=2))
     @settings(max_examples=100)
     def test_deleting_inactive_samples_changes_nothing(self, inst):
-        x, samples, config = inst
-        margins = [centered_distance(x, s.phi, config).phi_hat for s in samples]
-        keep = [i for i, m in enumerate(margins) if m > 0.0]
-        assume(len(keep) < len(samples))
-        sol_full = batch_weights(x, samples, config)
-        sol_kept = batch_weights(x, [samples[i] for i in keep], config)
-        assert np.array_equal(sol_kept.weights, sol_full.weights[keep])
-        est_full = estimate(sol_full, samples)
-        est_kept = estimate(sol_kept, [samples[i] for i in keep])
+        x, phis, ys, config = inst
+        keep, _ = window_margins(x, phis, config.delta)
+        assume(keep.size < phis.size)
+        full = query_weights(x, phis, config)
+        kept = query_weights(x, phis[keep], config)
+        assert np.array_equal(kept, full[keep])
+        est_full = float(np.dot(full, ys))
+        est_kept = float(np.dot(kept, ys[keep]))
         assert math.isclose(est_full, est_kept, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestEstimate:
     def test_hand_instance(self):
-        sol = batch_weights(0.0, HAND, CFG)
-        assert abs(estimate(sol, HAND) - HAND_ESTIMATE) <= 1e-12
+        weights = query_weights(0.0, HAND_PHIS, CFG)
+        assert abs(float(np.dot(weights, HAND_YS)) - HAND_ESTIMATE) <= 1e-12
 
     def test_equal_weights_average(self):
-        samples = [Sample(1, -0.4, 1.0), Sample(2, 0.4, 3.0)]
-        sol = batch_weights(0.0, samples, CFG)
-        assert estimate(sol, samples) == 2.0
+        weights = query_weights(0.0, np.array([-0.4, 0.4]), CFG)
+        assert float(np.dot(weights, [1.0, 3.0])) == 2.0
 
     def test_length_mismatch_rejected(self):
-        sol = batch_weights(0.0, HAND, CFG)
+        weights = query_weights(0.0, HAND_PHIS, CFG)
         with pytest.raises(ValueError):
-            estimate(sol, HAND[:2])
+            np.dot(weights, HAND_YS[:2])
 
 
 class TestObjectives:
     def test_single_coordinate_value(self):
-        assert objective_value([1.0, 0.0, 0.0], 0.0, HAND, CFG) == 0.5
+        assert simplex_objective([1.0, 0.0, 0.0], 0.0, HAND_PHIS, CFG) == 0.5
 
     def test_uniform_value(self):
-        val = objective_value([1 / 3, 1 / 3, 1 / 3], 0.0, HAND, CFG)
+        val = simplex_objective([1 / 3, 1 / 3, 1 / 3], 0.0, HAND_PHIS, CFG)
         assert math.isclose(val, UNIFORM_OBJECTIVE, rel_tol=1e-12)
         assert val < HAND_OPTIMUM
 
     def test_optimal_objective_hand_value(self):
-        assert math.isclose(
-            optimal_objective(0.0, HAND, CFG), HAND_OPTIMUM, rel_tol=1e-13
-        )
+        assert math.isclose(optimum(0.0, HAND_PHIS, CFG), HAND_OPTIMUM, rel_tol=1e-13)
 
     def test_optimal_objective_no_support(self):
+        assert math.isnan(optimum(0.0, np.array([9.0]), CFG))
         with pytest.raises(NoSupportError):
-            optimal_objective(0.0, [Sample(1, 9.0, 0.0)], CFG)
+            query_weights(0.0, np.array([9.0]), CFG)
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            objective_value([0.0, 0.0, 0.0], 0.0, HAND, CFG)
-        with pytest.raises(ValueError):
-            signed_objective_value([0.0, 0.0, 0.0], 0.0, HAND, CFG)
+        with pytest.raises(ZeroDivisionError):
+            simplex_objective([0.0, 0.0, 0.0], 0.0, HAND_PHIS, CFG)
+        with pytest.raises(ZeroDivisionError):
+            signed_objective([0.0, 0.0, 0.0], 0.0, HAND_PHIS, CFG)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            objective_value([0.5, 0.5], 0.0, HAND, CFG)
+            simplex_objective([0.5, 0.5], 0.0, HAND_PHIS, CFG)
 
     def test_forms_agree_on_hand_solution(self):
-        sol = batch_weights(0.0, HAND, CFG)
-        a = objective_value(sol.weights, 0.0, HAND, CFG)
-        b = signed_objective_value(sol.weights, 0.0, HAND, CFG)
+        weights = query_weights(0.0, HAND_PHIS, CFG)
+        a = simplex_objective(weights, 0.0, HAND_PHIS, CFG)
+        b = signed_objective(weights, 0.0, HAND_PHIS, CFG)
         assert math.isclose(a, b, rel_tol=1e-12)
 
     @given(instances(min_n=1, max_n=10), st.data())
     @settings(max_examples=100)
     def test_forms_agree_on_simplex_inputs(self, inst, data):
-        x, samples, config = inst
-        n = len(samples)
+        x, phis, _, config = inst
+        n = phis.size
         raw = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
         )
         total = sum(raw)
         assume(total > 1e-3)
         w = [v / total for v in raw]
-        a = objective_value(w, x, samples, config)
-        b = signed_objective_value(w, x, samples, config)
+        a = simplex_objective(w, x, phis, config)
+        b = signed_objective(w, x, phis, config)
         assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(instances(min_n=1, max_n=10), st.data())
     @settings(max_examples=100)
     def test_signed_form_never_beats_the_optimum(self, inst, data):
-        x, samples, config = inst
-        n = len(samples)
+        x, phis, _, config = inst
+        n = phis.size
         raw = data.draw(
             st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
         )
         total = sum(raw)
         assume(abs(total) > 0.1)
         w = [v / total for v in raw]
-        opt = optimal_objective(x, samples, config)
-        assert signed_objective_value(w, x, samples, config) <= opt + 1e-9
+        assert signed_objective(w, x, phis, config) <= optimum(x, phis, config) + 1e-9
 
 
 class TestInvariance:
     @given(instances(), st.sampled_from([-10.0, 3.7, 0.25]))
     @settings(max_examples=100)
     def test_translation_leaves_weights(self, inst, shift):
-        x, samples, config = inst
-        assume(optimal_objective(x, samples, config) > 1e-6)
-        base = batch_weights(x, samples, config).weights
-        moved = [Sample(s.index, s.phi + shift, s.y) for s in samples]
-        shifted = batch_weights(x + shift, moved, config).weights
+        x, phis, _, config = inst
+        assume(optimum(x, phis, config) > 1e-6)
+        base = query_weights(x, phis, config)
+        shifted = query_weights(x + shift, phis + shift, config)
         assert float(np.max(np.abs(shifted - base))) <= 1e-9
 
     @given(instances(), st.sampled_from([0.5, 100.0, 7.0]))
     @settings(max_examples=100)
     def test_scaling_leaves_weights(self, inst, scale):
-        x, samples, config = inst
-        assume(optimal_objective(x, samples, config) > 1e-6)
-        base = batch_weights(x, samples, config).weights
-        scaled_samples = [Sample(s.index, s.phi * scale, s.y) for s in samples]
+        x, phis, _, config = inst
+        assume(optimum(x, phis, config) > 1e-6)
+        base = query_weights(x, phis, config)
         scaled_config = EstimatorConfig(delta=config.delta * scale, l1=config.l1)
-        scaled = batch_weights(x * scale, scaled_samples, scaled_config).weights
+        scaled = query_weights(x * scale, phis * scale, scaled_config)
         assert float(np.max(np.abs(scaled - base))) <= 1e-9
-
-
-class TestWeightSolution:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            WeightSolution(
-                weights=np.array([0.7, 0.7]), active=ActiveSet((1, 2)), objective=1.0
-            )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            WeightSolution(
-                weights=np.array([1.5, -0.5]), active=ActiveSet((1, 2)), objective=1.0
-            )
-
-    def test_rejects_support_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightSolution(
-                weights=np.array([1.0, 0.0]), active=ActiveSet((1, 2)), objective=1.0
-            )
 
 
 class TestGridEstimates:
@@ -376,16 +337,16 @@ class TestGridEstimates:
         ys = rng.normal(0, 1, 200)
         xs = np.linspace(-1.5, 1.5, 7)
         config = EstimatorConfig(delta=0.4, l1=1.0)
-        ests, counts = grid_estimates(xs, phis, ys, config)
+        ests, counts, _, _ = grid_solve(xs, phis, ys, config)
         for i, x in enumerate(xs):
-            sol = batch_weights_arrays(float(x), phis, config)
-            assert counts[i] == sol.active.size
+            weights = query_weights(float(x), phis, config)
+            assert counts[i] == np.count_nonzero(weights)
             assert math.isclose(
-                ests[i], float(np.dot(sol.weights, ys)), rel_tol=1e-12, abs_tol=1e-12
+                ests[i], float(np.dot(weights, ys)), rel_tol=1e-12, abs_tol=1e-12
             )
 
     def test_no_support_is_nan(self):
-        ests, counts = grid_estimates(
+        ests, counts, _, _ = grid_solve(
             np.array([0.0, 50.0]), np.array([0.1]), np.array([2.0]), CFG
         )
         assert math.isclose(ests[0], 2.0)
@@ -394,4 +355,4 @@ class TestGridEstimates:
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
-            grid_estimates(np.array([0.0]), np.array([1.0, 2.0]), np.array([1.0]), CFG)
+            grid_solve(np.array([0.0]), np.array([1.0, 2.0]), np.array([1.0]), CFG)

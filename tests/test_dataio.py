@@ -111,10 +111,7 @@ class TestIterSamples:
 
     def test_reads_valid_stream(self, make_file):
         path = make_file(EXPECTED_HEADER, "1,-0.5,1.0", "", "2,0.2,2.0", "  ")
-        samples = list(iter_samples(path))
-        assert [s.index for s in samples] == [1, 2]
-        assert samples[0].phi == -0.5
-        assert samples[1].y == 2.0
+        assert list(iter_samples(path)) == [(1, -0.5, 1.0), (2, 0.2, 2.0)]
 
     def test_header_required(self, make_file):
         with pytest.raises(InputFormatError, match="header"):
@@ -147,7 +144,7 @@ class TestIterSamples:
                 break
             seen.add(k)
         if first_repeat is None:
-            assert [s.index for s in iter_samples(path)] == indices
+            assert [k for k, _, _ in iter_samples(path)] == indices
         else:
             line_no, k = first_repeat
             with pytest.raises(InputFormatError) as exc:
@@ -160,13 +157,10 @@ class TestIterSamples:
 
     def test_surrounding_whitespace_tolerated(self, make_file):
         path = make_file(f"  {EXPECTED_HEADER}", " 3 , 0.5 , 1.5 ")
-        samples = list(iter_samples(path))
-        assert samples[0].index == 3
-        assert samples[0].phi == 0.5
+        assert list(iter_samples(path)) == [(3, 0.5, 1.5)]
 
     def test_read_samples(self, make_file):
-        samples = read_samples(make_file(EXPECTED_HEADER, "1,0.0,1.0"))
-        assert len(samples) == 1 and samples[0].y == 1.0
+        assert read_samples(make_file(EXPECTED_HEADER, "1,0.0,1.0")) == [(1, 0.0, 1.0)]
 
     @pytest.mark.parametrize(
         "row",
@@ -230,7 +224,7 @@ class TestReadArrays:
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         kind, got = self._outcome(read_arrays, path)
         want_kind, want = self._outcome(
-            lambda p: [(s.phi, s.y) for s in iter_samples(p)], path
+            lambda p: [(phi, y) for _, phi, y in iter_samples(p)], path
         )
         assert kind == want_kind
         if kind == "ok":
@@ -272,7 +266,7 @@ def _ingest_outcomes(path, size):
         except InputFormatError as exc:
             return "error", str(exc)
 
-    reference = run(lambda: [(s.phi, s.y) for s in iter_samples(path)])
+    reference = run(lambda: [(phi, y) for _, phi, y in iter_samples(path)])
     arrays = run(lambda: list(zip(*(column.tolist() for column in read_arrays(path)))))
     blocks = []
 

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdwo.core import (
-    EstimatorConfig,
-    NoSupportError,
-    Sample,
-    batch_weights,
-    optimal_objective,
-)
+from rdwo.core import EstimatorConfig, NoSupportError, query_weights
 from rdwo.oracle import (
     MAX_ORACLE_SAMPLES,
     OracleForm,
@@ -17,9 +11,10 @@ from rdwo.oracle import (
     maximize_simplex,
     random_instance,
 )
+from reference import optimum
 
 CFG = EstimatorConfig(delta=1.0, l1=1.0)
-HAND = [Sample(1, -0.5, 1.0), Sample(2, 0.2, 2.0), Sample(3, 2.0, 100.0)]
+HAND = np.array([-0.5, 0.2, 2.0])
 HAND_OPTIMUM = 0.9433981132056605  # sqrt(0.89), also checked in test_core
 
 
@@ -28,17 +23,16 @@ class TestSimplexSearch:
         result = maximize_simplex(0.0, HAND, CFG)
         assert result.form is OracleForm.SIMPLEX
         assert abs(result.objective - HAND_OPTIMUM) <= 1e-6
-        closed = batch_weights(0.0, HAND, CFG).weights
+        closed = query_weights(0.0, HAND, CFG)
         assert float(np.max(np.abs(np.array(result.weights) - closed))) <= 1e-3
 
     def test_single_sample(self):
-        result = maximize_simplex(0.0, [Sample(1, 0.3, 2.0)], CFG)
+        result = maximize_simplex(0.0, [0.3], CFG)
         assert result.weights == (1.0,)
         assert math.isclose(result.objective, 0.7, rel_tol=1e-12)
 
     def test_equal_margins_split_evenly(self):
-        samples = [Sample(1, -0.4, 0.0), Sample(2, 0.4, 1.0)]
-        result = maximize_simplex(0.0, samples, CFG)
+        result = maximize_simplex(0.0, [-0.4, 0.4], CFG)
         assert abs(result.weights[0] - 0.5) <= 1e-3
         assert abs(result.weights[1] - 0.5) <= 1e-3
 
@@ -54,16 +48,20 @@ class TestSimplexSearch:
 
     def test_no_support_raises(self):
         with pytest.raises(NoSupportError):
-            maximize_simplex(0.0, [Sample(1, 9.0, 1.0)], CFG)
+            maximize_simplex(0.0, [9.0], CFG)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
             maximize_simplex(0.0, [], CFG)
-        too_many = [Sample(k + 1, 0.01 * k, 0.0) for k in range(MAX_ORACLE_SAMPLES + 1)]
+        too_many = 0.01 * np.arange(MAX_ORACLE_SAMPLES + 1)
         with pytest.raises(ValueError):
             maximize_simplex(0.0, too_many, CFG)
         with pytest.raises(ValueError):
             maximize_simplex(0.0, HAND, CFG, budget=0)
+        with pytest.raises(ValueError):
+            maximize_simplex(math.nan, HAND, CFG)
+        with pytest.raises(ValueError):
+            maximize_simplex(0.0, [0.1, math.inf], CFG)
 
 
 class TestSignedSearch:
@@ -81,7 +79,7 @@ class TestSignedSearch:
 
     def test_no_support_raises(self):
         with pytest.raises(NoSupportError):
-            maximize_signed(0.0, [Sample(1, 9.0, 1.0)], CFG)
+            maximize_signed(0.0, [9.0], CFG)
 
 
 class TestSweep:
@@ -90,10 +88,10 @@ class TestSweep:
         worst_excess = -math.inf
         for i in range(30):
             rng = np.random.default_rng([500, i])
-            x, samples, config = random_instance(rng, n_samples=2 + (i % 11))
-            closed = optimal_objective(x, samples, config)
-            simplex = maximize_simplex(x, samples, config)
-            signed = maximize_signed(x, samples, config)
+            x, phis, config = random_instance(rng, n_samples=2 + (i % 11))
+            closed = optimum(x, phis, config)
+            simplex = maximize_simplex(x, phis, config)
+            signed = maximize_signed(x, phis, config)
             worst_dev = max(worst_dev, abs(simplex.objective - closed))
             worst_excess = max(worst_excess, signed.objective - closed)
         assert worst_dev <= 1e-6
@@ -118,17 +116,17 @@ class TestKnownStalls:
     @BOTH_FORMS
     @pytest.mark.parametrize("seed, i", [(7, 18), (7, 141), (10, 153), (74857987, 139)])
     def test_reaches_the_closed_form(self, maximize, form, seed, i):
-        x, samples, config = verify_instance(seed, i)
-        result = maximize(x, samples, config)
-        assert abs(result.objective - optimal_objective(x, samples, config)) <= 1e-12
+        x, phis, config = verify_instance(seed, i)
+        result = maximize(x, phis, config)
+        assert abs(result.objective - optimum(x, phis, config)) <= 1e-12
 
 
 class TestBudgetAndEdges:
     @BOTH_FORMS
     @pytest.mark.parametrize("budget", [1, 2, 3, 7])
     def test_tiny_budgets(self, maximize, form, budget):
-        x, samples, config = verify_instance(74857987, 139)
-        result = maximize(x, samples, config, budget=budget)
+        x, phis, config = verify_instance(74857987, 139)
+        result = maximize(x, phis, config, budget=budget)
         assert result.form is form
         assert result.evaluations <= budget
         assert math.isfinite(result.objective)
@@ -138,56 +136,55 @@ class TestBudgetAndEdges:
 
     @BOTH_FORMS
     def test_single_sample(self, maximize, form):
-        result = maximize(0.0, [Sample(1, -0.3, 2.0)], CFG)
+        result = maximize(0.0, [-0.3], CFG)
         assert result.weights == (1.0,)
         assert math.isclose(result.objective, 0.7, rel_tol=1e-12)
 
     @BOTH_FORMS
     def test_equal_distances_keep_uniform_weights(self, maximize, form):
-        samples = [Sample(k + 1, 0.25 * (-1) ** k, float(k)) for k in range(5)]
-        result = maximize(0.0, samples, CFG)
+        phis = [0.25 * (-1) ** k for k in range(5)]
+        result = maximize(0.0, phis, CFG)
         assert result.weights == (0.2,) * 5
-        closed = optimal_objective(0.0, samples, CFG)
+        closed = optimum(0.0, phis, CFG)
         assert abs(result.objective - closed) <= 1e-12
 
     @BOTH_FORMS
     def test_sample_on_the_window_edge_gets_no_weight(self, maximize, form):
-        samples = [Sample(1, 1.0, 5.0), Sample(2, 0.1, 1.0), Sample(3, -0.6, 2.0)]
-        result = maximize(0.0, samples, CFG)
+        phis = [1.0, 0.1, -0.6]
+        result = maximize(0.0, phis, CFG)
         assert result.weights[0] == 0.0
-        closed = batch_weights(0.0, samples, CFG).weights
+        closed = query_weights(0.0, phis, CFG)
         assert float(np.max(np.abs(np.array(result.weights) - closed))) <= 1e-12
-        assert abs(result.objective - optimal_objective(0.0, samples, CFG)) <= 1e-12
+        assert abs(result.objective - optimum(0.0, phis, CFG)) <= 1e-12
 
     @BOTH_FORMS
     def test_out_of_window_samples_end_with_zero_weight(self, maximize, form):
-        samples = HAND + [Sample(4, -3.5, 7.0), Sample(5, 1.5, -1.0)]
-        result = maximize(0.0, samples, CFG)
+        result = maximize(0.0, [*HAND, -3.5, 1.5], CFG)
         assert result.weights[2:] == (0.0, 0.0, 0.0)
         assert abs(result.objective - HAND_OPTIMUM) <= 1e-12
 
 
 class TestRandomInstance:
     def test_deterministic(self):
-        a = random_instance(np.random.default_rng(13))
-        b = random_instance(np.random.default_rng(13))
-        assert a == b
+        xa, phis_a, config_a = random_instance(np.random.default_rng(13))
+        xb, phis_b, config_b = random_instance(np.random.default_rng(13))
+        assert (xa, phis_a.tolist(), config_a) == (xb, phis_b.tolist(), config_b)
 
     def test_always_has_support(self):
         for i in range(40):
-            x, samples, config = random_instance(np.random.default_rng(i))
-            assert optimal_objective(x, samples, config) > 0.0
+            x, phis, config = random_instance(np.random.default_rng(i))
+            assert optimum(x, phis, config) > 0.0
 
     def test_default_sizes_in_range(self):
         sizes = {
-            len(random_instance(np.random.default_rng(i))[1]) for i in range(60)
+            random_instance(np.random.default_rng(i))[1].size for i in range(60)
         }
         assert sizes <= set(range(2, MAX_ORACLE_SAMPLES + 1))
         assert len(sizes) > 3
 
     def test_explicit_size_and_indices(self):
-        x, samples, config = random_instance(np.random.default_rng(0), n_samples=5)
-        assert [s.index for s in samples] == [1, 2, 3, 4, 5]
+        x, phis, config = random_instance(np.random.default_rng(0), n_samples=5)
+        assert phis.shape == (5,)
         assert config.l1 == 1.0
 
     def test_size_out_of_range_rejected(self):

@@ -6,26 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdwo.core import (
-    EstimatorConfig,
-    NoSupportError,
-    Sample,
-    batch_weights,
-    batch_weights_arrays,
-    estimate,
-    optimal_objective,
-)
+from rdwo.core import EstimatorConfig, NoSupportError, grid_solve, query_weights
 from rdwo import streaming
-from rdwo.streaming import (
-    Absorbed,
-    LedgerDisabledError,
-    RecursiveState,
-    Skipped,
-    StreamingGrid,
-)
+from rdwo.streaming import StreamingGrid
+from reference import west
 
 CFG = EstimatorConfig(delta=1.0, l1=1.0)
-HAND = [Sample(1, -0.5, 1.0), Sample(2, 0.2, 2.0), Sample(3, 2.0, 100.0)]
+HAND_PHIS = [-0.5, 0.2, 2.0]
+HAND_YS = [1.0, 2.0, 100.0]
 
 
 @st.composite
@@ -35,165 +23,154 @@ def streams(draw, min_n=1, max_n=25):
     ys = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     x = draw(st.floats(-2.0, 2.0))
     delta = draw(st.floats(0.05, 2.0))
-    samples = [Sample(k + 1, p, y) for k, (p, y) in enumerate(zip(phis, ys))]
-    return x, samples, EstimatorConfig(delta=delta, l1=1.0)
+    return x, phis, ys, EstimatorConfig(delta=delta, l1=1.0)
+
+
+def batch_estimate(x, phis, ys, config):
+    return float(np.dot(query_weights(x, phis, config), ys))
 
 
 class TestRecursiveState:
+    """The recursion for one query point: the scalar reference ``west`` and a
+    one-point ``StreamingGrid``."""
+
     def test_hand_sequence(self):
-        state = RecursiveState(0.0, CFG)
-        first = state.update(HAND[0])
-        assert isinstance(first, Absorbed)
-        assert first.reweight == 0.0 and first.new_weight == 1.0
-        assert state.estimate == 1.0
+        assert west(0.0, HAND_PHIS[:1], HAND_YS[:1], 1.0)[0] == 1.0
+        _, s, _, _, margins = west(0.0, HAND_PHIS[:2], HAND_YS[:2], 1.0)
+        # the second sample takes 0.8/1.3 of the weight, the first keeps 0.5/1.3
+        assert math.isclose(margins[0] / s, 0.5 / 1.3, rel_tol=1e-12)
+        assert margins[1] / s == 0.8 / 1.3
 
-        second = state.update(HAND[1])
-        assert isinstance(second, Absorbed)
-        assert math.isclose(second.reweight, 0.5 / 1.3, rel_tol=1e-12)
-        assert second.new_weight == 1.0 - second.reweight
-
-        third = state.update(HAND[2])
-        assert isinstance(third, Skipped)
-
-        assert state.n_seen == 3 and state.n_active == 2
-        assert abs(state.estimate - 21.0 / 13.0) <= 1e-12
-        batch = estimate(batch_weights(0.0, HAND, CFG), HAND)
-        assert math.isclose(state.estimate, batch, rel_tol=1e-12)
+        estimate, _, _, positions, _ = west(0.0, HAND_PHIS, HAND_YS, 1.0)
+        assert positions == [0, 1]  # the third sample is skipped
+        grid = StreamingGrid([0.0], CFG)
+        grid.extend(HAND_PHIS, HAND_YS)
+        assert grid.n_seen == 3 and grid.n_active[0] == 2
+        assert grid.estimates()[0] == estimate
+        assert abs(estimate - 21.0 / 13.0) <= 1e-12
+        batch = batch_estimate(0.0, HAND_PHIS, HAND_YS, CFG)
+        assert math.isclose(estimate, batch, rel_tol=1e-12)
 
     def test_fourth_sample_rescale(self):
-        state = RecursiveState(0.0, CFG)
-        for s in HAND:
-            state.update(s)
-        outcome = state.update(Sample(4, 0.1, 5.0))
-        assert isinstance(outcome, Absorbed)
+        _, s_old, _, _, _ = west(0.0, HAND_PHIS, HAND_YS, 1.0)
+        _, s_new, _, _, margins = west(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
         # margin 0.9 joins support 1.3, so the old weights shrink by 1.3/2.2
-        assert math.isclose(outcome.reweight, 1.3 / 2.2, rel_tol=1e-12)
-        assert math.isclose(outcome.new_weight, 0.9 / 2.2, rel_tol=1e-12)
-        assert math.isclose(state.support_sum, 2.2, rel_tol=1e-12)
+        assert math.isclose(s_old / s_new, 1.3 / 2.2, rel_tol=1e-12)
+        assert math.isclose(margins[-1] / s_new, 0.9 / 2.2, rel_tol=1e-12)
+        assert math.isclose(s_new, 2.2, rel_tol=1e-12)
 
     def test_estimate_is_none_before_any_absorption(self):
-        state = RecursiveState(0.0, CFG)
-        assert state.estimate is None
-        state.update(Sample(1, 9.0, 3.0))
-        assert state.estimate is None
-        assert state.n_seen == 1 and state.n_active == 0
+        grid = StreamingGrid([0.0], CFG)
+        assert math.isnan(grid.estimates()[0])
+        grid.update(9.0, 3.0)
+        assert math.isnan(grid.estimates()[0])
+        assert grid.n_seen == 1 and grid.n_active[0] == 0
+        assert math.isnan(west(0.0, [9.0], [3.0], 1.0)[0])
 
     def test_boundary_sample_is_skipped(self):
-        state = RecursiveState(0.0, CFG)
-        assert isinstance(state.update(Sample(1, 1.0, 3.0)), Skipped)
+        assert west(0.0, [1.0], [3.0], 1.0)[3] == []
+        grid = StreamingGrid([0.0], CFG)
+        grid.update(1.0, 3.0)
+        assert grid.n_active[0] == 0
 
     def test_tiny_margins_match_fraction_reference(self):
         # 2e5 samples of margin 1, then 1e6 of margin 2**-53: each tiny margin
         # vanishes when added to the running sum, so its weight must come out
         # as its own share of about 5.6e-22, not as a share of one ulp.
-        config = EstimatorConfig(delta=1.0, l1=1.0)
-        state = RecursiveState(0.0, config)
-        big = Sample(1, 0.0, 1.0)
-        tiny = Sample(2, 1.0 - 2.0**-53, 11.0)
-        for _ in range(200_000):
-            state.update(big)
-        for _ in range(1_000_000):
-            outcome = state.update(tiny)
-        assert state.support_sum == 200_000.0
-        assert outcome.reweight == 1.0 and 0.0 < outcome.new_weight < 1e-21
+        tiny = 1.0 - 2.0**-53
+        phis = [0.0] * 200_000 + [tiny] * 1_000_000
+        ys = [1.0] * 200_000 + [11.0] * 1_000_000
+        estimate, s, _, positions, margins = west(0.0, phis, ys, 1.0)
+        assert len(positions) == 1_200_000
+        assert s == 200_000.0 and 0.0 < margins[-1] / s < 1e-21
         d = Fraction(2) ** -53
         exact = (200_000 * 1 + 1_000_000 * d * 11) / (200_000 + 1_000_000 * d)
-        assert abs(Fraction(state.estimate) - exact) / exact <= Fraction(1, 10**14)
+        assert abs(Fraction(estimate) - exact) / exact <= Fraction(1, 10**14)
 
     @given(streams())
     @settings(max_examples=100)
     def test_prefixes_match_batch(self, stream):
-        x, samples, config = stream
-        state = RecursiveState(x, config)
-        for k in range(len(samples)):
-            state.update(samples[k])
-            prefix = samples[: k + 1]
+        x, phis, ys, config = stream
+        grid = StreamingGrid([x], config)
+        for k in range(len(phis)):
+            grid.update(phis[k], ys[k])
+            estimate = grid.estimates()[0]
             try:
-                batch = estimate(batch_weights(x, prefix, config), prefix)
+                batch = batch_estimate(x, phis[: k + 1], ys[: k + 1], config)
             except NoSupportError:
-                assert state.estimate is None
+                assert math.isnan(estimate)
                 continue
-            rel = abs(state.estimate - batch) / max(abs(batch), 1e-300)
-            assert rel <= 1e-10 or abs(state.estimate - batch) <= 1e-12
+            rel = abs(estimate - batch) / max(abs(batch), 1e-300)
+            assert rel <= 1e-10 or abs(estimate - batch) <= 1e-12
 
     @given(streams(min_n=2), st.randoms(use_true_random=False))
     @settings(max_examples=75)
     def test_order_invariance(self, stream, rnd):
-        x, samples, config = stream
-        assume(any(abs(x - s.phi) < config.delta for s in samples))
-        state = RecursiveState(x, config)
-        for s in samples:
-            state.update(s)
-        shuffled = list(samples)
-        rnd.shuffle(shuffled)
-        other = RecursiveState(x, config)
-        for s in shuffled:
-            other.update(s)
-        rel = abs(state.estimate - other.estimate) / max(abs(state.estimate), 1e-300)
-        assert rel <= 1e-10 or abs(state.estimate - other.estimate) <= 1e-12
+        x, phis, ys, config = stream
+        assume(any(abs(x - p) < config.delta for p in phis))
+        state = StreamingGrid([x], config)
+        state.extend(phis, ys)
+        order = list(range(len(phis)))
+        rnd.shuffle(order)
+        other = StreamingGrid([x], config)
+        other.extend([phis[i] for i in order], [ys[i] for i in order])
+        a, b = state.estimates()[0], other.estimates()[0]
+        rel = abs(a - b) / max(abs(a), 1e-300)
+        assert rel <= 1e-10 or abs(a - b) <= 1e-12
 
     @given(streams())
     @settings(max_examples=100)
     def test_rescale_invariants(self, stream):
-        x, samples, config = stream
-        state = RecursiveState(x, config)
-        absorbed = 0
-        for s in samples:
-            outcome = state.update(s)
-            if isinstance(outcome, Skipped):
+        # Absorbing a sample rescales the earlier weights by S_old / S_new and
+        # gives the new one m / S_new.
+        x, phis, ys, config = stream
+        s_old, absorbed = 0.0, 0
+        for k in range(len(phis)):
+            _, s_new, _, positions, margins = west(x, phis[: k + 1], ys[: k + 1], config.delta)
+            if len(positions) == absorbed:
                 continue
             absorbed += 1
-            assert (outcome.reweight == 0.0) == (absorbed == 1)
-            assert 0.0 < outcome.new_weight <= 1.0
-            assert abs(outcome.reweight + outcome.new_weight - 1.0) <= 2.0**-51
+            reweight, new_weight = s_old / s_new, margins[-1] / s_new
+            assert (reweight == 0.0) == (absorbed == 1)
+            assert 0.0 < new_weight <= 1.0
+            assert abs(reweight + new_weight - 1.0) <= 2.0**-51
+            s_old = s_new
 
 
 class TestWeightsSnapshot:
+    """The weights a stream implies, from the absorbed positions and margins."""
+
     def test_hand_snapshot(self):
-        state = RecursiveState(0.0, CFG, diagnostics=True)
-        for s in HAND + [Sample(4, 0.1, 5.0)]:
-            state.update(s)
-        snap = state.weights_snapshot()
+        _, s, _, positions, margins = west(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
+        weights = np.zeros(4)
+        weights[positions] = np.array(margins) / s
         np.testing.assert_allclose(
-            snap.weights,
+            weights,
             [0.5 / 2.2, 0.8 / 2.2, 0.0, 0.9 / 2.2],
             rtol=0,
             atol=1e-15,
         )
-        assert snap.weights[2] == 0.0
-        assert snap.active.members == (1, 2, 4)
+        assert weights[2] == 0.0
+        assert [p + 1 for p in positions] == [1, 2, 4]
 
     def test_matches_batch_weights(self):
         rng = np.random.default_rng(21)
         phis = rng.uniform(-2, 2, 500)
         ys = rng.normal(0, 1, 500)
         config = EstimatorConfig(delta=0.5, l1=1.0)
-        state = RecursiveState(0.25, config, diagnostics=True)
-        for k, (p, y) in enumerate(zip(phis, ys), start=1):
-            state.update(Sample(k, float(p), float(y)))
-        snap = state.weights_snapshot()
-        sol = batch_weights_arrays(0.25, phis, config)
-        scale = np.maximum(np.abs(sol.weights), 1e-300)
-        assert float(np.max(np.abs(snap.weights - sol.weights) / scale)) <= 1e-12
-        assert math.isclose(
-            snap.objective, optimal_objective_of_arrays(0.25, phis, config), rel_tol=1e-12
-        )
-
-    def test_requires_diagnostics(self):
-        state = RecursiveState(0.0, CFG)
-        state.update(HAND[0])
-        with pytest.raises(LedgerDisabledError):
-            state.weights_snapshot()
+        _, s, q, positions, margins = west(0.25, phis, ys, config.delta)
+        weights = np.zeros(phis.size)
+        weights[positions] = np.array(margins) / s
+        closed = query_weights(0.25, phis, config)
+        scale = np.maximum(np.abs(closed), 1e-300)
+        assert float(np.max(np.abs(weights - closed) / scale)) <= 1e-12
+        optimum = grid_solve([0.25], phis, ys, config)[2][0]
+        assert math.isclose(math.sqrt(q), optimum, rel_tol=1e-12)
 
     def test_requires_support(self):
-        state = RecursiveState(0.0, CFG, diagnostics=True)
+        assert west(0.0, [9.0, -1.0], [1.0, 2.0], 1.0)[3] == []
         with pytest.raises(NoSupportError):
-            state.weights_snapshot()
-
-
-def optimal_objective_of_arrays(x, phis, config):
-    samples = [Sample(k + 1, float(p), 0.0) for k, p in enumerate(phis)]
-    return optimal_objective(x, samples, config)
+            query_weights(0.0, [9.0, -1.0], CFG)
 
 
 class TestStreamingGrid:
@@ -204,35 +181,25 @@ class TestStreamingGrid:
         xs = np.linspace(-2, 2, 9)
         config = EstimatorConfig(delta=0.35, l1=1.0)
         grid = StreamingGrid(xs, config)
-        scalars = [RecursiveState(float(x), config) for x in xs]
-        for k, (p, y) in enumerate(zip(phis, ys), start=1):
+        for p, y in zip(phis, ys):
             grid.update(float(p), float(y))
-            for st_ in scalars:
-                st_.update(Sample(k, float(p), float(y)))
         ests = grid.estimates()
-        for i, st_ in enumerate(scalars):
-            if st_.estimate is None:
-                assert math.isnan(ests[i])
-            else:
-                assert ests[i] == st_.estimate
-            assert grid.support_sum[i] == st_.support_sum
-            assert grid.support_sq_sum[i] == st_.support_sq_sum
-            assert grid.n_active[i] == st_.n_active
+        for i, x in enumerate(xs.tolist()):
+            estimate, s, q, positions, _ = west(x, phis, ys, config.delta)
+            assert np.array_equal(ests[i], estimate, equal_nan=True)
+            assert grid.support_sum[i] == s
+            assert grid.support_sq_sum[i] == q
+            assert grid.n_active[i] == len(positions)
 
     @given(streams(min_n=1, max_n=30))
     @settings(max_examples=50)
     def test_bit_identical_small_streams(self, stream):
-        x, samples, config = stream
+        x, phis, ys, config = stream
         grid = StreamingGrid(np.array([x]), config)
-        scalar = RecursiveState(x, config)
-        for s in samples:
-            grid.update(s.phi, s.y)
-            scalar.update(s)
-        est = grid.estimates()[0]
-        if scalar.estimate is None:
-            assert math.isnan(est)
-        else:
-            assert est == scalar.estimate
+        for p, y in zip(phis, ys):
+            grid.update(p, y)
+        estimate = west(x, phis, ys, config.delta)[0]
+        assert np.array_equal(grid.estimates()[0], estimate, equal_nan=True)
 
     def test_objectives_and_counts(self):
         grid = StreamingGrid(np.array([0.0, 10.0]), CFG)
@@ -273,8 +240,8 @@ class TestStreamingGrid:
 
 
 def run_three_ways(xs, delta, phis, ys):
-    """Feed one stream to ``extend``, to a loop of ``update`` and to one
-    ``RecursiveState`` per grid point; every state must agree with ``==``."""
+    """Feed one stream to ``extend``, to a loop of ``update`` and to the scalar
+    recursion ``west`` per grid point; every state must agree with ``==``."""
     config = EstimatorConfig(delta=delta, l1=1.0)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -283,17 +250,13 @@ def run_three_ways(xs, delta, phis, ys):
     looped = StreamingGrid(xs, config)
     for p, y in zip(phis.tolist(), ys.tolist()):
         looped.update(p, y)
-    states = [RecursiveState(float(x), config) for x in xs]
-    for k, (p, y) in enumerate(zip(phis.tolist(), ys.tolist()), start=1):
-        sample = Sample(k, p, y)
-        for state in states:
-            state.update(sample)
+    states = [west(x, phis, ys, delta) for x in np.asarray(xs, dtype=float).tolist()]
     for grid in (extended, looped):
         assert grid.n_seen == phis.size
-        assert grid.n_active.tolist() == [s.n_active for s in states]
-        assert grid.support_sum.tolist() == [s.support_sum for s in states]
-        assert grid.support_sq_sum.tolist() == [s.support_sq_sum for s in states]
-        want = [math.nan if s.estimate is None else s.estimate for s in states]
+        assert grid.n_active.tolist() == [len(positions) for _, _, _, positions, _ in states]
+        assert grid.support_sum.tolist() == [s for _, s, _, _, _ in states]
+        assert grid.support_sq_sum.tolist() == [q for _, _, q, _, _ in states]
+        want = [estimate for estimate, _, _, _, _ in states]
         assert np.array_equal(grid.estimates(), want, equal_nan=True)
     return extended
 

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdwo.cli import main
-from rdwo.core import EstimatorConfig, grid_estimates, sorted_windows, window_margins
+from rdwo.core import EstimatorConfig, grid_solve, sorted_windows, window_margins
 
 ULP = 2.0**-52
 
@@ -61,10 +61,14 @@ def assert_matches_full_scan(xs, phis, ys, delta):
         assert fd.tolist() == sd.tolist()
         assert fm.tolist() == sm.tolist()
     assert window_rows(fast, ys) == window_rows(slow, ys)
-    estimates, counts = grid_estimates(xs, phis, ys, EstimatorConfig(delta=delta))
+    estimates, counts, objectives, sums = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
     rows = window_rows(slow, ys)
     assert counts.tolist() == [r[0] for r in rows]
     assert [None if math.isnan(e) else e for e in estimates.tolist()] == [r[1] for r in rows]
+    assert [None if math.isnan(o) else o for o in objectives.tolist()] == [r[2] for r in rows]
+    assert [s if c else None for s, c in zip(sums.tolist(), counts.tolist())] == [
+        r[3] for r in rows
+    ]
 
 
 RNG = np.random.default_rng(20141115)
