@@ -9,6 +9,7 @@ collapses to l1 * delta.
 import pathlib
 
 import rdwo
+from rdwo.simulate import QUERY_HEADER
 
 spec_path = pathlib.Path(__file__).parent / "data" / "sine_experiment.json"
 spec = rdwo.load_spec(spec_path)
@@ -17,16 +18,17 @@ print(f"experiment: {spec.function} on {spec.input_range}, "
 print(f"estimator: delta = {spec.config.delta}, l1 = {spec.config.l1}")
 print()
 
+# The report holds one array per query column, in QUERY_HEADER order; an
+# active_count of 0 marks a query with no sample in its window.
 report = rdwo.run_experiment(spec)
 print(f"{'x':>6} {'truth':>9} {'estimate':>9} {'|error|':>9} {'bound z':>9}  ok")
-for r in report.records:
-    if r.estimate is None:
-        print(f"{r.x:6.2f} {r.truth:9.4f} {'-':>9} {'-':>9} {'-':>9}  no support")
+for x, truth, est, err, bound, holds, count in zip(
+    *(getattr(report, column).tolist() for column in QUERY_HEADER)
+):
+    if count == 0:
+        print(f"{x:6.2f} {truth:9.4f} {'-':>9} {'-':>9} {'-':>9}  no support")
         continue
-    print(
-        f"{r.x:6.2f} {r.truth:9.4f} {r.estimate:9.4f} {r.abs_error:9.4f} "
-        f"{r.bound_z:9.4f}  {r.bound_holds}"
-    )
+    print(f"{x:6.2f} {truth:9.4f} {est:9.4f} {err:9.4f} {bound:9.4f}  {holds}")
 print()
 print(f"supported queries : {report.supported_count}")
 print(f"bound violations  : {report.violation_count}")

@@ -15,6 +15,7 @@ stdout closes it early, as ``head`` does; nothing is printed then.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -25,15 +26,14 @@ import numpy as np
 
 from .core import EstimatorConfig, grid_solve, query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
-# through read_arrays and iter_blocks, and tables print through format_rows.
-# perfbench/tracer.py still wraps the three by name in this module, so they
-# stay bound until the tracer follows.
+# through read_arrays and iter_blocks, and tables print through format_heads
+# and join_lines.  perfbench/tracer.py still wraps the three by name in this
+# module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
     InputFormatError,
     csv_row,
     format_float,
     format_heads,
-    format_rows,
     iter_blocks,
     iter_samples,
     join_lines,
@@ -46,6 +46,9 @@ from .dataio import (  # noqa: F401
 )
 from .oracle import maximize_signed, maximize_simplex, random_instance
 from .simulate import (
+    QUERY_HEADER,
+    QUERY_KINDS,
+    QUERY_NULLABLE,
     load_spec,
     max_relative_deviation,
     run_experiment,
@@ -125,13 +128,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out: TextIO, fmt: str, header, kinds: str, columns, *, with_header=True, **rows):
-    """Write a table: the CSV header line if asked for, then the texts of
-    :func:`~rdwo.dataio.format_rows`."""
+def _emit(out: TextIO, fmt: str, header, heads, suffix=(), with_header=True) -> None:
+    """Write a table: the CSV header line if asked for, then the lines
+    ``heads`` of :func:`~rdwo.dataio.format_heads`, each ended by the
+    ``suffix`` fields."""
     if fmt == "csv" and with_header:
-        out.write(",".join(header) + "\n")
-    for text in format_rows(fmt, header, kinds, columns, **rows):
+        out.write(",".join([*header, *(key for key, _ in suffix)]) + "\n")
+    for text in join_lines(heads, line_tail(fmt, suffix)):
         out.write(text)
+
+
+@contextlib.contextmanager
+def _overflow_names(delta: float):
+    """Raise a float overflow in the window arithmetic as a one-line error
+    naming ``delta``, rather than printing inf or a wrong estimate: margins
+    reach ``delta``, so a large one overflows their sums and squares."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"the window arithmetic overflows at delta={delta!r}") from None
 
 
 def _query_grid(args: argparse.Namespace) -> np.ndarray:
@@ -152,62 +168,46 @@ class _GridTable:
     ``--diagnostics``, and ``n_seen``, when given, is one literal tail
     joined onto every line.
 
-    With ``keep``, each point's ``x`` text is formatted once, and the table
-    keeps each point's line up to that tail (its head) between snapshots.
-    A snapshot formats a head again only when the point's active count
-    moved: a point that absorbed no sample has the same support sum,
-    estimate and sum of squares, bit for bit.  Without ``keep``, as for
-    ``fit``'s one table, lines are formatted a text at a time, ``x`` as a
-    float cell, and none is kept.
+    Each point's ``x`` text is formatted once, and the table keeps each
+    point's line up to that tail (its head) between snapshots.  A snapshot
+    formats a head again only when the point's active count moved: a point
+    that absorbed no sample has the same support sum, estimate and sum of
+    squares, bit for bit.  A table printed once formats each row once.
     """
 
-    def __init__(self, args: argparse.Namespace, xs: np.ndarray, keep: bool):
+    def __init__(self, args: argparse.Namespace, xs: np.ndarray):
         self.fmt = args.format
         self.width = 5 if args.diagnostics else 4
         self.header = _GRID_HEADER[: self.width]
-        self.heads = None
-        if keep:
-            self.x_cells = np.array(list(map(format_float, xs.tolist())), dtype=object)
-            self.kinds = "sfdff"[: self.width]
-            self.heads = np.empty(xs.size, dtype=object)
-            self.counts = np.full(xs.size, -1)
-        else:
-            self.x_cells, self.kinds = xs, "ffdff"[: self.width]
+        self.kinds = "sfdff"[: self.width]
+        self.x_cells = np.array(list(map(format_float, xs.tolist())), dtype=object)
+        self.heads = np.empty(xs.size, dtype=object)
+        self.counts = np.full(xs.size, -1)
 
     def write(self, out: TextIO, solution, n_seen: int | None, with_header: bool) -> None:
-        suffix = [] if n_seen is None else [("n_seen", n_seen)]
-        if self.fmt == "csv" and with_header:
-            out.write(",".join([*self.header, *(key for key, _ in suffix)]) + "\n")
         counts = solution[1]
-        cells = (self.x_cells, *solution)[: self.width]
-        if self.heads is None:
-            texts = format_rows(
-                self.fmt, self.header, self.kinds, [column.tolist() for column in cells],
-                supported=(counts > 0).tolist(), nullable=_GRID_NULLABLE, suffix=suffix,
+        changed = np.flatnonzero(counts != self.counts)
+        self.counts = counts
+        if changed.size:
+            # Free the stale lines first, so that their memory takes the new ones.
+            self.heads[changed] = None
+            self.heads[changed] = format_heads(
+                self.fmt, self.header, self.kinds,
+                [column[changed].tolist() for column in (self.x_cells, *solution)[: self.width]],
+                supported=(counts[changed] > 0).tolist(), nullable=_GRID_NULLABLE,
             )
-        else:
-            changed = np.flatnonzero(counts != self.counts)
-            self.counts = counts
-            if changed.size:
-                # Free the stale lines first, so that their memory takes the new ones.
-                self.heads[changed] = None
-                self.heads[changed] = format_heads(
-                    self.fmt, self.header, self.kinds,
-                    [column[changed].tolist() for column in cells],
-                    supported=(counts[changed] > 0).tolist(), nullable=_GRID_NULLABLE,
-                )
-            texts = join_lines(self.heads.tolist(), line_tail(self.fmt, suffix))
-        for text in texts:
-            out.write(text)
+        suffix = [] if n_seen is None else [("n_seen", n_seen)]
+        _emit(out, self.fmt, self.header, self.heads.tolist(), suffix, with_header)
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta, l1=args.l1)
     phis, ys = read_arrays(args.input)
-    solution = grid_solve(grid, phis, ys, config)
+    with _overflow_names(config.delta):
+        solution = grid_solve(grid, phis, ys, config)
     n_seen = phis.size if args.diagnostics else None
-    _GridTable(args, grid, keep=False).write(out, solution, n_seen, True)
+    _GridTable(args, grid).write(out, solution, n_seen, True)
     return 0
 
 
@@ -217,7 +217,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     if args.emit_every < 0:
         raise ValueError("--emit-every must be >= 0")
     engine = StreamingGrid(grid, config)
-    table = _GridTable(args, engine.xs, keep=args.emit_every > 0)
+    table = _GridTable(args, engine.xs)
     track_n = args.emit_every > 0 or args.diagnostics
 
     def emit(n_seen: int | None, with_header: bool) -> None:
@@ -230,61 +230,44 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
         table.write(out, solution, n_seen, with_header)
 
     first_block = True
-    for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
-        engine.extend(phis, ys)
-        if phis.size == args.emit_every:
-            emit(engine.n_seen, first_block)
-            first_block = False
+    with _overflow_names(config.delta):
+        for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
+            engine.extend(phis, ys)
+            if phis.size == args.emit_every:
+                emit(engine.n_seen, first_block)
+                first_block = False
     emit(engine.n_seen if track_n else None, first_block)
     return 0
-
-
-# The fields of a simulate query record, as QueryRecord.to_dict orders them,
-# with their column kinds.
-_QUERY_COLUMNS = (
-    ("x", "f"),
-    ("truth", "f"),
-    ("estimate", "f"),
-    ("abs_error", "f"),
-    ("bound_z", "f"),
-    ("bound_holds", "b"),
-    ("active_count", "d"),
-)
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    batch = run_experiment(spec)
-    deviation = max_relative_deviation(batch, stream_estimates(spec))
+    with _overflow_names(spec.config.delta):
+        batch = run_experiment(spec)
+        deviation = max_relative_deviation(batch, stream_estimates(spec))
     failures = []
     if deviation > MODE_AGREEMENT_RTOL:
         failures.append(
             f"batch and streaming estimates disagree (max relative deviation {deviation:g})"
         )
+    supported = batch.active_count > 0
     if batch.violation_count > 0:
-        worst = max(
-            (r for r in batch.records if r.bound_holds is False),
-            key=lambda r: r.abs_error - r.bound_z,
-        )
+        violated = np.flatnonzero(supported & ~batch.bound_holds)
+        worst = violated[np.argmax((batch.abs_error - batch.bound_z)[violated])]
+        x, err, bound = (getattr(batch, key)[worst].item() for key in ("x", "abs_error", "bound_z"))
         failures.append(
-            f"{batch.violation_count} error-bound violation(s), worst at x={worst.x!r}: "
-            f"abs_error={worst.abs_error!r} bound_z={worst.bound_z!r} "
-            f"excess={worst.abs_error - worst.bound_z!r}"
+            f"{batch.violation_count} error-bound violation(s), worst at x={x!r}: "
+            f"abs_error={err!r} bound_z={bound!r} excess={err - bound!r}"
         )
 
-    records = batch.records
-    _emit(
-        out,
-        args.format,
-        [key for key, _ in _QUERY_COLUMNS],
-        "".join(kind for _, kind in _QUERY_COLUMNS),
-        [[getattr(record, key) for record in records] for key, _ in _QUERY_COLUMNS],
-        supported=[record.estimate is not None for record in records],
-        nullable=("estimate", "abs_error", "bound_z", "bound_holds"),
-        prefix=[("type", "query")],
+    heads = format_heads(
+        args.format, QUERY_HEADER, QUERY_KINDS,
+        [getattr(batch, key).tolist() for key in QUERY_HEADER],
+        supported=supported.tolist(), nullable=QUERY_NULLABLE, prefix=[("type", "query")],
     )
+    _emit(out, args.format, QUERY_HEADER, heads)
     if args.format == "json":
         print(
             json_record(
@@ -374,7 +357,10 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         rows.append(
             [i, n, claimed, simplex.objective, signed.objective, simplex_dev, signed_excess, ok]
         )
-    _emit(out, args.format, header, "ddfffffb", list(zip(*rows)), prefix=[("type", "instance")])
+    heads = format_heads(
+        args.format, header, "ddfffffb", list(zip(*rows)), prefix=[("type", "instance")]
+    )
+    _emit(out, args.format, header, heads)
     if args.format == "json":
         print(
             json_record(

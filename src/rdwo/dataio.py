@@ -25,7 +25,6 @@ __all__ = [
     "format_float",
     "json_record",
     "csv_row",
-    "format_rows",
     "format_heads",
     "join_lines",
     "line_tail",
@@ -318,9 +317,8 @@ def csv_row(values: Sequence[object]) -> str:
     return ",".join(_csv_cell(v) for v in values)
 
 
-# Lines per text that format_rows and join_lines hand out, about 8 KiB of
-# them: a whole table as one string raised the peak memory of `stream` by
-# 0.25 MiB.
+# Lines per text that join_lines hands out, about 8 KiB of them: a whole
+# table as one string raised the peak memory of `stream` by 0.25 MiB.
 _EMIT_ROWS = 64
 
 # Cell templates by column kind: float, int, bool (fed as its text), and
@@ -393,27 +391,6 @@ def join_lines(heads, tail: str) -> Iterator[str]:
     ``_EMIT_ROWS`` lines."""
     for start in range(0, len(heads), _EMIT_ROWS):
         yield tail.join(heads[start : start + _EMIT_ROWS]) + tail
-
-
-def format_rows(
-    fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=(), suffix=()
-) -> Iterator[str]:
-    """The lines :func:`json_record` (``fmt`` ``"json"``) or :func:`csv_row`
-    (``"csv"``) give for a table, in texts of up to ``_EMIT_ROWS`` lines,
-    formatted a text at a time.
-
-    The cells are as :func:`format_heads` takes them; each line ends with
-    the ``suffix`` fields, which both formats print after the columns.
-    """
-    tail = line_tail(fmt, suffix)
-    for start in range(0, len(columns[0]) if columns else 0, _EMIT_ROWS):
-        stop = start + _EMIT_ROWS
-        heads = format_heads(
-            fmt, header, kinds, [column[start:stop] for column in columns],
-            supported=None if supported is None else supported[start:stop],
-            nullable=nullable, prefix=prefix,
-        )
-        yield tail.join(heads) + tail
 
 
 def _require_plain(text: str, what: str) -> None:

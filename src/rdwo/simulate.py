@@ -33,7 +33,9 @@ __all__ = [
     "PiecewiseLinear",
     "FunctionSpec",
     "ExperimentSpec",
-    "QueryRecord",
+    "QUERY_HEADER",
+    "QUERY_KINDS",
+    "QUERY_NULLABLE",
     "ExperimentReport",
     "lipschitz_scan",
     "run_experiment",
@@ -315,10 +317,12 @@ def _dataset_arrays(spec: ExperimentSpec):
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _error_check(est, truth, weights, ys, distances, noises, l1: float):
-    """Absolute error of ``est``, its computable bound, and whether the bound
-    holds, over the active samples, their nonnegative weights and their
-    distances ``|x - phi|`` from the query point ``x``.
+def _error_check(est, truth, smooth_sum, noise_sum, y_magnitude, noise_magnitude, count,
+                 l1: float):
+    """Absolute errors of the estimates ``est``, their computable bounds,
+    and whether each holds, from each query's weighted sums ``w . |x - phi|``,
+    ``w . noise``, ``w . |y|`` and ``w . |noise|`` over its ``count`` active
+    samples, with nonnegative weights ``w``.
 
     The bound is the sum of a deterministic smoothness term,
     ``l1 * sum(w * |x - phi|)``, and the realized weighted noise magnitude
@@ -331,64 +335,46 @@ def _error_check(est, truth, weights, ys, distances, noises, l1: float):
     normalisation, whose sum is within ``gamma_n`` of one and so moves the
     estimate by at most ``gamma_n * |truth|``.  Each term carries one more
     rounding (a weight's quotient, a gap's subtraction), hence ``n + 1``.
+    A query without support has nan sums, so its bound does not hold.
     """
-    err = abs(est - truth)
-    smooth = l1 * float(np.dot(weights, distances))
-    bound = smooth + abs(float(np.dot(weights, noises)))
-    magnitude = (
-        float(np.dot(weights, np.abs(ys)))
-        + smooth
-        + float(np.dot(weights, np.abs(noises)))
-        + abs(truth)
-    )
-    nu = (weights.size + 1) * _UNIT_ROUNDOFF
+    err = np.abs(est - truth)
+    smooth = l1 * smooth_sum
+    bound = smooth + np.abs(noise_sum)
+    magnitude = y_magnitude + smooth + noise_magnitude + np.abs(truth)
+    nu = (count + 1) * _UNIT_ROUNDOFF
     return err, bound, err <= bound + nu / (1.0 - nu) * magnitude
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """Outcome of one query point within an experiment run."""
-
-    x: float
-    truth: float
-    estimate: float | None
-    abs_error: float | None
-    bound_z: float | None
-    bound_holds: bool | None
-    active_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "truth": self.truth,
-            "estimate": self.estimate,
-            "abs_error": self.abs_error,
-            "bound_z": self.bound_z,
-            "bound_holds": self.bound_holds,
-            "active_count": self.active_count,
-        }
+# The query table of a run, in print order: the column names, one cell kind
+# per column (``f`` float, ``b`` bool, ``d`` int), and the columns a query
+# without support prints as null.
+QUERY_HEADER = ("x", "truth", "estimate", "abs_error", "bound_z", "bound_holds", "active_count")
+QUERY_KINDS = "fffffbd"
+QUERY_NULLABLE = ("estimate", "abs_error", "bound_z", "bound_holds")
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated outcome of one experiment run."""
+    """Outcome of one experiment run: one array per query column, named and
+    ordered as :data:`QUERY_HEADER`, then the aggregates.
 
-    records: tuple[QueryRecord, ...]
+    A query is supported when its ``active_count`` is positive; one without
+    support has nan in ``estimate``, ``abs_error`` and ``bound_z`` and False
+    in ``bound_holds``.
+    """
+
+    x: np.ndarray
+    truth: np.ndarray
+    estimate: np.ndarray
+    abs_error: np.ndarray
+    bound_z: np.ndarray
+    bound_holds: np.ndarray
+    active_count: np.ndarray
     supported_count: int
     no_support_count: int
     violation_count: int
     mean_abs_error: float | None
     max_abs_error: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "supported_count": self.supported_count,
-            "no_support_count": self.no_support_count,
-            "violation_count": self.violation_count,
-            "mean_abs_error": self.mean_abs_error,
-            "max_abs_error": self.max_abs_error,
-            "records": [r.to_dict() for r in self.records],
-        }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -400,57 +386,36 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     grid; its elementwise ufuncs give each point what a scalar call gives.
     """
     phis, truths, noises, ys = _dataset_arrays(spec)
-    grid = np.asarray(spec.query_grid)
-    grid_truths = np.asarray(spec.function(grid), dtype=float)
-
-    records = []
-    errors = []
-    violations = 0
-    windows = sorted_windows(grid, phis, spec.config.delta)
-    for x, truth_x, (positions, distances, support) in zip(
-        grid.tolist(), grid_truths.tolist(), windows
-    ):
-        if positions.size == 0:
-            records.append(
-                QueryRecord(
-                    x=x,
-                    truth=truth_x,
-                    estimate=None,
-                    abs_error=None,
-                    bound_z=None,
-                    bound_holds=None,
-                    active_count=0,
-                )
-            )
-            continue
-        weights = support / float(np.sum(support))
-        window_ys = ys[positions]
-        est = float(np.dot(weights, window_ys))
-        err, bound, holds = _error_check(
-            est, truth_x, weights, window_ys, distances, noises[positions], spec.config.l1
-        )
-        if not holds:
-            violations += 1
-        errors.append(err)
-        records.append(
-            QueryRecord(
-                x=x,
-                truth=truth_x,
-                estimate=est,
-                abs_error=err,
-                bound_z=bound,
-                bound_holds=holds,
-                active_count=positions.size,
-            )
-        )
-    supported = len(errors)
+    x = np.asarray(spec.query_grid)
+    truth = np.asarray(spec.function(x), dtype=float)
+    count = np.zeros(x.size, dtype=int)
+    # Per query: w . y (the estimate), w . |x - phi|, w . noise, w . |y| and
+    # w . |noise|; nan without support.
+    sums = np.full((5, x.size), np.nan)
+    windows = sorted_windows(x, phis, spec.config.delta)
+    for i, (positions, distances, support) in enumerate(windows):
+        if positions.size:
+            weights = support / float(np.sum(support))
+            window_ys, window_noises = ys[positions], noises[positions]
+            count[i] = positions.size
+            sums[:, i] = [
+                np.dot(weights, v)
+                for v in (window_ys, distances, window_noises,
+                          np.abs(window_ys), np.abs(window_noises))
+            ]
+    estimate = sums[0]
+    abs_error, bound_z, bound_holds = _error_check(
+        estimate, truth, *sums[1:], count, spec.config.l1
+    )
+    supported = count > 0
+    errors = abs_error[supported]
     return ExperimentReport(
-        records=tuple(records),
-        supported_count=supported,
-        no_support_count=len(records) - supported,
-        violation_count=violations,
-        mean_abs_error=float(np.mean(errors)) if errors else None,
-        max_abs_error=float(np.max(errors)) if errors else None,
+        x, truth, estimate, abs_error, bound_z, bound_holds, count,
+        supported_count=errors.size,
+        no_support_count=x.size - errors.size,
+        violation_count=int(np.count_nonzero(supported & ~bound_holds)),
+        mean_abs_error=float(np.mean(errors)) if errors.size else None,
+        max_abs_error=float(np.max(errors)) if errors.size else None,
     )
 
 
@@ -465,19 +430,17 @@ def stream_estimates(spec: ExperimentSpec) -> np.ndarray:
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:
     """Largest relative disagreement between a report's estimates and
-    ``estimates``, one per record, with None or nan where unsupported.
+    ``estimates``, one per query, with None or nan where unsupported.
 
     The support pattern must be the report's.
     """
-    if len(report.records) != len(estimates):
-        raise ValueError(f"{len(estimates)} estimates for {len(report.records)} queries")
-    worst = 0.0
-    for record, other in zip(report.records, estimates):
-        unsupported = other is None or math.isnan(other)
-        if (record.estimate is None) != unsupported:
-            raise ValueError(f"support differs from the report's at x={record.x!r}")
-        if unsupported:
-            continue
-        scale = max(abs(record.estimate), abs(other), 1e-300)
-        worst = max(worst, abs(record.estimate - other) / scale)
-    return worst
+    others = np.array(estimates, dtype=float)
+    if others.shape != report.estimate.shape:
+        raise ValueError(f"{len(estimates)} estimates for {report.estimate.size} queries")
+    supported = report.active_count > 0
+    differs = np.flatnonzero(supported == np.isnan(others))
+    if differs.size:
+        raise ValueError(f"support differs from the report's at x={report.x[differs[0]].item()!r}")
+    ours, theirs = report.estimate[supported], others[supported]
+    scale = np.maximum(np.maximum(np.abs(ours), np.abs(theirs)), 1e-300)
+    return float(np.max(np.abs(ours - theirs) / scale, initial=0.0))

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import errno
+import importlib.util
 import json
 import math
 import shlex
@@ -18,7 +19,13 @@ from rdwo import cli, dataio
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
 from rdwo.dataio import csv_row, json_record, read_arrays
-from rdwo.simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
+from rdwo.simulate import (
+    QUERY_HEADER,
+    load_spec,
+    max_relative_deviation,
+    run_experiment,
+    stream_estimates,
+)
 from rdwo.streaming import StreamingGrid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -380,8 +387,8 @@ class TestPinnedOutput:
         assert out == "".join(want)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_fit_formats_a_text_at_a_time(self, capsys, monkeypatch, data, fmt):
-        # fit keeps no line between texts: format_rows formats 64 at a time
+    def test_fit_formats_each_row_once(self, capsys, monkeypatch, data, fmt):
+        # fit's one table formats every row once, in one call
         sizes = []
         real = dataio.format_heads
 
@@ -394,7 +401,7 @@ class TestPinnedOutput:
         code, out, _ = run_cli(capsys, "fit", "--input", data, "--delta", "0.1",
                                "--grid=-3.5:3.5:150", "--format", fmt)
         assert code == 0 and out.count("\n") == 150 + (fmt == "csv")
-        assert sizes == [64, 64, 22]
+        assert sizes == [150]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_simulate(self, capsys, tmp_path, fmt):
@@ -416,7 +423,7 @@ class TestPinnedOutput:
         deviation = max_relative_deviation(report, stream_estimates(spec))
         assert deviation <= MODE_AGREEMENT_RTOL
         assert code == (1 if report.violation_count else 0)
-        records = [r.to_dict() for r in report.records]
+        records = query_records(report)
         assert any(r["estimate"] is None for r in records)
         if fmt == "json":
             lines = [json_record([("type", "query"), *r.items()]) for r in records]
@@ -694,6 +701,40 @@ class TestBadInput:
         assert code == 0
         assert "fit" in out and "verify" in out
 
+    # Margins reach delta, so their squares overflow at 1e200 and their sums
+    # at 1.7e308; numpy would warn and print inf or a wrong estimate.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", ["1e200", "1.7e308"])
+    @pytest.mark.parametrize("command", ["fit", "stream"])
+    def test_overflowing_delta(self, capsys, command, delta):
+        tiny = str(REPO / "demos" / "data" / "tiny.csv")
+        code, out, err = run_cli(
+            capsys, command, "--input", tiny, "--delta", delta, "--grid-list", "0"
+        )
+        assert_one_line_error(code, out, err)
+        assert err == f"error: the window arithmetic overflows at delta={float(delta)!r}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spec_delta(self, capsys, tmp_path):
+        # exit 2, not 1: batch and stream do not really disagree here
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**demo_spec(), "delta": 1.7e308}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == "error: the window arithmetic overflows at delta=1.7e+308\n"
+
+
+def query_records(report):
+    """A report's query rows as dicts keyed as QUERY_HEADER, with None in the
+    nullable cells of an unsupported query."""
+    rows = []
+    for row in zip(*(getattr(report, key).tolist() for key in QUERY_HEADER)):
+        record = dict(zip(QUERY_HEADER, row))
+        if record["active_count"] == 0:
+            record.update(estimate=None, abs_error=None, bound_z=None, bound_holds=None)
+        rows.append(record)
+    return rows
+
 
 class TestSimulate:
     def test_json_records_and_summary(self, capsys, sim_spec):
@@ -729,24 +770,43 @@ class TestSimulate:
         assert len(lines) == 10
         assert err.startswith("summary:")
 
+    @staticmethod
+    def with_violation(report, i, abs_error, bound_z):
+        """``report`` with query ``i``'s bound broken: its error and bound set."""
+        columns = {key: getattr(report, key).copy() for key in ("abs_error", "bound_z")}
+        columns["abs_error"][i], columns["bound_z"][i] = abs_error, bound_z
+        holds = report.bound_holds.copy()
+        holds[i] = False
+        return dataclasses.replace(report, **columns, bound_holds=holds, violation_count=1)
+
     def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch):
         report = run_experiment(load_spec(sim_spec))
-        bad = dataclasses.replace(
-            report.records[3], abs_error=report.records[3].bound_z + 0.25, bound_holds=False
-        )
-        records = report.records[:3] + (bad,) + report.records[4:]
-        stub = dataclasses.replace(report, records=records, violation_count=1)
+        bound = report.bound_z[3].item()
+        stub = self.with_violation(report, 3, bound + 0.25, bound)
         monkeypatch.setattr(cli, "run_experiment", lambda spec: stub)
         code, out, err = run_cli(capsys, "simulate", "--spec", sim_spec)
         assert code == 1
+        x, abs_error = stub.x[3].item(), stub.abs_error[3].item()
         assert err == (
-            f"verification failure: 1 error-bound violation(s), worst at x={bad.x!r}: "
-            f"abs_error={bad.abs_error!r} bound_z={bad.bound_z!r} "
-            f"excess={bad.abs_error - bad.bound_z!r}\n"
+            f"verification failure: 1 error-bound violation(s), worst at x={x!r}: "
+            f"abs_error={abs_error!r} bound_z={bound!r} "
+            f"excess={abs_error - bound!r}\n"
         )
         queries = [r for r in json_lines(out) if r["type"] == "query"]
-        assert queries == [{"type": "query", **r.to_dict()} for r in records]
+        assert queries == [{"type": "query", **r} for r in query_records(stub)]
         assert json_lines(out)[-1]["violation_count"] == 1
+
+    def test_violation_message_prints_plain_floats(self, capsys, sim_spec, monkeypatch):
+        # the numbers come from the report's arrays, and print as Python floats
+        stub = self.with_violation(run_experiment(load_spec(sim_spec)), 3, 1.5, 1.25)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: stub)
+        code, _, err = run_cli(capsys, "simulate", "--spec", sim_spec)
+        assert code == 1
+        assert err == (
+            "verification failure: 1 error-bound violation(s), worst at x=-0.625: "
+            "abs_error=1.5 bound_z=1.25 excess=0.25\n"
+        )
+        assert "np.float64" not in err
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "no.json"))
@@ -947,6 +1007,34 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--instances", "0")
         assert code == 2
         assert "instances" in err
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps names of rdwo.cli and methods of
+    StreamingGrid by attribute, and reads a few attributes of their results;
+    a rename would otherwise show only in a traced benchmark run."""
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_cli_names_are_bound(self, tracer):
+        assert [name for name in tracer.CLI_NAMES if not hasattr(cli, name)] == []
+
+    def test_grid_reads_are_methods(self, tracer):
+        assert all(callable(getattr(StreamingGrid, name, None)) for name in tracer.GRID_READS)
+        engine = StreamingGrid(np.array([0.0]), EstimatorConfig(delta=1.0))
+        assert (engine.n_active.size, engine.n_seen, engine.xs.size) == (1, 0, 1)
+
+    def test_run_experiment_count(self, tracer, sim_spec):
+        report = cli.run_experiment(load_spec(sim_spec))
+        count = tracer.CLI_NAMES["run_experiment"]((), {}, report)
+        assert count == report.supported_count == int(np.count_nonzero(report.active_count))
 
 
 class TestModuleEntryPoint:

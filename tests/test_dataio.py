@@ -13,7 +13,6 @@ from rdwo.dataio import (
     csv_row,
     format_float,
     format_heads,
-    format_rows,
     iter_blocks,
     iter_samples,
     join_lines,
@@ -443,6 +442,13 @@ EDGE_FLOATS = st.one_of(
 )
 
 
+def table_texts(fmt, header, kinds, columns, *, suffix=(), **rows):
+    """A table's texts as the command line writes them after any CSV header:
+    each row's head, then the tail of every line."""
+    heads = format_heads(fmt, header, kinds, columns, **rows)
+    return list(join_lines(heads, line_tail(fmt, suffix)))
+
+
 class TestFormatRows:
     """The row templates print exactly what json_record and csv_row print."""
 
@@ -478,7 +484,7 @@ class TestFormatRows:
                 for row in cells
             )
             got = "".join(
-                format_rows(
+                table_texts(
                     fmt, header, kinds, columns, supported=supported, nullable=nullable,
                     prefix=prefix,
                 )
@@ -501,26 +507,23 @@ class TestFormatRows:
                  if fmt == "json" else csv_row([x, n if ok else None, n_seen])) + "\n"
                 for x, n, ok in values
             ]
-            got = list(format_rows(fmt, header, "sd", [texts, ns], supported=oks,
-                                   nullable=nullable, suffix=[("n_seen", n_seen)]))
+            got = table_texts(fmt, header, "sd", [texts, ns], supported=oks,
+                              nullable=nullable, suffix=[("n_seen", n_seen)])
             assert "".join(got) == "".join(want)
             assert [text.count("\n") for text in got] == [
                 len(want[start : start + dataio._EMIT_ROWS])
                 for start in range(0, len(want), dataio._EMIT_ROWS)
             ]
-            heads = format_heads(fmt, header, "sd", [texts, ns], supported=oks,
-                                 nullable=nullable)
-            assert list(join_lines(heads, line_tail(fmt, [("n_seen", n_seen)]))) == got
 
     def test_all_supported_without_a_mask(self):
-        text = "".join(format_rows("json", ["n", "ok"], "db", [[1, 2], [True, False]]))
+        text = "".join(table_texts("json", ["n", "ok"], "db", [[1, 2], [True, False]]))
         assert text == '{"n": 1, "ok": true}\n{"n": 2, "ok": false}\n'
 
     def test_long_tables_come_in_texts_of_whole_lines(self):
         size = dataio._EMIT_ROWS
-        texts = list(format_rows("csv", ["n"], "d", [range(2 * size + 5)]))
+        texts = table_texts("csv", ["n"], "d", [range(2 * size + 5)])
         assert [text.count("\n") for text in texts] == [size, size, 5]
         assert "".join(texts) == "".join(f"{n}\n" for n in range(2 * size + 5))
 
     def test_percent_in_a_key_is_literal(self):
-        assert "".join(format_rows("json", ["a%d"], "d", [[7]])) == '{"a%d": 7}\n'
+        assert "".join(table_texts("json", ["a%d"], "d", [[7]])) == '{"a%d": 7}\n'

@@ -8,10 +8,10 @@ import pytest
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig, sorted_windows, window_margins
 from rdwo.simulate import (
+    QUERY_HEADER,
     Atan,
     ExperimentSpec,
     PiecewiseLinear,
-    QueryRecord,
     Sine,
     _dataset_arrays,
     _error_check,
@@ -155,15 +155,17 @@ class TestErrorBound:
         phis = rng.uniform(*spec.input_range, spec.n_samples).tolist()
         noises = rng.normal(0.0, spec.noise_sigma, spec.n_samples).tolist()
         report = run_experiment(spec)
-        for x, record in zip(spec.query_grid, report.records):
+        for x, count, bound_z in zip(
+            spec.query_grid, report.active_count.tolist(), report.bound_z.tolist()
+        ):
             margins = [spec.config.delta - abs(x - phi) for phi in phis]
             active = [k for k, m in enumerate(margins) if m > 0.0]
-            assert record.active_count == len(active) > 0
+            assert count == len(active) > 0
             total = math.fsum(margins[k] for k in active)
             smooth = math.fsum(margins[k] / total * abs(x - phis[k]) for k in active)
             noise = math.fsum(margins[k] / total * noises[k] for k in active)
             expected = spec.config.l1 * smooth + abs(noise)
-            assert math.isclose(record.bound_z, expected, rel_tol=1e-12)
+            assert math.isclose(bound_z, expected, rel_tol=1e-12)
 
 
 def edge_spec():
@@ -185,10 +187,9 @@ class TestRoundingAllowance:
     def test_error_equal_to_the_bound_holds(self):
         report = run_experiment(edge_spec())
         assert report.violation_count == 0
-        assert [r.bound_holds for r in report.records] == [True, True]
+        assert report.bound_holds.tolist() == [True, True]
         # the computed error does exceed the computed bound at x = 0.37
-        first = report.records[0]
-        assert first.active_count == 163 and first.abs_error > first.bound_z
+        assert report.active_count[0] == 163 and report.abs_error[0] > report.bound_z[0]
 
     def test_cli_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "edge.json"
@@ -206,38 +207,48 @@ class TestRoundingAllowance:
         weights = support / float(np.sum(support))
         est = float(np.dot(weights, ys[positions]))
         truth = float(spec.function(x))
-        args = (truth, weights, ys[positions], distances, noises[positions], 1.0)
+        args = (truth, *window_sums(weights, distances, ys[positions], noises[positions]),
+                positions.size, 1.0)
         err, bound, holds = _error_check(est, *args)
-        record = run_experiment(spec).records[0]
-        assert (err, bound, holds) == (record.abs_error, record.bound_z, True)
-        assert _error_check(est + 1e-9, *args)[2] is False
-        assert _error_check(est - 1e-9, *args)[2] is True
+        report = run_experiment(spec)
+        assert (err, bound, holds) == (report.abs_error[0], report.bound_z[0], True)
+        assert bool(_error_check(est + 1e-9, *args)[2]) is False
+        assert bool(_error_check(est - 1e-9, *args)[2]) is True
 
 
-def reference_records(spec):
-    """Per-query records from the single-query window helper over all
-    samples and a scalar target call per query point."""
+def window_sums(weights, distances, window_ys, window_noises):
+    """The weighted sums of one window that _error_check takes after the
+    estimate and the truth: w.|x - phi|, w.noise, w.|y| and w.|noise|."""
+    return (
+        float(np.dot(weights, distances)),
+        float(np.dot(weights, window_noises)),
+        float(np.dot(weights, np.abs(window_ys))),
+        float(np.dot(weights, np.abs(window_noises))),
+    )
+
+
+def reference_columns(spec):
+    """The query columns, keyed as QUERY_HEADER, from the single-query window
+    helper over all samples and a scalar target call per query point; nan
+    and False where a query has no support."""
     phis, _, noises, ys = _dataset_arrays(spec)
-    records = []
+    rows = []
     for x in spec.query_grid:
         truth = float(spec.function(x))
         positions, support = window_margins(x, phis, spec.config.delta)
         if positions.size == 0:
-            records.append(QueryRecord(x, truth, None, None, None, None, 0))
+            rows.append((x, truth, math.nan, math.nan, math.nan, False, 0))
             continue
         weights = support / float(np.sum(support))
         est = float(np.dot(weights, ys[positions]))
-        err, bound, holds = _error_check(
-            est,
-            truth,
-            weights,
-            ys[positions],
-            np.abs(x - phis[positions]),
-            noises[positions],
-            spec.config.l1,
+        sums = window_sums(
+            weights, np.abs(x - phis[positions]), ys[positions], noises[positions]
         )
-        records.append(QueryRecord(x, truth, est, err, bound, holds, positions.size))
-    return records
+        err, bound, holds = _error_check(
+            est, truth, *sums, positions.size, spec.config.l1
+        )
+        rows.append((x, truth, est, float(err), float(bound), bool(holds), positions.size))
+    return dict(zip(QUERY_HEADER, map(np.array, zip(*rows))))
 
 
 # Each grid holds points outside the input range (-1.5, 1.5) that still
@@ -274,9 +285,10 @@ def test_records_match_a_per_query_reference(function, grid):
         query_grid=grid,
     )
     report = run_experiment(spec)
-    reference = reference_records(spec)
-    assert report.records == tuple(reference)
-    supported = [r.estimate is not None for r in reference]
+    reference = reference_columns(spec)
+    for key in QUERY_HEADER:
+        assert np.array_equal(getattr(report, key), reference[key], equal_nan=True), key
+    supported = (reference["active_count"] > 0).tolist()
     outside = [abs(x) > 1.5 for x in grid]
     assert any(supported) and not all(supported)
     assert any(s and o for s, o in zip(supported, outside))
@@ -285,17 +297,19 @@ def test_records_match_a_per_query_reference(function, grid):
 class TestRunExperiment:
     def test_batch_report_shape(self):
         report = run_experiment(small_spec())
-        assert len(report.records) == 11
+        assert all(getattr(report, key).shape == (11,) for key in QUERY_HEADER)
         assert report.supported_count + report.no_support_count == 11
         assert report.violation_count == 0
-        for r in report.records:
-            if r.estimate is None:
-                assert r.abs_error is None and r.bound_z is None
-                assert r.active_count == 0
+        for estimate, truth, abs_error, bound_z, holds, count in zip(
+            *(getattr(report, key).tolist() for key in QUERY_HEADER[1:])
+        ):
+            if math.isnan(estimate):
+                assert math.isnan(abs_error) and math.isnan(bound_z)
+                assert count == 0
             else:
-                assert math.isclose(r.abs_error, abs(r.estimate - r.truth))
-                assert r.bound_holds
-                assert r.active_count > 0
+                assert math.isclose(abs_error, abs(estimate - truth))
+                assert holds
+                assert count > 0
 
     def test_modes_agree(self):
         spec = small_spec(n_samples=2000)
@@ -304,7 +318,7 @@ class TestRunExperiment:
     def test_unsupported_queries_reported(self):
         spec = small_spec(query_grid=(0.0, 50.0))
         report = run_experiment(spec)
-        assert report.records[1].estimate is None
+        assert math.isnan(report.estimate[1]) and report.active_count[1] == 0
         assert report.no_support_count == 1
 
     def test_noiseless_errors_capped_by_window(self):
@@ -313,15 +327,9 @@ class TestRunExperiment:
         cap = spec.config.l1 * spec.config.delta
         assert report.supported_count > 0
         assert report.max_abs_error <= cap
-        for r in report.records:
-            if r.bound_z is not None:
-                assert r.bound_z <= cap
-
-    def test_report_to_dict(self):
-        report = run_experiment(small_spec())
-        data = report.to_dict()
-        assert len(data["records"]) == len(report.records)
-        assert data["violation_count"] == 0
+        for bound_z in report.bound_z.tolist():
+            if not math.isnan(bound_z):
+                assert bound_z <= cap
 
     def test_error_shrinks_with_more_data(self):
         # Monte Carlo stand-in for the asymptotic accuracy claim: averaged
@@ -344,18 +352,18 @@ class TestRunExperiment:
 class TestMaxRelativeDeviation:
     def test_zero_for_identical_reports(self):
         report = run_experiment(small_spec())
-        assert max_relative_deviation(report, [r.estimate for r in report.records]) == 0.0
+        assert max_relative_deviation(report, report.estimate.tolist()) == 0.0
 
     def test_mismatched_grids_rejected(self):
         a = run_experiment(small_spec())
         b = run_experiment(small_spec(query_grid=(0.0,)))
-        with pytest.raises(ValueError):
-            max_relative_deviation(a, [r.estimate for r in b.records])
+        with pytest.raises(ValueError, match="^1 estimates for 11 queries$"):
+            max_relative_deviation(a, b.estimate.tolist())
 
     @pytest.mark.parametrize("unsupported", [None, math.nan])
     def test_unsupported_against_an_estimate_rejected(self, unsupported):
         report = run_experiment(small_spec())
-        estimates = [r.estimate for r in report.records]
+        estimates = report.estimate.tolist()
         estimates[3] = unsupported
         with pytest.raises(ValueError):
             max_relative_deviation(report, estimates)
@@ -363,7 +371,7 @@ class TestMaxRelativeDeviation:
     @pytest.mark.parametrize("unsupported", [None, math.nan])
     def test_unsupported_queries_skipped(self, unsupported):
         report = run_experiment(small_spec(query_grid=(0.0, 50.0)))
-        estimate = report.records[0].estimate
+        estimate = report.estimate[0].item()
         assert max_relative_deviation(report, [estimate, unsupported]) == 0.0
         with pytest.raises(ValueError):
             max_relative_deviation(report, [estimate, estimate])
@@ -371,3 +379,12 @@ class TestMaxRelativeDeviation:
         assert max_relative_deviation(report, [shifted, unsupported]) == pytest.approx(
             1e-9, rel=1e-6
         )
+
+    def test_support_message_prints_a_plain_float(self):
+        # the x of the report's column prints as a Python float, not np.float64(...)
+        report = run_experiment(small_spec(query_grid=(0.0, 50.0)))
+        estimate = report.estimate[0].item()
+        with pytest.raises(ValueError) as info:
+            max_relative_deviation(report, [estimate, estimate])
+        assert str(info.value) == "support differs from the report's at x=50.0"
+        assert "np.float64" not in str(info.value)
