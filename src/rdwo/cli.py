@@ -141,13 +141,14 @@ def _emit(out: TextIO, fmt: str, header, heads, suffix=(), with_header=True) -> 
 @contextlib.contextmanager
 def _overflow_names(delta: float):
     """Raise a float overflow in the window arithmetic as a one-line error
-    naming ``delta``, rather than printing inf or a wrong estimate: margins
-    reach ``delta``, so a large one overflows their sums and squares."""
+    naming its causes, a large ``delta`` (margins reach it) or large outputs
+    (``stream``'s ``y - estimate``), rather than printing inf or a wrong estimate."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError:
-        raise ValueError(f"the window arithmetic overflows at delta={delta!r}") from None
+        raise ValueError(f"the window arithmetic overflows at delta={delta!r}: "
+                         "delta or the outputs are too large") from None
 
 
 def _query_grid(args: argparse.Namespace) -> np.ndarray:

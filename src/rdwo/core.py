@@ -5,9 +5,9 @@ outputs of all samples whose regressor lies strictly inside the window
 ``(x - delta, x + delta)``.  The weight of an in-window sample is
 proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
-holds the estimator parameters and the closed form on arrays: the weights
-and objective of one query, and :func:`grid_solve` for many; see
-:mod:`rdwo.streaming` for the one-pass variant.
+holds the parameters and the closed form: the weights and objective of one
+query, and :func:`grid_solve` for many, each window a slice of the data in
+stable φ order; see :mod:`rdwo.streaming` for the one-pass variant.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "simplex_objective",
     "grid_solve",
     "window_margins",
-    "sorted_windows",
 ]
 
 
@@ -110,8 +109,8 @@ def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray
     """Positions and margins of the regressors strictly inside ``(x - delta, x + delta)``.
 
     The margin is ``delta - |x - phi|``; a sample is in the window exactly
-    when it is positive.  Positions ascend, so sums over the margins always
-    run in sample order.
+    when it is positive.  Positions ascend: over ascending regressors they
+    are the slice :func:`_sorted_windows` gives.
     """
     margins = _margins(np.abs(x - phis), delta)
     positions = np.flatnonzero(margins > 0.0)
@@ -160,39 +159,28 @@ def simplex_objective(
     return float(np.dot(w, margins)) / math.sqrt(float(np.dot(w, w)))
 
 
-def sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
-    """Yield ``(positions, distances, margins)`` of every query in ``xs``:
-    the positions and margins :func:`window_margins` over all of ``phis``
-    would give, and the distances ``|x - phi|`` the margins came from.
+def _sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
+    """Yield ``(a, b, distances, margins)`` of every query in ``xs`` over the
+    ascending regressors ``phis``: its window is the slice ``phis[a:b]``, with
+    distances ``|x - phi|`` and margins ``delta - |x - phi|``, all positive.
 
-    The regressors are sorted once.  Each query then scans only the slice
-    between the binary-search bounds ``fl(x - delta)`` and ``fl(x + delta)``,
-    put back in sample order, so it sees the same operands in the same
-    order as a scan of all samples.  The slice holds the whole window:
-    rounding is monotone, so a positive margin implies ``x - delta < phi <
-    x + delta`` exactly, and no double lies strictly between a real number
-    and its nearest double, so ``fl(x - delta) <= phi <= fl(x + delta)``.
-    Only rounding at the two ends can put a sample with a margin <= 0 in
-    the slice, so it is compressed only when one is there.
+    The slice between ``fl(x - delta)`` and ``fl(x + delta)`` holds the whole
+    window: rounding is monotone, so a positive margin implies ``x - delta <
+    phi < x + delta``, and no double lies strictly between a real number and
+    its nearest double.  The rounded margins over the slice rise and then
+    fall, so only its two ends can hold a margin <= 0; they are trimmed.
     """
-    order = np.argsort(phis)  # need not be stable: each slice is re-sorted by position
-    lo = np.searchsorted(phis, xs - delta, side="left", sorter=order)
-    hi = np.searchsorted(phis, xs + delta, side="right", sorter=order)
-    # Each slice is sorted as int32, twice as fast as int64; casting the
-    # slice, not the whole order, keeps a second copy of it out of memory.
-    # The sorted positions go back to intp at once: a gather through int32
-    # indices casts them again each time, and callers gather several times.
-    position_type = np.int32 if phis.size <= np.iinfo(np.int32).max else np.intp
+    lo = np.searchsorted(phis, xs - delta, side="left")
+    hi = np.searchsorted(phis, xs + delta, side="right")
     for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
-        positions = order[a:b].astype(position_type)
-        positions.sort()
-        positions = positions.astype(np.intp, copy=False)
-        distances = np.abs(x - phis[positions])
+        distances = np.abs(x - phis[a:b])
         margins = _margins(distances, delta)
-        inside = margins > 0.0
-        if not inside.all():
-            positions, distances, margins = positions[inside], distances[inside], margins[inside]
-        yield positions, distances, margins
+        if a < b and not (margins[0] > 0.0 and margins[-1] > 0.0):
+            inside = np.flatnonzero(margins > 0.0)
+            first, stop = (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
+            distances, margins = distances[first:stop], margins[first:stop]
+            a, b = a + first, a + stop
+        yield a, b, distances, margins
 
 
 def grid_solve(
@@ -214,15 +202,18 @@ def grid_solve(
     ys = np.asarray(ys, dtype=float)
     if phis.shape != ys.shape or phis.ndim != 1:
         raise ValueError("phis and ys must be aligned 1-D arrays")
+    # Sorted copies; the order is freed before phis is copied.
+    ys = ys[np.argsort(phis, kind="stable")]
+    phis = np.sort(phis)
     estimates = np.full(xs.size, np.nan)
     counts = np.zeros(xs.size, dtype=int)
     objectives = np.full(xs.size, np.nan)
     sums = np.zeros(xs.size)
-    for i, (positions, _, support) in enumerate(sorted_windows(xs, phis, config.delta)):
-        if positions.size:
+    for i, (a, b, _, support) in enumerate(_sorted_windows(xs, phis, config.delta)):
+        if b > a:
             total = float(np.sum(support))
-            estimates[i] = float(np.dot(support / total, ys[positions]))
-            counts[i] = positions.size
+            estimates[i] = float(np.dot(support / total, ys[a:b]))
+            counts[i] = b - a
             objectives[i] = math.sqrt(float(np.dot(support, support)))
             sums[i] = total
     return estimates, counts, objectives, sums

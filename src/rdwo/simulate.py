@@ -23,7 +23,7 @@ from .core import (
     _number,
     _numbers,
     _require_finite,
-    sorted_windows,
+    _sorted_windows,
 )
 from .streaming import StreamingGrid
 
@@ -308,9 +308,7 @@ def _dataset_arrays(spec: ExperimentSpec):
     lo, hi = spec.input_range
     phis = rng.uniform(lo, hi, spec.n_samples)
     noises = rng.normal(0.0, spec.noise_sigma, spec.n_samples)
-    truths = np.asarray(spec.function(phis), dtype=float)
-    ys = truths + noises
-    return phis, truths, noises, ys
+    return phis, noises, np.asarray(spec.function(phis), dtype=float) + noises
 
 
 # Unit roundoff of IEEE double precision.
@@ -329,7 +327,8 @@ def _error_check(est, truth, smooth_sum, noise_sum, y_magnitude, noise_magnitude
     ``|sum(w * noise)|``; it holds exactly for weights summing to one.  The
     check allows for the rounding of the arithmetic that produced ``est`` and
     the bound: an n-term dot product computed in floating point is within
-    ``gamma_n * sum(|w| * |v|)`` of the exact one, ``gamma_n = n*u/(1 - n*u)``
+    ``gamma_n * sum(|w| * |v|)`` of the exact one, ``gamma_n = n*u/(1 - n*u)``,
+    in any summation order, so also in the φ order of the batch windows
     (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1).
     That covers the estimate ``w . y``, both bound terms and the weights'
     normalisation, whose sum is within ``gamma_n`` of one and so moves the
@@ -385,24 +384,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     distances they came from.  The target is evaluated once on the whole
     grid; its elementwise ufuncs give each point what a scalar call gives.
     """
-    phis, truths, noises, ys = _dataset_arrays(spec)
+    phis, noises, ys = _dataset_arrays(spec)
+    # Each array is replaced by its sorted copy, one at a time.
+    order = np.argsort(phis, kind="stable")
+    phis = phis[order]
+    noises = noises[order]
+    ys = ys[order]
     x = np.asarray(spec.query_grid)
     truth = np.asarray(spec.function(x), dtype=float)
     count = np.zeros(x.size, dtype=int)
     # Per query: w . y (the estimate), w . |x - phi|, w . noise, w . |y| and
     # w . |noise|; nan without support.
     sums = np.full((5, x.size), np.nan)
-    windows = sorted_windows(x, phis, spec.config.delta)
-    for i, (positions, distances, support) in enumerate(windows):
-        if positions.size:
-            weights = support / float(np.sum(support))
-            window_ys, window_noises = ys[positions], noises[positions]
-            count[i] = positions.size
-            sums[:, i] = [
-                np.dot(weights, v)
-                for v in (window_ys, distances, window_noises,
-                          np.abs(window_ys), np.abs(window_noises))
-            ]
+    for i, (a, b, distances, support) in enumerate(_sorted_windows(x, phis, spec.config.delta)):
+        if b > a:
+            w = support / float(np.sum(support))
+            y, noise = ys[a:b], noises[a:b]
+            count[i] = b - a
+            sums[:, i] = [np.dot(w, v) for v in (y, distances, noise, np.abs(y), np.abs(noise))]
     estimate = sums[0]
     abs_error, bound_z, bound_holds = _error_check(
         estimate, truth, *sums[1:], count, spec.config.l1
@@ -422,7 +421,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 def stream_estimates(spec: ExperimentSpec) -> np.ndarray:
     """Estimates at the query grid from one streaming pass over the seeded
     dataset, nan where no sample was absorbed."""
-    phis, _, _, ys = _dataset_arrays(spec)
+    phis, _, ys = _dataset_arrays(spec)
     engine = StreamingGrid(np.asarray(spec.query_grid), spec.config)
     engine.extend(phis, ys)
     return engine.estimates()

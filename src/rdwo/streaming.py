@@ -113,7 +113,7 @@ class StreamingGrid:
         about ``_PAIR_BUDGET`` (sample, grid point) pairs each."""
         delta = self.config.delta
         # A positive margin means |x - phi| < delta exactly, so x lies between
-        # fl(phi - delta) and fl(phi + delta); see core.sorted_windows.
+        # fl(phi - delta) and fl(phi + delta); see core._sorted_windows.
         lo = np.searchsorted(self._sorted, phis - delta, side="left")
         hi = np.searchsorted(self._sorted, phis + delta, side="right")
         ends = (hi - lo).cumsum()

@@ -1,4 +1,5 @@
-"""Scalar references the tests compare the package against."""
+"""Scalar references the tests compare the package against, and the
+order the batch references scan in."""
 
 import math
 
@@ -37,3 +38,10 @@ def west(x, phis, ys, delta):
         positions.append(k)
         margins.append(m)
     return (estimate if positions else math.nan), s, q, positions, margins
+
+
+def in_phi_order(phis, *columns):
+    """``phis`` and each column reordered by a stable sort of ``phis``: the
+    order every batch window sums in."""
+    order = np.argsort(phis, kind="stable")
+    return [phis[order], *(column[order] for column in columns)]

@@ -712,7 +712,22 @@ class TestBadInput:
             capsys, command, "--input", tiny, "--delta", delta, "--grid-list", "0"
         )
         assert_one_line_error(code, out, err)
-        assert err == f"error: the window arithmetic overflows at delta={float(delta)!r}\n"
+        assert err == overflow_error(delta)
+
+    # West's y - estimate overflows here, though delta is small; fit's
+    # weighted sum does not.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outputs(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("k,phi,y\n1,0,1.7e308\n2,0.1,-1.7e308\n", encoding="utf-8")
+        argv = ("--input", str(path), "--delta", "1", "--grid-list", "0")
+        code, out, err = run_cli(capsys, "stream", *argv)
+        assert_one_line_error(code, out, err)
+        assert err == overflow_error("1.0")
+        assert run_cli(capsys, "fit", *argv) == (0, (
+            '{"x": 0, "estimate": 8.9473684210526254e+306, "active_count": 2, '
+            '"objective": 1.3453624047073711}\n'
+        ), "")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spec_delta(self, capsys, tmp_path):
@@ -721,7 +736,14 @@ class TestBadInput:
         path.write_text(json.dumps({**demo_spec(), "delta": 1.7e308}), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
         assert_one_line_error(code, out, err)
-        assert err == "error: the window arithmetic overflows at delta=1.7e+308\n"
+        assert err == overflow_error("1.7e308")
+
+
+def overflow_error(delta):
+    return (
+        f"error: the window arithmetic overflows at delta={float(delta)!r}: "
+        "delta or the outputs are too large\n"
+    )
 
 
 def query_records(report):

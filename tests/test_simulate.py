@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdwo.cli import main
-from rdwo.core import EstimatorConfig, sorted_windows, window_margins
+from rdwo.core import EstimatorConfig, _sorted_windows, window_margins
 from rdwo.simulate import (
     QUERY_HEADER,
     Atan,
@@ -21,6 +21,7 @@ from rdwo.simulate import (
     run_experiment,
     stream_estimates,
 )
+from reference import in_phi_order
 
 
 def small_spec(**overrides):
@@ -130,18 +131,18 @@ class TestGenerateDataset:
         b = _dataset_arrays(spec)
         for first, again in zip(a, b):
             np.testing.assert_array_equal(first, again)
-        phis, truths, noises, ys = a
+        phis, noises, ys = a
         lo, hi = spec.input_range
         for column in a:
             assert column.shape == (100,) and np.all(np.isfinite(column))
         assert np.all((lo <= phis) & (phis <= hi))
-        assert np.array_equal(ys, truths + noises)
+        assert np.array_equal(ys, spec.function(phis) + noises)
 
     def test_noiseless_dataset(self):
         spec = small_spec(noise_sigma=0.0, n_samples=50)
-        _, truths, noises, ys = _dataset_arrays(spec)
+        phis, noises, ys = _dataset_arrays(spec)
         assert np.all(noises == 0.0)
-        assert np.array_equal(ys, truths)
+        assert np.array_equal(ys, spec.function(phis))
 
 
 class TestErrorBound:
@@ -199,16 +200,15 @@ class TestRoundingAllowance:
 
     def test_a_real_bias_still_fails(self):
         spec = edge_spec()
-        phis, truths, noises, ys = _dataset_arrays(spec)
+        phis, noises, ys = in_phi_order(*_dataset_arrays(spec))
         x = spec.query_grid[0]
-        windows = sorted_windows(np.array([x]), phis, spec.config.delta)
-        positions, distances, support = next(iter(windows))
-        assert distances.tolist() == np.abs(x - phis[positions]).tolist()
+        windows = _sorted_windows(np.array([x]), phis, spec.config.delta)
+        a, b, distances, support = next(iter(windows))
+        assert distances.tolist() == np.abs(x - phis[a:b]).tolist()
         weights = support / float(np.sum(support))
-        est = float(np.dot(weights, ys[positions]))
+        est = float(np.dot(weights, ys[a:b]))
         truth = float(spec.function(x))
-        args = (truth, *window_sums(weights, distances, ys[positions], noises[positions]),
-                positions.size, 1.0)
+        args = (truth, *window_sums(weights, distances, ys[a:b], noises[a:b]), b - a, 1.0)
         err, bound, holds = _error_check(est, *args)
         report = run_experiment(spec)
         assert (err, bound, holds) == (report.abs_error[0], report.bound_z[0], True)
@@ -229,9 +229,9 @@ def window_sums(weights, distances, window_ys, window_noises):
 
 def reference_columns(spec):
     """The query columns, keyed as QUERY_HEADER, from the single-query window
-    helper over all samples and a scalar target call per query point; nan
-    and False where a query has no support."""
-    phis, _, noises, ys = _dataset_arrays(spec)
+    helper over all samples in stable φ order and a scalar target call per
+    query point; nan and False where a query has no support."""
+    phis, noises, ys = in_phi_order(*_dataset_arrays(spec))
     rows = []
     for x in spec.query_grid:
         truth = float(spec.function(x))

@@ -1,9 +1,11 @@
 """Differential tests of the sorted-window kernel against a full scan.
 
-``sorted_windows`` must hand every query the same operands, in the same
-order, as a scan of all samples, so every sum and dot product over a window
-is bit-identical: counts equal, and distances, estimates, objectives and
-support sums compared with ``==``, not a tolerance.
+The batch path sums every window in stable φ order: over the regressors
+sorted ascending, ties in sample order.  ``_sorted_windows`` must hand every
+query the same operands, in the same order, as a scan of all samples in
+that order, so every sum and dot product over a window is bit-identical:
+counts equal, and distances, estimates, objectives and support sums compared
+with ``==``, not a tolerance.
 """
 
 import json
@@ -15,7 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdwo.cli import main
-from rdwo.core import EstimatorConfig, grid_solve, sorted_windows, window_margins
+from rdwo.core import EstimatorConfig, _sorted_windows, grid_solve, window_margins
+from rdwo.simulate import ExperimentSpec, Sine, _dataset_arrays, run_experiment
+from reference import in_phi_order
 
 ULP = 2.0**-52
 
@@ -41,6 +45,13 @@ def full_scan(xs, phis, delta):
         yield np.flatnonzero(mask), distances[mask], margins[mask]
 
 
+def slices(xs, phis, delta):
+    """``_sorted_windows`` over the ascending ``phis``, each window's slice
+    ``a:b`` spelled as its positions."""
+    for a, b, distances, margins in _sorted_windows(np.asarray(xs, dtype=float), phis, delta):
+        yield np.arange(a, b), distances, margins
+
+
 def slice_sizes(xs, phis, delta):
     """Candidates per query between the binary-search bounds, before the
     samples with a margin <= 0 are dropped."""
@@ -54,15 +65,16 @@ def assert_matches_full_scan(xs, phis, ys, delta):
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    fast = list(sorted_windows(xs, phis, delta))
-    slow = list(full_scan(xs, phis, delta))
+    ordered, ordered_ys = in_phi_order(phis, ys)
+    fast = list(slices(xs, ordered, delta))
+    slow = list(full_scan(xs, ordered, delta))
     for (fp, fd, fm), (sp, sd, sm) in zip(fast, slow, strict=True):
         assert fp.tolist() == sp.tolist()
         assert fd.tolist() == sd.tolist()
         assert fm.tolist() == sm.tolist()
-    assert window_rows(fast, ys) == window_rows(slow, ys)
+    rows = window_rows(slow, ordered_ys)
+    assert window_rows(fast, ordered_ys) == rows
     estimates, counts, objectives, sums = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
-    rows = window_rows(slow, ys)
     assert counts.tolist() == [r[0] for r in rows]
     assert [None if math.isnan(e) else e for e in estimates.tolist()] == [r[1] for r in rows]
     assert [None if math.isnan(o) else o for o in objectives.tolist()] == [r[2] for r in rows]
@@ -109,32 +121,41 @@ def test_adversarial_inputs(xs, phis, delta):
     assert_matches_full_scan(xs, phis, np.resize(NOISE, phis.size), delta)
 
 
-def test_unsorted_regressors_keep_sample_order():
+def test_unsorted_regressors_sum_in_stable_phi_order():
+    # Each regressor three times, shuffled: the tied samples of a window
+    # are summed in sample order.
     phis = RNG.permutation(np.repeat(STEPS, 3))
-    positions, _, _ = next(sorted_windows(np.array([0.0]), phis, 0.25))
-    assert positions.tolist() == sorted(positions.tolist())
     assert_matches_full_scan(STEPS, phis, RNG.normal(size=phis.size), 0.25)
 
 
+def test_signed_zeros_are_ties():
+    # -0.0 == 0.0, so the zeros of either sign keep their sample order.
+    phis = np.random.default_rng(5).permutation(np.repeat([0.0, -0.0, 0.5, -0.5], 30))
+    assert_matches_full_scan([0.0, 0.25, -0.7], phis, NOISE[: phis.size], 0.75)
+
+
 def test_empty_data_has_no_support():
-    windows = list(sorted_windows(np.array([0.0, 1.0]), np.array([]), 1.0))
-    assert [p.size for p, _, _ in windows] == [0, 0]
+    windows = list(_sorted_windows(np.array([0.0, 1.0]), np.array([]), 1.0))
+    assert [b - a for a, b, _, _ in windows] == [0, 0]
+    assert grid_solve([0.0, 1.0], [], [], EstimatorConfig(delta=1.0))[1].tolist() == [0, 0]
 
 
 def test_single_query_helper_matches_driver():
-    positions, margins = window_margins(0.1, UNIFORM, 0.2)
-    (dp, dd, dm), = sorted_windows(np.array([0.1]), UNIFORM, 0.2)
-    assert positions.tolist() == dp.tolist() and margins.tolist() == dm.tolist()
-    assert dd.tolist() == np.abs(0.1 - UNIFORM[positions]).tolist()
+    ordered = np.sort(UNIFORM)
+    positions, margins = window_margins(0.1, ordered, 0.2)
+    (a, b, distances, slice_margins), = _sorted_windows(np.array([0.1]), ordered, 0.2)
+    assert positions.tolist() == list(range(a, b))
+    assert margins.tolist() == slice_margins.tolist()
+    assert distances.tolist() == np.abs(0.1 - ordered[a:b]).tolist()
 
 
 def test_all_inside_windows_match_full_scan():
     # No sample sits at a rounded window end, so every candidate is inside
-    # and each window is handed on without being compressed.
+    # and each window is handed on without being trimmed.
     xs = np.linspace(-0.9, 0.9, 19)
     sizes = slice_sizes(xs, UNIFORM, 0.15)
-    windows = list(sorted_windows(xs, UNIFORM, 0.15))
-    assert [p.size for p, _, _ in windows] == sizes and min(sizes) > 0
+    windows = list(_sorted_windows(xs, np.sort(UNIFORM), 0.15))
+    assert [b - a for a, b, _, _ in windows] == sizes and min(sizes) > 0
     assert_matches_full_scan(xs, UNIFORM, NOISE, 0.15)
 
 
@@ -149,10 +170,12 @@ def test_all_inside_windows_match_full_scan():
 )
 def test_windows_with_samples_on_their_ends_are_compressed(xs, phis, delta):
     # test_adversarial_inputs checks these windows against the full scan;
-    # here a sample with a margin <= 0 is in some slice and is dropped.
-    phis = np.asarray(phis, dtype=float)
-    windows = list(sorted_windows(np.asarray(xs, dtype=float), phis, delta))
-    assert any(p.size < size for (p, _, _), size in zip(windows, slice_sizes(xs, phis, delta)))
+    # here a sample with a margin <= 0 is at an end of some slice and is
+    # trimmed off.
+    phis = np.sort(np.asarray(phis, dtype=float))
+    windows = list(_sorted_windows(np.asarray(xs, dtype=float), phis, delta))
+    sizes = slice_sizes(xs, phis, delta)
+    assert any(b - a < size for (a, b, _, _), size in zip(windows, sizes))
 
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
@@ -171,16 +194,93 @@ def test_random_inputs(phis, xs, delta, offset):
     assert_matches_full_scan(xs, phis, ys, delta)
 
 
+def write_csv(path, phis, ys):
+    rows = (f"{k},{p!r},{y!r}" for k, (p, y) in enumerate(zip(phis.tolist(), ys.tolist()), 1))
+    path.write_text("k,phi,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def fit_output(capsys, path, xs, delta):
+    grid = ",".join(repr(x) for x in np.asarray(xs).tolist())
+    argv = ["fit", "--input", str(path), f"--delta={delta!r}", f"--grid-list={grid}"]
+    assert main([*argv, "--diagnostics"]) == 0
+    return capsys.readouterr().out
+
+
+def fit_rows(text):
+    rows = [json.loads(line) for line in text.splitlines()]
+    return [(r["active_count"], r["estimate"], r["objective"], r["support_sum"]) for r in rows]
+
+
 def test_fit_command_matches_full_scan(capsys, tmp_path):
     phis = np.concatenate([EDGE, 1e8 + UNIFORM[:100], np.full(5, 1e8 + 0.25)])
     ys = np.resize(NOISE, phis.size)
     path = tmp_path / "edge.csv"
-    rows = (f"{k},{p!r},{y!r}" for k, (p, y) in enumerate(zip(phis.tolist(), ys.tolist()), 1))
-    path.write_text("k,phi,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    write_csv(path, phis, ys)
     xs = EDGE[::2]
-    grid = ",".join(repr(x) for x in xs.tolist())
-    code = main(["fit", "--input", str(path), "--delta=0.05", f"--grid-list={grid}", "--diagnostics"])
-    assert code == 0
-    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    want = window_rows(full_scan(xs, phis, 0.05), ys)
-    assert [(r["active_count"], r["estimate"], r["objective"], r["support_sum"]) for r in got] == want
+    ordered, ordered_ys = in_phi_order(phis, ys)
+    want = window_rows(full_scan(xs, ordered, 0.05), ordered_ys)
+    assert fit_rows(fit_output(capsys, path, xs, 0.05)) == want
+
+
+def test_fit_output_ignores_row_order(capsys, tmp_path):
+    # Distinct regressors: every shuffle of the rows sums each window in
+    # the same φ order, so the output is byte-identical.
+    assert np.unique(UNIFORM).size == UNIFORM.size
+    rng = np.random.default_rng(3)
+    xs = np.linspace(-1.1, 1.1, 45)
+    outputs = []
+    for k in range(4):
+        order = rng.permutation(UNIFORM.size) if k else np.arange(UNIFORM.size)
+        path = tmp_path / f"rows{k}.csv"
+        write_csv(path, UNIFORM[order], NOISE[order])
+        outputs.append(fit_output(capsys, path, xs, 0.1))
+    assert outputs[0].count("\n") == xs.size
+    assert all(text == outputs[0] for text in outputs)
+
+
+def test_tied_regressors_keep_file_order(capsys, tmp_path):
+    # Each regressor four times, shuffled, with distinct outputs: the tied
+    # samples of a window are summed in file order, and reruns agree.
+    rng = np.random.default_rng(4)
+    phis = rng.permutation(np.repeat(STEPS, 4))
+    ys = rng.normal(size=phis.size) * 1e3
+    path = tmp_path / "ties.csv"
+    write_csv(path, phis, ys)
+    xs = STEPS[::3] + 0.01
+    first = fit_output(capsys, path, xs, 0.35)
+    assert fit_output(capsys, path, xs, 0.35) == first
+    ordered, ordered_ys = in_phi_order(phis, ys)
+    assert fit_rows(first) == window_rows(full_scan(xs, ordered, 0.35), ordered_ys)
+
+
+def test_grid_solve_leaves_its_inputs_untouched():
+    # Fresh arrays: a module-level one sorted in place by an earlier test
+    # would hide the fault.
+    rng = np.random.default_rng(8)
+    phis, ys = rng.uniform(-1.0, 1.0, 300), rng.normal(size=300)
+    kept = phis.copy(), ys.copy()
+    grid_solve(np.linspace(-1.0, 1.0, 21), phis, ys, EstimatorConfig(delta=0.2))
+    assert phis.tolist() == kept[0].tolist() and ys.tolist() == kept[1].tolist()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(tuple(np.linspace(-3.5, 3.5, 29)), id="ascending"),
+        pytest.param(tuple(np.linspace(3.5, -3.5, 29)), id="descending"),
+        pytest.param(tuple(RNG.permutation(np.linspace(-3.5, 3.5, 29))), id="unsorted"),
+    ],
+)
+def test_grid_solve_agrees_with_run_experiment(grid):
+    spec = ExperimentSpec(
+        function=Sine(), config=EstimatorConfig(delta=0.3), input_range=(-3.0, 3.0),
+        noise_sigma=0.2, n_samples=500, seed=11, query_grid=grid,
+    )
+    phis, _, ys = _dataset_arrays(spec)
+    kept = phis.copy(), ys.copy()
+    estimates, counts, _, _ = grid_solve(np.asarray(grid), phis, ys, spec.config)
+    assert phis.tolist() == kept[0].tolist() and ys.tolist() == kept[1].tolist()
+    report = run_experiment(spec)
+    assert counts.tolist() == report.active_count.tolist()
+    assert np.array_equal(estimates, report.estimate, equal_nan=True)
+    assert 0 < np.count_nonzero(counts) < counts.size
