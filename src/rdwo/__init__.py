@@ -6,18 +6,32 @@ weights maximize a worst-case accuracy objective over the simplex, have a
 closed form, and admit an exactly equivalent one-pass streaming update.
 Search-based oracles certify the closed form, and a simulation harness
 checks the computable error bound on seeded synthetic runs.
+
+The names of :mod:`rdwo.oracle` and :mod:`rdwo.simulate` load on first use,
+so that ``import rdwo`` compiles only what ``fit`` and ``stream`` run.
 """
+
+import importlib
 
 from .core import EstimatorConfig, grid_solve, query_weights, simplex_objective, window_margins
 # Imported here, ahead of cli.py.  Imported from cli, dataio is compiled
-# right after cli.py, and with no bytecode cache that raised the peak memory
-# of every command by 0.27 MiB.
+# right after cli.py, and with no bytecode cache that raised the benchmark's
+# peak memory by 0.36 MiB on stream-snapshots and 0.05 MiB on the others.
 from . import dataio  # noqa: F401
-from .oracle import maximize_signed, maximize_simplex, signed_objective
-from .simulate import load_spec, max_relative_deviation, run_experiment, stream_estimates
 from .streaming import StreamingGrid
 
 __version__ = "0.1.0"
+
+# Each name loaded on first use, with its module.
+_DEFERRED = {
+    "maximize_signed": "oracle",
+    "maximize_simplex": "oracle",
+    "signed_objective": "oracle",
+    "load_spec": "simulate",
+    "max_relative_deviation": "simulate",
+    "run_experiment": "simulate",
+    "stream_estimates": "simulate",
+}
 
 # What the README and the demos use; everything else is imported from its module.
 __all__ = [
@@ -26,12 +40,18 @@ __all__ = [
     "query_weights",
     "simplex_objective",
     "window_margins",
-    "maximize_signed",
-    "maximize_simplex",
-    "signed_objective",
-    "load_spec",
-    "max_relative_deviation",
-    "run_experiment",
-    "stream_estimates",
+    *_DEFERRED,
     "StreamingGrid",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED})

@@ -44,19 +44,31 @@ from .dataio import (  # noqa: F401
     read_arrays,
     read_samples,
 )
-from .oracle import maximize_signed, maximize_simplex, random_instance
-from .simulate import (
-    QUERY_HEADER,
-    QUERY_KINDS,
-    QUERY_NULLABLE,
-    load_spec,
-    max_relative_deviation,
-    run_experiment,
-    stream_estimates,
-)
 from .streaming import StreamingGrid
 
 __all__ = ["build_parser", "main"]
+
+# simulate.py loads on first use, so ``fit`` and ``stream`` never compile it.
+# perfbench/tracer.py wraps these three names by attribute on this module, so
+# they stay resolvable here, and ``cmd_simulate`` binds them on entry and
+# calls what is bound, not a local import.
+_SIMULATE_NAMES = ("load_spec", "max_relative_deviation", "run_experiment")
+
+
+def _bind_simulate() -> None:
+    """Bind ``_SIMULATE_NAMES`` here, keeping any name bound already."""
+    from . import simulate
+
+    for name in _SIMULATE_NAMES:
+        globals().setdefault(name, getattr(simulate, name))
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_simulate()
+    return globals()[name]
+
 
 # Largest tolerated relative disagreement between execution modes, and the
 # certification tolerance for oracle-vs-closed-form objectives.
@@ -242,6 +254,9 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
+    from .simulate import QUERY_HEADER, QUERY_KINDS, QUERY_NULLABLE, stream_estimates
+
+    _bind_simulate()
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -317,6 +332,8 @@ def _perturbed_objective(x, phis, config):
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from .oracle import maximize_signed, maximize_simplex, random_instance
+
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
     if args.seed < 0:

