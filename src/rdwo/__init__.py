@@ -30,7 +30,6 @@ _DEFERRED = {
     "load_spec": "simulate",
     "max_relative_deviation": "simulate",
     "run_experiment": "simulate",
-    "stream_estimates": "simulate",
 }
 
 # What the README and the demos use; everything else is imported from its module.

@@ -254,7 +254,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
-    from .simulate import QUERY_HEADER, QUERY_KINDS, QUERY_NULLABLE, stream_estimates
+    from .simulate import QUERY_HEADER, QUERY_KINDS, QUERY_NULLABLE
 
     _bind_simulate()
     spec = load_spec(args.spec)
@@ -262,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     with _overflow_names(spec.config.delta):
         batch = run_experiment(spec)
-        deviation = max_relative_deviation(batch, stream_estimates(spec))
+        deviation = max_relative_deviation(batch, batch.stream_estimate)
     failures = []
     if deviation > MODE_AGREEMENT_RTOL:
         failures.append(

@@ -3,15 +3,29 @@
 A run draws regressors uniformly on an input range, evaluates a known
 Lipschitz target function, adds Gaussian noise, estimates at a grid of query
 points, and checks the realized error of every supported query against its
-computed bound.  One streaming pass over the same seeded data,
-:func:`stream_estimates`, must agree with the batch estimates to tight
-tolerance, as :func:`max_relative_deviation` measures.
+computed bound.  The same run also answers every query in one streaming pass
+over the same seeded data, in stream order; the report keeps those estimates
+as its ``stream_estimate`` column, and :func:`max_relative_deviation`
+measures how far they are from the batch estimates.
+
+Each query's answer depends only on the samples in its own window, so on a
+wide grid, with a second CPU free, :func:`run_experiment` answers the two
+halves of the query grid in two processes (see :func:`_forks`): the parent
+the lower half by index, a forked child the upper half.  Each process draws
+the seeded data itself, streams it, then sorts it for the batch windows,
+and the child returns its columns through a shared anonymous map.  Every
+output bit is the one a single process gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +53,6 @@ __all__ = [
     "ExperimentReport",
     "lipschitz_scan",
     "run_experiment",
-    "stream_estimates",
     "max_relative_deviation",
     "load_spec",
 ]
@@ -355,11 +368,12 @@ QUERY_NULLABLE = ("estimate", "abs_error", "bound_z", "bound_holds")
 @dataclass(frozen=True)
 class ExperimentReport:
     """Outcome of one experiment run: one array per query column, named and
-    ordered as :data:`QUERY_HEADER`, then the aggregates.
+    ordered as :data:`QUERY_HEADER`, then ``stream_estimate``, the estimates
+    of the streaming pass, which no table prints, then the aggregates.
 
     A query is supported when its ``active_count`` is positive; one without
-    support has nan in ``estimate``, ``abs_error`` and ``bound_z`` and False
-    in ``bound_holds``.
+    support has nan in ``estimate``, ``abs_error``, ``bound_z`` and
+    ``stream_estimate`` and False in ``bound_holds``.
     """
 
     x: np.ndarray
@@ -369,6 +383,7 @@ class ExperimentReport:
     bound_z: np.ndarray
     bound_holds: np.ndarray
     active_count: np.ndarray
+    stream_estimate: np.ndarray
     supported_count: int
     no_support_count: int
     violation_count: int
@@ -381,50 +396,157 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     Every query is answered from the closed-form weights over the full
     dataset, and its error bound is evaluated from the same weights and the
-    distances they came from.  The target is evaluated once on the whole
-    grid; its elementwise ufuncs give each point what a scalar call gives.
+    distances they came from; one streaming pass over the same data answers
+    it again.  The target is evaluated once on the whole grid; its
+    elementwise ufuncs give each point what a scalar call gives.
+
+    An error of the streaming pass is raised only after the batch answer and
+    its error check are complete, so an error of those wins, on one process
+    or two.
     """
-    phis, noises, ys = _dataset_arrays(spec)
-    # Each array is replaced by its sorted copy, one at a time.
-    order = np.argsort(phis, kind="stable")
-    phis = phis[order]
-    noises = noises[order]
-    ys = ys[order]
     x = np.asarray(spec.query_grid)
     truth = np.asarray(spec.function(x), dtype=float)
-    count = np.zeros(x.size, dtype=int)
-    # Per query: w . y (the estimate), w . |x - phi|, w . noise, w . |y| and
-    # w . |noise|; nan without support.
-    sums = np.full((5, x.size), np.nan)
-    for i, (a, b, distances, support) in enumerate(_sorted_windows(x, phis, spec.config.delta)):
-        if b > a:
-            w = support / float(np.sum(support))
-            y, noise = ys[a:b], noises[a:b]
-            count[i] = b - a
-            sums[:, i] = [np.dot(w, v) for v in (y, distances, noise, np.abs(y), np.abs(noise))]
-    estimate = sums[0]
+    table = np.empty((_ROWS, x.size))
+    failure = _answer_grid(spec, x, table)
+    count = table[0].astype(int)
+    estimate = table[1]
     abs_error, bound_z, bound_holds = _error_check(
-        estimate, truth, *sums[1:], count, spec.config.l1
+        estimate, truth, *table[2:6], count, spec.config.l1
     )
     supported = count > 0
     errors = abs_error[supported]
-    return ExperimentReport(
-        x, truth, estimate, abs_error, bound_z, bound_holds, count,
+    report = ExperimentReport(
+        x, truth, estimate, abs_error, bound_z, bound_holds, count, table[6],
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
         mean_abs_error=float(np.mean(errors)) if errors.size else None,
         max_abs_error=float(np.max(errors)) if errors.size else None,
     )
+    if failure is not None:
+        raise failure
+    return report
 
 
-def stream_estimates(spec: ExperimentSpec) -> np.ndarray:
-    """Estimates at the query grid from one streaming pass over the seeded
-    dataset, nan where no sample was absorbed."""
-    phis, _, ys = _dataset_arrays(spec)
-    engine = StreamingGrid(np.asarray(spec.query_grid), spec.config)
-    engine.extend(phis, ys)
-    return engine.estimates()
+# The rows of a run's answer table, one column per query: the active count,
+# the window sums w . y (the batch estimate), w . |x - phi|, w . noise,
+# w . |y| and w . |noise|, nan without support, and the streaming estimate.
+_ROWS = 7
+
+
+def _answer(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
+    """Fill ``table``, ``_ROWS`` by ``x.size``, with the answers at the query
+    points ``x``; return the error the streaming pass raised, or None.
+
+    The streaming pass reads the data in stream order.  Each array is then
+    replaced by its φ-sorted copy, one at a time, for the batch windows.
+    """
+    phis, noises, ys = _dataset_arrays(spec)
+    engine = StreamingGrid(x, spec.config)
+    failure = None
+    try:
+        engine.extend(phis, ys)
+    except (ValueError, FloatingPointError) as exc:
+        # Kept without its frames, which hold the stream-order arrays.
+        failure = exc.with_traceback(None)
+    table[6] = engine.estimates()
+    order = np.argsort(phis, kind="stable")
+    phis = phis[order]
+    noises = noises[order]
+    ys = ys[order]
+    table[0] = 0
+    table[1:6] = np.nan
+    for i, (a, b, distances, support) in enumerate(_sorted_windows(x, phis, spec.config.delta)):
+        if b > a:
+            w = support / float(np.sum(support))
+            y, noise = ys[a:b], noises[a:b]
+            table[0, i] = b - a
+            table[1:6, i] = [np.dot(w, v) for v in (y, distances, noise, np.abs(y), np.abs(noise))]
+    return failure
+
+
+# The least query points worth a split, and the most samples a window is
+# expected to hold, as OpenBLAS sums a longer np.dot on several threads.
+# Measured on a 2-vCPU x86-64 VM (see ROADMAP.md, dead ends): narrower grids
+# ran up to 2.2 times slower in two processes than in one, and windows of
+# about 16,700 samples 3 to 6 times slower.
+_SPLIT_MIN_QUERIES = 512
+_SPLIT_MAX_WINDOW = 10_000
+
+
+def _forks(spec: ExperimentSpec) -> bool:
+    """Whether to answer the upper half of the query grid in a child process.
+
+    Only with a second CPU to run it on, and with no other thread, whose
+    locks a fork could copy held.  Each half still makes the streaming
+    pass's full count of West calls, one per diagonal, so the split pays
+    only on grids wide enough for the work per point within a call to
+    dominate.  And only while no window is expected to hold more samples
+    than OpenBLAS sums on one thread.
+    """
+    lo, hi = spec.input_range
+    window = spec.n_samples * min(1.0, 2.0 * spec.config.delta / (hi - lo))
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        len(spec.query_grid) >= _SPLIT_MIN_QUERIES
+        and window <= _SPLIT_MAX_WINDOW
+        and affinity is not None
+        and len(affinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _answer_grid(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
+    """:func:`_answer` over the whole grid, its upper half in a forked child
+    where :func:`_forks` allows; the same bits either way.
+
+    The child writes its columns into an anonymous map shared with the
+    parent and reports by exit status alone.  If it fails, the parent
+    answers the upper half itself, so its error is raised as in one process.
+    If the parent's half raises, the child is killed and reaped first.
+    """
+    if not _forks(spec):
+        return _answer(spec, x, table)
+    cut = x.size // 2
+    upper = table[:, cut:]
+    shared = mmap.mmap(-1, upper.nbytes)
+    try:
+        pid = os.fork()
+    except OSError:
+        # No process to spare: the whole grid runs here.
+        return _answer(spec, x, table)
+    if pid == 0:
+        # The child never returns into the caller's stack: every way out of
+        # this block ends in os._exit, which also skips the buffers and exit
+        # handlers it shares with the parent.  A warning raises, so that only
+        # the parent writes to stderr.
+        code = 1
+        try:
+            warnings.simplefilter("error")
+            child = np.frombuffer(shared).reshape(upper.shape)
+            if _answer(spec, x[cut:], child) is None:
+                code = 0
+        finally:
+            os._exit(code)
+    try:
+        failure = _answer(spec, x[:cut], table[:, :cut])
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status == 0:
+        upper[...] = np.frombuffer(shared).reshape(upper.shape)
+        return failure
+    upper_failure = _answer(spec, x[cut:], upper)
+    # An overflow in either half comes before the first non-finite sample,
+    # which both halves read, so the whole grid's pass raises the overflow.
+    if failure is None or (
+        isinstance(upper_failure, FloatingPointError)
+        and not isinstance(failure, FloatingPointError)
+    ):
+        return upper_failure
+    return failure
 
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:

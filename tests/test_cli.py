@@ -4,9 +4,11 @@ import errno
 import importlib.util
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rdwo
-from rdwo import cli, dataio
+from rdwo import cli, dataio, simulate
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
 from rdwo.dataio import csv_row, json_record, read_arrays
@@ -24,7 +26,6 @@ from rdwo.simulate import (
     load_spec,
     max_relative_deviation,
     run_experiment,
-    stream_estimates,
 )
 from rdwo.streaming import StreamingGrid
 
@@ -65,6 +66,19 @@ def sim_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def split_grids(monkeypatch):
+    """A second CPU in this process's affinity, and a split of any grid of
+    two or more points, so simulate forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFit:
@@ -420,7 +434,7 @@ class TestPinnedOutput:
         code, out, _ = run_cli(capsys, "simulate", "--spec", str(path), "--format", fmt)
         spec = load_spec(path)
         report = run_experiment(spec)
-        deviation = max_relative_deviation(report, stream_estimates(spec))
+        deviation = max_relative_deviation(report, report.stream_estimate)
         assert deviation <= MODE_AGREEMENT_RTOL
         assert code == (1 if report.violation_count else 0)
         records = query_records(report)
@@ -730,13 +744,14 @@ class TestBadInput:
         ), "")
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_spec_delta(self, capsys, tmp_path):
+    def test_overflowing_spec_delta(self, capsys, tmp_path, split_grids):
         # exit 2, not 1: batch and stream do not really disagree here
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**demo_spec(), "delta": 1.7e308}), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
         assert_one_line_error(code, out, err)
         assert err == overflow_error("1.7e308")
+        assert_no_child()
 
 
 def overflow_error(delta):
@@ -759,9 +774,10 @@ def query_records(report):
 
 
 class TestSimulate:
-    def test_json_records_and_summary(self, capsys, sim_spec):
+    def test_json_records_and_summary(self, capsys, sim_spec, split_grids):
         code, out, err = run_cli(capsys, "simulate", "--spec", sim_spec)
         assert code == 0 and err == ""
+        assert_no_child()
         records = json_lines(out)
         queries = [r for r in records if r["type"] == "query"]
         summaries = [r for r in records if r["type"] == "summary"]
@@ -801,7 +817,7 @@ class TestSimulate:
         holds[i] = False
         return dataclasses.replace(report, **columns, bound_holds=holds, violation_count=1)
 
-    def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch):
+    def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch, split_grids):
         report = run_experiment(load_spec(sim_spec))
         bound = report.bound_z[3].item()
         stub = self.with_violation(report, 3, bound + 0.25, bound)
@@ -817,6 +833,7 @@ class TestSimulate:
         queries = [r for r in json_lines(out) if r["type"] == "query"]
         assert queries == [{"type": "query", **r} for r in query_records(stub)]
         assert json_lines(out)[-1]["violation_count"] == 1
+        assert_no_child()
 
     def test_violation_message_prints_plain_floats(self, capsys, sim_spec, monkeypatch):
         # the numbers come from the report's arrays, and print as Python floats
@@ -829,6 +846,44 @@ class TestSimulate:
             "abs_error=1.5 bound_z=1.25 excess=0.25\n"
         )
         assert "np.float64" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failing_child_changes_no_output(self, capsys, sim_spec, monkeypatch, split_grids,
+                                               fmt):
+        # the parent answers the child's half itself, so nothing printed moves
+        want = run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt)
+        parent = os.getpid()
+        real = simulate._sorted_windows
+
+        def fails_in_the_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_child)
+        assert run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt) == want
+        assert_no_child()
+
+    def test_batch_warnings_come_before_a_streaming_error(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # Noise this large draws inf outputs: the batch sums warn, then the
+        # streaming pass rejects the sample, on one process or two.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**demo_spec(), "noise_sigma": 1e308}), encoding="utf-8")
+        monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_cli(capsys, "simulate", "--spec", str(path))
+            runs.append((result, [(w.category, str(w.message)) for w in caught]))
+        assert runs[0] == runs[1]
+        (code, out, err), caught = runs[0]
+        assert (code, out, err) == (2, "", "error: y must be finite, got inf\n")
+        assert (RuntimeWarning, "invalid value encountered in dot") in caught
+        assert_no_child()
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "no.json"))

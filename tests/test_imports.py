@@ -86,7 +86,7 @@ print(len(names))
 """
     result = python("-c", script)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) == 13
+    assert int(result.stdout) == 12
 
 
 def test_star_import_is_warning_free():

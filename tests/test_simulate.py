@@ -1,15 +1,21 @@
 import dataclasses
 import json
 import math
+import os
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rdwo import simulate
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig, _sorted_windows, window_margins
 from rdwo.simulate import (
     QUERY_HEADER,
     Atan,
+    ExperimentReport,
     ExperimentSpec,
     PiecewiseLinear,
     Sine,
@@ -19,9 +25,11 @@ from rdwo.simulate import (
     load_spec,
     max_relative_deviation,
     run_experiment,
-    stream_estimates,
 )
+from rdwo.streaming import StreamingGrid
 from reference import in_phi_order
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_spec(**overrides):
@@ -313,7 +321,8 @@ class TestRunExperiment:
 
     def test_modes_agree(self):
         spec = small_spec(n_samples=2000)
-        assert max_relative_deviation(run_experiment(spec), stream_estimates(spec)) <= 1e-10
+        report = run_experiment(spec)
+        assert max_relative_deviation(report, report.stream_estimate) <= 1e-10
 
     def test_unsupported_queries_reported(self):
         spec = small_spec(query_grid=(0.0, 50.0))
@@ -347,6 +356,175 @@ class TestRunExperiment:
                 if report.mean_abs_error is not None:
                     sink.append(report.mean_abs_error)
         assert np.mean(large_means) < np.mean(small_means)
+
+
+def demo_spec():
+    return load_spec(REPO / "demos" / "data" / "sine_experiment.json")
+
+
+# Grids the two halves split unevenly, out of order, with repeated points,
+# or with queries without support in both halves; one query never forks.
+SPLIT_SPECS = {
+    "demo": demo_spec,
+    "odd": lambda: small_spec(query_grid=tuple(np.linspace(-3.2, 3.2, 13))),
+    "unsorted-duplicates": lambda: small_spec(
+        query_grid=(2.0, -1.0, 0.5, 2.0, -1.0, 0.0, 0.5, -2.2, 2.0)
+    ),
+    "one": lambda: small_spec(query_grid=(0.25,)),
+    "no-support": lambda: small_spec(query_grid=(50.0, 0.0, -1.0, 1.0, -50.0, 9.0)),
+}
+
+
+def run_counting_forks(spec, cpus=(0, 1), min_queries=2):
+    """``run_experiment(spec)`` with ``cpus`` as this process's CPU
+    affinity, or no affinity call if None, and grids of ``min_queries``
+    points or more split; the report, the forks it made and the exit
+    statuses of the children it reaped."""
+    forks, statuses = [], []
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cpus is None:
+            mp.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        mp.setattr(os, "fork", fork)
+        mp.setattr(os, "waitpid", waitpid)
+        mp.setattr(simulate, "_SPLIT_MIN_QUERIES", min_queries)
+        return run_experiment(spec), len(forks), statuses
+
+
+def assert_same_report(got, want):
+    for field in dataclasses.fields(ExperimentReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcesses:
+    @pytest.mark.parametrize("make_spec", SPLIT_SPECS.values(), ids=SPLIT_SPECS)
+    def test_same_report_as_one_process(self, make_spec):
+        spec = make_spec()
+        split, forks, statuses = run_counting_forks(spec)
+        assert (forks, statuses) == ((1, [0]) if len(spec.query_grid) > 1 else (0, []))
+        alone, forks, _ = run_counting_forks(spec, cpus=(0,))
+        assert forks == 0
+        assert_same_report(split, alone)
+        assert_no_child()
+
+    @pytest.mark.parametrize("make_spec", SPLIT_SPECS.values(), ids=SPLIT_SPECS)
+    def test_stream_estimate_is_one_serial_pass(self, make_spec):
+        spec = make_spec()
+        report = run_counting_forks(spec)[0]
+        phis, _, ys = _dataset_arrays(spec)
+        engine = StreamingGrid(np.asarray(spec.query_grid), spec.config)
+        engine.extend(phis, ys)
+        serial = engine.estimates()
+        supported = report.active_count > 0
+        assert np.array_equal(np.isnan(report.stream_estimate), ~supported)
+        assert (report.stream_estimate[supported] == serial[supported]).all()
+        assert max_relative_deviation(report, report.stream_estimate) <= 1e-10
+
+    # A warning fails the child too, so that only the parent writes to stderr.
+    @pytest.mark.parametrize("fault", [MemoryError, RuntimeWarning])
+    def test_a_failing_child_is_answered_by_the_parent(self, monkeypatch, fault):
+        spec = demo_spec()
+        want = run_counting_forks(spec, cpus=(0,))[0]
+        parent = os.getpid()
+        real = simulate._sorted_windows
+
+        def fails_in_the_child(*args):
+            if os.getpid() != parent:
+                if fault is MemoryError:
+                    raise MemoryError
+                warnings.warn("in the child", fault)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_child)
+        got, forks, statuses = run_counting_forks(spec)
+        assert forks == 1 and len(statuses) == 1 and statuses[0] != 0
+        assert_same_report(got, want)
+        assert_no_child()
+
+    def test_an_error_of_the_parent_reaps_the_child(self, monkeypatch):
+        parent = os.getpid()
+        real = simulate._sorted_windows
+
+        def fails_in_the_parent(*args):
+            if os.getpid() == parent:
+                raise ValueError("the parent's half failed")
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_parent)
+        with pytest.raises(ValueError, match="^the parent's half failed$"):
+            run_counting_forks(demo_spec())
+        assert_no_child()
+
+    def test_a_failed_fork_runs_in_process(self, monkeypatch):
+        spec = demo_spec()
+        want = run_counting_forks(spec, cpus=(0,))[0]
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            mp.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
+            assert_same_report(run_experiment(spec), want)
+
+    @pytest.mark.parametrize("cpus", [(0,), None], ids=["one-cpu", "no-affinity-call"])
+    def test_runs_in_process_without_a_second_cpu(self, cpus):
+        spec = demo_spec()
+        report, forks, _ = run_counting_forks(spec, cpus=cpus)
+        assert forks == 0
+        assert_same_report(report, run_counting_forks(spec)[0])
+
+    def test_runs_in_process_beside_another_thread(self):
+        spec = demo_spec()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            report, forks, _ = run_counting_forks(spec)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == 0
+        assert_same_report(report, run_counting_forks(spec)[0])
+
+    def test_splits_only_grids_of_the_minimum_width(self):
+        least = simulate._SPLIT_MIN_QUERIES
+        for count, want in [(least - 1, 0), (least, 1)]:
+            spec = small_spec(n_samples=300, query_grid=tuple(np.linspace(-3.0, 3.0, count)))
+            report, forks, _ = run_counting_forks(spec, min_queries=least)
+            assert forks == want, count
+            assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
+
+    def test_splits_only_windows_blas_sums_on_one_thread(self):
+        # delta 0.5 on a range of width 6: a window expects n / 6 samples
+        for n, want in [(6 * simulate._SPLIT_MAX_WINDOW, 1), (6 * simulate._SPLIT_MAX_WINDOW + 6, 0)]:
+            spec = small_spec(n_samples=n, query_grid=(-1.0, 1.0, 0.0))
+            report, forks, _ = run_counting_forks(spec)
+            assert forks == want, n
+            assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
 
 
 class TestMaxRelativeDeviation:
