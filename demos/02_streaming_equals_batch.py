@@ -1,7 +1,7 @@
 """Show that the one-pass streaming update reproduces the batch solution.
 
-Absorbing a new in-window sample rescales all earlier weights by a common
-factor, so a running weighted mean plus the running margin sum is a complete
+The estimate is a ratio of two window sums, so running sums of the margins
+and of margin times output, updated as each sample arrives, are a complete
 state.  This script streams a noisy sine dataset and compares against the
 closed form at every checkpoint, then shuffles the stream to show order does
 not matter.

@@ -154,7 +154,8 @@ def _emit(out: TextIO, fmt: str, header, heads, suffix=(), with_header=True) -> 
 def _overflow_names(delta: float):
     """Raise a float overflow in the window arithmetic as a one-line error
     naming its causes, a large ``delta`` (margins reach it) or large outputs
-    (``stream``'s ``y - estimate``), rather than printing inf or a wrong estimate."""
+    (``stream``'s running sum of scaled margin times output), rather than
+    printing inf or a wrong estimate."""
     try:
         with np.errstate(over="raise"):
             yield
@@ -249,7 +250,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
             if phis.size == args.emit_every:
                 emit(engine.n_seen, first_block)
                 first_block = False
-    emit(engine.n_seen if track_n else None, first_block)
+        emit(engine.n_seen if track_n else None, first_block)
     return 0
 
 

@@ -213,8 +213,11 @@ def grid_solve(
     for i, (a, b, _, support) in enumerate(_sorted_windows(xs, phis, config.delta)):
         if b > a:
             total = float(np.sum(support))
-            estimates[i] = float(np.dot(support / total, ys[a:b]))
+            w = support / total
+            estimates[i] = float(np.dot(w, ys[a:b]))
             counts[i] = b - a
-            objectives[i] = math.sqrt(float(np.dot(support, support)))
+            # The norm of the margins, as total * |w|: no square of a margin
+            # overflows or underflows.
+            objectives[i] = total * math.sqrt(float(np.dot(w, w)))
             sums[i] = total
     return estimates, counts, objectives, sums

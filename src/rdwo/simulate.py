@@ -478,11 +478,11 @@ def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
     Only with a second CPU to run it on, and with no other thread, whose
-    locks a fork could copy held.  Each half still makes the streaming
-    pass's full count of West calls, one per diagonal, so the split pays
-    only on grids wide enough for the work per point within a call to
-    dominate.  And only while no window is expected to hold more samples
-    than OpenBLAS sums on one thread.
+    locks a fork could copy held.  Each half still draws, streams and sorts
+    the whole dataset, and the fork itself costs milliseconds, so the split
+    pays only on grids wide enough for the work per point to dominate.  And
+    only while no window is expected to hold more samples than OpenBLAS
+    sums on one thread.
     """
     lo, hi = spec.input_range
     window = spec.n_samples * min(1.0, 2.0 * spec.config.delta / (hi - lo))

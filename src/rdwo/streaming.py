@@ -1,29 +1,22 @@
 """One-pass streaming form of the windowed direct-weight estimator.
 
-The batch weights of :mod:`rdwo.core` never have to be materialized to keep
-an estimate current.  The estimate is a weighted mean of the absorbed
-outputs, with each sample's endpoint margin ``phi_hat`` as its weight, so it
-follows West's incremental update (CACM 1979)::
+The estimate at a query point is a ratio of two window sums, ``sum(m * y) /
+sum(m)`` with margins ``m = delta - |x - phi|``, and its objective is the
+Euclidean norm of the margins.  So a point's streaming state is running
+sums over the samples absorbed so far, kept in scaled margins ``r = m /
+delta``, which lie in (0, 1]::
 
-    S_new = S + phi_hat
-    estimate += (phi_hat / S_new) * (y - estimate)
+    S = sum r,    SY = sum r * y,    SQ = sum r * r,
 
-where ``S`` is the running sum of absorbed margins.  The state is a pair
-``(S, estimate)`` per query point, updated in constant time per sample.  A
-margin too small to change ``S`` moves the estimate by its own tiny share,
-not by a share of one ulp, so such samples cannot drag the estimate away.
+and the count.  A read forms the estimate ``SY / S``, the objective
+``delta * sqrt(SQ)`` and the support sum ``delta * S``.  The scaling bounds
+each term of ``SY`` by ``|y|`` and each term of ``S`` and ``SQ`` by one,
+whatever ``delta`` is.  The batch path of :mod:`rdwo.core` forms the same
+quotient over the same window; the two differ only in the order they add.
 
-:class:`StreamingGrid` holds the states of a grid of query points and pays
+:class:`StreamingGrid` holds the sums of a grid of query points and pays
 only for the grid points inside each sample's window, found by binary
-search in the sorted grid.  The recursions of different grid points
-are independent, and each is sequential only along its own samples, so the
-grid kernel stores a chunk of (sample, grid point) pairs as jagged diagonals
-(Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4): grid
-columns ordered by pair count, most first, and diagonal ``r`` holding the
-``r``-th pair of every column that has one.  Each diagonal is a prefix of
-the columns, so it updates contiguous slices of the chunk's state, and each
-grid point runs the same IEEE operations, in the same order, as the scalar
-recursion above fed the same samples.
+search in the sorted grid.
 """
 
 from __future__ import annotations
@@ -35,11 +28,11 @@ from .core import EstimatorConfig, _margins, _require_finite
 __all__ = ["StreamingGrid"]
 
 # Samples whose windows the grid kernel looks up at once, and the
-# (sample, grid point) pairs it lays out and applies at once.  A chunk holds
-# whole samples, so a sample whose window alone holds more pairs is a chunk
-# by itself.  At 8 bytes an entry, every chunk array of a full chunk stays
-# under glibc's 128 KiB mmap threshold and is recycled from the heap rather
-# than mapped and faulted in afresh.
+# (sample, grid point) pairs it folds at once.  A chunk holds whole samples,
+# so a sample whose window alone holds more pairs is a chunk by itself.  At
+# 8 bytes an entry, every chunk array of a full chunk stays under glibc's
+# 128 KiB mmap threshold and is recycled from the heap rather than mapped
+# and faulted in afresh.
 _SUB_BLOCK = 1024
 _PAIR_BUDGET = 8192
 
@@ -47,22 +40,17 @@ _PAIR_BUDGET = 8192
 class StreamingGrid:
     """Streaming estimator states for many query points at once.
 
-    Each grid point runs the same sequence of IEEE operations as the scalar
-    recursion fed the same samples, so the estimates agree bit for bit with
-    running West's update once per grid point.  The cost follows
-    the windows: a sample touches only the grid points within ``delta`` of
-    it, found by binary search in the sorted grid.
+    Each grid point adds its own samples into its sums one at a time, in
+    stream order, so the state after :meth:`extend` is bit for bit the one a
+    loop of :meth:`update` leaves, and the one a scalar running sum per grid
+    point gives.  The cost follows the windows: a sample touches only the
+    grid points within ``delta`` of it, found by binary search in the sorted
+    grid.
 
-    Samples are folded in chunks of about ``_PAIR_BUDGET`` pairs.  A chunk's
-    pairs are grouped by grid column with one stable sort, which keeps
-    stream order within each column, and laid out as jagged diagonals
-    (Saad, section 3.4): diagonal ``r`` holds the ``r``-th pair of every
-    column with more than ``r`` pairs, and with the columns ordered by pair
-    count it is a prefix of them.  The chunk's state is gathered once, each
-    diagonal is six in-place ufunc calls on contiguous slices, and the state
-    is scattered back once.  When no column has two pairs, as in any
-    one-sample call, the pairs in sample order already form the single
-    diagonal and the sort is skipped.
+    Samples are folded in chunks of about ``_PAIR_BUDGET`` (sample, grid
+    point) pairs, laid out sample by sample.  Each sum takes a chunk's pairs
+    in one ``np.add.at``, which applies its updates one by one in index
+    order.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -76,9 +64,10 @@ class StreamingGrid:
         self.config = config
         self.n_seen = 0
         self.n_active = np.zeros(xs.size, dtype=int)
-        self.support_sum = np.zeros(xs.size)
-        self.support_sq_sum = np.zeros(xs.size)
-        self._estimates = np.zeros(xs.size)
+        # S, SY and SQ per grid point, in scaled margins.
+        self.s = np.zeros(xs.size)
+        self.sy = np.zeros(xs.size)
+        self.sq = np.zeros(xs.size)
         self._order = np.argsort(self.xs, kind="stable")
         self._sorted = self.xs[self._order]
 
@@ -132,59 +121,30 @@ class StreamingGrid:
         self.n_seen += phis.size
 
     def _chunk(self, lo, hi, phis, ys, total: int) -> None:
-        """Fold the ``total`` pairs of a run of samples, diagonal by diagonal.
-
-        Diagonal ``r`` holds the ``r``-th pair of every grid column with
-        more than ``r`` pairs, so no grid point repeats within a diagonal
-        and each one meets its samples in stream order across them.
-        """
+        """Add the ``total`` pairs of a run of samples into the sums, sample
+        by sample, so each grid point meets its samples in stream order."""
+        delta = self.config.delta
         counts = hi - lo
-        base = int(lo.min())
-        # Pairs sample by sample: grid column relative to base, margin, y.
-        col = np.arange(total) - np.repeat(counts.cumsum() - counts - (lo - base), counts)
-        d = _margins(np.abs(self._sorted[base:][col] - np.repeat(phis, counts)), self.config.delta)
+        # Pairs sample by sample: position in the sorted grid, margin, y.
+        pos = np.arange(total) - np.repeat(counts.cumsum() - counts - lo, counts)
+        m = _margins(np.abs(self._sorted[pos] - np.repeat(phis, counts)), delta)
         y = np.repeat(ys, counts)
-        inside = d > 0.0
+        inside = m > 0.0
         if not inside.all():
             # Rounding can leave a margin <= 0 at either end of a window.
             keep = np.flatnonzero(inside)
-            col, d, y = col[keep], d[keep], y[keep]
-        widths = [col.size]
-        added = 1
-        if phis.size > 1:
-            per_col = np.bincount(col, minlength=int(hi.max()) - base)
-            if per_col.max() > 1:
-                col, perm, widths, added = _diagonals(col, per_col)
-                d = d[perm]
-                y = y[perm]
-        points = self._order[base + col]
-        s, e, q = self.support_sum[points], self._estimates[points], self.support_sq_sum[points]
-        dd = d * d
-        share = np.empty(widths[0])
-        step = np.empty(widths[0])
-        # West's update on the first w columns; per grid point these are the
-        # operations of the scalar recursion, in its order.
-        a = 0
-        for w in widths:
-            b = a + w
-            dr = d[a:b]
-            sw = s[:w]
-            sw += dr
-            np.divide(dr, sw, out=share[:w])
-            ew = e[:w]
-            t = np.subtract(y[a:b], ew, out=step[:w])
-            t *= share[:w]
-            ew += t
-            q[:w] += dd[a:b]
-            a = b
-        self.support_sum[points] = s
-        self._estimates[points] = e
-        self.support_sq_sum[points] = q
-        self.n_active[points] += added
+            pos, m, y = pos[keep], m[keep], y[keep]
+        r = m / delta
+        points = self._order[pos]
+        np.add.at(self.s, points, r)
+        np.add.at(self.sy, points, r * y)
+        np.add.at(self.sq, points, r * r)
+        np.add.at(self.n_active, points, 1)
 
     def estimates(self) -> np.ndarray:
-        """Per-point estimates, nan where no sample has been absorbed."""
-        return np.where(self.n_active > 0, self._estimates, np.nan)
+        """Per-point estimates ``SY / S``, nan where no sample has been
+        absorbed."""
+        return np.divide(self.sy, self.s, out=np.full(self.s.size, np.nan), where=self.n_active > 0)
 
     def active_counts(self) -> np.ndarray:
         return self.n_active.copy()
@@ -193,38 +153,10 @@ class StreamingGrid:
         """Per-point achieved objective values, nan where unsupported.
 
         For the closed-form weights the achieved objective reduces to the
-        Euclidean norm of the absorbed margins, so it falls out of the
-        running sum of squares.
+        Euclidean norm of the absorbed margins, ``delta * sqrt(SQ)``.
         """
-        return np.where(self.n_active > 0, np.sqrt(self.support_sq_sum), np.nan)
+        return np.where(self.n_active > 0, self.config.delta * np.sqrt(self.sq), np.nan)
 
     def support_sums(self) -> np.ndarray:
-        return self.support_sum.copy()
-
-
-def _diagonals(col, per_col):
-    """Lay out a chunk's pairs, given sample by sample, as jagged diagonals
-    (Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).
-
-    Returns the columns that have pairs, by pair count, most first; the
-    permutation that takes the pairs from sample order to diagonal order,
-    which keeps stream order within each column; each diagonal's width; and
-    each column's pair count.
-    """
-    # A stable sort by column keeps stream order within each column; stable
-    # sorts of 16-bit keys run as radix sorts.
-    key = col.astype(np.uint16) if per_col.size <= 1 << 16 else col
-    order = np.argsort(key, kind="stable")
-    cols = np.flatnonzero(per_col)
-    count = per_col[cols]
-    by_count = np.argsort(-count, kind="stable")
-    # Diagonal r holds the columns with more than r pairs.
-    widths = (cols.size - np.bincount(count).cumsum()[:-1]).tolist()
-    # The r-th pair of the column in slot j is at start[j] + r in column order.
-    start = (count.cumsum() - count)[by_count]
-    src = np.empty_like(order)
-    a = 0
-    for r, w in enumerate(widths):
-        np.add(start[:w], r, out=src[a : a + w])
-        a += w
-    return cols[by_count], order[src], widths, count[by_count]
+        """Per-point sums of the absorbed margins, ``delta * S``."""
+        return self.config.delta * self.s

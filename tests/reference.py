@@ -15,29 +15,30 @@ def optimum(x, phis, config):
     return grid_solve([x], phis, np.zeros(len(phis)), config)[2][0]
 
 
-def west(x, phis, ys, delta):
-    """The scalar West recursion, the bit-for-bit reference for
+def running_sums(x, phis, ys, delta):
+    """The scalar running sums, the bit-for-bit reference for
     ``StreamingGrid``: fold samples into the state of the one query point
     ``x``, in order, with the IEEE operations the grid runs for each point:
-    ``S += m``, ``estimate += m / S * (y - estimate)`` and ``Q += m * m``, for
-    each sample with margin ``m = delta - |x - phi| > 0``.
+    ``S += r``, ``SY += r * y`` and ``SQ += r * r``, with the scaled margin
+    ``r = m / delta``, for each sample with margin ``m = delta - |x - phi| > 0``.
 
-    Returns ``(estimate, S, Q, positions, margins)``: the estimate, nan while
-    no sample is absorbed; the sum and the sum of squares of the absorbed
-    margins; and the stream positions and margins of the absorbed samples.
+    Returns ``(estimate, S, SY, SQ, positions, scaled)``: the estimate
+    ``SY / S``, nan while no sample is absorbed; the three sums; and the
+    stream positions and scaled margins of the absorbed samples.
     """
-    s = q = estimate = 0.0
-    positions, margins = [], []
+    s = sy = sq = 0.0
+    positions, scaled = [], []
     for k, (phi, y) in enumerate(zip(map(float, phis), map(float, ys))):
         m = delta - abs(x - phi)
         if m <= 0.0:
             continue
-        s += m
-        estimate += m / s * (y - estimate)
-        q += m * m
+        r = m / delta
+        s += r
+        sy += r * y
+        sq += r * r
         positions.append(k)
-        margins.append(m)
-    return (estimate if positions else math.nan), s, q, positions, margins
+        scaled.append(r)
+    return (sy / s if positions else math.nan), s, sy, sq, positions, scaled
 
 
 def in_phi_order(phis, *columns):

@@ -22,7 +22,7 @@ from rdwo.core import EstimatorConfig, grid_solve, query_weights, simplex_object
 from rdwo.oracle import maximize_signed, maximize_simplex, random_instance
 from rdwo.simulate import ExperimentSpec, Sine, run_experiment
 from rdwo.streaming import StreamingGrid
-from reference import optimum, west
+from reference import optimum, running_sums
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TINY_CSV = REPO_ROOT / "demos" / "data" / "tiny.csv"
@@ -111,12 +111,13 @@ def test_criterion_03_streaming_equals_batch():
         max_grid_dev = max(max_grid_dev, float(np.max(dev)))
 
         for qi in (10, 50, 90):
-            estimate, s, _, positions, margins = west(float(xs[qi]), phis, ys, config.delta)
+            x = float(xs[qi])
+            estimate, s, _, _, positions, scaled = running_sums(x, phis, ys, config.delta)
             # scalar and vectorized paths perform identical float ops
             assert estimate == streamed[qi]
             snapshot = np.zeros(phis.size)
-            snapshot[positions] = np.array(margins) / s
-            closed = query_weights(float(xs[qi]), phis, config)
+            snapshot[positions] = np.array(scaled) / s
+            closed = query_weights(x, phis, config)
             snap_dev = float(np.max(np.abs(snapshot - closed)))
             max_snap_dev = max(max_snap_dev, snap_dev)
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rdwo.core import EstimatorConfig, NoSupportError, grid_solve, query_weights
 from rdwo import streaming
 from rdwo.streaming import StreamingGrid
-from reference import west
+from reference import running_sums
 
 CFG = EstimatorConfig(delta=1.0, l1=1.0)
 HAND_PHIS = [-0.5, 0.2, 2.0]
@@ -31,17 +31,18 @@ def batch_estimate(x, phis, ys, config):
 
 
 class TestRecursiveState:
-    """The recursion for one query point: the scalar reference ``west`` and a
-    one-point ``StreamingGrid``."""
+    """The running sums of one query point: the scalar reference
+    ``running_sums`` and a one-point ``StreamingGrid``."""
 
     def test_hand_sequence(self):
-        assert west(0.0, HAND_PHIS[:1], HAND_YS[:1], 1.0)[0] == 1.0
-        _, s, _, _, margins = west(0.0, HAND_PHIS[:2], HAND_YS[:2], 1.0)
+        assert running_sums(0.0, HAND_PHIS[:1], HAND_YS[:1], 1.0)[0] == 1.0
+        _, s, sy, sq, _, scaled = running_sums(0.0, HAND_PHIS[:2], HAND_YS[:2], 1.0)
         # the second sample takes 0.8/1.3 of the weight, the first keeps 0.5/1.3
-        assert math.isclose(margins[0] / s, 0.5 / 1.3, rel_tol=1e-12)
-        assert margins[1] / s == 0.8 / 1.3
+        assert math.isclose(scaled[0] / s, 0.5 / 1.3, rel_tol=1e-12)
+        assert scaled[1] / s == 0.8 / 1.3
+        assert (s, sy, sq) == (0.5 + 0.8, 0.5 * 1.0 + 0.8 * 2.0, 0.5 * 0.5 + 0.8 * 0.8)
 
-        estimate, _, _, positions, _ = west(0.0, HAND_PHIS, HAND_YS, 1.0)
+        estimate, _, _, _, positions, _ = running_sums(0.0, HAND_PHIS, HAND_YS, 1.0)
         assert positions == [0, 1]  # the third sample is skipped
         grid = StreamingGrid([0.0], CFG)
         grid.extend(HAND_PHIS, HAND_YS)
@@ -52,11 +53,11 @@ class TestRecursiveState:
         assert math.isclose(estimate, batch, rel_tol=1e-12)
 
     def test_fourth_sample_rescale(self):
-        _, s_old, _, _, _ = west(0.0, HAND_PHIS, HAND_YS, 1.0)
-        _, s_new, _, _, margins = west(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
+        s_old = running_sums(0.0, HAND_PHIS, HAND_YS, 1.0)[1]
+        _, s_new, _, _, _, scaled = running_sums(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
         # margin 0.9 joins support 1.3, so the old weights shrink by 1.3/2.2
         assert math.isclose(s_old / s_new, 1.3 / 2.2, rel_tol=1e-12)
-        assert math.isclose(margins[-1] / s_new, 0.9 / 2.2, rel_tol=1e-12)
+        assert math.isclose(scaled[-1] / s_new, 0.9 / 2.2, rel_tol=1e-12)
         assert math.isclose(s_new, 2.2, rel_tol=1e-12)
 
     def test_estimate_is_none_before_any_absorption(self):
@@ -65,24 +66,28 @@ class TestRecursiveState:
         grid.update(9.0, 3.0)
         assert math.isnan(grid.estimates()[0])
         assert grid.n_seen == 1 and grid.n_active[0] == 0
-        assert math.isnan(west(0.0, [9.0], [3.0], 1.0)[0])
+        assert math.isnan(running_sums(0.0, [9.0], [3.0], 1.0)[0])
 
     def test_boundary_sample_is_skipped(self):
-        assert west(0.0, [1.0], [3.0], 1.0)[3] == []
+        assert running_sums(0.0, [1.0], [3.0], 1.0)[4] == []
         grid = StreamingGrid([0.0], CFG)
         grid.update(1.0, 3.0)
         assert grid.n_active[0] == 0
 
     def test_tiny_margins_match_fraction_reference(self):
-        # 2e5 samples of margin 1, then 1e6 of margin 2**-53: each tiny margin
-        # vanishes when added to the running sum, so its weight must come out
-        # as its own share of about 5.6e-22, not as a share of one ulp.
+        # 2e5 samples of margin 1, then 1e6 of margin 2**-53: each tiny term
+        # vanishes when added to a running sum, so the tiny samples' weight,
+        # 5.6e-22 each, is lost in full, and the estimate is off by 5.5e-15
+        # relative, within the 1e-14 allowed.
         tiny = 1.0 - 2.0**-53
         phis = [0.0] * 200_000 + [tiny] * 1_000_000
         ys = [1.0] * 200_000 + [11.0] * 1_000_000
-        estimate, s, _, positions, margins = west(0.0, phis, ys, 1.0)
+        estimate, s, sy, _, positions, scaled = running_sums(0.0, phis, ys, 1.0)
         assert len(positions) == 1_200_000
-        assert s == 200_000.0 and 0.0 < margins[-1] / s < 1e-21
+        assert s == sy == 200_000.0 and 0.0 < scaled[-1] / s < 1e-21
+        grid = StreamingGrid([0.0], CFG)
+        grid.extend(phis, ys)
+        assert grid.estimates()[0] == estimate
         d = Fraction(2) ** -53
         exact = (200_000 * 1 + 1_000_000 * d * 11) / (200_000 + 1_000_000 * d)
         assert abs(Fraction(estimate) - exact) / exact <= Fraction(1, 10**14)
@@ -126,11 +131,12 @@ class TestRecursiveState:
         x, phis, ys, config = stream
         s_old, absorbed = 0.0, 0
         for k in range(len(phis)):
-            _, s_new, _, positions, margins = west(x, phis[: k + 1], ys[: k + 1], config.delta)
+            state = running_sums(x, phis[: k + 1], ys[: k + 1], config.delta)
+            s_new, positions, scaled = state[1], state[4], state[5]
             if len(positions) == absorbed:
                 continue
             absorbed += 1
-            reweight, new_weight = s_old / s_new, margins[-1] / s_new
+            reweight, new_weight = s_old / s_new, scaled[-1] / s_new
             assert (reweight == 0.0) == (absorbed == 1)
             assert 0.0 < new_weight <= 1.0
             assert abs(reweight + new_weight - 1.0) <= 2.0**-51
@@ -141,9 +147,9 @@ class TestWeightsSnapshot:
     """The weights a stream implies, from the absorbed positions and margins."""
 
     def test_hand_snapshot(self):
-        _, s, _, positions, margins = west(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
+        _, s, _, _, positions, scaled = running_sums(0.0, HAND_PHIS + [0.1], HAND_YS + [5.0], 1.0)
         weights = np.zeros(4)
-        weights[positions] = np.array(margins) / s
+        weights[positions] = np.array(scaled) / s
         np.testing.assert_allclose(
             weights,
             [0.5 / 2.2, 0.8 / 2.2, 0.0, 0.9 / 2.2],
@@ -158,17 +164,17 @@ class TestWeightsSnapshot:
         phis = rng.uniform(-2, 2, 500)
         ys = rng.normal(0, 1, 500)
         config = EstimatorConfig(delta=0.5, l1=1.0)
-        _, s, q, positions, margins = west(0.25, phis, ys, config.delta)
+        _, s, _, sq, positions, scaled = running_sums(0.25, phis, ys, config.delta)
         weights = np.zeros(phis.size)
-        weights[positions] = np.array(margins) / s
+        weights[positions] = np.array(scaled) / s
         closed = query_weights(0.25, phis, config)
         scale = np.maximum(np.abs(closed), 1e-300)
         assert float(np.max(np.abs(weights - closed) / scale)) <= 1e-12
         optimum = grid_solve([0.25], phis, ys, config)[2][0]
-        assert math.isclose(math.sqrt(q), optimum, rel_tol=1e-12)
+        assert math.isclose(config.delta * math.sqrt(sq), optimum, rel_tol=1e-12)
 
     def test_requires_support(self):
-        assert west(0.0, [9.0, -1.0], [1.0, 2.0], 1.0)[3] == []
+        assert running_sums(0.0, [9.0, -1.0], [1.0, 2.0], 1.0)[4] == []
         with pytest.raises(NoSupportError):
             query_weights(0.0, [9.0, -1.0], CFG)
 
@@ -185,10 +191,10 @@ class TestStreamingGrid:
             grid.update(float(p), float(y))
         ests = grid.estimates()
         for i, x in enumerate(xs.tolist()):
-            estimate, s, q, positions, _ = west(x, phis, ys, config.delta)
+            estimate, s, sy, sq, positions, _ = running_sums(x, phis, ys, config.delta)
             assert np.array_equal(ests[i], estimate, equal_nan=True)
-            assert grid.support_sum[i] == s
-            assert grid.support_sq_sum[i] == q
+            assert (grid.s[i], grid.sy[i], grid.sq[i]) == (s, sy, sq)
+            assert grid.support_sums()[i] == config.delta * s
             assert grid.n_active[i] == len(positions)
 
     @given(streams(min_n=1, max_n=30))
@@ -198,7 +204,7 @@ class TestStreamingGrid:
         grid = StreamingGrid(np.array([x]), config)
         for p, y in zip(phis, ys):
             grid.update(p, y)
-        estimate = west(x, phis, ys, config.delta)[0]
+        estimate = running_sums(x, phis, ys, config.delta)[0]
         assert np.array_equal(grid.estimates()[0], estimate, equal_nan=True)
 
     def test_objectives_and_counts(self):
@@ -241,7 +247,7 @@ class TestStreamingGrid:
 
 def run_three_ways(xs, delta, phis, ys):
     """Feed one stream to ``extend``, to a loop of ``update`` and to the scalar
-    recursion ``west`` per grid point; every state must agree with ``==``."""
+    ``running_sums`` per grid point; every state must agree with ``==``."""
     config = EstimatorConfig(delta=delta, l1=1.0)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -250,15 +256,28 @@ def run_three_ways(xs, delta, phis, ys):
     looped = StreamingGrid(xs, config)
     for p, y in zip(phis.tolist(), ys.tolist()):
         looped.update(p, y)
-    states = [west(x, phis, ys, delta) for x in np.asarray(xs, dtype=float).tolist()]
+    states = [running_sums(x, phis, ys, delta) for x in np.asarray(xs, dtype=float).tolist()]
     for grid in (extended, looped):
         assert grid.n_seen == phis.size
-        assert grid.n_active.tolist() == [len(positions) for _, _, _, positions, _ in states]
-        assert grid.support_sum.tolist() == [s for _, s, _, _, _ in states]
-        assert grid.support_sq_sum.tolist() == [q for _, _, q, _, _ in states]
-        want = [estimate for estimate, _, _, _, _ in states]
-        assert np.array_equal(grid.estimates(), want, equal_nan=True)
+        assert_states(grid, states)
     return extended
+
+
+def assert_states(grid, states, points=slice(None)):
+    """The count, sums and estimate of each grid point in ``points`` equal
+    its ``running_sums`` state, with ``==``."""
+    estimate, s, sy, sq, positions, _ = zip(*states)
+    assert grid.n_active[points].tolist() == list(map(len, positions))
+    sums = [grid.s[points].tolist(), grid.sy[points].tolist(), grid.sq[points].tolist()]
+    assert sums == [list(s), list(sy), list(sq)]
+    assert np.array_equal(grid.estimates()[points], estimate, equal_nan=True)
+
+
+def assert_same_state(a, b):
+    """Two grids hold the same counts and sums, bit for bit."""
+    assert a.n_seen == b.n_seen
+    for name in ("n_active", "s", "sy", "sq"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def spy_chunks(monkeypatch):
@@ -272,19 +291,6 @@ def spy_chunks(monkeypatch):
 
     monkeypatch.setattr(StreamingGrid, "_chunk", chunk)
     return sizes
-
-
-def spy_diagonals(monkeypatch):
-    """Record the column span of every chunk laid out as jagged diagonals."""
-    spans = []
-    original = streaming._diagonals
-
-    def diagonals(col, per_col):
-        spans.append(per_col.size)
-        return original(col, per_col)
-
-    monkeypatch.setattr(streaming, "_diagonals", diagonals)
-    return spans
 
 
 class TestGridKernel:
@@ -321,7 +327,7 @@ class TestGridKernel:
         # Every sample lands in the windows of the first nine points: a
         # chunk holds whole samples, each sub-block is cut into more than one
         # chunk, and every one of the nine points is hit more often than one
-        # chunk holds, so its recursion carries across chunks.
+        # chunk holds, so its sums carry across chunks.
         n = streaming._PAIR_BUDGET + 700
         rng = np.random.default_rng(32)
         xs = np.append(np.linspace(0.0, 0.05, 9), 5.0)
@@ -344,31 +350,42 @@ class TestGridKernel:
         assert max(pairs for _, pairs in sizes) > budget
         assert all(pairs <= budget or samples == 1 for samples, pairs in sizes)
 
-    def test_grid_wider_than_sixteen_bits(self, monkeypatch):
-        # Two clusters of samples 2**16 columns apart on a 70,001-point grid:
-        # one chunk spans more columns than a 16-bit key can number, and
-        # 16-bit keys would merge each column of one cluster with its twin
-        # in the other.
-        xs = np.linspace(0.0, 1.0, 70_001)
+    def test_sparse_windows_on_a_200001_point_grid(self, monkeypatch):
+        # 60k samples on a 200,001-point grid with windows of about one grid
+        # step: each chunk's pairs span most of the grid but touch few of its
+        # points.  The scalar reference of a point runs over the samples near
+        # it, in stream order; the others leave its sums untouched.
+        xs = np.linspace(0.0, 1.0, 200_001)
         rng = np.random.default_rng(35)
-        jitter = rng.uniform(0.0, 2e-5, 3)
-        phis = np.concatenate([xs[70] + jitter, xs[70 + (1 << 16)] + jitter])
-        spans = spy_diagonals(monkeypatch)
-        grid = run_three_ways(xs, 4e-5, phis[[0, 3, 1, 4, 2, 5]], rng.normal(0, 1, 6))
-        assert max(grid.n_active) == 3
-        assert spans and max(spans) > 1 << 16
+        phis = rng.uniform(0.0, 1.0, 60_000)
+        ys = rng.normal(0, 1, phis.size)
+        delta = 3e-6
+        grid = StreamingGrid(xs, EstimatorConfig(delta=delta, l1=1.0))
+        sizes = spy_chunks(monkeypatch)
+        grid.extend(phis, ys)
+        assert len(sizes) == -(-phis.size // streaming._SUB_BLOCK)
+        order = np.argsort(phis, kind="stable")
+        lo = np.searchsorted(phis[order], xs - 2 * delta)
+        hi = np.searchsorted(phis[order], xs + 2 * delta)
+        hit = np.flatnonzero(hi > lo)
+        states = []
+        for i in hit.tolist():
+            near = np.sort(order[lo[i] : hi[i]])
+            states.append(running_sums(float(xs[i]), phis[near], ys[near], delta))
+        assert_states(grid, states, hit)
+        missed = np.ones(xs.size, dtype=bool)
+        missed[hit] = False
+        assert not grid.n_active[missed].any() and not grid.s[missed].any()
+        assert grid.n_active.sum() > phis.size
 
-    def test_chunk_with_one_pair_per_column(self, monkeypatch):
-        # Windows that never overlap, in shuffled order: every grid column of
-        # a many-sample chunk has one pair, so the sample-major order is
-        # already the layout and no sort runs.
+    def test_chunk_with_one_pair_per_column(self):
+        # Windows that never overlap, in shuffled order: every grid point of
+        # a many-sample chunk takes one pair.
         xs = np.linspace(0.0, 10.0, 101)
         rng = np.random.default_rng(36)
         phis = rng.permutation(np.arange(0.1, 10.0, 0.5))
-        spans = spy_diagonals(monkeypatch)
         grid = run_three_ways(xs, 0.22, phis, rng.normal(0, 1, phis.size))
         assert grid.n_active.max() == 1 and grid.n_active.sum() > 4 * phis.size
-        assert spans == []
 
     def test_skewed_samples_on_a_wide_grid(self):
         # Nine samples in ten fall in a narrow band of a wide grid, so within
@@ -415,8 +432,47 @@ class TestGridKernel:
             for p, y in zip(phis.tolist(), ys.tolist()):
                 looped.update(p, y)
         assert str(by_extend.value) == str(by_loop.value) == f"{field} must be finite, got nan"
-        assert extended.n_seen == looped.n_seen == where
-        assert np.array_equal(extended.n_active, looped.n_active)
-        assert np.array_equal(extended.support_sum, looped.support_sum)
-        assert np.array_equal(extended.support_sq_sum, looped.support_sq_sum)
-        assert np.array_equal(extended.estimates(), looped.estimates(), equal_nan=True)
+        assert extended.n_seen == where
+        assert_same_state(extended, looped)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(streaming._SUB_BLOCK - 50, 2 * streaming._SUB_BLOCK + 50),
+        st.integers(20, 48),
+        st.floats(0.4, 1.0),
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(1, 2 * streaming._SUB_BLOCK),
+                st.sampled_from(["phi", "y"]),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_extend_is_a_loop_of_update_across_chunks(self, seed, n, points, delta, bad):
+        # Dense windows put more than _PAIR_BUDGET pairs in a sub-block, so
+        # the stream crosses sub-block and chunk boundaries, and a non-finite
+        # sample may stop it anywhere inside a sub-block.
+        rng = np.random.default_rng(seed)
+        phis = rng.uniform(-0.5, 0.5, n)
+        ys = rng.normal(0, 10, n)
+        if bad is not None:
+            where, field, value = bad
+            assume(where < n)
+            (phis if field == "phi" else ys)[where] = value
+        xs = rng.uniform(-0.5, 0.5, points)
+        first = np.abs(xs[:, None] - phis[None, : streaming._SUB_BLOCK]) < delta
+        assert np.count_nonzero(first) > streaming._PAIR_BUDGET
+        config = EstimatorConfig(delta=delta, l1=1.0)
+        extended, looped = StreamingGrid(xs, config), StreamingGrid(xs, config)
+        errors = []
+        for fold in (lambda: extended.extend(phis, ys),
+                     lambda: [looped.update(p, y) for p, y in zip(phis.tolist(), ys.tolist())]):
+            try:
+                fold()
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert len(errors) == (0 if bad is None else 2) and len(set(errors)) <= 1
+        assert extended.n_seen == (n if bad is None else where)
+        assert_same_state(extended, looped)

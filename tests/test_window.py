@@ -5,7 +5,9 @@ sorted ascending, ties in sample order.  ``_sorted_windows`` must hand every
 query the same operands, in the same order, as a scan of all samples in
 that order, so every sum and dot product over a window is bit-identical:
 counts equal, and distances, estimates, objectives and support sums compared
-with ``==``, not a tolerance.
+with ``==``, not a tolerance.  Each case is also streamed through a
+``StreamingGrid``, which must agree with the batch path within
+``MODE_AGREEMENT_RTOL``.
 """
 
 import json
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rdwo.cli import main
+from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, _sorted_windows, grid_solve, window_margins
 from rdwo.simulate import ExperimentSpec, Sine, _dataset_arrays, run_experiment
+from rdwo.streaming import StreamingGrid
 from reference import in_phi_order
 
 ULP = 2.0**-52
@@ -32,8 +35,9 @@ def window_rows(positions_and_margins, ys):
             rows.append((0, None, None, None))
             continue
         total = float(np.sum(support))
-        est = float(np.dot(support / total, ys[positions]))
-        rows.append((positions.size, est, math.sqrt(float(np.dot(support, support))), total))
+        w = support / total
+        rows.append((positions.size, float(np.dot(w, ys[positions])),
+                     total * math.sqrt(float(np.dot(w, w))), total))
     return rows
 
 
@@ -81,6 +85,27 @@ def assert_matches_full_scan(xs, phis, ys, delta):
     assert [s if c else None for s, c in zip(sums.tolist(), counts.tolist())] == [
         r[3] for r in rows
     ]
+    assert_stream_agrees(xs, phis, ys, delta, (estimates, counts, objectives, sums))
+
+
+def assert_stream_agrees(xs, phis, ys, delta, solution):
+    """A ``StreamingGrid`` fed the samples in order gives the batch counts,
+    and its estimates, objectives and support sums within
+    ``MODE_AGREEMENT_RTOL`` of the batch ones.  An estimate's error is taken
+    relative to ``sum(w * |y|)``, which bounds its terms however they cancel."""
+    config = EstimatorConfig(delta=delta)
+    engine = StreamingGrid(xs, config)
+    engine.extend(phis, ys)
+    estimates, counts, objectives, sums = solution
+    assert engine.active_counts().tolist() == counts.tolist()
+    on = counts > 0
+    scale = grid_solve(xs, phis, np.abs(ys), config)[0]
+    for got, want, size in [
+        (engine.estimates(), estimates, scale),
+        (engine.objectives(), objectives, objectives),
+        (engine.support_sums(), sums, sums),
+    ]:
+        assert np.all(np.abs(got[on] - want[on]) <= MODE_AGREEMENT_RTOL * size[on])
 
 
 RNG = np.random.default_rng(20141115)
