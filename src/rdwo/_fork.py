@@ -1,0 +1,73 @@
+"""One task on two CPUs: a forked child does one part beside the caller.
+
+The child writes its results into an anonymous map made before the fork,
+which it shares with the parent, and reports by exit status alone.  Callers
+keep the work of a failed child in hand: :func:`beside` says whether the
+child finished, and the caller does the child's part itself if it did not,
+so every result is the one a single process gives.
+
+``simulate`` answers the upper half of a wide query grid this way, and
+``dataio.read_arrays`` parses the second half of a large CSV file;
+``dataio`` loads this module only when it is about to fork, so that
+``import rdwo.cli`` and small inputs never load it or ``mmap``.
+"""
+
+from __future__ import annotations
+
+import math
+import mmap
+import os
+import signal
+import threading
+import warnings
+from typing import Callable, TypeVar
+
+import numpy as np
+
+T = TypeVar("T")
+
+
+def can_fork() -> bool:
+    """Whether a second CPU can run a child, and no other thread runs, whose
+    locks a fork could copy held."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
+
+
+def shared_floats(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of ``shape``, at least one element, in an anonymous map
+    that a child forked after this call writes to and the parent reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+def beside(child: Callable[[], bool], parent: Callable[[], T]) -> tuple[T, bool]:
+    """Run ``child()`` in a forked child while ``parent()`` runs here; the
+    result of ``parent()``, and whether ``child()`` returned true.
+
+    The child never returns into the caller's stack: every way out of it
+    ends in ``os._exit``, which also skips the buffers and exit handlers it
+    shares with the parent.  A warning raises in the child, so that only the
+    parent writes to stderr.  If the fork fails, ``parent()`` runs alone and
+    the child's part counts as not done.  If ``parent()`` raises, the child
+    is killed and reaped first.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return parent(), False
+    if pid == 0:
+        code = 1
+        try:
+            warnings.simplefilter("error")
+            if child():
+                code = 0
+        finally:
+            os._exit(code)
+    try:
+        result = parent()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    return result, status == 0

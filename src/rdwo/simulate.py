@@ -21,16 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
-import os
-import signal
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _fork
 from .core import (
     EstimatorConfig,
     _even_grid,
@@ -477,22 +473,18 @@ _SPLIT_MAX_WINDOW = 10_000
 def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
-    Only with a second CPU to run it on, and with no other thread, whose
-    locks a fork could copy held.  Each half still draws, streams and sorts
-    the whole dataset, and the fork itself costs milliseconds, so the split
-    pays only on grids wide enough for the work per point to dominate.  And
-    only while no window is expected to hold more samples than OpenBLAS
-    sums on one thread.
+    Only where :func:`_fork.can_fork` allows.  Each half still draws,
+    streams and sorts the whole dataset, and the fork itself costs
+    milliseconds, so the split pays only on grids wide enough for the work
+    per point to dominate.  And only while no window is expected to hold
+    more samples than OpenBLAS sums on one thread.
     """
     lo, hi = spec.input_range
     window = spec.n_samples * min(1.0, 2.0 * spec.config.delta / (hi - lo))
-    affinity = getattr(os, "sched_getaffinity", None)
     return (
         len(spec.query_grid) >= _SPLIT_MIN_QUERIES
         and window <= _SPLIT_MAX_WINDOW
-        and affinity is not None
-        and len(affinity(0)) > 1
-        and threading.active_count() == 1
+        and _fork.can_fork()
     )
 
 
@@ -500,43 +492,21 @@ def _answer_grid(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
     """:func:`_answer` over the whole grid, its upper half in a forked child
     where :func:`_forks` allows; the same bits either way.
 
-    The child writes its columns into an anonymous map shared with the
-    parent and reports by exit status alone.  If it fails, the parent
-    answers the upper half itself, so its error is raised as in one process.
-    If the parent's half raises, the child is killed and reaped first.
+    The child writes its columns into a map it shares with the parent (see
+    :func:`_fork.beside`).  If it fails, the parent answers the upper half
+    itself, so its error is raised as in one process.
     """
     if not _forks(spec):
         return _answer(spec, x, table)
     cut = x.size // 2
     upper = table[:, cut:]
-    shared = mmap.mmap(-1, upper.nbytes)
-    try:
-        pid = os.fork()
-    except OSError:
-        # No process to spare: the whole grid runs here.
-        return _answer(spec, x, table)
-    if pid == 0:
-        # The child never returns into the caller's stack: every way out of
-        # this block ends in os._exit, which also skips the buffers and exit
-        # handlers it shares with the parent.  A warning raises, so that only
-        # the parent writes to stderr.
-        code = 1
-        try:
-            warnings.simplefilter("error")
-            child = np.frombuffer(shared).reshape(upper.shape)
-            if _answer(spec, x[cut:], child) is None:
-                code = 0
-        finally:
-            os._exit(code)
-    try:
-        failure = _answer(spec, x[:cut], table[:, :cut])
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if status == 0:
-        upper[...] = np.frombuffer(shared).reshape(upper.shape)
+    shared = _fork.shared_floats(upper.shape)
+    failure, done = _fork.beside(
+        lambda: _answer(spec, x[cut:], shared) is None,
+        lambda: _answer(spec, x[:cut], table[:, :cut]),
+    )
+    if done:
+        upper[...] = shared
         return failure
     upper_failure = _answer(spec, x[cut:], upper)
     # An overflow in either half comes before the first non-finite sample,

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -182,6 +185,57 @@ class TestIterSamples:
                 reader(path)
 
 
+class Forks:
+    """``read_arrays`` with ``cpus`` as this process's CPU affinity and files
+    of ``min_bytes`` or more split: the forks made, the exit statuses of the
+    children reaped, and where each of the parent's reads of the file began
+    (a read from the cut means the parent parsed the child's half itself)."""
+
+    def __init__(self, mp, cpus=(0, 1), min_bytes=0):
+        self.forks, self.statuses, self.starts = 0, [], []
+        real_fork, real_waitpid, real_span = os.fork, os.waitpid, dataio._Span
+
+        def fork():
+            self.forks += 1
+            return real_fork()
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            self.statuses.append(reaped[1])
+            return reaped
+
+        class Span(real_span):
+            def __init__(span, fd, start, end):
+                self.starts.append(start)
+                super().__init__(fd, start, end)
+
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        mp.setattr(os, "fork", fork)
+        mp.setattr(os, "waitpid", waitpid)
+        mp.setattr(dataio, "_Span", Span)
+        mp.setattr(dataio, "_SPLIT_MIN_BYTES", min_bytes)
+
+    def check(self):
+        """Every child was reaped, and none is left."""
+        assert len(self.statuses) == self.forks
+        assert_no_child()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_every_file():
+    """Within the block, ``read_arrays`` splits every file the split can
+    take at its middle; on leaving it, no child is left over."""
+    with pytest.MonkeyPatch.context() as mp:
+        forks = Forks(mp)
+        yield forks
+    forks.check()
+
+
 class TestReadArrays:
     @pytest.fixture()
     def path(self, tmp_path):
@@ -214,23 +268,27 @@ class TestReadArrays:
         except InputFormatError as exc:
             return "error", str(exc)
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], derandomize=True)
     @given(
         header=st.sampled_from([EXPECTED_HEADER, f" {EXPECTED_HEADER}", "k,phi", ""]),
         lines=st.lists(LINES, max_size=8),
     )
     def test_accepts_and_rejects_like_iter_samples(self, path, header, lines):
+        # In one process, and again through the split.
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-        kind, got = self._outcome(read_arrays, path)
         want_kind, want = self._outcome(
             lambda p: [(phi, y) for _, phi, y in iter_samples(p)], path
         )
-        assert kind == want_kind
-        if kind == "ok":
-            phis, ys = got
-            assert list(zip(phis.tolist(), ys.tolist())) == want
-        else:
-            assert got == want
+        outcomes = [self._outcome(read_arrays, path)]
+        with split_every_file():
+            outcomes.append(self._outcome(read_arrays, path))
+        for kind, got in outcomes:
+            assert kind == want_kind
+            if kind == "ok":
+                phis, ys = got
+                assert list(zip(phis.tolist(), ys.tolist())) == want
+            else:
+                assert got == want
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -279,7 +337,8 @@ def _ingest_outcomes(path, size):
 
 class TestChunkedIngest:
     """read_arrays and iter_blocks with runs of a few characters, so that
-    files span many runs and rows straddle their ends."""
+    files span many runs and rows straddle their ends; read_arrays in one
+    process and again through the split."""
 
     ROWS = [f"{k},{k / 8 - 3!r},{(-1) ** k * k / 7!r}" for k in range(1, 41)]
 
@@ -296,6 +355,8 @@ class TestChunkedIngest:
         path.write_bytes(data)
         reference, arrays, blocks, sizes = _ingest_outcomes(path, size)
         assert arrays == reference
+        with split_every_file():
+            assert _ingest_outcomes(path, size)[1] == reference
         if reference[0] == "ok":
             assert blocks == reference
             assert all(n == size for n in sizes[:-1])
@@ -379,7 +440,7 @@ class TestChunkedIngest:
         kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
         assert (kind, message) == ("error", "line 52: duplicate sample index 50")
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], derandomize=True)
     @given(
         chunk_chars=st.integers(1, 40),
         lines=st.lists(TestReadArrays.LINES, max_size=12),
@@ -388,6 +449,220 @@ class TestChunkedIngest:
     def test_any_run_length_agrees_with_iter_samples(self, path, chunk_chars, lines, size):
         with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars):
             self.check(path, "\n".join([EXPECTED_HEADER, *lines]).encode(), size=size)
+
+
+def at_the_cut(before, after):
+    """The bytes of a file of the header, ``before`` and ``after``, which the
+    split cuts between ``before`` and ``after``: zeros are appended to the
+    ``phi`` field of the first line of ``before`` or of the last of ``after``
+    until the first newline from the middle byte on ends ``before``."""
+    before, after = list(before), list(after)
+    for _ in range(1000):
+        head = ("\n".join([EXPECTED_HEADER, *before]) + "\n").encode()
+        data = head + ("\n".join(after) + "\n").encode()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        if cut == len(head):
+            return data
+        part, i = (before, 0) if cut > len(head) else (after, -1)
+        k, phi, y = part[i].split(",")
+        part[i] = f"{k},{phi}0,{y}"
+    raise AssertionError("no padding puts the cut between the two parts")
+
+
+class TestSplitRead:
+    """read_arrays with the file's second half parsed by a forked child: the
+    arrays or the error of one process, whatever lies at the cut, and no
+    child left over."""
+
+    ROWS = TestChunkedIngest.ROWS
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return tmp_path / "data.csv"
+
+    def outcome(self, path, **forced):
+        """What read_arrays makes of ``path`` in one process and in two; the
+        forks and statuses of the second."""
+        want = TestReadArrays._outcome(read_arrays, path)
+        with pytest.MonkeyPatch.context() as mp:
+            forks = Forks(mp, **forced)
+            got = TestReadArrays._outcome(read_arrays, path)
+        forks.check()
+        reference = TestReadArrays._outcome(
+            lambda p: [(phi, y) for _, phi, y in iter_samples(p)], path
+        )
+        if want[0] == "ok":
+            assert list(zip(*(column.tolist() for column in want[1]))) == reference[1]
+            assert got[0] == "ok"
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        else:
+            assert got == want == reference
+        return want, forks
+
+    # The line after the cut, in place of index 21 or before it, and the
+    # outcome: a line that does not start with a decimal index is not forked
+    # for, and a child that meets a line the bulk reader refuses fails, so
+    # the parent reads on from the cut.
+    SEAMS = {
+        "blank": ("", "ok", 0),
+        "padded-left": (" 21,0.5,1.5", "ok", 0),
+        "padded-right": ("21,0.5,1.5 ", "ok", 1),
+        "bad-float": ("21,0x10,1.5", "error", 1),
+        "leading-zeros": ("021,0.5,1.5", "ok", 1),
+    }
+
+    @pytest.mark.parametrize("line, kind, forks", SEAMS.values(), ids=SEAMS)
+    def test_a_line_just_after_the_cut(self, path, line, kind, forks):
+        after = [line, *self.ROWS[21:]] if line.strip() else [line, *self.ROWS[20:]]
+        path.write_bytes(at_the_cut(self.ROWS[:20], after))
+        (got, _), made = self.outcome(path)
+        assert got == kind and made.forks == forks
+        if forks:
+            assert made.statuses[0] != 0
+            assert made.starts == [0, path.read_bytes().index(line.encode())]
+
+    def test_halves_that_continue_are_taken_as_the_child_read_them(self, path):
+        data = at_the_cut(self.ROWS[:20], self.ROWS[20:])
+        path.write_bytes(data)
+        (kind, rows), made = self.outcome(path)
+        assert kind == "ok" and rows[0].size == 40
+        assert (made.forks, made.statuses, made.starts) == (1, [0], [0])
+
+    def test_a_cut_right_after_the_header(self, path):
+        path.write_bytes(b"k,phi,y\n1,0,2\n")
+        with open(path, "rb") as fh:
+            assert dataio._scan(fh, 14)[1:3] == (8, 1)
+        (kind, rows), made = self.outcome(path)
+        assert kind == "ok" and rows[0].tolist() == [0.0] and rows[1].tolist() == [2.0]
+        assert (made.forks, made.statuses, made.starts) == (1, [0], [0])
+
+    def test_no_header_before_the_cut(self, path):
+        # The parent's half is one blank line: no row, and the child's first
+        # index goes on from the parent's, but the header is missing.
+        path.write_bytes(b" " * 20 + b"\n1,0,2\n")
+        (kind, message), made = self.outcome(path)
+        assert (kind, message) == ("error", "line 2: expected header 'k,phi,y', got '1,0,2'")
+        assert (made.forks, made.statuses, made.starts) == (1, [0], [0, 21])
+
+    def test_a_newline_as_the_last_byte_past_the_middle(self, path):
+        # The child's half would be empty: no fork.
+        path.write_bytes(b"k,phi,y\n1,0.5000,2\n")
+        (kind, rows), made = self.outcome(path)
+        assert kind == "ok" and made.forks == 0
+
+    def test_a_bad_line_in_each_half(self, path):
+        before = [*self.ROWS[:10], "11,0.5", *self.ROWS[11:20]]
+        after = [*self.ROWS[20:30], "31,x,1", *self.ROWS[31:]]
+        path.write_bytes(at_the_cut(before, after))
+        (kind, message), made = self.outcome(path)
+        assert (kind, message) == ("error", "line 12: expected 3 comma-separated fields, got 2")
+        assert made.forks == 1 and made.statuses[0] != 0 and made.starts == [0]
+
+    def test_indices_out_of_order_across_the_cut(self, path):
+        # Each half runs in order, but the child's does not go on from the
+        # parent's: the parent reads it again.
+        path.write_bytes(at_the_cut(self.ROWS[20:], self.ROWS[:20]))
+        (kind, rows), made = self.outcome(path)
+        assert kind == "ok" and rows[0][0] == 21 / 8 - 3
+        assert made.forks == 1 and made.statuses == [0] and len(made.starts) == 2
+
+    def test_a_duplicate_first_seen_by_the_parent(self, path):
+        # 35 is set aside in the parent's half; the child's run 21..40 holds it.
+        before = [*self.ROWS[:10], "35,0.5,1.5", *self.ROWS[10:20]]
+        path.write_bytes(at_the_cut(before, self.ROWS[20:]))
+        (kind, message), made = self.outcome(path)
+        assert (kind, message) == ("error", "line 37: duplicate sample index 35")
+        assert made.forks == 1 and made.statuses == [0] and len(made.starts) == 2
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_short_runs_on_both_sides_of_the_cut(self, path, chunk, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+        path.write_bytes(at_the_cut(self.ROWS[:20], self.ROWS[20:]))
+        (kind, rows), made = self.outcome(path)
+        assert kind == "ok" and rows[0].size == 40
+        assert (made.forks, made.statuses, made.starts) == (1, [0], [0])
+
+
+class TestSplitGate:
+    """The inputs read_arrays keeps in one process, and its faults."""
+
+    ROWS = TestChunkedIngest.ROWS
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(at_the_cut(self.ROWS[:20], self.ROWS[20:]))
+        return path
+
+    def forks_for(self, path, *, want=None, **forced):
+        want = read_arrays(path) if want is None else want
+        with pytest.MonkeyPatch.context() as mp:
+            forks = Forks(mp, **forced)
+            got = read_arrays(path)
+        forks.check()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        return forks.forks
+
+    def test_a_pipe(self, path):
+        read, write = os.pipe()
+        try:
+            os.write(write, path.read_bytes())
+            os.close(write)
+            assert self.forks_for(f"/dev/fd/{read}", want=read_arrays(path)) == 0
+        finally:
+            os.close(read)
+
+    def test_one_cpu(self, path):
+        assert self.forks_for(path, cpus=(0,)) == 0
+
+    def test_a_carriage_return(self, path):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 3))
+        assert self.forks_for(path) == 0
+
+    def test_not_ascii(self, path):
+        path.write_bytes(path.read_bytes().replace(b"\n", "\u00a0\n".encode(), 1))
+        assert self.forks_for(path) == 0
+
+    def test_the_least_size(self, path):
+        size = path.stat().st_size
+        assert self.forks_for(path, min_bytes=size + 1) == 0
+        assert self.forks_for(path, min_bytes=size) == 1
+
+    def test_another_thread(self, path):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert self.forks_for(path) == 0
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_a_failed_fork_reads_in_process(self, path, monkeypatch):
+        want = read_arrays(path)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
+        got = read_arrays(path)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_an_error_of_the_parent_reaps_the_child(self, path, monkeypatch):
+        def fails(fh, state=None):
+            raise MemoryError("the parent's half failed")
+            yield
+
+        with pytest.MonkeyPatch.context() as mp:
+            forks = Forks(mp)
+            mp.setattr(dataio, "_column_runs", fails)
+            with pytest.raises(MemoryError, match="^the parent's half failed$"):
+                read_arrays(path)
+        assert forks.forks == 1
+        forks.check()
 
 
 SPACES = st.sampled_from(["", " ", "  ", "\t"])

@@ -1,7 +1,8 @@
 """Command-scoped loading: ``import rdwo``, ``import rdwo.cli`` and the
 ``fit`` and ``stream`` commands never load the modules that only
-``simulate`` and ``verify`` run.  Each check runs in a fresh interpreter,
-since this test session has long loaded every module."""
+``simulate`` and ``verify`` run, nor, on inputs too small to split, the
+fork helper and ``mmap``.  Each check runs in a fresh interpreter, since
+this test session has long loaded every module."""
 
 import importlib.util
 import subprocess
@@ -10,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from rdwo import cli
+from rdwo import _fork, cli, dataio
 from rdwo.streaming import StreamingGrid
 
 REPO = Path(__file__).resolve().parents[1]
 TINY = str(REPO / "demos" / "data" / "tiny.csv")
 SPEC = str(REPO / "demos" / "data" / "sine_experiment.json")
-DEFERRED = ("rdwo.simulate", "rdwo.oracle")
+DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._fork", "mmap")
 
 RUN_AND_LIST = """
 import contextlib, io, sys
@@ -65,8 +66,19 @@ def test_fit_and_stream_load_no_deferred_module(argv):
     assert run_and_list(*full) == (0, [])
 
 
+def test_fit_loads_the_fork_helper_only_to_split(tmp_path):
+    path = tmp_path / "large.csv"
+    rows = (f"{k},{k * 1e-5!r},{k % 7}.25\n" for k in range(1, dataio._SPLIT_MIN_BYTES // 10))
+    path.write_text("k,phi,y\n" + "".join(rows), encoding="ascii")
+    assert path.stat().st_size >= dataio._SPLIT_MIN_BYTES
+    loaded = ["mmap", "rdwo._fork"] if _fork.can_fork() else []
+    assert run_and_list("fit", "--input", str(path), "--delta", "0.1", "--grid-list", "1") == (
+        0, loaded
+    )
+
+
 def test_simulate_and_verify_load_their_modules():
-    assert run_and_list("simulate", "--spec", SPEC) == (0, ["rdwo.simulate"])
+    assert run_and_list("simulate", "--spec", SPEC) == (0, ["mmap", "rdwo._fork", "rdwo.simulate"])
     assert run_and_list("verify", "--instances", "3") == (0, ["rdwo.oracle"])
 
 
