@@ -82,12 +82,6 @@ STREAM_BLOCK_ROWS = 1024
 def _add_estimation_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="CSV dataset with header k,phi,y")
     sub.add_argument("--delta", type=float, required=True, help="window half-width")
-    sub.add_argument(
-        "--l1",
-        type=float,
-        default=1.0,
-        help="assumed Lipschitz constant (does not affect the weights)",
-    )
     grid = sub.add_mutually_exclusive_group(required=True)
     grid.add_argument("--grid", help="query grid as min:max:count")
     grid.add_argument("--grid-list", help="comma-separated query points")
@@ -216,7 +210,7 @@ class _GridTable:
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     grid = _query_grid(args)
-    config = EstimatorConfig(delta=args.delta, l1=args.l1)
+    config = EstimatorConfig(delta=args.delta)
     phis, ys = read_arrays(args.input)
     with _overflow_names(config.delta):
         solution = grid_solve(grid, phis, ys, config)
@@ -227,7 +221,7 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     grid = _query_grid(args)
-    config = EstimatorConfig(delta=args.delta, l1=args.l1)
+    config = EstimatorConfig(delta=args.delta)
     if args.emit_every < 0:
         raise ValueError("--emit-every must be >= 0")
     engine = StreamingGrid(grid, config)

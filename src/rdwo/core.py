@@ -6,8 +6,10 @@ outputs of all samples whose regressor lies strictly inside the window
 proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
 holds the parameters and the closed form: the weights and objective of one
-query, and :func:`grid_solve` for many, each window a slice of the data in
-stable φ order; see :mod:`rdwo.streaming` for the one-pass variant.
+query, and :func:`grid_solve` for many.  Over data in stable φ order each
+window is a slice, and :func:`_window_dots` is the one reduction of the
+windows, for :func:`grid_solve` and :mod:`rdwo.simulate` alike; see
+:mod:`rdwo.streaming` for the one-pass variant.
 """
 
 from __future__ import annotations
@@ -184,6 +186,27 @@ def _sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
         yield a, b, distances, margins
 
 
+def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns) -> np.ndarray:
+    """The batch reduction of every query in ``xs`` over the ascending
+    regressors ``phis``, one row per quantity and one column per query: the
+    active count, the sum of the margins, then with the normalised weights
+    ``w = margins / sum`` the dots ``w . w``, ``w . |x - phi|`` and
+    ``w . v`` for each array ``v`` of ``columns``, aligned with ``phis``.
+
+    An empty window has a zero count and sum and nan dots.
+    """
+    table = np.full((4 + len(columns), xs.size), np.nan)
+    table[:2] = 0.0
+    for i, (a, b, distances, margins) in enumerate(_sorted_windows(xs, phis, delta)):
+        if b > a:
+            # np.add.reduce is the ufunc behind np.sum: the same bits.
+            total = np.add.reduce(margins)
+            w = margins / total
+            table[:, i] = [b - a, total, *(np.dot(w, v) for v in (w, distances)),
+                           *(np.dot(w, v[a:b]) for v in columns)]
+    return table
+
+
 def grid_solve(
     xs: np.ndarray,
     phis: np.ndarray,
@@ -206,18 +229,7 @@ def grid_solve(
     # Sorted copies; the order is freed before phis is copied.
     ys = ys[np.argsort(phis, kind="stable")]
     phis = np.sort(phis)
-    estimates = np.full(xs.size, np.nan)
-    counts = np.zeros(xs.size, dtype=int)
-    objectives = np.full(xs.size, np.nan)
-    sums = np.zeros(xs.size)
-    for i, (a, b, _, support) in enumerate(_sorted_windows(xs, phis, config.delta)):
-        if b > a:
-            total = float(np.sum(support))
-            w = support / total
-            estimates[i] = float(np.dot(w, ys[a:b]))
-            counts[i] = b - a
-            # The norm of the margins, as total * |w|: no square of a margin
-            # overflows or underflows.
-            objectives[i] = total * math.sqrt(float(np.dot(w, w)))
-            sums[i] = total
-    return estimates, counts, objectives, sums
+    counts, sums, squares, _, estimates = _window_dots(xs, phis, config.delta, (ys,))
+    # The norm of the margins, as total * |w|: no square of a margin
+    # overflows or underflows.
+    return estimates, counts.astype(int), sums * np.sqrt(squares), sums

@@ -404,9 +404,11 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _json_scalar(value) -> str:
+def _cell(fmt: str, value) -> str:
+    """One value as a JSON (``fmt`` "json") or CSV cell: they differ only in
+    None, null or nothing, and text, quoted or as it is."""
     if value is None:
-        return "null"
+        return "null" if fmt == "json" else ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -414,32 +416,18 @@ def _json_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.dumps(value) if fmt == "json" else value
     raise TypeError(f"cannot emit value of type {type(value).__name__}")
 
 
 def json_record(pairs: Sequence[tuple[str, object]]) -> str:
     """One JSON object per line, field order preserved."""
-    body = ", ".join(f'"{key}": {_json_scalar(value)}' for key, value in pairs)
+    body = ", ".join(f'"{key}": {_cell("json", value)}' for key, value in pairs)
     return "{" + body + "}"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot emit value of type {type(value).__name__}")
-
-
 def csv_row(values: Sequence[object]) -> str:
-    return ",".join(_csv_cell(v) for v in values)
+    return ",".join(_cell("csv", v) for v in values)
 
 
 # Lines per text that join_lines hands out, about 8 KiB of them: a whole
@@ -460,7 +448,7 @@ def _row_template(fmt: str, header, kinds: str, nulls, prefix) -> str:
     cells = [null if key in nulls else _CELLS[kind] for key, kind in zip(header, kinds)]
     if fmt == "csv":
         return ",".join(cells)
-    fields = [_literal(f'"{key}": {_json_scalar(value)}') for key, value in prefix]
+    fields = [_literal(f'"{key}": {_cell(fmt, value)}') for key, value in prefix]
     fields += [f'"{_literal(key)}": {cell}' for key, cell in zip(header, cells)]
     return "{" + ", ".join(fields)
 
@@ -484,8 +472,8 @@ def line_tail(fmt: str, suffix=()) -> str:
     the same value in every row, then the newline, after a JSON record's
     closing brace."""
     if fmt == "csv":
-        return "".join("," + _csv_cell(value) for _, value in suffix) + "\n"
-    return "".join(f', "{key}": {_json_scalar(value)}' for key, value in suffix) + "}\n"
+        return "".join("," + _cell(fmt, value) for _, value in suffix) + "\n"
+    return "".join(f', "{key}": {_cell(fmt, value)}' for key, value in suffix) + "}\n"
 
 
 def format_heads(fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=()):

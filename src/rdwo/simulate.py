@@ -12,7 +12,8 @@ Each query's answer depends only on the samples in its own window, so on a
 wide grid, with a second CPU free, :func:`run_experiment` answers the two
 halves of the query grid in two processes (see :func:`_forks`): the parent
 the lower half by index, a forked child the upper half.  Each process draws
-the seeded data itself, streams it, then sorts it for the batch windows,
+the seeded data itself, streams it, then sorts it and reduces the batch
+windows with ``core._window_dots``, the reduction ``grid_solve`` reads,
 and the child returns its columns through a shared anonymous map.  Every
 output bit is the one a single process gives.
 """
@@ -33,7 +34,7 @@ from .core import (
     _number,
     _numbers,
     _require_finite,
-    _sorted_windows,
+    _window_dots,
 )
 from .streaming import StreamingGrid
 
@@ -450,14 +451,10 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
     phis = phis[order]
     noises = noises[order]
     ys = ys[order]
-    table[0] = 0
-    table[1:6] = np.nan
-    for i, (a, b, distances, support) in enumerate(_sorted_windows(x, phis, spec.config.delta)):
-        if b > a:
-            w = support / float(np.sum(support))
-            y, noise = ys[a:b], noises[a:b]
-            table[0, i] = b - a
-            table[1:6, i] = [np.dot(w, v) for v in (y, distances, noise, np.abs(y), np.abs(noise))]
+    del order
+    dots = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)))
+    # count, w . y, w . |x - phi|, w . noise, w . |y|, w . |noise|
+    table[:6] = dots[[0, 4, 3, 5, 6, 7]]
     return failure
 
 

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import dataclasses
 import errno
 import importlib.util
+import io
 import json
 import math
 import os
@@ -883,14 +885,14 @@ class TestSimulate:
         # the parent answers the child's half itself, so nothing printed moves
         want = run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt)
         parent = os.getpid()
-        real = simulate._sorted_windows
+        real = simulate._window_dots
 
         def fails_in_the_child(*args):
             if os.getpid() != parent:
                 raise MemoryError
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_child)
+        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_child)
         assert run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt) == want
         assert_no_child()
 
@@ -1173,6 +1175,42 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0 and result.stderr == ""
         assert result.stdout == expected
+
+
+def openblas_on_two_cpus():
+    """Whether numpy is built on OpenBLAS and two CPUs are there for its
+    threads; OpenBLAS runs no more threads than it sees CPUs."""
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        return False
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_config()
+    return "openblas" in text.getvalue().lower()
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(not openblas_on_two_cpus(), reason="needs numpy on OpenBLAS and 2 CPUs")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "FOUND: output bits depend on the BLAS thread count once a window holds "
+        "more than 10,000 samples; OpenBLAS splits a longer ddot across threads"))
+    def test_fit_prints_the_same_bytes_on_one_and_two_threads(self, tmp_path):
+        # Windows of about 14,900 samples: OPENBLAS_NUM_THREADS is read when
+        # numpy loads, so each thread count needs its own process.
+        rng = np.random.default_rng(35)
+        phis = rng.uniform(-3, 3, 30_000)
+        ys = np.sin(phis) + rng.normal(0, 0.1, phis.size)
+        path = write_rows(tmp_path / "wide.csv", zip(phis.tolist(), ys.tolist()))
+        outputs = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "rdwo", "fit", "--input", path, "--delta", "1.5",
+                 "--grid=-1:1:3"],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestBrokenPipe:

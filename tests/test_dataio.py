@@ -268,7 +268,7 @@ class TestReadArrays:
         except InputFormatError as exc:
             return "error", str(exc)
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], derandomize=True)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         header=st.sampled_from([EXPECTED_HEADER, f" {EXPECTED_HEADER}", "k,phi", ""]),
         lines=st.lists(LINES, max_size=8),
@@ -440,7 +440,7 @@ class TestChunkedIngest:
         kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
         assert (kind, message) == ("error", "line 52: duplicate sample index 50")
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], derandomize=True)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         chunk_chars=st.integers(1, 40),
         lines=st.lists(TestReadArrays.LINES, max_size=12),

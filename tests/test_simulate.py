@@ -447,7 +447,7 @@ class TestTwoProcesses:
         spec = demo_spec()
         want = run_counting_forks(spec, cpus=(0,))[0]
         parent = os.getpid()
-        real = simulate._sorted_windows
+        real = simulate._window_dots
 
         def fails_in_the_child(*args):
             if os.getpid() != parent:
@@ -456,7 +456,7 @@ class TestTwoProcesses:
                 warnings.warn("in the child", fault)
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_child)
+        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_child)
         got, forks, statuses = run_counting_forks(spec)
         assert forks == 1 and len(statuses) == 1 and statuses[0] != 0
         assert_same_report(got, want)
@@ -464,14 +464,14 @@ class TestTwoProcesses:
 
     def test_an_error_of_the_parent_reaps_the_child(self, monkeypatch):
         parent = os.getpid()
-        real = simulate._sorted_windows
+        real = simulate._window_dots
 
         def fails_in_the_parent(*args):
             if os.getpid() == parent:
                 raise ValueError("the parent's half failed")
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_sorted_windows", fails_in_the_parent)
+        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_parent)
         with pytest.raises(ValueError, match="^the parent's half failed$"):
             run_counting_forks(demo_spec())
         assert_no_child()
