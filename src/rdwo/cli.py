@@ -148,8 +148,8 @@ def _emit(out: TextIO, fmt: str, header, heads, suffix=(), with_header=True) -> 
 def _overflow_names(delta: float):
     """Raise a float overflow in the window arithmetic as a one-line error
     naming its causes, a large ``delta`` (margins reach it) or large outputs
-    (``stream``'s running sum of scaled margin times output), rather than
-    printing inf or a wrong estimate."""
+    (a window's sum of scaled margin times output), rather than printing inf
+    or a wrong estimate."""
     try:
         with np.errstate(over="raise"):
             yield
@@ -229,12 +229,8 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     track_n = args.emit_every > 0 or args.diagnostics
 
     def emit(n_seen: int | None, with_header: bool) -> None:
-        solution = (
-            engine.estimates(),
-            engine.active_counts(),
-            engine.objectives(),
-            engine.support_sums(),
-        )
+        solution = (engine.estimates(), engine.active_counts(), engine.objectives(),
+                    engine.support_sums())
         table.write(out, solution, n_seen, with_header)
 
     first_block = True

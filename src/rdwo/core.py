@@ -7,9 +7,9 @@ proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
 holds the parameters and the closed form: the weights and objective of one
 query, and :func:`grid_solve` for many.  Over data in stable φ order each
-window is a slice, and :func:`_window_dots` is the one reduction of the
-windows, for :func:`grid_solve` and :mod:`rdwo.simulate` alike; see
-:mod:`rdwo.streaming` for the one-pass variant.
+window is a slice, :func:`_window_dots` is the one reduction of the windows
+to sums, and :func:`_readout` the one readout of sums, which
+:mod:`rdwo.streaming`, the one-pass variant, keeps as running sums.
 """
 
 from __future__ import annotations
@@ -123,11 +123,10 @@ def window_margins(x: float, phis: np.ndarray, delta: float) -> tuple[np.ndarray
 def query_weights(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.ndarray:
     """Closed-form weights of the query ``x``, positional over ``phis``.
 
-    An in-window regressor's weight is its margin over the sum of the
-    window's margins; every other weight is exactly zero.  The vector
-    maximizes :func:`simplex_objective` over the simplex, and the maximum is
-    the Euclidean norm of the margins, the objective :func:`grid_solve`
-    reports.
+    An in-window regressor's weight is its scaled margin ``r`` over their
+    sum ``S``; every other weight is exactly zero.  The vector maximizes
+    :func:`simplex_objective` over the simplex, at the Euclidean norm of the
+    margins, the objective :func:`grid_solve` reports.
 
     Raises
     ------
@@ -143,7 +142,8 @@ def query_weights(x: float, phis: np.ndarray, config: EstimatorConfig) -> np.nda
     if positions.size == 0:
         raise NoSupportError(f"no sample strictly inside the window around x={x!r}")
     weights = np.zeros(phis.size)
-    weights[positions] = margins / float(np.sum(margins))
+    r = margins / config.delta
+    weights[positions] = r / float(np.sum(r))
     return weights
 
 
@@ -187,24 +187,33 @@ def _sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
 
 
 def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns) -> np.ndarray:
-    """The batch reduction of every query in ``xs`` over the ascending
-    regressors ``phis``, one row per quantity and one column per query: the
-    active count, the sum of the margins, then with the normalised weights
-    ``w = margins / sum`` the dots ``w . w``, ``w . |x - phi|`` and
-    ``w . v`` for each array ``v`` of ``columns``, aligned with ``phis``.
-
-    An empty window has a zero count and sum and nan dots.
+    """The window sums of every query in ``xs`` over the ascending regressors
+    ``phis`` in the scaled margins ``r = margins / delta`` that
+    :class:`~rdwo.streaming.StreamingGrid` folds, one row per quantity and one
+    column per query: the active count, ``S = sum r``, ``SQ = r . r``,
+    ``r . |x - phi|`` and ``r . v`` for each array ``v`` of ``columns``,
+    aligned with ``phis``; all zero for an empty window.  Nothing is divided.
     """
-    table = np.full((4 + len(columns), xs.size), np.nan)
-    table[:2] = 0.0
+    table = np.zeros((4 + len(columns), xs.size))
     for i, (a, b, distances, margins) in enumerate(_sorted_windows(xs, phis, delta)):
         if b > a:
-            # np.add.reduce is the ufunc behind np.sum: the same bits.
-            total = np.add.reduce(margins)
-            w = margins / total
-            table[:, i] = [b - a, total, *(np.dot(w, v) for v in (w, distances)),
-                           *(np.dot(w, v[a:b]) for v in columns)]
+            r = margins / delta
+            table[:, i] = [b - a, np.add.reduce(r), *(np.dot(r, v) for v in (r, distances)),
+                           *(np.dot(r, v[a:b]) for v in columns)]
+    # A one-term dot keeps a -0 product, which a running sum from +0 never
+    # holds; adding +0 turns -0 into +0 and leaves every other bit.
+    table += 0.0
     return table
+
+
+def _readout(delta: float, counts, s, sy, sq):
+    """The ``(estimates, active_counts, objectives, support_sums)`` of window
+    sums in scaled margins, for batch and streaming alike: ``SY / S`` (a row
+    for each row of ``sy``), the count, ``delta * sqrt(SQ)``, the norm of the
+    margins, and ``delta * S``; nan estimates and objectives without support."""
+    supported = counts > 0
+    estimates = np.divide(sy, s, out=np.full(np.shape(sy), np.nan), where=supported)
+    return estimates, counts, np.where(supported, delta * np.sqrt(sq), np.nan), delta * s
 
 
 def grid_solve(
@@ -216,10 +225,11 @@ def grid_solve(
     """Closed-form solution at many query points over one dataset.
 
     Returns ``(estimates, active_counts, objectives, support_sums)``, the
-    per-point arrays a :class:`~rdwo.streaming.StreamingGrid` reports.  An
-    objective is the maximum of :func:`simplex_objective`, the Euclidean norm
-    of the window's margins.  Queries with empty support get ``nan``
-    estimates and objectives and zero counts and sums.
+    per-point arrays a :class:`~rdwo.streaming.StreamingGrid` reports, through
+    the same :func:`_readout`.  An objective is the maximum of
+    :func:`simplex_objective`, the Euclidean norm of the window's margins.
+    Queries with empty support get ``nan`` estimates and objectives and zero
+    counts and sums.
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -229,7 +239,5 @@ def grid_solve(
     # Sorted copies; the order is freed before phis is copied.
     ys = ys[np.argsort(phis, kind="stable")]
     phis = np.sort(phis)
-    counts, sums, squares, _, estimates = _window_dots(xs, phis, config.delta, (ys,))
-    # The norm of the margins, as total * |w|: no square of a margin
-    # overflows or underflows.
-    return estimates, counts.astype(int), sums * np.sqrt(squares), sums
+    counts, s, sq, _, sy = _window_dots(xs, phis, config.delta, (ys,))
+    return _readout(config.delta, counts.astype(int), s, sy, sq)

@@ -33,6 +33,7 @@ from .core import (
     _even_grid,
     _number,
     _numbers,
+    _readout,
     _require_finite,
     _window_dots,
 )
@@ -330,27 +331,28 @@ def _error_check(est, truth, smooth_sum, noise_sum, y_magnitude, noise_magnitude
     """Absolute errors of the estimates ``est``, their computable bounds,
     and whether each holds, from each query's weighted sums ``w . |x - phi|``,
     ``w . noise``, ``w . |y|`` and ``w . |noise|`` over its ``count`` active
-    samples, with nonnegative weights ``w``.
+    samples, with the weights ``w = r / S`` of the scaled margins ``r``.
 
-    The bound is the sum of a deterministic smoothness term,
-    ``l1 * sum(w * |x - phi|)``, and the realized weighted noise magnitude
-    ``|sum(w * noise)|``; it holds exactly for weights summing to one.  The
-    check allows for the rounding of the arithmetic that produced ``est`` and
-    the bound: an n-term dot product computed in floating point is within
-    ``gamma_n * sum(|w| * |v|)`` of the exact one, ``gamma_n = n*u/(1 - n*u)``,
-    in any summation order, so also in the φ order of the batch windows
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1).
-    That covers the estimate ``w . y``, both bound terms and the weights'
-    normalisation, whose sum is within ``gamma_n`` of one and so moves the
-    estimate by at most ``gamma_n * |truth|``.  Each term carries one more
-    rounding (a weight's quotient, a gap's subtraction), hence ``n + 1``.
-    A query without support has nan sums, so its bound does not hold.
+    The bound ``l1 * w . |x - phi| + |w . noise|`` holds exactly for
+    nonnegative weights summing to one, as ``r / S`` do over the computed
+    ``r``.  The check allows for the rounding of ``est`` and the bound, each
+    a quotient ``fl(N) / fl(S)`` of window sums.  An n-term sum or dot
+    product is within ``gamma_n * sum(|r| * |v|)`` of the exact one in any
+    order, ``gamma_n = n*u/(1 - n*u)``, and the n - 1 roundings of ``S`` and
+    the division's one are within ``gamma_n`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1, lemmas 3.1 and 3.3).
+    As ``|N| / S <= w . |v|``, a quotient is within ``gamma_n * (2 +
+    gamma_n) <= gamma_2n`` times ``w . |v|`` of its exact value, with no
+    term in ``|truth|``.  One rounding more in the data (an output's sum, a
+    gap's subtraction) and three in the check (the error, the product by
+    ``l1``, the bound's sum) make ``2n + 4``.  A query without support has
+    nan sums, so its bound does not hold.
     """
     err = np.abs(est - truth)
     smooth = l1 * smooth_sum
     bound = smooth + np.abs(noise_sum)
-    magnitude = y_magnitude + smooth + noise_magnitude + np.abs(truth)
-    nu = (count + 1) * _UNIT_ROUNDOFF
+    magnitude = y_magnitude + smooth + noise_magnitude
+    nu = (2 * count + 4) * _UNIT_ROUNDOFF
     return err, bound, err <= bound + nu / (1.0 - nu) * magnitude
 
 
@@ -365,12 +367,13 @@ QUERY_NULLABLE = ("estimate", "abs_error", "bound_z", "bound_holds")
 @dataclass(frozen=True)
 class ExperimentReport:
     """Outcome of one experiment run: one array per query column, named and
-    ordered as :data:`QUERY_HEADER`, then ``stream_estimate``, the estimates
-    of the streaming pass, which no table prints, then the aggregates.
+    ordered as :data:`QUERY_HEADER`, then two no table prints, the streaming
+    pass's ``stream_estimate`` and ``y_magnitude``, the scale ``w . |y|`` of
+    each estimate, then the aggregates.
 
     A query is supported when its ``active_count`` is positive; one without
     support has nan in ``estimate``, ``abs_error``, ``bound_z`` and
-    ``stream_estimate`` and False in ``bound_holds``.
+    ``stream_estimate`` and ``y_magnitude`` and False in ``bound_holds``.
     """
 
     x: np.ndarray
@@ -381,6 +384,7 @@ class ExperimentReport:
     bound_holds: np.ndarray
     active_count: np.ndarray
     stream_estimate: np.ndarray
+    y_magnitude: np.ndarray
     supported_count: int
     no_support_count: int
     violation_count: int
@@ -413,7 +417,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     supported = count > 0
     errors = abs_error[supported]
     report = ExperimentReport(
-        x, truth, estimate, abs_error, bound_z, bound_holds, count, table[6],
+        x, truth, estimate, abs_error, bound_z, bound_holds, count, table[6], table[4],
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
@@ -426,8 +430,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 # The rows of a run's answer table, one column per query: the active count,
-# the window sums w . y (the batch estimate), w . |x - phi|, w . noise,
-# w . |y| and w . |noise|, nan without support, and the streaming estimate.
+# w . y (the batch estimate), w . |x - phi|, w . noise, w . |y|, w . |noise|
+# with w = r / S, nan without support, and the streaming estimate.
 _ROWS = 7
 
 
@@ -452,9 +456,10 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
     noises = noises[order]
     ys = ys[order]
     del order
-    dots = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)))
-    # count, w . y, w . |x - phi|, w . noise, w . |y|, w . |noise|
-    table[:6] = dots[[0, 4, 3, 5, 6, 7]]
+    # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
+    sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)))
+    table[0] = sums[0]
+    table[1:6] = _readout(spec.config.delta, sums[0], sums[1], sums[[4, 3, 5, 6, 7]], sums[2])[0]
     return failure
 
 
@@ -520,7 +525,8 @@ def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> flo
     """Largest relative disagreement between a report's estimates and
     ``estimates``, one per query, with None or nan where unsupported.
 
-    The support pattern must be the report's.
+    A gap is relative to the query's ``w . |y|``, which bounds the terms of
+    its estimate however they cancel.  The support must be the report's.
     """
     others = np.array(estimates, dtype=float)
     if others.shape != report.estimate.shape:
@@ -530,5 +536,5 @@ def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> flo
     if differs.size:
         raise ValueError(f"support differs from the report's at x={report.x[differs[0]].item()!r}")
     ours, theirs = report.estimate[supported], others[supported]
-    scale = np.maximum(np.maximum(np.abs(ours), np.abs(theirs)), 1e-300)
+    scale = np.maximum(report.y_magnitude[supported], 1e-300)
     return float(np.max(np.abs(ours - theirs) / scale, initial=0.0))

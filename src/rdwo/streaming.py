@@ -1,18 +1,15 @@
 """One-pass streaming form of the windowed direct-weight estimator.
 
-The estimate at a query point is a ratio of two window sums, ``sum(m * y) /
-sum(m)`` with margins ``m = delta - |x - phi|``, and its objective is the
-Euclidean norm of the margins.  So a point's streaming state is running
-sums over the samples absorbed so far, kept in scaled margins ``r = m /
-delta``, which lie in (0, 1]::
+A query point's streaming state is the window state of :mod:`rdwo.core`,
+kept as running sums over the samples absorbed so far, in scaled margins
+``r = m / delta`` with ``m = delta - |x - phi|``, which lie in (0, 1]::
 
     S = sum r,    SY = sum r * y,    SQ = sum r * r,
 
-and the count.  A read forms the estimate ``SY / S``, the objective
-``delta * sqrt(SQ)`` and the support sum ``delta * S``.  The scaling bounds
-each term of ``SY`` by ``|y|`` and each term of ``S`` and ``SQ`` by one,
-whatever ``delta`` is.  The batch path of :mod:`rdwo.core` forms the same
-quotient over the same window; the two differ only in the order they add.
+and the count, read out by ``core._readout``.  The scaling bounds each term
+of ``SY`` by ``|y|`` and each term of ``S`` and ``SQ`` by one, whatever
+``delta`` is.  The batch path of :mod:`rdwo.core` forms the same quotient
+over the same window; the two differ only in the order they add.
 
 :class:`StreamingGrid` holds the sums of a grid of query points and pays
 only for the grid points inside each sample's window, found by binary
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EstimatorConfig, _margins, _require_finite
+from .core import EstimatorConfig, _margins, _readout, _require_finite
 
 __all__ = ["StreamingGrid"]
 
@@ -43,14 +40,7 @@ class StreamingGrid:
     Each grid point adds its own samples into its sums one at a time, in
     stream order, so the state after :meth:`extend` is bit for bit the one a
     loop of :meth:`update` leaves, and the one a scalar running sum per grid
-    point gives.  The cost follows the windows: a sample touches only the
-    grid points within ``delta`` of it, found by binary search in the sorted
-    grid.
-
-    Samples are folded in chunks of about ``_PAIR_BUDGET`` (sample, grid
-    point) pairs, laid out sample by sample.  Each sum takes a chunk's pairs
-    in one ``np.add.at``, which applies its updates one by one in index
-    order.
+    point gives.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -121,8 +111,10 @@ class StreamingGrid:
         self.n_seen += phis.size
 
     def _chunk(self, lo, hi, phis, ys, total: int) -> None:
-        """Add the ``total`` pairs of a run of samples into the sums, sample
-        by sample, so each grid point meets its samples in stream order."""
+        """Add the ``total`` pairs of a run of samples into the sums, laid out
+        sample by sample: each sum takes them in one ``np.add.at``, which
+        applies its updates one by one in index order, so each grid point
+        meets its samples in stream order."""
         delta = self.config.delta
         counts = hi - lo
         # Pairs sample by sample: position in the sorted grid, margin, y.
@@ -141,22 +133,20 @@ class StreamingGrid:
         np.add.at(self.sq, points, r * r)
         np.add.at(self.n_active, points, 1)
 
+    def _readout(self):
+        return _readout(self.config.delta, self.n_active, self.s, self.sy, self.sq)
+
     def estimates(self) -> np.ndarray:
-        """Per-point estimates ``SY / S``, nan where no sample has been
-        absorbed."""
-        return np.divide(self.sy, self.s, out=np.full(self.s.size, np.nan), where=self.n_active > 0)
+        """Per-point estimates ``SY / S``, nan where none is absorbed."""
+        return self._readout()[0]
 
     def active_counts(self) -> np.ndarray:
         return self.n_active.copy()
 
     def objectives(self) -> np.ndarray:
-        """Per-point achieved objective values, nan where unsupported.
-
-        For the closed-form weights the achieved objective reduces to the
-        Euclidean norm of the absorbed margins, ``delta * sqrt(SQ)``.
-        """
-        return np.where(self.n_active > 0, self.config.delta * np.sqrt(self.sq), np.nan)
+        """Per-point norms of the absorbed margins, ``delta * sqrt(SQ)``, or nan."""
+        return self._readout()[2]
 
     def support_sums(self) -> np.ndarray:
         """Per-point sums of the absorbed margins, ``delta * S``."""
-        return self.config.delta * self.s
+        return self._readout()[3]

@@ -463,33 +463,33 @@ class TestPinnedOutput:
     # stdout of `rdwo verify --instances 12 --seed 3`: the instances, the
     # closed-form and searched objectives and their deviations, bit for bit.
     VERIFY_JSON = """\
-{"type": "instance", "instance": 0, "n": 2, "claimed": 0.39317665517593858, "simplex": 0.39317665517593858, "signed": 0.39317665517593858, "simplex_abs_dev": 0, "signed_excess": 0, "ok": true}
-{"type": "instance", "instance": 1, "n": 3, "claimed": 0.87562441240995148, "simplex": 0.87562441240995015, "signed": 0.87562441240995015, "simplex_abs_dev": 1.3322676295501878e-15, "signed_excess": -1.3322676295501878e-15, "ok": true}
-{"type": "instance", "instance": 2, "n": 4, "claimed": 0.46075484498662667, "simplex": 0.46075484498662655, "signed": 0.46075484498662655, "simplex_abs_dev": 1.1102230246251565e-16, "signed_excess": -1.1102230246251565e-16, "ok": true}
+{"type": "instance", "instance": 0, "n": 2, "claimed": 0.39317665517593864, "simplex": 0.39317665517593858, "signed": 0.39317665517593858, "simplex_abs_dev": 5.5511151231257827e-17, "signed_excess": -5.5511151231257827e-17, "ok": true}
+{"type": "instance", "instance": 1, "n": 3, "claimed": 0.87562441240995159, "simplex": 0.87562441240995015, "signed": 0.87562441240995015, "simplex_abs_dev": 1.4432899320127035e-15, "signed_excess": -1.4432899320127035e-15, "ok": true}
+{"type": "instance", "instance": 2, "n": 4, "claimed": 0.46075484498662661, "simplex": 0.46075484498662655, "signed": 0.46075484498662655, "simplex_abs_dev": 5.5511151231257827e-17, "signed_excess": -5.5511151231257827e-17, "ok": true}
 {"type": "instance", "instance": 3, "n": 5, "claimed": 0.69472775256689434, "simplex": 0.69472775256689423, "signed": 0.69472775256689423, "simplex_abs_dev": 1.1102230246251565e-16, "signed_excess": -1.1102230246251565e-16, "ok": true}
 {"type": "instance", "instance": 4, "n": 6, "claimed": 1.3544004751987957, "simplex": 1.3544004751987957, "signed": 1.3544004751987957, "simplex_abs_dev": 0, "signed_excess": 0, "ok": true}
-{"type": "instance", "instance": 5, "n": 7, "claimed": 0.47141590591393973, "simplex": 0.47141590591393912, "signed": 0.47141590591393912, "simplex_abs_dev": 6.106226635438361e-16, "signed_excess": -6.106226635438361e-16, "ok": true}
-{"type": "instance", "instance": 6, "n": 8, "claimed": 0.68839117031918196, "simplex": 0.68839117031918129, "signed": 0.68839117031918129, "simplex_abs_dev": 6.6613381477509392e-16, "signed_excess": -6.6613381477509392e-16, "ok": true}
+{"type": "instance", "instance": 5, "n": 7, "claimed": 0.47141590591393967, "simplex": 0.47141590591393912, "signed": 0.47141590591393912, "simplex_abs_dev": 5.5511151231257827e-16, "signed_excess": -5.5511151231257827e-16, "ok": true}
+{"type": "instance", "instance": 6, "n": 8, "claimed": 0.68839117031918207, "simplex": 0.68839117031918129, "signed": 0.68839117031918129, "simplex_abs_dev": 7.7715611723760958e-16, "signed_excess": -7.7715611723760958e-16, "ok": true}
 {"type": "instance", "instance": 7, "n": 9, "claimed": 1.1456136486308597, "simplex": 1.1456136486308575, "signed": 1.1456136486308575, "simplex_abs_dev": 2.2204460492503131e-15, "signed_excess": -2.2204460492503131e-15, "ok": true}
 {"type": "instance", "instance": 8, "n": 10, "claimed": 1.4690666796585345, "simplex": 1.4690666796585323, "signed": 1.4690666796585323, "simplex_abs_dev": 2.2204460492503131e-15, "signed_excess": -2.2204460492503131e-15, "ok": true}
 {"type": "instance", "instance": 9, "n": 11, "claimed": 2.0586943444128956, "simplex": 2.0586943444128951, "signed": 2.0586943444128951, "simplex_abs_dev": 4.4408920985006262e-16, "signed_excess": -4.4408920985006262e-16, "ok": true}
-{"type": "instance", "instance": 10, "n": 12, "claimed": 1.119887960702703, "simplex": 1.1198879607026984, "signed": 1.1198879607026984, "simplex_abs_dev": 4.6629367034256575e-15, "signed_excess": -4.6629367034256575e-15, "ok": true}
+{"type": "instance", "instance": 10, "n": 12, "claimed": 1.1198879607027028, "simplex": 1.1198879607026984, "signed": 1.1198879607026984, "simplex_abs_dev": 4.4408920985006262e-15, "signed_excess": -4.4408920985006262e-15, "ok": true}
 {"type": "instance", "instance": 11, "n": 2, "claimed": 0.68757930233147346, "simplex": 0.68757930233147335, "signed": 0.68757930233147335, "simplex_abs_dev": 1.1102230246251565e-16, "signed_excess": -1.1102230246251565e-16, "ok": true}
-{"type": "summary", "instances": 12, "failures": 0, "max_simplex_abs_dev": 4.6629367034256575e-15, "max_signed_excess": 0, "fault_injected": false}
+{"type": "summary", "instances": 12, "failures": 0, "max_simplex_abs_dev": 4.4408920985006262e-15, "max_signed_excess": 0, "fault_injected": false}
 """
     VERIFY_CSV = """\
 instance,n,claimed,simplex,signed,simplex_abs_dev,signed_excess,ok
-0,2,0.39317665517593858,0.39317665517593858,0.39317665517593858,0,0,true
-1,3,0.87562441240995148,0.87562441240995015,0.87562441240995015,1.3322676295501878e-15,-1.3322676295501878e-15,true
-2,4,0.46075484498662667,0.46075484498662655,0.46075484498662655,1.1102230246251565e-16,-1.1102230246251565e-16,true
+0,2,0.39317665517593864,0.39317665517593858,0.39317665517593858,5.5511151231257827e-17,-5.5511151231257827e-17,true
+1,3,0.87562441240995159,0.87562441240995015,0.87562441240995015,1.4432899320127035e-15,-1.4432899320127035e-15,true
+2,4,0.46075484498662661,0.46075484498662655,0.46075484498662655,5.5511151231257827e-17,-5.5511151231257827e-17,true
 3,5,0.69472775256689434,0.69472775256689423,0.69472775256689423,1.1102230246251565e-16,-1.1102230246251565e-16,true
 4,6,1.3544004751987957,1.3544004751987957,1.3544004751987957,0,0,true
-5,7,0.47141590591393973,0.47141590591393912,0.47141590591393912,6.106226635438361e-16,-6.106226635438361e-16,true
-6,8,0.68839117031918196,0.68839117031918129,0.68839117031918129,6.6613381477509392e-16,-6.6613381477509392e-16,true
+5,7,0.47141590591393967,0.47141590591393912,0.47141590591393912,5.5511151231257827e-16,-5.5511151231257827e-16,true
+6,8,0.68839117031918207,0.68839117031918129,0.68839117031918129,7.7715611723760958e-16,-7.7715611723760958e-16,true
 7,9,1.1456136486308597,1.1456136486308575,1.1456136486308575,2.2204460492503131e-15,-2.2204460492503131e-15,true
 8,10,1.4690666796585345,1.4690666796585323,1.4690666796585323,2.2204460492503131e-15,-2.2204460492503131e-15,true
 9,11,2.0586943444128956,2.0586943444128951,2.0586943444128951,4.4408920985006262e-16,-4.4408920985006262e-16,true
-10,12,1.119887960702703,1.1198879607026984,1.1198879607026984,4.6629367034256575e-15,-4.6629367034256575e-15,true
+10,12,1.1198879607027028,1.1198879607026984,1.1198879607026984,4.4408920985006262e-15,-4.4408920985006262e-15,true
 11,2,0.68757930233147346,0.68757930233147335,0.68757930233147335,1.1102230246251565e-16,-1.1102230246251565e-16,true
 """
     VERIFY_FAULT_JSON = """\
@@ -717,11 +717,10 @@ class TestBadInput:
         assert code == 0
         assert "fit" in out and "verify" in out
 
-    # Margins reach delta.  Both commands sum them scaled, fit as weights
-    # margin / total and stream as margin / delta, so at 1e200 every term
-    # and sum stays finite and both answer.  At 1.7e308 the sum of the three
-    # margins overflows in both, fit's total and stream's delta * S; numpy
-    # would warn and print inf or a wrong estimate.
+    # Margins reach delta.  Both commands sum them scaled, as margin / delta,
+    # so at 1e200 every term and sum stays finite and both answer.  At
+    # 1.7e308 the support sum delta * S of the three margins overflows in
+    # both; numpy would warn and print inf or a wrong estimate.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta", ["1e200", "1.7e308"])
     @pytest.mark.parametrize("command", ["fit", "stream"])
@@ -742,9 +741,8 @@ class TestBadInput:
             assert math.isclose(got[key], want[key], rel_tol=MODE_AGREEMENT_RTOL), key
         assert math.isclose(got["support_sum"], 3 * float(delta), rel_tol=1e-15)
 
-    # Outputs near the largest double, of opposite signs: stream's terms
-    # scaled margin * y stay within |y| and their sum cancels, so it answers
-    # as fit does.
+    # Outputs near the largest double, of opposite signs: the terms scaled
+    # margin * y stay within |y| and their sum cancels, so both answer.
     @pytest.mark.filterwarnings("error")
     def test_overflowing_outputs(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
@@ -752,8 +750,8 @@ class TestBadInput:
         argv = ("--input", str(path), "--delta", "1", "--grid-list", "0")
         fit = run_cli(capsys, "fit", *argv)
         assert fit == (0, (
-            '{"x": 0, "estimate": 8.9473684210526254e+306, "active_count": 2, '
-            '"objective": 1.3453624047073709}\n'
+            '{"x": 0, "estimate": 8.9473684210526304e+306, "active_count": 2, '
+            '"objective": 1.3453624047073711}\n'
         ), "")
         code, out, err = run_cli(capsys, "stream", *argv)
         assert code == 0 and err == ""
@@ -763,17 +761,16 @@ class TestBadInput:
             assert math.isclose(got[key], want[key], rel_tol=MODE_AGREEMENT_RTOL), key
 
     # The same outputs with one sign: their scaled sum passes the largest
-    # double, so stream exits 2, where fit's weighted mean stays finite.
+    # double, in the batch sums as in the running ones, so both exit 2.
     @pytest.mark.filterwarnings("error")
     def test_same_sign_outputs_overflow_the_stream(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("k,phi,y\n1,0,1.7e308\n2,0.1,1.7e308\n", encoding="utf-8")
         argv = ("--input", str(path), "--delta", "1", "--grid-list", "0")
-        code, out, err = run_cli(capsys, "stream", *argv)
-        assert_one_line_error(code, out, err)
-        assert err == overflow_error("1.0")
-        code, out, err = run_cli(capsys, "fit", *argv)
-        assert code == 0 and err == "" and json_lines(out)[0]["estimate"] == 1.7e308
+        for command in ("fit", "stream"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert_one_line_error(code, out, err)
+            assert err == overflow_error("1.0"), command
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spec_delta(self, capsys, tmp_path, split_grids):
@@ -898,8 +895,9 @@ class TestSimulate:
 
     def test_batch_warnings_come_before_a_streaming_error(self, capsys, tmp_path,
                                                            monkeypatch):
-        # Noise this large draws inf outputs: the batch sums warn, then the
-        # streaming pass rejects the sample, on one process or two.
+        # Noise this large draws inf outputs, which the streaming pass
+        # rejects; but the batch sums of the noise overflow first, and the
+        # batch error wins, with no warning, on one process or two.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**demo_spec(), "noise_sigma": 1e308}), encoding="utf-8")
         monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
@@ -913,9 +911,45 @@ class TestSimulate:
             runs.append((result, [(w.category, str(w.message)) for w in caught]))
         assert runs[0] == runs[1]
         (code, out, err), caught = runs[0]
-        assert (code, out, err) == (2, "", "error: y must be finite, got inf\n")
-        assert (RuntimeWarning, "invalid value encountered in dot") in caught
+        assert (code, out, err) == (2, "", overflow_error("0.5"))
+        assert caught == []
         assert_no_child()
+
+    def test_a_zero_crossing_is_no_disagreement(self, capsys, tmp_path):
+        # Bisect the batch estimate of the seeded data to its sign change, so
+        # no bits are pinned: there the estimate is a rounding residue of
+        # sums of size w . |y|, and the two modes' residues differ relative
+        # to the estimate but not to that scale.
+        data = {**demo_spec(), "n_samples": 30000, "seed": 0}
+        spec = simulate.ExperimentSpec.from_dict(data)
+        phis, _, ys = simulate._dataset_arrays(spec)
+
+        def estimate(x):
+            return grid_solve([x], phis, ys, spec.config)[0][0]
+
+        lo, hi = -0.25, 0.25
+        assert estimate(lo) < 0.0 < estimate(hi)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (mid, hi) if estimate(mid) < 0.0 else (lo, mid)
+        x = min((lo, hi), key=lambda v: abs(estimate(v)))
+        path = tmp_path / "crossing.json"
+        path.write_text(json.dumps({**data, "query_grid": [x]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert (code, err) == (0, "")
+        (query, summary) = json_lines(out)
+        assert summary["mode_max_rel_dev"] <= MODE_AGREEMENT_RTOL
+        report = run_experiment(load_spec(path))
+        assert abs(query["estimate"]) <= 1e-12 * report.y_magnitude[0]
+
+    def test_a_real_disagreement_exits_1(self, capsys, sim_spec, monkeypatch):
+        report = run_experiment(load_spec(sim_spec))
+        stub = dataclasses.replace(
+            report, stream_estimate=report.stream_estimate + 1e-6 * report.y_magnitude
+        )
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: stub)
+        code, _, err = run_cli(capsys, "simulate", "--spec", sim_spec)
+        assert code == 1
+        assert err.startswith("verification failure: batch and streaming estimates disagree")
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "no.json"))

@@ -211,12 +211,12 @@ class TestRoundingAllowance:
         phis, noises, ys = in_phi_order(*_dataset_arrays(spec))
         x = spec.query_grid[0]
         windows = _sorted_windows(np.array([x]), phis, spec.config.delta)
-        a, b, distances, support = next(iter(windows))
+        a, b, distances, margins = next(iter(windows))
         assert distances.tolist() == np.abs(x - phis[a:b]).tolist()
-        weights = support / float(np.sum(support))
-        est = float(np.dot(weights, ys[a:b]))
+        scaled = margins / spec.config.delta
+        est, *sums = window_means(scaled, ys[a:b], distances, noises[a:b])
         truth = float(spec.function(x))
-        args = (truth, *window_sums(weights, distances, ys[a:b], noises[a:b]), b - a, 1.0)
+        args = (truth, *sums, b - a, 1.0)
         err, bound, holds = _error_check(est, *args)
         report = run_experiment(spec)
         assert (err, bound, holds) == (report.abs_error[0], report.bound_z[0], True)
@@ -224,15 +224,14 @@ class TestRoundingAllowance:
         assert bool(_error_check(est - 1e-9, *args)[2]) is True
 
 
-def window_sums(weights, distances, window_ys, window_noises):
-    """The weighted sums of one window that _error_check takes after the
-    estimate and the truth: w.|x - phi|, w.noise, w.|y| and w.|noise|."""
-    return (
-        float(np.dot(weights, distances)),
-        float(np.dot(weights, window_noises)),
-        float(np.dot(weights, np.abs(window_ys))),
-        float(np.dot(weights, np.abs(window_noises))),
-    )
+def window_means(scaled, window_ys, distances, window_noises):
+    """The estimate w.y of one window, then the weighted sums _error_check
+    takes after the estimate and the truth: w.|x - phi|, w.noise, w.|y| and
+    w.|noise|; each a dot with the scaled margins r over their sum S, so
+    with the weights w = r / S."""
+    s = float(np.sum(scaled))
+    columns = (window_ys, distances, window_noises, np.abs(window_ys), np.abs(window_noises))
+    return [float(np.dot(scaled, v)) / s for v in columns]
 
 
 def reference_columns(spec):
@@ -243,14 +242,13 @@ def reference_columns(spec):
     rows = []
     for x in spec.query_grid:
         truth = float(spec.function(x))
-        positions, support = window_margins(x, phis, spec.config.delta)
+        positions, margins = window_margins(x, phis, spec.config.delta)
         if positions.size == 0:
             rows.append((x, truth, math.nan, math.nan, math.nan, False, 0))
             continue
-        weights = support / float(np.sum(support))
-        est = float(np.dot(weights, ys[positions]))
-        sums = window_sums(
-            weights, np.abs(x - phis[positions]), ys[positions], noises[positions]
+        est, *sums = window_means(
+            margins / spec.config.delta, ys[positions], np.abs(x - phis[positions]),
+            noises[positions],
         )
         err, bound, holds = _error_check(
             est, truth, *sums, positions.size, spec.config.l1
@@ -553,7 +551,8 @@ class TestMaxRelativeDeviation:
         assert max_relative_deviation(report, [estimate, unsupported]) == 0.0
         with pytest.raises(ValueError):
             max_relative_deviation(report, [estimate, estimate])
-        shifted = estimate * (1.0 + 1e-9)
+        # the gap is relative to the query's w . |y|
+        shifted = estimate + 1e-9 * report.y_magnitude[0].item()
         assert max_relative_deviation(report, [shifted, unsupported]) == pytest.approx(
             1e-9, rel=1e-6
         )

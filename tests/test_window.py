@@ -27,17 +27,20 @@ from reference import in_phi_order
 ULP = 2.0**-52
 
 
-def window_rows(positions_and_margins, ys):
-    """(count, estimate, objective, support_sum) per query, as ``cmd_fit`` forms them."""
+def window_rows(positions_and_margins, ys, delta):
+    """(count, estimate, objective, support_sum) per query, as ``cmd_fit``
+    forms them: the sums ``S``, ``SY`` and ``SQ`` of the scaled margins
+    ``r = margins / delta``, then ``SY / S``, ``delta * sqrt(SQ)`` and
+    ``delta * S``."""
     rows = []
-    for positions, _, support in positions_and_margins:
+    for positions, _, margins in positions_and_margins:
         if positions.size == 0:
             rows.append((0, None, None, None))
             continue
-        total = float(np.sum(support))
-        w = support / total
-        rows.append((positions.size, float(np.dot(w, ys[positions])),
-                     total * math.sqrt(float(np.dot(w, w))), total))
+        r = margins / delta
+        s = float(np.sum(r))
+        rows.append((positions.size, float(np.dot(r, ys[positions])) / s,
+                     delta * math.sqrt(float(np.dot(r, r))), delta * s))
     return rows
 
 
@@ -76,8 +79,8 @@ def assert_matches_full_scan(xs, phis, ys, delta):
         assert fp.tolist() == sp.tolist()
         assert fd.tolist() == sd.tolist()
         assert fm.tolist() == sm.tolist()
-    rows = window_rows(slow, ordered_ys)
-    assert window_rows(fast, ordered_ys) == rows
+    rows = window_rows(slow, ordered_ys, delta)
+    assert window_rows(fast, ordered_ys, delta) == rows
     estimates, counts, objectives, sums = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
     assert counts.tolist() == [r[0] for r in rows]
     assert [None if math.isnan(e) else e for e in estimates.tolist()] == [r[1] for r in rows]
@@ -243,7 +246,7 @@ def test_fit_command_matches_full_scan(capsys, tmp_path):
     write_csv(path, phis, ys)
     xs = EDGE[::2]
     ordered, ordered_ys = in_phi_order(phis, ys)
-    want = window_rows(full_scan(xs, ordered, 0.05), ordered_ys)
+    want = window_rows(full_scan(xs, ordered, 0.05), ordered_ys, 0.05)
     assert fit_rows(fit_output(capsys, path, xs, 0.05)) == want
 
 
@@ -275,7 +278,7 @@ def test_tied_regressors_keep_file_order(capsys, tmp_path):
     first = fit_output(capsys, path, xs, 0.35)
     assert fit_output(capsys, path, xs, 0.35) == first
     ordered, ordered_ys = in_phi_order(phis, ys)
-    assert fit_rows(first) == window_rows(full_scan(xs, ordered, 0.35), ordered_ys)
+    assert fit_rows(first) == window_rows(full_scan(xs, ordered, 0.35), ordered_ys, 0.35)
 
 
 def test_grid_solve_leaves_its_inputs_untouched():
@@ -309,3 +312,53 @@ def test_grid_solve_agrees_with_run_experiment(grid):
     assert counts.tolist() == report.active_count.tolist()
     assert np.array_equal(estimates, report.estimate, equal_nan=True)
     assert 0 < np.count_nonzero(counts) < counts.size
+
+
+def one_sample_windows(rng):
+    """Distinct regressors, outputs over many scales with signed zeros and
+    subnormals among them, a ``delta`` below half the least regressor gap, so
+    no window holds two samples, and queries at, beside and between samples."""
+    n = int(rng.integers(1, 40))
+    phis = rng.permutation(rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.integers(-3, 4))
+    ordered = np.sort(phis)
+    gap = float(np.min(np.diff(ordered), initial=1.0))
+    delta = gap * rng.uniform(0.01, 0.49)
+    ys = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    special = rng.random(n) < 0.2
+    ys[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, -1e-310], int(special.sum()))
+    picks = rng.choice(phis, 30)
+    xs = np.concatenate([picks, picks + delta * rng.uniform(-1.0, 1.0, 30),
+                         rng.uniform(ordered[0] - delta, ordered[-1] + delta, 10)])
+    return xs, phis, ys, delta
+
+
+def test_one_sample_windows_are_bit_identical_in_both_modes():
+    # A window of one sample adds nothing, so the two modes' sums agree bit
+    # for bit, and so does their one readout, down to the sign of a zero.
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        xs, phis, ys, delta = one_sample_windows(rng)
+        config = EstimatorConfig(delta=delta)
+        batch = grid_solve(xs, phis, ys, config)
+        assert batch[1].max() <= 1
+        engine = StreamingGrid(xs, config)
+        engine.extend(phis, ys)
+        stream = (engine.estimates(), engine.active_counts(), engine.objectives(),
+                  engine.support_sums())
+        for got, want in zip(stream, batch):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_one_sample_windows_print_the_same_bytes_in_both_modes(capsys, tmp_path):
+    rng = np.random.default_rng(23)
+    for k in range(12):
+        xs, phis, ys, delta = one_sample_windows(rng)
+        path = tmp_path / f"sparse{k}.csv"
+        write_csv(path, phis, ys)
+        grid = ",".join(map(repr, xs.tolist()))
+        argv = ["--input", str(path), f"--delta={delta!r}", f"--grid-list={grid}",
+                "--diagnostics"]
+        assert main(["fit", *argv]) == 0
+        fit = capsys.readouterr().out
+        assert main(["stream", *argv]) == 0
+        assert capsys.readouterr().out == fit
