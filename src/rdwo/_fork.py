@@ -1,10 +1,10 @@
 """One task on two CPUs: a forked child does one part beside the caller.
 
 The child writes its results into an anonymous map made before the fork,
-which it shares with the parent, and reports by exit status alone.  Callers
-keep the work of a failed child in hand: :func:`beside` says whether the
-child finished, and the caller does the child's part itself if it did not,
-so every result is the one a single process gives.
+which it shares with the parent, and reports by exit status alone.  If
+:func:`beside` says the child did not finish, the caller does the work again
+itself (``simulate`` the whole grid, ``dataio`` the child's half), so every
+result is the one a single process gives.
 
 ``simulate`` answers the upper half of a wide query grid this way, and
 ``dataio.read_arrays`` parses the second half of a large CSV file;

@@ -12,10 +12,11 @@ Each query's answer depends only on the samples in its own window, so on a
 wide grid, with a second CPU free, :func:`run_experiment` answers the two
 halves of the query grid in two processes (see :func:`_forks`): the parent
 the lower half by index, a forked child the upper half.  Each process draws
-the seeded data itself, streams it, then sorts it and reduces the batch
-windows with ``core._window_dots``, the reduction ``grid_solve`` reads,
-and the child returns its columns through a shared anonymous map.  Every
-output bit is the one a single process gives.
+the seeded data itself, reduces the batch windows over sorted copies with
+``core._window_dots``, the reduction ``grid_solve`` reads, checks the error
+bounds, then draws the data again and streams it.  The child returns its
+columns through a shared anonymous map.  Every output bit, and every error,
+is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -398,59 +399,44 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Every query is answered from the closed-form weights over the full
     dataset, and its error bound is evaluated from the same weights and the
     distances they came from; one streaming pass over the same data answers
-    it again.  The target is evaluated once on the whole grid; its
-    elementwise ufuncs give each point what a scalar call gives.
-
-    An error of the streaming pass is raised only after the batch answer and
-    its error check are complete, so an error of those wins, on one process
-    or two.
+    it again (see :func:`_answer`).  The target is evaluated once on the
+    whole grid; its elementwise ufuncs give each point what a scalar call
+    gives.
     """
     x = np.asarray(spec.query_grid)
     truth = np.asarray(spec.function(x), dtype=float)
     table = np.empty((_ROWS, x.size))
-    failure = _answer_grid(spec, x, table)
+    _answer_grid(spec, x, truth, table)
     count = table[0].astype(int)
-    estimate = table[1]
-    abs_error, bound_z, bound_holds = _error_check(
-        estimate, truth, *table[2:6], count, spec.config.l1
-    )
+    bound_holds = table[4].astype(bool)
     supported = count > 0
-    errors = abs_error[supported]
-    report = ExperimentReport(
-        x, truth, estimate, abs_error, bound_z, bound_holds, count, table[6], table[4],
+    errors = table[2][supported]
+    return ExperimentReport(
+        x, truth, table[1], table[2], table[3], bound_holds, count, table[6], table[5],
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
         mean_abs_error=float(np.mean(errors)) if errors.size else None,
         max_abs_error=float(np.max(errors)) if errors.size else None,
     )
-    if failure is not None:
-        raise failure
-    return report
 
 
 # The rows of a run's answer table, one column per query: the active count,
-# w . y (the batch estimate), w . |x - phi|, w . noise, w . |y|, w . |noise|
-# with w = r / S, nan without support, and the streaming estimate.
+# the batch estimate, abs_error, bound_z, bound_holds (0 or 1), y_magnitude
+# and the streaming estimate.
 _ROWS = 7
 
 
-def _answer(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
-    """Fill ``table``, ``_ROWS`` by ``x.size``, with the answers at the query
-    points ``x``; return the error the streaming pass raised, or None.
+def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.ndarray):
+    """Fill ``table``, ``_ROWS`` by ``x.size``, with the checked answers at
+    the query points ``x``, whose targets are ``truth``.
 
-    The streaming pass reads the data in stream order.  Each array is then
-    replaced by its φ-sorted copy, one at a time, for the batch windows.
+    The batch windows read φ-sorted copies of the seeded data, each array
+    replaced by its copy one at a time, and the error check follows.  Then
+    the data is drawn again and streamed in stream order.  An error raises
+    in that order.
     """
     phis, noises, ys = _dataset_arrays(spec)
-    engine = StreamingGrid(x, spec.config)
-    failure = None
-    try:
-        engine.extend(phis, ys)
-    except (ValueError, FloatingPointError) as exc:
-        # Kept without its frames, which hold the stream-order arrays.
-        failure = exc.with_traceback(None)
-    table[6] = engine.estimates()
     order = np.argsort(phis, kind="stable")
     phis = phis[order]
     noises = noises[order]
@@ -458,9 +444,14 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
     del order
     # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
     sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)))
-    table[0] = sums[0]
-    table[1:6] = _readout(spec.config.delta, sums[0], sums[1], sums[[4, 3, 5, 6, 7]], sums[2])[0]
-    return failure
+    del phis, noises, ys  # before the data is drawn again, in stream order
+    # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
+    means = _readout(spec.config.delta, sums[0], sums[1], sums[[4, 3, 5, 6, 7]], sums[2])[0]
+    table[0], table[1], table[5] = sums[0], means[0], means[3]
+    table[2:5] = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
+    engine = StreamingGrid(x, spec.config)
+    engine.extend(*_dataset_arrays(spec)[::2])
+    table[6] = engine.estimates()
 
 
 # The least query points worth a split, and the most samples a window is
@@ -475,11 +466,11 @@ _SPLIT_MAX_WINDOW = 10_000
 def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
-    Only where :func:`_fork.can_fork` allows.  Each half still draws,
-    streams and sorts the whole dataset, and the fork itself costs
-    milliseconds, so the split pays only on grids wide enough for the work
-    per point to dominate.  And only while no window is expected to hold
-    more samples than OpenBLAS sums on one thread.
+    Only where :func:`_fork.can_fork` allows.  Each half still draws, sorts
+    and streams the whole dataset, and the fork itself costs milliseconds,
+    so the split pays only on grids wide enough for the work per point to
+    dominate.  And only while no window is expected to hold more samples
+    than OpenBLAS sums on one thread.
     """
     lo, hi = spec.input_range
     window = spec.n_samples * min(1.0, 2.0 * spec.config.delta / (hi - lo))
@@ -490,35 +481,33 @@ def _forks(spec: ExperimentSpec) -> bool:
     )
 
 
-def _answer_grid(spec: ExperimentSpec, x: np.ndarray, table: np.ndarray):
+def _answer_grid(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.ndarray):
     """:func:`_answer` over the whole grid, its upper half in a forked child
     where :func:`_forks` allows; the same bits either way.
 
     The child writes its columns into a map it shares with the parent (see
-    :func:`_fork.beside`).  If it fails, the parent answers the upper half
-    itself, so its error is raised as in one process.
+    :func:`_fork.beside`).  If either half fails, the split is dropped and
+    this process answers the whole grid, so it raises what one process
+    raises.
     """
-    if not _forks(spec):
-        return _answer(spec, x, table)
-    cut = x.size // 2
-    upper = table[:, cut:]
-    shared = _fork.shared_floats(upper.shape)
-    failure, done = _fork.beside(
-        lambda: _answer(spec, x[cut:], shared) is None,
-        lambda: _answer(spec, x[:cut], table[:, :cut]),
-    )
-    if done:
-        upper[...] = shared
-        return failure
-    upper_failure = _answer(spec, x[cut:], upper)
-    # An overflow in either half comes before the first non-finite sample,
-    # which both halves read, so the whole grid's pass raises the overflow.
-    if failure is None or (
-        isinstance(upper_failure, FloatingPointError)
-        and not isinstance(failure, FloatingPointError)
-    ):
-        return upper_failure
-    return failure
+    if _forks(spec):
+        cut = x.size // 2
+        shared = _fork.shared_floats((_ROWS, x.size - cut))
+
+        def child() -> bool:
+            _answer(spec, x[cut:], truth[cut:], shared)
+            return True
+
+        try:
+            _, done = _fork.beside(
+                child, lambda: _answer(spec, x[:cut], truth[:cut], table[:, :cut])
+            )
+        except Exception:
+            done = False
+        if done:
+            table[:, cut:] = shared
+            return
+    _answer(spec, x, truth, table)
 
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:

@@ -763,7 +763,7 @@ class TestBadInput:
     # The same outputs with one sign: their scaled sum passes the largest
     # double, in the batch sums as in the running ones, so both exit 2.
     @pytest.mark.filterwarnings("error")
-    def test_same_sign_outputs_overflow_the_stream(self, capsys, tmp_path):
+    def test_same_sign_outputs_overflow_both_modes(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("k,phi,y\n1,0,1.7e308\n2,0.1,1.7e308\n", encoding="utf-8")
         argv = ("--input", str(path), "--delta", "1", "--grid-list", "0")
@@ -879,7 +879,7 @@ class TestSimulate:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_failing_child_changes_no_output(self, capsys, sim_spec, monkeypatch, split_grids,
                                                fmt):
-        # the parent answers the child's half itself, so nothing printed moves
+        # the parent answers the whole grid again, so nothing printed moves
         want = run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt)
         parent = os.getpid()
         real = simulate._window_dots
@@ -893,27 +893,34 @@ class TestSimulate:
         assert run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt) == want
         assert_no_child()
 
-    def test_batch_warnings_come_before_a_streaming_error(self, capsys, tmp_path,
-                                                           monkeypatch):
-        # Noise this large draws inf outputs, which the streaming pass
-        # rejects; but the batch sums of the noise overflow first, and the
-        # batch error wins, with no warning, on one process or two.
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({**demo_spec(), "noise_sigma": 1e308}), encoding="utf-8")
+    # Noise this large draws inf outputs, which the streaming pass rejects;
+    # but the batch sums of the noise overflow first on the demo spec, and
+    # the error check's magnitude w . |y| + l1 * w . |x - phi| + w . |noise|
+    # on the second.  The batch error wins, with no warning, on one process
+    # or two.
+    def test_a_batch_overflow_comes_before_a_streaming_error(self, capsys, tmp_path,
+                                                             monkeypatch):
         monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
-        runs = []
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
-                                raising=False)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = run_cli(capsys, "simulate", "--spec", str(path))
-            runs.append((result, [(w.category, str(w.message)) for w in caught]))
-        assert runs[0] == runs[1]
-        (code, out, err), caught = runs[0]
-        assert (code, out, err) == (2, "", overflow_error("0.5"))
-        assert caught == []
-        assert_no_child()
+        for overrides in (
+            {"noise_sigma": 1e308},
+            {"delta": 0.01, "l1": 1e308, "noise_sigma": 1e308, "n_samples": 40, "seed": 0,
+             "query_grid": {"min": -2.9, "max": 2.9, "count": 600}},
+        ):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({**demo_spec(), **overrides}), encoding="utf-8")
+            runs = []
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                    raising=False)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = run_cli(capsys, "simulate", "--spec", str(path))
+                runs.append((result, [(w.category, str(w.message)) for w in caught]))
+            assert runs[0] == runs[1], overrides
+            (code, out, err), caught = runs[0]
+            assert (code, out, err) == (2, "", overflow_error(overrides.get("delta", 0.5)))
+            assert caught == []
+            assert_no_child()
 
     def test_a_zero_crossing_is_no_disagreement(self, capsys, tmp_path):
         # Bisect the batch estimate of the seeded data to its sign change, so
