@@ -1,15 +1,18 @@
 """One task on two CPUs: a forked child does one part beside the caller.
 
 The child writes its results into an anonymous map made before the fork,
-which it shares with the parent, and reports by exit status alone.  If
-:func:`beside` says the child did not finish, the caller does the work again
-itself (``simulate`` the whole grid, ``dataio`` the child's half), so every
-result is the one a single process gives.
+which it shares with the parent, or into a pipe the parent reads, and
+reports by exit status alone.  If :func:`beside` says the child did not
+finish, the caller does the work again itself (``simulate`` the whole grid,
+``dataio`` the child's half, ``stream`` the snapshots it has not printed),
+so every result is the one a single process gives.
 
-``simulate`` answers the upper half of a wide query grid this way, and
-``dataio.read_arrays`` parses the second half of a large CSV file;
-``dataio`` loads this module only when it is about to fork, so that
-``import rdwo.cli`` and small inputs never load it or ``mmap``.
+``simulate`` answers the upper half of a wide query grid this way,
+``dataio.read_arrays`` parses the second half of a large CSV file, and
+``stream --emit-every`` reads and folds a large CSV file in the child while
+the parent prints each snapshot the child sends.  ``dataio`` and ``cli``
+load this module only when they are about to fork, so that ``import
+rdwo.cli`` and small inputs never load it or ``mmap``.
 """
 
 from __future__ import annotations

@@ -17,19 +17,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
+import stat
 import sys
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import EstimatorConfig, grid_solve, query_weights, simplex_objective
+from .core import EstimatorConfig, _readout, grid_solve, query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
 # through read_arrays and iter_blocks, and tables print through format_heads
 # and join_lines.  perfbench/tracer.py still wraps the three by name in this
 # module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
+    _SPLIT_MIN_BYTES,
     InputFormatError,
     csv_row,
     format_float,
@@ -220,6 +223,18 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
+    """Fold the input through a :class:`StreamingGrid` and print a snapshot
+    of the grid after every ``--emit-every`` samples and at the end.
+
+    A snapshot travels as one record of window sums (see :func:`_records`),
+    read out once through ``core._readout`` and printed by
+    :meth:`_GridTable.write`.  On a large input with enough snapshots (see
+    :func:`_stream_forks`), a forked child reads and folds the file and
+    sends each record down a pipe, while this process prints them.  If the
+    child does not finish, this process streams the file again from the
+    start and prints the snapshots after those it has printed, so the
+    output, the error line and the exit code are those of one process.
+    """
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
     if args.emit_every < 0:
@@ -227,21 +242,91 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     engine = StreamingGrid(grid, config)
     table = _GridTable(args, engine.xs)
     track_n = args.emit_every > 0 or args.diagnostics
+    points = engine.xs.size
+    printed = 0
 
-    def emit(n_seen: int | None, with_header: bool) -> None:
-        solution = (engine.estimates(), engine.active_counts(), engine.objectives(),
-                    engine.support_sums())
-        table.write(out, solution, n_seen, with_header)
+    def show(record: np.ndarray) -> None:
+        nonlocal printed
+        s, sy, sq = record[1 + points :].reshape(3, points)
+        # A fresh counts array: the table keeps the one it is given.
+        solution = _readout(config.delta, record[1 : 1 + points].astype(int), s, sy, sq)
+        table.write(out, solution, int(record[0]) if track_n else None, printed == 0)
+        printed += 1
 
-    first_block = True
     with _overflow_names(config.delta):
-        for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
-            engine.extend(phis, ys)
-            if phis.size == args.emit_every:
-                emit(engine.n_seen, first_block)
-                first_block = False
-        emit(engine.n_seen if track_n else None, first_block)
+        if not (_stream_forks(args, points) and _fork_records(args, engine, show)):
+            for record in itertools.islice(_records(args, engine), printed, None):
+                show(record)
     return 0
+
+
+# The least number of table lines, snapshots times grid points, worth
+# streaming in two processes.  See _stream_forks.
+_STREAM_FORK_MIN_LINES = 6_000
+
+
+def _stream_forks(args: argparse.Namespace, points: int) -> bool:
+    """Whether ``stream`` reads and folds in a forked child: with
+    ``--emit-every``, on a regular file of at least
+    ``dataio._SPLIT_MIN_BYTES``, with at least ``_STREAM_FORK_MIN_LINES``
+    lines of snapshots, counted from the file's newlines, and when
+    :func:`_fork.can_fork`.  The fork costs about 8 ms, which only the
+    overlap of printing with reading pays back (CHANGES.md)."""
+    if args.emit_every <= 0:
+        return False
+    try:
+        info = os.stat(args.input)
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
+            return False
+        with open(args.input, "rb") as fh:
+            lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+    except OSError:
+        return False  # the reader names the error
+    if lines // args.emit_every * points < _STREAM_FORK_MIN_LINES:
+        return False
+    from . import _fork
+
+    return _fork.can_fork()
+
+
+def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[np.ndarray]:
+    """Fold the input into ``engine``; yield the record of each snapshot:
+    ``n_seen``, then the active counts, ``S``, ``SY`` and ``SQ`` of every
+    grid point, as one float array."""
+    for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
+        engine.extend(phis, ys)
+        if phis.size == args.emit_every:
+            yield _record(engine)
+    yield _record(engine)
+
+
+def _record(engine: StreamingGrid) -> np.ndarray:
+    return np.concatenate(([engine.n_seen], engine.n_active, engine.s, engine.sy, engine.sq))
+
+
+def _fork_records(args: argparse.Namespace, engine: StreamingGrid, show) -> bool:
+    """Run :func:`_records` in a forked child that writes each record to a
+    pipe, and ``show`` each whole record here as it comes; whether the child
+    finished.  ``engine`` is left as it was."""
+    from . import _fork
+
+    record = np.empty(1 + 4 * engine.xs.size)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as source, open(write_end, "wb") as sink:
+
+        def child() -> bool:
+            source.close()
+            for snapshot in _records(args, engine):
+                sink.write(snapshot)
+                sink.flush()
+            return True
+
+        def parent() -> None:
+            sink.close()  # so the read ends when the child's end closes
+            while source.readinto(record) == record.nbytes:
+                show(record)
+
+        return _fork.beside(child, parent)[1]
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:

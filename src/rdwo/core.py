@@ -186,19 +186,22 @@ def _sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
         yield a, b, distances, margins
 
 
-def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns) -> np.ndarray:
+def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
+                 distances: bool = False) -> np.ndarray:
     """The window sums of every query in ``xs`` over the ascending regressors
     ``phis`` in the scaled margins ``r = margins / delta`` that
     :class:`~rdwo.streaming.StreamingGrid` folds, one row per quantity and one
     column per query: the active count, ``S = sum r``, ``SQ = r . r``,
-    ``r . |x - phi|`` and ``r . v`` for each array ``v`` of ``columns``,
-    aligned with ``phis``; all zero for an empty window.  Nothing is divided.
+    ``r . |x - phi|`` if ``distances`` is true, and ``r . v`` for each array
+    ``v`` of ``columns``, aligned with ``phis``; all zero for an empty window.
+    Nothing is divided.
     """
-    table = np.zeros((4 + len(columns), xs.size))
-    for i, (a, b, distances, margins) in enumerate(_sorted_windows(xs, phis, delta)):
+    own = 2 if distances else 1
+    table = np.zeros((2 + own + len(columns), xs.size))
+    for i, (a, b, dist, margins) in enumerate(_sorted_windows(xs, phis, delta)):
         if b > a:
             r = margins / delta
-            table[:, i] = [b - a, np.add.reduce(r), *(np.dot(r, v) for v in (r, distances)),
+            table[:, i] = [b - a, np.add.reduce(r), *(np.dot(r, v) for v in (r, dist)[:own]),
                            *(np.dot(r, v[a:b]) for v in columns)]
     # A one-term dot keeps a -0 product, which a running sum from +0 never
     # holds; adding +0 turns -0 into +0 and leaves every other bit.
@@ -239,5 +242,5 @@ def grid_solve(
     # Sorted copies; the order is freed before phis is copied.
     ys = ys[np.argsort(phis, kind="stable")]
     phis = np.sort(phis)
-    counts, s, sq, _, sy = _window_dots(xs, phis, config.delta, (ys,))
+    counts, s, sq, sy = _window_dots(xs, phis, config.delta, (ys,))
     return _readout(config.delta, counts.astype(int), s, sy, sq)

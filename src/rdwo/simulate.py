@@ -443,7 +443,7 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.nd
     ys = ys[order]
     del order
     # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
-    sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)))
+    sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)), True)
     del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
     means = _readout(spec.config.delta, sums[0], sums[1], sums[[4, 3, 5, 6, 7]], sums[2])[0]

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -1276,6 +1278,166 @@ class TestBrokenPipe:
         sink.close()
         assert code == 141
         assert capsys.readouterr().err == ""
+
+
+class TestForkedStream:
+    """``stream --emit-every`` reads and folds the file in a forked child and
+    prints here; the gate is opened on small files, and every run is compared
+    with the one-process run of the same command."""
+
+    GRID_ARGS = ("--delta", "0.3", "--grid=-1:1:9")
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Open the gate on any file and list the runs of ``_fork.beside``:
+        whether the child finished, or None where the parent raised.  No
+        descriptor or child may outlive the test."""
+        from rdwo import _fork
+
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        monkeypatch.setattr(cli, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        runs = []
+        real = _fork.beside
+
+        def beside(child, parent):
+            runs.append(None)
+            result = real(child, parent)
+            runs[-1] = result[1]
+            return result
+
+        monkeypatch.setattr(_fork, "beside", beside)
+        yield runs
+        assert_no_child()
+        if fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.fixture()
+    def rows_csv(self, tmp_path):
+        rng = np.random.default_rng(21)
+        return write_rows(tmp_path / "rows.csv", rng.uniform(-1, 1, (240, 2)).tolist())
+
+    def one_cpu(self, capsys, monkeypatch, *argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("every", ["16", "25"], ids=["dividing", "not-dividing"])
+    @pytest.mark.parametrize("fmt", [("--format", "json"), ("--format", "csv", "--diagnostics")],
+                             ids=["json", "csv-diagnostics"])
+    def test_same_bytes(self, capsys, monkeypatch, forks, rows_csv, every, fmt):
+        argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", every, *fmt)
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        assert forks == []
+        assert want[0] == 0 and want[2] == ""
+        assert run_cli(capsys, *argv) == want
+        assert forks == [True]
+
+    def test_malformed_line_midway(self, capsys, monkeypatch, forks, tmp_path):
+        rng = np.random.default_rng(22)
+        path = write_rows(tmp_path / "bad.csv", rng.uniform(-1, 1, (240, 2)).tolist(), 130)
+        argv = ("stream", "--input", path, *self.GRID_ARGS, "--emit-every", "16")
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        code, out, err = want
+        assert code == 2 and err == "error: line 131: could not convert string to float: 'abc'\n"
+        assert len(json_lines(out)) == 8 * 9
+        assert run_cli(capsys, *argv) == want
+        assert forks == [False]
+
+    # Same-sign outputs overflow SY in the child's fold, after one snapshot;
+    # a delta this large overflows delta * S in the parent's second readout.
+    @pytest.mark.parametrize("data, delta, snapshots, forked", [
+        ("1,0,1.7e308\n2,0.1,1.7e308\n", "1", 1, False),
+        ("1,-0.5,1\n2,0.2,2\n3,2.0,100\n", "1.7e308", 1, None),
+    ], ids=["outputs", "delta"])
+    def test_overflow(self, capsys, monkeypatch, forks, tmp_path, data, delta, snapshots,
+                      forked):
+        path = tmp_path / "huge.csv"
+        path.write_text("k,phi,y\n" + data, encoding="utf-8")
+        argv = ("stream", "--input", str(path), "--delta", delta, "--grid-list", "0",
+                "--emit-every", "1")
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        assert want[0] == 2 and want[2] == overflow_error(delta)
+        assert len(json_lines(want[1])) == snapshots
+        assert run_cli(capsys, *argv) == want
+        assert forks == [forked]
+
+    @pytest.mark.parametrize("killed_at", [0, 3, 15])
+    def test_child_killed_after_some_snapshots(self, capsys, monkeypatch, forks, rows_csv,
+                                               killed_at):
+        argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16")
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        parent = os.getpid()
+        real = cli._record
+
+        def record(engine):
+            if os.getpid() != parent and engine.n_seen >= 16 * killed_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(engine)
+
+        monkeypatch.setattr(cli, "_record", record)
+        assert run_cli(capsys, *argv) == want
+        assert forks == [False]
+
+    def test_failed_fork(self, capsys, monkeypatch, forks, rows_csv):
+        argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16")
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(capsys, *argv) == want
+        assert forks == [False]
+
+    def test_second_thread_runs_in_process(self, capsys, monkeypatch, forks, rows_csv):
+        argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16")
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = run_cli(capsys, *argv)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got == want
+        assert forks == []
+
+    def test_closed_stdout(self, capsys, monkeypatch, forks, rows_csv, tmp_path):
+        sink = open(tmp_path / "sink", "w", encoding="utf-8")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16"])
+        sink.close()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert forks == [None]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_many_runs_leave_no_descriptor_or_child(self, capsys, forks, rows_csv):
+        argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16")
+        want = run_cli(capsys, *argv)
+        before = sorted(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            assert run_cli(capsys, *argv) == want
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert forks == [True] * 51
+        assert_no_child()
 
 
 def readme_examples():

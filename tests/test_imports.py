@@ -77,6 +77,22 @@ def test_fit_loads_the_fork_helper_only_to_split(tmp_path):
     )
 
 
+@pytest.mark.parametrize("large", [True, False], ids=["at-the-gate", "small"])
+def test_stream_loads_the_fork_helper_only_to_fork(tmp_path, large):
+    # One grid point, and just enough snapshots at the gate.
+    rows = dataio._SPLIT_MIN_BYTES // 10 if large else 40
+    every = rows // cli._STREAM_FORK_MIN_LINES if large else 1
+    path = tmp_path / "rows.csv"
+    path.write_text(
+        "k,phi,y\n" + "".join(f"{k},{k * 1e-5!r},{k % 7}.25\n" for k in range(1, rows + 1)),
+        encoding="ascii",
+    )
+    assert (path.stat().st_size >= dataio._SPLIT_MIN_BYTES) == large
+    loaded = ["mmap", "rdwo._fork"] if large and _fork.can_fork() else []
+    argv = ("--input", str(path), "--delta", "0.1", "--grid-list", "1", "--emit-every", str(every))
+    assert run_and_list("stream", *argv) == (0, loaded)
+
+
 def test_simulate_and_verify_load_their_modules():
     assert run_and_list("simulate", "--spec", SPEC) == (0, ["mmap", "rdwo._fork", "rdwo.simulate"])
     assert run_and_list("verify", "--instances", "3") == (0, ["rdwo.oracle"])
