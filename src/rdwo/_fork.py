@@ -2,17 +2,20 @@
 
 The child writes its results into an anonymous map made before the fork,
 which it shares with the parent, or into a pipe the parent reads, and
-reports by exit status alone.  If :func:`beside` says the child did not
-finish, the caller does the work again itself (``simulate`` the whole grid,
-``dataio`` the child's half, ``stream`` the snapshots it has not printed),
-so every result is the one a single process gives.
+reports by exit status.  If :func:`beside` says the child did not finish,
+the caller does the work again itself (``simulate`` the whole grid,
+``dataio`` the child's half of the file or of the table, ``stream`` the
+snapshots it has not printed), so every result is the one a single process
+gives.
 
-``simulate`` answers the upper half of a wide query grid this way,
-``dataio.read_arrays`` parses the second half of a large CSV file, and
+``simulate`` answers the upper half of a wide query grid this way, and
 ``stream --emit-every`` reads and folds a large CSV file in the child while
-the parent prints each snapshot the child sends.  ``dataio`` and ``cli``
-load this module only when they are about to fork, so that ``import
-rdwo.cli`` and small inputs never load it or ``mmap``.
+the parent prints each snapshot the child sends.  ``dataio.read_arrays``
+parses the second half of a large CSV file in the child, which for ``fit``
+then waits on a pipe until the parent takes its rows, and answers the upper
+half of the query grid.  ``dataio`` and ``cli`` load this module only when
+they are about to fork, and :func:`can_fork` lives in ``dataio``, so that
+``import rdwo.cli`` and small or single-CPU runs never load it or ``mmap``.
 """
 
 from __future__ import annotations
@@ -21,20 +24,21 @@ import math
 import mmap
 import os
 import signal
-import threading
 import warnings
-from typing import Callable, TypeVar
+from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
+
+from .dataio import can_fork  # noqa: F401
 
 T = TypeVar("T")
 
 
-def can_fork() -> bool:
-    """Whether a second CPU can run a child, and no other thread runs, whose
-    locks a fork could copy held."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
+def pipe() -> tuple[BinaryIO, BinaryIO]:
+    """The read and the write end of a new pipe, as unbuffered files, which
+    a ``with`` block closes in the parent however the child went."""
+    read_end, write_end = os.pipe()
+    return open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
 
 
 def shared_floats(shape: tuple[int, ...]) -> np.ndarray:

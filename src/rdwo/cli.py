@@ -26,7 +26,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import EstimatorConfig, _readout, grid_solve, query_weights, simplex_objective
+from .core import EstimatorConfig, _grid_readout, _grid_sums, _readout, grid_solve
+from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
 # through read_arrays and iter_blocks, and tables print through format_heads
 # and join_lines.  perfbench/tracer.py still wraps the three by name in this
@@ -34,6 +35,7 @@ from .core import EstimatorConfig, _readout, grid_solve, query_weights, simplex_
 from .dataio import (  # noqa: F401
     _SPLIT_MIN_BYTES,
     InputFormatError,
+    can_fork,
     csv_row,
     format_float,
     format_heads,
@@ -212,11 +214,21 @@ class _GridTable:
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
+    """Answer the query grid in closed form, as ``grid_solve`` does, and print
+    it.  Where ``read_arrays`` reads the file in two processes, the child
+    stays to sum the windows of the upper half of the grid; if it fails,
+    this process sums them, so the output, the error line and the exit code
+    are those of one process."""
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
-    phis, ys = read_arrays(args.input)
+
+    def window_sums(phis, ys, part):
+        with _overflow_names(config.delta):
+            return _grid_sums(grid[part], phis, ys, config.delta)
+
+    phis, _, sums = read_arrays(args.input, window_sums, (4, grid.size))
     with _overflow_names(config.delta):
-        solution = grid_solve(grid, phis, ys, config)
+        solution = _grid_readout(config.delta, sums)
     n_seen = phis.size if args.diagnostics else None
     _GridTable(args, grid).write(out, solution, n_seen, True)
     return 0
@@ -270,7 +282,7 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
     ``--emit-every``, on a regular file of at least
     ``dataio._SPLIT_MIN_BYTES``, with at least ``_STREAM_FORK_MIN_LINES``
     lines of snapshots, counted from the file's newlines, and when
-    :func:`_fork.can_fork`.  The fork costs about 8 ms, which only the
+    :func:`~rdwo.dataio.can_fork`.  The fork costs about 8 ms, which only the
     overlap of printing with reading pays back (CHANGES.md)."""
     if args.emit_every <= 0:
         return False
@@ -282,11 +294,7 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
             lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
     except OSError:
         return False  # the reader names the error
-    if lines // args.emit_every * points < _STREAM_FORK_MIN_LINES:
-        return False
-    from . import _fork
-
-    return _fork.can_fork()
+    return lines // args.emit_every * points >= _STREAM_FORK_MIN_LINES and can_fork()
 
 
 def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[np.ndarray]:

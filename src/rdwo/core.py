@@ -6,10 +6,17 @@ outputs of all samples whose regressor lies strictly inside the window
 proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
 holds the parameters and the closed form: the weights and objective of one
-query, and :func:`grid_solve` for many.  Over data in stable φ order each
-window is a slice, :func:`_window_dots` is the one reduction of the windows
-to sums, and :func:`_readout` the one readout of sums, which
-:mod:`rdwo.streaming`, the one-pass variant, keeps as running sums.
+query, and :func:`grid_solve` for many.  Over data in stable φ order
+(:func:`_sort_order`) each window is a slice, :func:`_window_dots` is the
+one reduction of the windows to sums, and :func:`_readout` the one readout
+of sums, which :mod:`rdwo.streaming`, the one-pass variant, keeps as running
+sums.
+
+A window longer than ``_DOT_BLOCK`` samples is summed as dots of whole
+blocks, added in order.  OpenBLAS runs a ``ddot`` of more than about 10,000
+elements on several threads, which changes its summation order; the
+blocks keep every sum on one thread, and the printed bits independent of
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -186,6 +193,38 @@ def _sorted_windows(xs: np.ndarray, phis: np.ndarray, delta: float):
         yield a, b, distances, margins
 
 
+# The most samples one np.dot sums, below the length from which OpenBLAS
+# splits a ddot across threads; _sort_order checks keys in blocks as long.
+_DOT_BLOCK = 8192
+
+
+def _sort_order(keys: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of ``keys``, the one
+    ``np.argsort(keys, kind="stable")`` gives.
+
+    numpy's default sort is several times faster, and where the sorted keys
+    strictly increase there is only one sorting permutation, so it is taken
+    then.  Keys with two equal, ``-0.0`` and ``0.0`` among them, are sorted
+    again stably.  The check gathers the sorted keys a block at a time, so
+    that it holds no second array of their size beside the order.
+    """
+    order = np.argsort(keys)
+    for start in range(0, keys.size, _DOT_BLOCK):
+        ordered = keys[order[start : start + _DOT_BLOCK + 1]]
+        if not (ordered[1:] > ordered[:-1]).all():
+            del order
+            return np.argsort(keys, kind="stable")
+    return order
+
+
+def _blocked_dot(r: np.ndarray, v: np.ndarray):
+    """``r . v`` as the dots of ``_DOT_BLOCK``-sample blocks, added in order."""
+    total = np.dot(r[:_DOT_BLOCK], v[:_DOT_BLOCK])
+    for start in range(_DOT_BLOCK, r.size, _DOT_BLOCK):
+        total += np.dot(r[start : start + _DOT_BLOCK], v[start : start + _DOT_BLOCK])
+    return total
+
+
 def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
                  distances: bool = False) -> np.ndarray:
     """The window sums of every query in ``xs`` over the ascending regressors
@@ -194,15 +233,17 @@ def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
     column per query: the active count, ``S = sum r``, ``SQ = r . r``,
     ``r . |x - phi|`` if ``distances`` is true, and ``r . v`` for each array
     ``v`` of ``columns``, aligned with ``phis``; all zero for an empty window.
-    Nothing is divided.
+    Nothing is divided.  A dot over more than ``_DOT_BLOCK`` samples is
+    :func:`_blocked_dot`.
     """
     own = 2 if distances else 1
     table = np.zeros((2 + own + len(columns), xs.size))
     for i, (a, b, dist, margins) in enumerate(_sorted_windows(xs, phis, delta)):
         if b > a:
             r = margins / delta
-            table[:, i] = [b - a, np.add.reduce(r), *(np.dot(r, v) for v in (r, dist)[:own]),
-                           *(np.dot(r, v[a:b]) for v in columns)]
+            dot = np.dot if b - a <= _DOT_BLOCK else _blocked_dot
+            table[:, i] = [b - a, np.add.reduce(r), *(dot(r, v) for v in (r, dist)[:own]),
+                           *(dot(r, v[a:b]) for v in columns)]
     # A one-term dot keeps a -0 product, which a running sum from +0 never
     # holds; adding +0 turns -0 into +0 and leaves every other bit.
     table += 0.0
@@ -232,15 +273,29 @@ def grid_solve(
     the same :func:`_readout`.  An objective is the maximum of
     :func:`simplex_objective`, the Euclidean norm of the window's margins.
     Queries with empty support get ``nan`` estimates and objectives and zero
-    counts and sums.
+    counts and sums.  ``fit`` reads the same sums, :func:`_grid_sums`, and
+    on a large file forks to compute them for the upper half of its grid
+    (see :func:`rdwo.dataio.read_arrays`).
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if phis.shape != ys.shape or phis.ndim != 1:
         raise ValueError("phis and ys must be aligned 1-D arrays")
-    # Sorted copies; the order is freed before phis is copied.
-    ys = ys[np.argsort(phis, kind="stable")]
-    phis = np.sort(phis)
-    counts, s, sq, sy = _window_dots(xs, phis, config.delta, (ys,))
-    return _readout(config.delta, counts.astype(int), s, sy, sq)
+    return _grid_readout(config.delta, _grid_sums(xs, phis, ys, config.delta))
+
+
+def _grid_sums(xs: np.ndarray, phis: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
+    """The :func:`_window_dots` rows count, ``S``, ``SQ`` and ``SY`` of the
+    queries ``xs`` over the regressors ``phis`` and outputs ``ys``, in any
+    order, through sorted copies; the order is freed before ``phis`` is
+    copied, so that no more than two arrays of the data's size are made at
+    once."""
+    ys = ys[_sort_order(phis)]
+    return _window_dots(xs, np.sort(phis), delta, (ys,))
+
+
+def _grid_readout(delta: float, sums: np.ndarray):
+    """The :func:`_readout` of :func:`_grid_sums`."""
+    counts, s, sq, sy = sums
+    return _readout(delta, counts.astype(int), s, sy, sq)

@@ -36,6 +36,7 @@ from .core import (
     _numbers,
     _readout,
     _require_finite,
+    _sort_order,
     _window_dots,
 )
 from .streaming import StreamingGrid
@@ -437,7 +438,7 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.nd
     in that order.
     """
     phis, noises, ys = _dataset_arrays(spec)
-    order = np.argsort(phis, kind="stable")
+    order = _sort_order(phis)
     phis = phis[order]
     noises = noises[order]
     ys = ys[order]
@@ -454,13 +455,10 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.nd
     table[6] = engine.estimates()
 
 
-# The least query points worth a split, and the most samples a window is
-# expected to hold, as OpenBLAS sums a longer np.dot on several threads.
-# Measured on a 2-vCPU x86-64 VM (see ROADMAP.md, dead ends): narrower grids
-# ran up to 2.2 times slower in two processes than in one, and windows of
-# about 16,700 samples 3 to 6 times slower.
+# The least query points worth a split.  Measured on a 2-vCPU x86-64 VM (see
+# ROADMAP.md, dead ends): narrower grids ran up to 2.2 times slower in two
+# processes than in one.
 _SPLIT_MIN_QUERIES = 512
-_SPLIT_MAX_WINDOW = 10_000
 
 
 def _forks(spec: ExperimentSpec) -> bool:
@@ -469,16 +467,9 @@ def _forks(spec: ExperimentSpec) -> bool:
     Only where :func:`_fork.can_fork` allows.  Each half still draws, sorts
     and streams the whole dataset, and the fork itself costs milliseconds,
     so the split pays only on grids wide enough for the work per point to
-    dominate.  And only while no window is expected to hold more samples
-    than OpenBLAS sums on one thread.
+    dominate.
     """
-    lo, hi = spec.input_range
-    window = spec.n_samples * min(1.0, 2.0 * spec.config.delta / (hi - lo))
-    return (
-        len(spec.query_grid) >= _SPLIT_MIN_QUERIES
-        and window <= _SPLIT_MAX_WINDOW
-        and _fork.can_fork()
-    )
+    return len(spec.query_grid) >= _SPLIT_MIN_QUERIES and _fork.can_fork()
 
 
 def _answer_grid(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.ndarray):

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rdwo
-from rdwo import cli, dataio, simulate
+from rdwo import cli, core, dataio, simulate
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
 from rdwo.core import EstimatorConfig, grid_solve
 from rdwo.dataio import csv_row, json_record, read_arrays
@@ -1233,9 +1233,6 @@ def openblas_on_two_cpus():
 
 class TestBlasThreads:
     @pytest.mark.skipif(not openblas_on_two_cpus(), reason="needs numpy on OpenBLAS and 2 CPUs")
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "FOUND: output bits depend on the BLAS thread count once a window holds "
-        "more than 10,000 samples; OpenBLAS splits a longer ddot across threads"))
     def test_fit_prints_the_same_bytes_on_one_and_two_threads(self, tmp_path):
         # Windows of about 14,900 samples: OPENBLAS_NUM_THREADS is read when
         # numpy loads, so each thread count needs its own process.
@@ -1280,22 +1277,22 @@ class TestBrokenPipe:
         assert capsys.readouterr().err == ""
 
 
-class TestForkedStream:
-    """``stream --emit-every`` reads and folds the file in a forked child and
-    prints here; the gate is opened on small files, and every run is compared
+class ForkedRuns:
+    """Commands run with every fork gate opened on small files, each compared
     with the one-process run of the same command."""
 
     GRID_ARGS = ("--delta", "0.3", "--grid=-1:1:9")
 
     @pytest.fixture()
     def forks(self, monkeypatch):
-        """Open the gate on any file and list the runs of ``_fork.beside``:
+        """Open the gates on any file and list the runs of ``_fork.beside``:
         whether the child finished, or None where the parent raised.  No
         descriptor or child may outlive the test."""
         from rdwo import _fork
 
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
+        monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(cli, "_SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1314,15 +1311,20 @@ class TestForkedStream:
         if fds is not None:
             assert sorted(os.listdir("/proc/self/fd")) == fds
 
-    @pytest.fixture()
-    def rows_csv(self, tmp_path):
-        rng = np.random.default_rng(21)
-        return write_rows(tmp_path / "rows.csv", rng.uniform(-1, 1, (240, 2)).tolist())
-
     def one_cpu(self, capsys, monkeypatch, *argv):
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             return run_cli(capsys, *argv)
+
+
+class TestForkedStream(ForkedRuns):
+    """``stream --emit-every`` reads and folds the file in a forked child and
+    prints here."""
+
+    @pytest.fixture()
+    def rows_csv(self, tmp_path):
+        rng = np.random.default_rng(21)
+        return write_rows(tmp_path / "rows.csv", rng.uniform(-1, 1, (240, 2)).tolist())
 
     @pytest.mark.parametrize("every", ["16", "25"], ids=["dividing", "not-dividing"])
     @pytest.mark.parametrize("fmt", [("--format", "json"), ("--format", "csv", "--diagnostics")],
@@ -1438,6 +1440,163 @@ class TestForkedStream:
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert forks == [True] * 51
         assert_no_child()
+
+
+class TestForkedFit(ForkedRuns):
+    """``fit`` on a file read in two processes: the child stays to sort all
+    the rows and sum the windows of the upper half of the grid."""
+
+    @pytest.fixture()
+    def rows_csv(self, tmp_path):
+        rng = np.random.default_rng(23)
+        return write_rows(tmp_path / "rows.csv", rng.uniform(-1, 1, (240, 2)).tolist())
+
+    def same_as_one_cpu(self, capsys, monkeypatch, *argv):
+        """Run ``argv`` on one CPU, then with the gate open; the first run."""
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        assert run_cli(capsys, *argv) == want
+        return want
+
+    @pytest.mark.parametrize("fmt", [("--format", "json"), ("--format", "csv", "--diagnostics"),
+                                     ("--diagnostics",)], ids=["json", "csv-diagnostics",
+                                                              "json-diagnostics"])
+    def test_same_bytes(self, capsys, monkeypatch, forks, rows_csv, fmt):
+        code, out, err = self.same_as_one_cpu(capsys, monkeypatch, "fit", "--input", rows_csv,
+                                              *self.GRID_ARGS, *fmt)
+        assert code == 0 and err == "" and len(out.splitlines()) >= 9
+        assert forks == [True]
+
+    def test_ties_and_signed_zeros_on_both_sides_of_the_cut(self, capsys, monkeypatch, forks,
+                                                            tmp_path):
+        rng = np.random.default_rng(24)
+        phis = np.round(rng.uniform(-1, 1, 240), 1)
+        phis[[3, 50, 130, 200]] = -0.0
+        phis[[7, 90, 150, 230]] = 0.0
+        ys = rng.normal(0, 1e3, 240)
+        path = write_rows(tmp_path / "ties.csv", zip(phis.tolist(), ys.tolist()))
+        # numpy's default sort orders these ties otherwise than the stable one
+        order = np.argsort(phis, kind="stable")
+        assert not np.array_equal(np.argsort(phis), order)
+        xs = [0.0, -0.1, 0.1, 0.0, 0.45]
+        argv = ("fit", "--input", path, "--delta", "0.3", "--grid-list", ",".join(map(str, xs)))
+        code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv, "--diagnostics")
+        assert code == 0
+        assert forks == [True]
+        # Each window sums its ties in file order.
+        _, s, _, sy = core._window_dots(np.array(xs), phis[order], 0.3, (ys[order],))
+        assert [row["estimate"] for row in json_lines(out)] == (sy / s).tolist()
+
+    @pytest.mark.parametrize("points", ["0.5,-0.5,0.5,0,-0.9,0.5,0.2", "0.1"],
+                             ids=["unsorted-repeated", "one-point"])
+    def test_grid_lists(self, capsys, monkeypatch, forks, rows_csv, points):
+        argv = ("fit", "--input", rows_csv, "--delta", "0.3", "--grid-list", points)
+        code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
+        assert code == 0 and len(json_lines(out)) == points.count(",") + 1
+        assert forks == [True]
+
+    def test_windows_of_several_dot_blocks(self, capsys, monkeypatch, forks, tmp_path):
+        rng = np.random.default_rng(25)
+        rows = rng.uniform(-1, 1, (3 * core._DOT_BLOCK, 2)).tolist()
+        path = write_rows(tmp_path / "wide.csv", rows)
+        argv = ("fit", "--input", path, "--delta", "1.5", "--grid=-1:1:3")
+        code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
+        assert code == 0
+        assert min(row["active_count"] for row in json_lines(out)) > 2 * core._DOT_BLOCK
+        assert forks == [True]
+
+    @pytest.mark.parametrize("killed_in", ["parse", "waiting", "after-go", "solve"])
+    def test_child_killed(self, capsys, monkeypatch, forks, rows_csv, killed_in):
+        argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        parent = os.getpid()
+
+        def kill_the_child():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def killing(real):
+            def call(*args):
+                kill_the_child()
+                return real(*args)
+
+            return call
+
+        def windows(*args):  # the child dies after its first two windows
+            for i, window in enumerate(real_windows(*args)):
+                if i == 2:
+                    kill_the_child()
+                yield window
+
+        class KillingWriter(io.FileIO):
+            """A pipe end whose write, in the child, is its last act."""
+
+            def write(self, data):
+                written = super().write(data)
+                kill_the_child()
+                return written
+
+        def pipe():  # the child dies once it says its rows are in
+            read_end, write_end = os.pipe()
+            return open(read_end, "rb", buffering=0), KillingWriter(write_end, "wb")
+
+        real_windows = core._sorted_windows
+        if killed_in == "parse":
+            monkeypatch.setattr(dataio, "_bulk_columns", killing(dataio._bulk_columns))
+        elif killed_in == "waiting":
+            from rdwo import _fork
+
+            monkeypatch.setattr(_fork, "pipe", pipe)
+        elif killed_in == "after-go":
+            monkeypatch.setattr(cli, "_grid_sums", killing(cli._grid_sums))
+        else:
+            monkeypatch.setattr(core, "_sorted_windows", windows)
+        assert run_cli(capsys, *argv) == want
+        assert forks == [False]
+
+    def test_failed_fork(self, capsys, monkeypatch, forks, rows_csv):
+        argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(capsys, *argv) == want
+        assert forks == [False]
+
+    def test_second_thread_runs_in_process(self, capsys, monkeypatch, forks, rows_csv):
+        argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = run_cli(capsys, *argv)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got == want
+        assert forks == []
+
+    # A delta this large overflows delta * S in the parent's readout.  Outputs
+    # of 1.7e308 overflow SY in the windows that hold two: the child's half
+    # of the grid, which the parent then sums itself, or both halves.
+    @pytest.mark.parametrize("huge, delta, points, forked", [
+        (None, "1.7e308", "-0.5,0.5", True),
+        ((0.6, 1.0), "0.3", "-0.5,0.8", False),
+        ((-1.0, 1.0), "0.3", "-0.5,0.8", None),
+    ], ids=["delta", "outputs-in-the-child", "outputs-in-both"])
+    def test_overflow(self, capsys, monkeypatch, forks, tmp_path, huge, delta, points, forked):
+        rng = np.random.default_rng(26)
+        phis = rng.uniform(-1, 1, 240)
+        ys = rng.uniform(-1, 1, 240)
+        if huge is not None:
+            ys[(phis > huge[0]) & (phis < huge[1])] = 1.7e308
+        path = write_rows(tmp_path / "huge.csv", zip(phis.tolist(), ys.tolist()))
+        argv = ("fit", "--input", path, "--delta", delta, f"--grid-list={points}")
+        assert self.same_as_one_cpu(capsys, monkeypatch, *argv) == (2, "", overflow_error(delta))
+        assert forks == [forked]
 
 
 def readme_examples():

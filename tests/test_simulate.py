@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdwo import simulate
+from rdwo import core, simulate
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig, _sorted_windows, window_margins
 from rdwo.simulate import (
@@ -516,13 +516,14 @@ class TestTwoProcesses:
             assert forks == want, count
             assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
 
-    def test_splits_only_windows_blas_sums_on_one_thread(self):
-        # delta 0.5 on a range of width 6: a window expects n / 6 samples
-        for n, want in [(6 * simulate._SPLIT_MAX_WINDOW, 1), (6 * simulate._SPLIT_MAX_WINDOW + 6, 0)]:
-            spec = small_spec(n_samples=n, query_grid=(-1.0, 1.0, 0.0))
-            report, forks, _ = run_counting_forks(spec)
-            assert forks == want, n
-            assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
+    def test_splits_windows_of_several_dot_blocks(self):
+        # delta 0.5 on a range of width 6: a window expects n / 6 samples,
+        # here about 2.5 blocks of core._DOT_BLOCK, each summed on one thread
+        spec = small_spec(n_samples=15 * core._DOT_BLOCK, query_grid=(-1.0, 1.0, 0.0))
+        report, forks, _ = run_counting_forks(spec)
+        assert forks == 1
+        assert report.active_count.min() > 2 * core._DOT_BLOCK
+        assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
 
 
 class TestMaxRelativeDeviation:

@@ -19,7 +19,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
-from rdwo.core import EstimatorConfig, _sorted_windows, grid_solve, window_margins
+from rdwo.core import (
+    EstimatorConfig,
+    _sort_order,
+    _sorted_windows,
+    grid_solve,
+    window_margins,
+)
 from rdwo.simulate import ExperimentSpec, Sine, _dataset_arrays, run_experiment
 from rdwo.streaming import StreamingGrid
 from reference import in_phi_order
@@ -154,6 +160,34 @@ def test_unsorted_regressors_sum_in_stable_phi_order():
     # are summed in sample order.
     phis = RNG.permutation(np.repeat(STEPS, 3))
     assert_matches_full_scan(STEPS, phis, RNG.normal(size=phis.size), 0.25)
+
+
+def sort_keys(seed):
+    """Seeded keys of 1 to 20,000 values: distinct draws, or clusters of
+    equal keys among them, with signed zeros in some."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 15, 17, 200, 20_000]))
+    keys = rng.uniform(-1, 1, n)
+    if seed % 3:
+        keys = np.round(keys, int(rng.integers(0, 4)))
+    if seed % 4 == 1:
+        keys[rng.integers(0, n, max(1, n // 10))] = rng.choice([-0.0, 0.0], max(1, n // 10))
+    return keys
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sort_order_is_the_stable_argsort(seed):
+    keys = sort_keys(seed)
+    order = _sort_order(keys)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+
+def test_sort_order_falls_back_on_ties_the_default_sort_reorders():
+    keys = np.round(np.random.default_rng(5).uniform(-1, 1, 2_000), 1)
+    keys[::7] = -0.0
+    assert not np.array_equal(np.argsort(keys), np.argsort(keys, kind="stable"))
+    assert np.array_equal(_sort_order(keys), np.argsort(keys, kind="stable"))
 
 
 def test_signed_zeros_are_ties():
