@@ -26,20 +26,20 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import EstimatorConfig, _grid_readout, _grid_sums, _readout, grid_solve
+from . import dataio
+from .core import EstimatorConfig, _grid_sums, _readout, grid_solve
 from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
-# through read_arrays and iter_blocks, and tables print through format_heads
+# through read_arrays and iter_runs, and tables print through format_heads
 # and join_lines.  perfbench/tracer.py still wraps the three by name in this
 # module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
-    _SPLIT_MIN_BYTES,
     InputFormatError,
     can_fork,
     csv_row,
     format_float,
     format_heads,
-    iter_blocks,
+    iter_runs,
     iter_samples,
     join_lines,
     json_record,
@@ -79,9 +79,6 @@ def __getattr__(name: str):
 # certification tolerance for oracle-vs-closed-form objectives.
 MODE_AGREEMENT_RTOL = 1e-10
 ORACLE_TOL = 1e-6
-
-# Rows `stream` reads and folds at once when no --emit-every is given.
-STREAM_BLOCK_ROWS = 1024
 
 
 def _add_estimation_args(sub: argparse.ArgumentParser) -> None:
@@ -228,24 +225,27 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
 
     phis, _, sums = read_arrays(args.input, window_sums, (4, grid.size))
     with _overflow_names(config.delta):
-        solution = _grid_readout(config.delta, sums)
+        solution = _readout(config.delta, *sums)
     n_seen = phis.size if args.diagnostics else None
     _GridTable(args, grid).write(out, solution, n_seen, True)
     return 0
 
 
 def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
-    """Fold the input through a :class:`StreamingGrid` and print a snapshot
-    of the grid after every ``--emit-every`` samples and at the end.
+    """Fold the input through a :class:`StreamingGrid`, a run of the
+    reader's at a time, and print a snapshot of the grid after every
+    ``--emit-every`` samples and at the end; memory follows the run, not
+    ``--emit-every``.
 
-    A snapshot travels as one record of window sums (see :func:`_records`),
-    read out once through ``core._readout`` and printed by
-    :meth:`_GridTable.write`.  On a large input with enough snapshots (see
-    :func:`_stream_forks`), a forked child reads and folds the file and
-    sends each record down a pipe, while this process prints them.  If the
-    child does not finish, this process streams the file again from the
-    start and prints the snapshots after those it has printed, so the
-    output, the error line and the exit code are those of one process.
+    A snapshot travels as one record, ``n_seen`` and the grid's window-sum
+    table (see :func:`_records`), read out once through ``core._readout``
+    and printed by :meth:`_GridTable.write`.  On a large input with enough
+    snapshots (see :func:`_stream_forks`), a forked child reads and folds
+    the file and sends each record down a pipe, while this process prints
+    them.  If the child does not finish, this process streams the file
+    again from the start and prints the snapshots after those it has
+    printed, so the output, the error line and the exit code are those of
+    one process.
     """
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
@@ -259,9 +259,7 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
 
     def show(record: np.ndarray) -> None:
         nonlocal printed
-        s, sy, sq = record[1 + points :].reshape(3, points)
-        # A fresh counts array: the table keeps the one it is given.
-        solution = _readout(config.delta, record[1 : 1 + points].astype(int), s, sy, sq)
+        solution = _readout(config.delta, *record[1:].reshape(4, points))
         table.write(out, solution, int(record[0]) if track_n else None, printed == 0)
         printed += 1
 
@@ -288,7 +286,7 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
         return False
     try:
         info = os.stat(args.input)
-        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
+        if not stat.S_ISREG(info.st_mode) or info.st_size < dataio._SPLIT_MIN_BYTES:
             return False
         with open(args.input, "rb") as fh:
             lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
@@ -298,18 +296,23 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
 
 
 def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[np.ndarray]:
-    """Fold the input into ``engine``; yield the record of each snapshot:
-    ``n_seen``, then the active counts, ``S``, ``SY`` and ``SQ`` of every
-    grid point, as one float array."""
-    for phis, ys in iter_blocks(args.input, args.emit_every or STREAM_BLOCK_ROWS):
-        engine.extend(phis, ys)
-        if phis.size == args.emit_every:
+    """Fold the input into ``engine`` a run of :func:`~rdwo.dataio.iter_runs`
+    at a time, cut where a snapshot falls, and yield the record of each
+    snapshot: ``n_seen``, then ``engine.sums``, as one float array."""
+    every = args.emit_every
+    room = every  # samples until the next snapshot
+    for phis, ys in iter_runs(args.input):
+        while every and phis.size >= room:
+            engine.extend(phis[:room], ys[:room])
             yield _record(engine)
+            phis, ys, room = phis[room:], ys[room:], every
+        engine.extend(phis, ys)
+        room -= phis.size
     yield _record(engine)
 
 
 def _record(engine: StreamingGrid) -> np.ndarray:
-    return np.concatenate(([engine.n_seen], engine.n_active, engine.s, engine.sy, engine.sq))
+    return np.concatenate(([engine.n_seen], engine.sums.ravel()))
 
 
 def _fork_records(args: argparse.Namespace, engine: StreamingGrid, show) -> bool:

@@ -250,14 +250,18 @@ def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
     return table
 
 
-def _readout(delta: float, counts, s, sy, sq):
+def _readout(delta: float, counts, s, sq, sy):
     """The ``(estimates, active_counts, objectives, support_sums)`` of window
-    sums in scaled margins, for batch and streaming alike: ``SY / S`` (a row
-    for each row of ``sy``), the count, ``delta * sqrt(SQ)``, the norm of the
-    margins, and ``delta * S``; nan estimates and objectives without support."""
+    sums in scaled margins, for batch and streaming alike, given as the rows
+    of a :func:`_window_dots` table: the count, ``S``, ``SQ`` and ``SY`` (a
+    row, or a table of rows, of ``r . y``).  They read out as ``SY / S``,
+    the count as a new int array, ``delta * sqrt(SQ)``, the norm of the
+    margins, and ``delta * S``; nan estimates and objectives without
+    support."""
     supported = counts > 0
     estimates = np.divide(sy, s, out=np.full(np.shape(sy), np.nan), where=supported)
-    return estimates, counts, np.where(supported, delta * np.sqrt(sq), np.nan), delta * s
+    return (estimates, counts.astype(int), np.where(supported, delta * np.sqrt(sq), np.nan),
+            delta * s)
 
 
 def grid_solve(
@@ -282,7 +286,7 @@ def grid_solve(
     ys = np.asarray(ys, dtype=float)
     if phis.shape != ys.shape or phis.ndim != 1:
         raise ValueError("phis and ys must be aligned 1-D arrays")
-    return _grid_readout(config.delta, _grid_sums(xs, phis, ys, config.delta))
+    return _readout(config.delta, *_grid_sums(xs, phis, ys, config.delta))
 
 
 def _grid_sums(xs: np.ndarray, phis: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
@@ -294,8 +298,3 @@ def _grid_sums(xs: np.ndarray, phis: np.ndarray, ys: np.ndarray, delta: float) -
     ys = ys[_sort_order(phis)]
     return _window_dots(xs, np.sort(phis), delta, (ys,))
 
-
-def _grid_readout(delta: float, sums: np.ndarray):
-    """The :func:`_readout` of :func:`_grid_sums`."""
-    counts, s, sq, sy = sums
-    return _readout(delta, counts.astype(int), s, sy, sq)

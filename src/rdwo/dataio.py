@@ -24,7 +24,7 @@ __all__ = [
     "iter_samples",
     "read_samples",
     "read_arrays",
-    "iter_blocks",
+    "iter_runs",
     "format_float",
     "json_record",
     "csv_row",
@@ -221,7 +221,7 @@ def iter_samples(path) -> Iterator[tuple[int, float, float]]:
 
     A file with no content at all yields nothing; see :func:`_parse_rows`
     for the grammar.  This is the line-by-line reference that
-    :func:`read_arrays` and :func:`iter_blocks` are tested against.
+    :func:`read_arrays` and :func:`iter_runs` are tested against.
     """
     with open(path, "r", encoding="utf-8") as fh:
         yield from _parse_rows(fh, _ParseState())
@@ -428,28 +428,17 @@ def _split_arrays(path, solve=None, shape=None):
     return columns[0, :rows], columns[1, :rows], table
 
 
-def iter_blocks(path, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The regressors and outputs of a CSV file as float arrays, ``size`` rows
-    at a time, in file order; only the last block may be shorter.
+def iter_runs(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The regressors and outputs of a CSV file as float arrays, a run of
+    lines of about ``_CHUNK_CHARS`` characters at a time, in file order; a
+    run may be empty.
 
     Accepts and rejects exactly what :func:`iter_samples` does, without
-    building a tuple per row.  The rows before a malformed line come out in
-    whole blocks, and then the error is raised.
+    building a tuple per row.  The rows before a malformed line come out,
+    and then the error is raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        runs, held = [], 0
-        for run in _column_runs(fh):
-            runs.append(run)
-            held += run[0].size
-            if held < size:
-                continue
-            phis, ys = (np.concatenate(column) for column in zip(*runs))
-            whole = held - held % size
-            for start in range(0, whole, size):
-                yield phis[start : start + size], ys[start : start + size]
-            runs, held = [(phis[whole:], ys[whole:])], held - whole
-        if held:
-            yield tuple(np.concatenate(column) for column in zip(*runs))
+        yield from _column_runs(fh)
 
 
 def format_float(value: float) -> str:

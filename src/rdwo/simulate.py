@@ -447,7 +447,7 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.nd
     sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)), True)
     del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
-    means = _readout(spec.config.delta, sums[0], sums[1], sums[[4, 3, 5, 6, 7]], sums[2])[0]
+    means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]
     table[0], table[1], table[5] = sums[0], means[0], means[3]
     table[2:5] = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
     engine = StreamingGrid(x, spec.config)

@@ -4,12 +4,14 @@ A query point's streaming state is the window state of :mod:`rdwo.core`,
 kept as running sums over the samples absorbed so far, in scaled margins
 ``r = m / delta`` with ``m = delta - |x - phi|``, which lie in (0, 1]::
 
-    S = sum r,    SY = sum r * y,    SQ = sum r * r,
+    S = sum r,    SQ = sum r * r,    SY = sum r * y,
 
-and the count, read out by ``core._readout``.  The scaling bounds each term
-of ``SY`` by ``|y|`` and each term of ``S`` and ``SQ`` by one, whatever
-``delta`` is.  The batch path of :mod:`rdwo.core` forms the same quotient
-over the same window; the two differ only in the order they add.
+and the count, kept as one table in the row order of ``core._window_dots``
+(count, ``S``, ``SQ``, ``SY``) and read out by ``core._readout``.  The
+scaling bounds each term of ``SY`` by ``|y|`` and each term of ``S`` and
+``SQ`` by one, whatever ``delta`` is.  The batch path of :mod:`rdwo.core`
+forms the same quotient over the same window; the two differ only in the
+order they add.
 
 :class:`StreamingGrid` holds the sums of a grid of query points and pays
 only for the grid points inside each sample's window, found by binary
@@ -37,10 +39,12 @@ _PAIR_BUDGET = 8192
 class StreamingGrid:
     """Streaming estimator states for many query points at once.
 
-    Each grid point adds its own samples into its sums one at a time, in
-    stream order, so the state after :meth:`extend` is bit for bit the one a
-    loop of :meth:`update` leaves, and the one a scalar running sum per grid
-    point gives.
+    ``sums`` is a ``(4, G)`` float table of the count, ``S``, ``SQ`` and
+    ``SY`` of each grid point, the rows of ``core._window_dots``, and
+    ``n_active`` a view of its count row.  Each grid point adds its own
+    samples into its sums one at a time, in stream order, so the state after
+    :meth:`extend` is bit for bit the one a scalar running sum per grid
+    point gives, however the samples are split between calls.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -53,24 +57,17 @@ class StreamingGrid:
         self.xs.setflags(write=False)
         self.config = config
         self.n_seen = 0
-        self.n_active = np.zeros(xs.size, dtype=int)
-        # S, SY and SQ per grid point, in scaled margins.
-        self.s = np.zeros(xs.size)
-        self.sy = np.zeros(xs.size)
-        self.sq = np.zeros(xs.size)
+        self.sums = np.zeros((4, xs.size))
+        self.n_active = self.sums[0]
         self._order = np.argsort(self.xs, kind="stable")
         self._sorted = self.xs[self._order]
-
-    def update(self, phi: float, y: float) -> None:
-        """Fold one sample into every grid point's state."""
-        self.extend([phi], [y])
 
     def extend(self, phis: np.ndarray, ys: np.ndarray) -> None:
         """Fold samples into every grid point's state, in order.
 
-        The same as calling :meth:`update` on each sample in turn, bit for
-        bit.  A non-finite sample raises :class:`ValueError` after every
-        sample before it has been absorbed, as that loop would.
+        The same as one call per sample in turn, bit for bit.  A non-finite
+        sample raises :class:`ValueError` after every sample before it has
+        been absorbed, as that loop would.
         """
         phis = np.asarray(phis, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -128,20 +125,23 @@ class StreamingGrid:
             pos, m, y = pos[keep], m[keep], y[keep]
         r = m / delta
         points = self._order[pos]
-        np.add.at(self.s, points, r)
-        np.add.at(self.sy, points, r * y)
-        np.add.at(self.sq, points, r * r)
-        np.add.at(self.n_active, points, 1)
+        counts, s, sq, sy = self.sums
+        # A float 1.0: numpy 2.4 adds a Python int into a float row by a path
+        # about 30 times slower.
+        np.add.at(counts, points, 1.0)
+        np.add.at(s, points, r)
+        np.add.at(sq, points, r * r)
+        np.add.at(sy, points, r * y)
 
     def _readout(self):
-        return _readout(self.config.delta, self.n_active, self.s, self.sy, self.sq)
+        return _readout(self.config.delta, *self.sums)
 
     def estimates(self) -> np.ndarray:
         """Per-point estimates ``SY / S``, nan where none is absorbed."""
         return self._readout()[0]
 
     def active_counts(self) -> np.ndarray:
-        return self.n_active.copy()
+        return self.n_active.astype(int)
 
     def objectives(self) -> np.ndarray:
         """Per-point norms of the absorbed margins, ``delta * sqrt(SQ)``, or nan."""

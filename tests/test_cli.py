@@ -288,7 +288,7 @@ def expected_snapshots(rows, emit_every):
     wanted = [n for n in range(emit_every, len(rows) + 1, emit_every)] + [len(rows)]
     records = []
     for n, (p, y) in enumerate(rows, start=1):
-        engine.update(p, y)
+        engine.extend([p], [y])
         for _ in range(wanted.count(n)):
             for x, est, count, obj in zip(
                 STREAM_GRID, engine.estimates(), engine.active_counts(), engine.objectives()
@@ -334,6 +334,57 @@ class TestStreamBlocks:
         assert err == "error: line 15: could not convert string to float: 'abc'\n"
         want = expected_snapshots(stream_rows, 5)[: 2 * len(STREAM_GRID)]
         assert json_lines(out) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 14])
+    def test_snapshots_whatever_the_runs(self, capsys, monkeypatch, tmp_path, stream_rows,
+                                         chunk):
+        # A run holds one line at 1 and 7 characters, one or two at 64 and
+        # the whole file at 16 KiB, so snapshots fall between runs and inside
+        # them; every 8 divides the 24 rows, every 5 does not, every 50 is
+        # more than the file.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+        path = write_rows(tmp_path / "rows.csv", stream_rows)
+        for emit_every in (5, 8, 50):
+            code, out, err = run_cli(
+                capsys, "stream", "--input", path, *self.GRID_ARGS, "--emit-every", str(emit_every)
+            )
+            assert code == 0 and err == ""
+            assert json_lines(out) == expected_snapshots(stream_rows, emit_every)
+        path = write_rows(tmp_path / "bad.csv", stream_rows, bad_row=14)
+        code, out, err = run_cli(
+            capsys, "stream", "--input", path, *self.GRID_ARGS, "--emit-every", "5"
+        )
+        assert code == 2
+        assert err == "error: line 15: could not convert string to float: 'abc'\n"
+        assert json_lines(out) == expected_snapshots(stream_rows, 5)[: 2 * len(STREAM_GRID)]
+
+    @pytest.mark.parametrize("emit_every", [[], ["--emit-every", "1"],
+                                            ["--emit-every", "5"], ["--emit-every", "50"]],
+                             ids=["none", "1", "5", "50"])
+    def test_extend_takes_no_more_than_a_run(self, capsys, monkeypatch, tmp_path, stream_rows,
+                                             emit_every):
+        # No call of extend spans the end of a run, so stream holds one run
+        # of rows at a time, whatever --emit-every is.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 64)
+        runs, calls = [], []
+        column_runs, extend = dataio._column_runs, StreamingGrid.extend
+
+        def spy_runs(*args):
+            for run in column_runs(*args):
+                runs.append(run[0].size)
+                yield run
+
+        def spy_extend(self, phis, ys):
+            calls.append(len(phis))
+            return extend(self, phis, ys)
+
+        monkeypatch.setattr(dataio, "_column_runs", spy_runs)
+        monkeypatch.setattr(StreamingGrid, "extend", spy_extend)
+        path = write_rows(tmp_path / "rows.csv", stream_rows)
+        code, _, err = run_cli(capsys, "stream", "--input", path, *self.GRID_ARGS, *emit_every)
+        assert code == 0 and err == ""
+        assert max(runs) < len(stream_rows) and sum(calls) == sum(runs) == len(stream_rows)
+        assert set(np.cumsum(runs).tolist()) <= set(np.cumsum(calls).tolist())
 
 
 def grid_reference(fmt, xs, solution, diagnostics, n_seen, with_header=True):
@@ -1293,7 +1344,6 @@ class ForkedRuns:
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
         monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(cli, "_SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = []

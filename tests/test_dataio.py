@@ -16,7 +16,7 @@ from rdwo.dataio import (
     csv_row,
     format_float,
     format_heads,
-    iter_blocks,
+    iter_runs,
     iter_samples,
     join_lines,
     json_record,
@@ -294,49 +294,47 @@ class TestReadArrays:
     @given(
         header=st.sampled_from([EXPECTED_HEADER, "k,phi", ""]),
         lines=st.lists(LINES, max_size=8),
-        size=st.integers(1, 4),
     )
-    def test_blocks_concatenate_to_read_arrays(self, path, header, lines, size):
+    def test_blocks_concatenate_to_read_arrays(self, path, header, lines):
+        # The blocks are the runs of iter_runs.
         path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
         kind, want = self._outcome(read_arrays, path)
-        blocks = []
+        runs = []
         try:
-            for phis, ys in iter_blocks(path, size):
-                blocks.append((phis.tolist(), ys.tolist()))
+            for phis, ys in iter_runs(path):
+                runs.append((phis.tolist(), ys.tolist()))
         except InputFormatError as exc:
             assert kind == "error" and str(exc) == want
-            assert all(len(phis) == size for phis, _ in blocks)
             return
         assert kind == "ok"
-        assert all(len(phis) == size for phis, _ in blocks[:-1])
-        assert all(0 < len(phis) <= size for phis, _ in blocks)
-        assert sum((phis for phis, _ in blocks), []) == want[0].tolist()
-        assert sum((ys for _, ys in blocks), []) == want[1].tolist()
+        assert sum((phis for phis, _ in runs), []) == want[0].tolist()
+        assert sum((ys for _, ys in runs), []) == want[1].tolist()
 
 
-def _ingest_outcomes(path, size):
-    """What iter_samples, read_arrays and iter_blocks make of one file."""
+def _ingest_outcomes(path):
+    """What iter_samples, read_arrays and iter_runs make of one file, each
+    its rows or its error, and the rows iter_samples and iter_runs gave
+    before an error."""
+    given = [], []
 
-    def run(read):
+    def run(rows, iterate):
         try:
-            return "ok", read()
+            for row in iterate():
+                rows.append(row)
         except InputFormatError as exc:
             return "error", str(exc)
+        return "ok", rows
 
-    reference = run(lambda: [(phi, y) for _, phi, y in iter_samples(path)])
-    arrays = run(lambda: list(zip(*(column.tolist() for column in read_arrays(path)))))
-    blocks = []
-
-    def read_blocks():
-        for phis, ys in iter_blocks(path, size):
-            blocks.append(len(phis))
-            yield from zip(phis.tolist(), ys.tolist())
-
-    return reference, arrays, run(lambda: list(read_blocks())), blocks
+    reference = run(given[0], lambda: ((phi, y) for _, phi, y in iter_samples(path)))
+    arrays = run([], lambda: zip(*(column.tolist() for column in read_arrays(path))))
+    runs = run(given[1], lambda: (
+        row for phis, ys in iter_runs(path) for row in zip(phis.tolist(), ys.tolist())
+    ))
+    return reference, arrays, runs, given
 
 
 class TestChunkedIngest:
-    """read_arrays and iter_blocks with runs of a few characters, so that
+    """read_arrays and iter_runs with runs of a few characters, so that
     files span many runs and rows straddle their ends; read_arrays in one
     process and again through the split."""
 
@@ -351,18 +349,13 @@ class TestChunkedIngest:
     def path(self, tmp_path):
         return tmp_path / "data.csv"
 
-    def check(self, path, data: bytes, *, size=3):
+    def check(self, path, data: bytes):
         path.write_bytes(data)
-        reference, arrays, blocks, sizes = _ingest_outcomes(path, size)
+        reference, arrays, runs, (want, got) = _ingest_outcomes(path)
         assert arrays == reference
         with split_every_file():
-            assert _ingest_outcomes(path, size)[1] == reference
-        if reference[0] == "ok":
-            assert blocks == reference
-            assert all(n == size for n in sizes[:-1])
-        else:
-            assert blocks[0] == "error" and blocks[1] == reference[1]
-            assert all(n == size for n in sizes)
+            assert _ingest_outcomes(path)[1] == reference
+        assert runs == reference and got == want
         return reference
 
     def test_rows_straddling_run_ends(self, chunk, path):
@@ -444,11 +437,10 @@ class TestChunkedIngest:
     @given(
         chunk_chars=st.integers(1, 40),
         lines=st.lists(TestReadArrays.LINES, max_size=12),
-        size=st.integers(1, 4),
     )
-    def test_any_run_length_agrees_with_iter_samples(self, path, chunk_chars, lines, size):
+    def test_any_run_length_agrees_with_iter_samples(self, path, chunk_chars, lines):
         with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars):
-            self.check(path, "\n".join([EXPECTED_HEADER, *lines]).encode(), size=size)
+            self.check(path, "\n".join([EXPECTED_HEADER, *lines]).encode())
 
 
 def at_the_cut(before, after):

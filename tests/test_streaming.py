@@ -30,7 +30,7 @@ def batch_estimate(x, phis, ys, config):
     return float(np.dot(query_weights(x, phis, config), ys))
 
 
-class TestRecursiveState:
+class TestRunningSums:
     """The running sums of one query point: the scalar reference
     ``running_sums`` and a one-point ``StreamingGrid``."""
 
@@ -63,7 +63,7 @@ class TestRecursiveState:
     def test_estimate_is_none_before_any_absorption(self):
         grid = StreamingGrid([0.0], CFG)
         assert math.isnan(grid.estimates()[0])
-        grid.update(9.0, 3.0)
+        grid.extend([9.0], [3.0])
         assert math.isnan(grid.estimates()[0])
         assert grid.n_seen == 1 and grid.n_active[0] == 0
         assert math.isnan(running_sums(0.0, [9.0], [3.0], 1.0)[0])
@@ -71,7 +71,7 @@ class TestRecursiveState:
     def test_boundary_sample_is_skipped(self):
         assert running_sums(0.0, [1.0], [3.0], 1.0)[4] == []
         grid = StreamingGrid([0.0], CFG)
-        grid.update(1.0, 3.0)
+        grid.extend([1.0], [3.0])
         assert grid.n_active[0] == 0
 
     def test_tiny_margins_match_fraction_reference(self):
@@ -98,7 +98,7 @@ class TestRecursiveState:
         x, phis, ys, config = stream
         grid = StreamingGrid([x], config)
         for k in range(len(phis)):
-            grid.update(phis[k], ys[k])
+            grid.extend([phis[k]], [ys[k]])
             estimate = grid.estimates()[0]
             try:
                 batch = batch_estimate(x, phis[: k + 1], ys[: k + 1], config)
@@ -188,12 +188,12 @@ class TestStreamingGrid:
         config = EstimatorConfig(delta=0.35, l1=1.0)
         grid = StreamingGrid(xs, config)
         for p, y in zip(phis, ys):
-            grid.update(float(p), float(y))
+            grid.extend([float(p)], [float(y)])
         ests = grid.estimates()
         for i, x in enumerate(xs.tolist()):
             estimate, s, sy, sq, positions, _ = running_sums(x, phis, ys, config.delta)
             assert np.array_equal(ests[i], estimate, equal_nan=True)
-            assert (grid.s[i], grid.sy[i], grid.sq[i]) == (s, sy, sq)
+            assert grid.sums[1:, i].tolist() == [s, sq, sy]
             assert grid.support_sums()[i] == config.delta * s
             assert grid.n_active[i] == len(positions)
 
@@ -203,14 +203,14 @@ class TestStreamingGrid:
         x, phis, ys, config = stream
         grid = StreamingGrid(np.array([x]), config)
         for p, y in zip(phis, ys):
-            grid.update(p, y)
+            grid.extend([p], [y])
         estimate = running_sums(x, phis, ys, config.delta)[0]
         assert np.array_equal(grid.estimates()[0], estimate, equal_nan=True)
 
     def test_objectives_and_counts(self):
         grid = StreamingGrid(np.array([0.0, 10.0]), CFG)
-        grid.update(-0.5, 1.0)
-        grid.update(0.2, 2.0)
+        grid.extend([-0.5], [1.0])
+        grid.extend([0.2], [2.0])
         objs = grid.objectives()
         assert math.isclose(objs[0], math.sqrt(0.89), rel_tol=1e-12)
         assert math.isnan(objs[1])
@@ -226,7 +226,7 @@ class TestStreamingGrid:
         a.extend(phis, ys)
         b = StreamingGrid(xs, CFG)
         for p, y in zip(phis, ys):
-            b.update(float(p), float(y))
+            b.extend([float(p)], [float(y)])
         assert np.array_equal(a.estimates(), b.estimates(), equal_nan=True)
 
     def test_rejects_bad_inputs(self):
@@ -236,7 +236,7 @@ class TestStreamingGrid:
             StreamingGrid(np.array([0.0, math.nan]), CFG)
         grid = StreamingGrid(np.array([0.0]), CFG)
         with pytest.raises(ValueError):
-            grid.update(math.nan, 1.0)
+            grid.extend([math.nan], [1.0])
         assert grid.n_seen == 0
 
     def test_grid_is_readonly(self):
@@ -246,8 +246,9 @@ class TestStreamingGrid:
 
 
 def run_three_ways(xs, delta, phis, ys):
-    """Feed one stream to ``extend``, to a loop of ``update`` and to the scalar
-    ``running_sums`` per grid point; every state must agree with ``==``."""
+    """Feed one stream to ``extend`` at once, to a loop of one-sample
+    ``extend`` calls and to the scalar ``running_sums`` per grid point; every
+    state must agree with ``==``."""
     config = EstimatorConfig(delta=delta, l1=1.0)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -255,7 +256,7 @@ def run_three_ways(xs, delta, phis, ys):
     extended.extend(phis, ys)
     looped = StreamingGrid(xs, config)
     for p, y in zip(phis.tolist(), ys.tolist()):
-        looped.update(p, y)
+        looped.extend([p], [y])
     states = [running_sums(x, phis, ys, delta) for x in np.asarray(xs, dtype=float).tolist()]
     for grid in (extended, looped):
         assert grid.n_seen == phis.size
@@ -268,16 +269,14 @@ def assert_states(grid, states, points=slice(None)):
     its ``running_sums`` state, with ``==``."""
     estimate, s, sy, sq, positions, _ = zip(*states)
     assert grid.n_active[points].tolist() == list(map(len, positions))
-    sums = [grid.s[points].tolist(), grid.sy[points].tolist(), grid.sq[points].tolist()]
-    assert sums == [list(s), list(sy), list(sq)]
+    assert grid.sums[1:, points].tolist() == [list(s), list(sq), list(sy)]
     assert np.array_equal(grid.estimates()[points], estimate, equal_nan=True)
 
 
 def assert_same_state(a, b):
     """Two grids hold the same counts and sums, bit for bit."""
     assert a.n_seen == b.n_seen
-    for name in ("n_active", "s", "sy", "sq"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.sums.tobytes() == b.sums.tobytes()
 
 
 def spy_chunks(monkeypatch):
@@ -375,7 +374,7 @@ class TestGridKernel:
         assert_states(grid, states, hit)
         missed = np.ones(xs.size, dtype=bool)
         missed[hit] = False
-        assert not grid.n_active[missed].any() and not grid.s[missed].any()
+        assert not grid.sums[:, missed].any()
         assert grid.n_active.sum() > phis.size
 
     def test_chunk_with_one_pair_per_column(self):
@@ -430,7 +429,7 @@ class TestGridKernel:
         looped = StreamingGrid(xs, CFG)
         with pytest.raises(ValueError) as by_loop:
             for p, y in zip(phis.tolist(), ys.tolist()):
-                looped.update(p, y)
+                looped.extend([p], [y])
         assert str(by_extend.value) == str(by_loop.value) == f"{field} must be finite, got nan"
         assert extended.n_seen == where
         assert_same_state(extended, looped)
@@ -468,7 +467,7 @@ class TestGridKernel:
         extended, looped = StreamingGrid(xs, config), StreamingGrid(xs, config)
         errors = []
         for fold in (lambda: extended.extend(phis, ys),
-                     lambda: [looped.update(p, y) for p, y in zip(phis.tolist(), ys.tolist())]):
+                     lambda: [looped.extend([p], [y]) for p, y in zip(phis.tolist(), ys.tolist())]):
             try:
                 fold()
             except ValueError as exc:
