@@ -6,16 +6,20 @@ kept as running sums over the samples absorbed so far, in scaled margins
 
     S = sum r,    SQ = sum r * r,    SY = sum r * y,
 
-and the count, kept as one table in the row order of ``core._window_dots``
-(count, ``S``, ``SQ``, ``SY``) and read out by ``core._readout``.  The
-scaling bounds each term of ``SY`` by ``|y|`` and each term of ``S`` and
-``SQ`` by one, whatever ``delta`` is.  The batch path of :mod:`rdwo.core`
-forms the same quotient over the same window; the two differ only in the
-order they add.
+and the count.  A read gives them as one table in the row order of
+``core._window_dots`` (count, ``S``, ``SQ``, ``SY``), which
+``core._readout`` reads out.  The scaling bounds each term of ``SY`` by
+``|y|`` and each term of ``S`` and ``SQ`` by one, whatever ``delta`` is.
+The batch path of :mod:`rdwo.core` forms the same quotient over the same
+window; the two differ only in the order they add.
 
 :class:`StreamingGrid` holds the sums of a grid of query points and pays
 only for the grid points inside each sample's window, found by binary
-search in the sorted grid.
+search in the sorted grid.  It keeps its state in sorted-grid order, so a
+pair of a sample and a grid point is added at the point's sorted position
+with no lookup.  The count, a whole number that any order of adds leaves
+exact, is kept as a +1 step where each window starts and a -1 step where
+it ends, two adds per sample, not one per pair, and summed when read.
 """
 
 from __future__ import annotations
@@ -39,12 +43,10 @@ _PAIR_BUDGET = 8192
 class StreamingGrid:
     """Streaming estimator states for many query points at once.
 
-    ``sums`` is a ``(4, G)`` float table of the count, ``S``, ``SQ`` and
-    ``SY`` of each grid point, the rows of ``core._window_dots``, and
-    ``n_active`` a view of its count row.  Each grid point adds its own
-    samples into its sums one at a time, in stream order, so the state after
-    :meth:`extend` is bit for bit the one a scalar running sum per grid
-    point gives, however the samples are split between calls.
+    Each grid point adds its own samples into its sums one at a time, in
+    stream order, so the state after :meth:`extend` is bit for bit the one
+    a scalar running sum per grid point gives, however the samples are split
+    between calls.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -57,10 +59,29 @@ class StreamingGrid:
         self.xs.setflags(write=False)
         self.config = config
         self.n_seen = 0
-        self.sums = np.zeros((4, xs.size))
-        self.n_active = self.sums[0]
-        self._order = np.argsort(self.xs, kind="stable")
-        self._sorted = self.xs[self._order]
+        # In sorted-grid order: the count steps, one more than the points for
+        # a window that ends past the last one, and S, SQ and SY.
+        self._steps = np.zeros(xs.size + 1)
+        self._sums = np.zeros((3, xs.size))
+        order = np.argsort(self.xs, kind="stable")
+        self._sorted = self.xs[order]
+        # Each point's position in the sorted grid.
+        self._rank = np.argsort(order)
+
+    @property
+    def sums(self) -> np.ndarray:
+        """The count, ``S``, ``SQ`` and ``SY`` of each grid point, the rows
+        of ``core._window_dots``, as a new ``(4, G)`` table in grid order:
+        writing into it leaves the state as it was."""
+        table = np.empty((4, self.xs.size))
+        np.cumsum(self._steps[:-1], out=table[0])
+        table[1:] = self._sums
+        return table.take(self._rank, axis=1)
+
+    @property
+    def n_active(self) -> np.ndarray:
+        """The samples absorbed by each grid point, as a new float row."""
+        return np.cumsum(self._steps[:-1]).take(self._rank)
 
     def extend(self, phis: np.ndarray, ys: np.ndarray) -> None:
         """Fold samples into every grid point's state, in order.
@@ -108,30 +129,38 @@ class StreamingGrid:
         self.n_seen += phis.size
 
     def _chunk(self, lo, hi, phis, ys, total: int) -> None:
-        """Add the ``total`` pairs of a run of samples into the sums, laid out
-        sample by sample: each sum takes them in one ``np.add.at``, which
+        """Add the ``total`` pairs of a run of samples into the state, laid
+        out sample by sample: the count steps at the ends of each window,
+        then ``S``, ``SQ`` and ``SY``, each in one ``np.add.at``, which
         applies its updates one by one in index order, so each grid point
-        meets its samples in stream order."""
+        meets its samples in stream order.  A pair whose margin rounds to
+        zero or below takes back its count step."""
         delta = self.config.delta
         counts = hi - lo
         # Pairs sample by sample: position in the sorted grid, margin, y.
         pos = np.arange(total) - np.repeat(counts.cumsum() - counts - lo, counts)
-        m = _margins(np.abs(self._sorted[pos] - np.repeat(phis, counts)), delta)
+        dist = self._sorted[pos]
+        dist -= np.repeat(phis, counts)
+        m = _margins(np.abs(dist, out=dist), delta)
         y = np.repeat(ys, counts)
+        # A window counts at every point from lo up to hi, less the pairs
+        # trimmed below.  A float 1.0: numpy 2.4 adds a Python int into a
+        # float row by a path about 30 times slower.
+        np.add.at(self._steps, lo, 1.0)
+        np.add.at(self._steps, hi, -1.0)
         inside = m > 0.0
         if not inside.all():
             # Rounding can leave a margin <= 0 at either end of a window.
+            trimmed = pos[~inside]
+            np.add.at(self._steps, trimmed, -1.0)
+            np.add.at(self._steps, trimmed + 1, 1.0)
             keep = np.flatnonzero(inside)
             pos, m, y = pos[keep], m[keep], y[keep]
-        r = m / delta
-        points = self._order[pos]
-        counts, s, sq, sy = self.sums
-        # A float 1.0: numpy 2.4 adds a Python int into a float row by a path
-        # about 30 times slower.
-        np.add.at(counts, points, 1.0)
-        np.add.at(s, points, r)
-        np.add.at(sq, points, r * r)
-        np.add.at(sy, points, r * y)
+        r = np.divide(m, delta, out=m)
+        s, sq, sy = self._sums
+        np.add.at(s, pos, r)
+        np.add.at(sq, pos, np.multiply(r, r, out=dist[: r.size]))
+        np.add.at(sy, pos, np.multiply(r, y, out=y))
 
     def _readout(self):
         return _readout(self.config.delta, *self.sums)

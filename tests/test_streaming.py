@@ -244,6 +244,20 @@ class TestStreamingGrid:
         with pytest.raises(ValueError):
             grid.xs[0] = 5.0
 
+    @pytest.mark.parametrize("xs", [[-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]])
+    def test_reads_are_snapshots(self, xs):
+        grid = StreamingGrid(np.array(xs), CFG)
+        grid.extend([-0.4, 0.1, 0.3], [1.0, 2.0, 3.0])
+        first = grid.sums
+        assert first.shape == (4, 3)
+        state = first.tobytes()
+        first[:] = 7.0
+        grid.n_active[:] = 9.0
+        second, third = grid.sums, grid.sums
+        assert second is not third
+        assert second.tobytes() == third.tobytes() == state
+        assert grid.n_active.tolist() == second[0].tolist() == [3.0, 3.0, 3.0]
+
 
 def run_three_ways(xs, delta, phis, ys):
     """Feed one stream to ``extend`` at once, to a loop of one-sample
@@ -308,6 +322,31 @@ class TestGridKernel:
         # every value here is exact in binary, so a sample on an edge has
         # margin exactly 0 and is skipped
         assert grid.n_active.tolist() == [6, 12, 9, 6]
+
+    def test_unsorted_grid_with_samples_on_window_edges(self, monkeypatch):
+        # Repeated points in no order, and samples exactly on window edges:
+        # the searches take each edge sample into the window, the margin of
+        # 0 trims it, and the count takes the pair back.  Every state keeps
+        # its bits in stream order, split inside a chunk or not, and reads
+        # as the ascending grid's table, permuted.
+        xs = np.array([0.25, -1.0, 1.0, 0.25, 0.0, -1.0, 0.25])
+        delta = 0.25
+        edges = np.concatenate([xs - delta, xs + delta, xs, xs - delta / 2])
+        phis = np.tile(edges, 3)
+        ys = np.arange(float(phis.size))
+        assert (np.abs(xs[:, None] - phis) == delta).any()
+        sizes = spy_chunks(monkeypatch)
+        grid = run_three_ways(xs, delta, phis, ys)
+        assert sizes[0][0] == phis.size > 40  # one chunk, split below at 40
+        split = StreamingGrid(xs, grid.config)
+        split.extend(phis[:40], ys[:40])
+        split.extend(phis[40:], ys[40:])
+        assert_same_state(split, grid)
+        order = np.argsort(xs, kind="stable")
+        ascending = StreamingGrid(xs[order], grid.config)
+        ascending.extend(phis, ys)
+        assert ascending.sums.tobytes() == grid.sums[:, order].tobytes()
+        assert grid.n_active.tolist() == [21, 12, 6, 21, 24, 12, 21]
 
     def test_delta_of_one_ulp(self):
         xs = np.array([1.0, 1.0 + 2.0**-52, 3.0])
