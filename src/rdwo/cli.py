@@ -257,16 +257,15 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     points = engine.xs.size
     printed = 0
 
-    def show(record: np.ndarray) -> None:
+    def show(n_seen: int, sums: np.ndarray) -> None:
         nonlocal printed
-        solution = _readout(config.delta, *record[1:].reshape(4, points))
-        table.write(out, solution, int(record[0]) if track_n else None, printed == 0)
+        table.write(out, _readout(config.delta, *sums), n_seen if track_n else None, printed == 0)
         printed += 1
 
     with _overflow_names(config.delta):
         if not (_stream_forks(args, points) and _fork_records(args, engine, show)):
-            for record in itertools.islice(_records(args, engine), printed, None):
-                show(record)
+            for n_seen, sums in itertools.islice(_records(args, engine), printed, None):
+                show(n_seen, sums)
     return 0
 
 
@@ -295,47 +294,46 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
     return lines // args.emit_every * points >= _STREAM_FORK_MIN_LINES and can_fork()
 
 
-def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[np.ndarray]:
+def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[tuple[int, np.ndarray]]:
     """Fold the input into ``engine`` a run of :func:`~rdwo.dataio.iter_runs`
     at a time, cut where a snapshot falls, and yield the record of each
-    snapshot: ``n_seen``, then ``engine.sums``, as one float array."""
+    snapshot: ``n_seen`` and ``engine.sums``."""
     every = args.emit_every
     room = every  # samples until the next snapshot
     for phis, ys in iter_runs(args.input):
         while every and phis.size >= room:
             engine.extend(phis[:room], ys[:room])
-            yield _record(engine)
+            yield engine.n_seen, engine.sums
             phis, ys, room = phis[room:], ys[room:], every
         engine.extend(phis, ys)
         room -= phis.size
-    yield _record(engine)
-
-
-def _record(engine: StreamingGrid) -> np.ndarray:
-    return np.concatenate(([engine.n_seen], engine.sums.ravel()))
+    yield engine.n_seen, engine.sums
 
 
 def _fork_records(args: argparse.Namespace, engine: StreamingGrid, show) -> bool:
     """Run :func:`_records` in a forked child that writes each record to a
-    pipe, and ``show`` each whole record here as it comes; whether the child
-    finished.  ``engine`` is left as it was."""
+    pipe, ``n_seen`` as a float and then the table, and ``show`` each whole
+    record here as it comes; whether the child finished.  ``engine`` is left
+    as it was."""
     from . import _fork
 
     record = np.empty(1 + 4 * engine.xs.size)
+    sums = record[1:].reshape(4, engine.xs.size)
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as source, open(write_end, "wb") as sink:
 
         def child() -> bool:
             source.close()
-            for snapshot in _records(args, engine):
-                sink.write(snapshot)
+            for n_seen, table in _records(args, engine):
+                sink.write(np.float64(n_seen))
+                sink.write(table)
                 sink.flush()
             return True
 
         def parent() -> None:
             sink.close()  # so the read ends when the child's end closes
             while source.readinto(record) == record.nbytes:
-                show(record)
+                show(int(record[0]), sums)
 
         return _fork.beside(child, parent)[1]
 

@@ -22,6 +22,7 @@ the BLAS thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +41,27 @@ class NoSupportError(ValueError):
     """No sample lies strictly inside the query window."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-# The checks of experiment-spec numbers live here, not in simulate.py, their
-# only caller: that is the largest module, compiled by the simulate command,
-# and with these two in it that command's peak memory read 0.12 MiB higher.
 def _number(name: str, value) -> float:
-    """A spec's JSON number as a float; a string, boolean or null is refused
-    rather than read by ``float()``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a finite float: any real number but a boolean, so numpy
+    scalars pass and a string, boolean or null is refused rather than read
+    by ``float()``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return _require_finite(name, value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {value!r}") from None
+        value = float(value)
+    except OverflowError:  # an int beyond the largest float prints as given
+        pass
+    else:
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+# A spec's lists are checked here, not in simulate.py, their only caller:
+# that is the largest module, compiled by the simulate command, and with
+# this in it that command's peak memory read higher (ROADMAP.md, dead ends).
 def _numbers(name: str, value, count: int | None = None) -> tuple[float, ...]:
-    """A spec's JSON list of numbers, of ``count`` items if given."""
+    """A spec's list or tuple of numbers as floats, of ``count`` items if given."""
     if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
         shape = "a list of numbers" if count is None else f"a list of {count} numbers"
         raise ValueError(f"{name} must be {shape}, got {value!r}")
@@ -71,12 +70,13 @@ def _numbers(name: str, value, count: int | None = None) -> tuple[float, ...]:
 
 def _even_grid(what: str, lo: float, hi: float, count: int) -> tuple[float, ...]:
     """``count`` evenly spaced points from ``lo`` to ``hi``, both finite, for
-    ``--grid`` and a spec's ``{min, max, count}``, named ``what`` in errors.
+    ``--grid``, a spec's ``{min, max, count}`` and the slope scan of its
+    input range, named ``what`` in errors.
     A span ``hi - lo`` that overflows is refused first: ``np.linspace`` would
     warn and make inf and nan points of it."""
     if not math.isfinite(hi - lo):
         raise ValueError(f"{what} span from {lo!r} to {hi!r} overflows")
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return tuple(np.linspace(lo, hi, count).tolist())
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class EstimatorConfig:
     l1: float = 1.0
 
     def __post_init__(self) -> None:
-        delta = _require_finite("delta", self.delta)
-        l1 = _require_finite("l1", self.l1)
+        delta = _number("delta", self.delta)
+        l1 = _number("l1", self.l1)
         if delta <= 0.0:
             raise ValueError(f"delta must be positive, got {delta}")
         if l1 <= 0.0:

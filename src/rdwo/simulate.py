@@ -22,8 +22,7 @@ is the one a single process gives.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .core import (
     _number,
     _numbers,
     _readout,
-    _require_finite,
     _sort_order,
     _window_dots,
 )
@@ -67,8 +65,8 @@ class Sine:
     frequency: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitude", _require_finite("amplitude", self.amplitude))
-        object.__setattr__(self, "frequency", _require_finite("frequency", self.frequency))
+        object.__setattr__(self, "amplitude", _number("amplitude", self.amplitude))
+        object.__setattr__(self, "frequency", _number("frequency", self.frequency))
 
     @property
     def l1(self) -> float:
@@ -86,7 +84,7 @@ class Atan:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", _require_finite("scale", self.scale))
+        object.__setattr__(self, "scale", _number("scale", self.scale))
 
     @property
     def l1(self) -> float:
@@ -106,16 +104,13 @@ class PiecewiseLinear:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        knots = tuple((float(a), float(b)) for a, b in self.knots)
+        if not isinstance(self.knots, (list, tuple)):
+            raise ValueError(f"knots must be a list of [x, y] pairs, got {self.knots!r}")
+        knots = tuple(_numbers("knot", knot, 2) for knot in self.knots)
         if len(knots) < 2:
             raise ValueError("piecewise-linear target needs at least two knots")
-        for (a, fa), (b, fb) in zip(knots, knots[1:]):
-            if not (math.isfinite(a) and math.isfinite(fa) and math.isfinite(fb)):
-                raise ValueError("knots must be finite")
-            if a >= b:
-                raise ValueError("knot positions must be strictly increasing")
-        if not all(math.isfinite(v) for v in knots[-1]):
-            raise ValueError("knots must be finite")
+        if any(a >= b for (a, _), (b, _) in zip(knots, knots[1:])):
+            raise ValueError("knot positions must be strictly increasing")
         object.__setattr__(self, "knots", knots)
 
     @property
@@ -139,13 +134,16 @@ def lipschitz_scan(fn, lo: float, hi: float, points: int = 4001) -> float:
     """Largest finite-difference slope magnitude of ``fn`` on a dense grid.
 
     By the mean value theorem this never exceeds the true Lipschitz constant
-    on ``[lo, hi]``, so it validates a declared slope bound from below.
+    on ``[lo, hi]``, so it validates a declared slope bound from below.  A
+    range whose span overflows is refused, and a target that overflows on
+    it scans inf or nan with no numpy warning.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    grid = np.linspace(lo, hi, points)
-    vals = np.asarray(fn(grid), dtype=float)
-    return float(np.max(np.abs(np.diff(vals) / np.diff(grid))))
+    grid = np.array(_even_grid("input_range", lo, hi, points))
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(grid), dtype=float)
+        return float(np.max(np.abs(np.diff(vals) / np.diff(grid))))
 
 
 @dataclass(frozen=True)
@@ -166,11 +164,11 @@ class ExperimentSpec:
     query_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo, hi = (float(v) for v in self.input_range)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"input_range must be a finite interval, got {self.input_range!r}")
+        lo, hi = _numbers("input_range", self.input_range, 2)
+        if not lo < hi:
+            raise ValueError(f"input_range must be a finite interval, got {(lo, hi)!r}")
         object.__setattr__(self, "input_range", (lo, hi))
-        sigma = _require_finite("noise_sigma", self.noise_sigma)
+        sigma = _number("noise_sigma", self.noise_sigma)
         if sigma < 0.0:
             raise ValueError(f"noise_sigma must be nonnegative, got {sigma}")
         object.__setattr__(self, "noise_sigma", sigma)
@@ -182,12 +180,12 @@ class ExperimentSpec:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "seed", seed)
-        grid = tuple(_require_finite("query point", v) for v in self.query_grid)
+        grid = _numbers("query_grid", self.query_grid)
         if not grid:
             raise ValueError("query_grid must be nonempty")
         object.__setattr__(self, "query_grid", grid)
         scanned = lipschitz_scan(self.function, lo, hi)
-        if scanned > self.function.l1 + 1e-9:
+        if not scanned <= self.function.l1 + 1e-9:
             raise ValueError(
                 f"target function exceeds its declared slope bound on the input "
                 f"range: scanned {scanned}, declared {self.function.l1}"
@@ -198,35 +196,20 @@ class ExperimentSpec:
                 f"slope bound ({self.function.l1})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "function": _function_to_dict(self.function),
-            "delta": self.config.delta,
-            "l1": self.config.l1,
-            "input_range": list(self.input_range),
-            "noise_sigma": self.noise_sigma,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "query_grid": list(self.query_grid),
-        }
-
     @staticmethod
     def from_dict(data: dict) -> "ExperimentSpec":
+        """The spec of a JSON object; each value is checked where it is
+        constructed."""
         _reject_unknown("experiment spec", data, _SPEC_KEYS)
         try:
-            function = _function_from_dict(data["function"])
-            config = EstimatorConfig(
-                delta=_number("delta", data["delta"]), l1=_number("l1", data["l1"])
-            )
-            grid = _grid_from_value(data["query_grid"])
             return ExperimentSpec(
-                function=function,
-                config=config,
-                input_range=_numbers("input_range", data["input_range"], 2),
-                noise_sigma=_number("noise_sigma", data.get("noise_sigma", 0.0)),
+                function=_function_from_dict(data["function"]),
+                config=EstimatorConfig(delta=data["delta"], l1=data["l1"]),
+                query_grid=_grid_from_value(data["query_grid"]),
+                input_range=data["input_range"],
+                noise_sigma=data.get("noise_sigma", 0.0),
                 n_samples=data["n_samples"],
                 seed=data.get("seed", 0),
-                query_grid=grid,
             )
         except KeyError as exc:
             raise ValueError(f"experiment spec is missing field {exc.args[0]!r}") from None
@@ -235,11 +218,7 @@ class ExperimentSpec:
 _SPEC_KEYS = (
     "function", "delta", "l1", "input_range", "noise_sigma", "n_samples", "seed", "query_grid"
 )
-_FUNCTION_KEYS = {
-    "sine": ("kind", "amplitude", "frequency"),
-    "atan": ("kind", "scale"),
-    "piecewise_linear": ("kind", "knots"),
-}
+_FUNCTIONS = {"sine": Sine, "atan": Atan, "piecewise_linear": PiecewiseLinear}
 
 
 def _reject_unknown(where: str, data: dict, known) -> None:
@@ -258,37 +237,24 @@ def _require_int(name: str, value) -> int:
     return int(value)
 
 
-def _function_to_dict(fn: FunctionSpec) -> dict:
-    if isinstance(fn, Sine):
-        return {"kind": "sine", "amplitude": fn.amplitude, "frequency": fn.frequency}
-    if isinstance(fn, Atan):
-        return {"kind": "atan", "scale": fn.scale}
-    if isinstance(fn, PiecewiseLinear):
-        return {"kind": "piecewise_linear", "knots": [list(k) for k in fn.knots]}
-    raise TypeError(f"unknown target function type: {type(fn).__name__}")
-
-
 def _function_from_dict(data: dict) -> FunctionSpec:
+    """The target of a spec's ``function`` object: its ``kind``, then the
+    fields of that kind's class, each optional where the class has a
+    default."""
     if not isinstance(data, dict):
         raise ValueError(f"function must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _FUNCTION_KEYS:
+    if not isinstance(kind, str) or kind not in _FUNCTIONS:
         raise ValueError(f"unknown target function kind: {kind!r}")
-    _reject_unknown(f"{kind} function", data, _FUNCTION_KEYS[kind])
-    if kind == "sine":
-        return Sine(
-            amplitude=_number("amplitude", data.get("amplitude", 1.0)),
-            frequency=_number("frequency", data.get("frequency", 1.0)),
-        )
-    if kind == "atan":
-        return Atan(scale=_number("scale", data.get("scale", 1.0)))
-    knots = data["knots"]
-    if not isinstance(knots, (list, tuple)):
-        raise ValueError(f"knots must be a list of [x, y] pairs, got {knots!r}")
-    return PiecewiseLinear(knots=tuple(_numbers("knot", knot, 2) for knot in knots))
+    known = fields(_FUNCTIONS[kind])
+    _reject_unknown(f"{kind} function", data, ("kind", *(f.name for f in known)))
+    # A missing field without a default raises its KeyError here.
+    return _FUNCTIONS[kind](**{f.name: data[f.name] for f in known
+                               if f.name in data or f.default is MISSING})
 
 
-def _grid_from_value(value) -> tuple[float, ...]:
+def _grid_from_value(value):
+    """A spec's ``query_grid``, its ``{min, max, count}`` shorthand expanded."""
     if isinstance(value, dict):
         _reject_unknown("query_grid", value, ("min", "max", "count"))
         count = _require_int("grid count", value["count"])
@@ -301,7 +267,7 @@ def _grid_from_value(value) -> tuple[float, ...]:
         raise ValueError(
             f"query_grid must be a list or a {{min, max, count}} object, got {value!r}"
         )
-    return _numbers("query_grid", value)
+    return value
 
 
 def load_spec(path) -> ExperimentSpec:

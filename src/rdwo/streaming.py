@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EstimatorConfig, _margins, _readout, _require_finite
+from .core import EstimatorConfig, _margins, _number, _readout
 
 __all__ = ["StreamingGrid"]
 
@@ -74,9 +74,11 @@ class StreamingGrid:
         of ``core._window_dots``, as a new ``(4, G)`` table in grid order:
         writing into it leaves the state as it was."""
         table = np.empty((4, self.xs.size))
-        np.cumsum(self._steps[:-1], out=table[0])
-        table[1:] = self._sums
-        return table.take(self._rank, axis=1)
+        # The ranks are in range; mode "clip" lets take write into its out
+        # directly, where the default mode gathers into a buffer first.
+        np.cumsum(self._steps[:-1]).take(self._rank, out=table[0], mode="clip")
+        self._sums.take(self._rank, axis=1, out=table[1:], mode="clip")
+        return table
 
     @property
     def n_active(self) -> np.ndarray:
@@ -101,8 +103,8 @@ class StreamingGrid:
             if not finite.all():
                 bad = int(np.argmin(finite))
                 self._absorb(block_phis[:bad], block_ys[:bad])
-                _require_finite("phi", block_phis[bad])
-                _require_finite("y", block_ys[bad])
+                _number("phi", block_phis[bad])
+                _number("y", block_ys[bad])
             self._absorb(block_phis, block_ys)
 
     def _absorb(self, phis: np.ndarray, ys: np.ndarray) -> None:

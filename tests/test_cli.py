@@ -1113,6 +1113,24 @@ class TestSpecErrors:
         assert_one_line_error(code, out, err)
         assert err == f"error: {message}\n"
 
+    # Values that overflow in the slope scan of the target: one line, with no
+    # numpy warning before it, and a nan scan is no pass.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change, message", [
+        ({"input_range": [-1e308, 1e308]}, "input_range span from -1e+308 to 1e+308 overflows"),
+        ({"function": {"kind": "sine", "amplitude": 1, "frequency": 1e308}, "l1": 1e308},
+         "target function exceeds its declared slope bound on the input range: "
+         "scanned nan, declared 1e+308"),
+        ({"function": {"kind": "piecewise_linear", "knots": [[0, -1e308], [1e-300, 1e308]]}},
+         "estimator l1 (1.0) must dominate the target's slope bound (inf)"),
+    ], ids=["range", "sine", "knots"])
+    def test_overflowing_scan(self, capsys, tmp_path, change, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**demo_spec(), **change}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {message}\n"
+
     def test_unanticipated_error_exits_2(self, capsys, monkeypatch, sim_spec):
         """An error no check anticipated still exits 2, named by its type."""
 
@@ -1422,14 +1440,15 @@ class TestForkedStream(ForkedRuns):
         argv = ("stream", "--input", rows_csv, *self.GRID_ARGS, "--emit-every", "16")
         want = self.one_cpu(capsys, monkeypatch, *argv)
         parent = os.getpid()
-        real = cli._record
+        real = cli._records
 
-        def record(engine):
-            if os.getpid() != parent and engine.n_seen >= 16 * killed_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(engine)
+        def records(args, engine):
+            for n_seen, sums in real(args, engine):
+                if os.getpid() != parent and n_seen >= 16 * killed_at:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield n_seen, sums
 
-        monkeypatch.setattr(cli, "_record", record)
+        monkeypatch.setattr(cli, "_records", records)
         assert run_cli(capsys, *argv) == want
         assert forks == [False]
 

@@ -4,7 +4,9 @@
 fork helper and ``mmap``.  Each check runs in a fresh interpreter, since
 this test session has long loaded every module."""
 
+import contextlib
 import importlib.util
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -148,9 +150,10 @@ def test_traced_simulate_records_the_simulate_spans():
     tracer = tracing.Tracer()
     uninstall = tracer.install(cli, StreamingGrid)
     try:
-        code = tracer.call("main", cli.main, ["simulate", "--spec", SPEC])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = tracer.call("main", cli.main, ["simulate", "--spec", SPEC])
     finally:
         uninstall()
-    assert code == 0
+    assert code == 0 and out.getvalue().count("\n") == 22
     names = {span[0] for span in tracer.spans}
     assert {"load_spec", "run_experiment:batch", "max_relative_deviation"} <= names

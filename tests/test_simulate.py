@@ -46,6 +46,19 @@ def small_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+# small_spec() as a JSON spec.
+SMALL_SPEC = {
+    "function": {"kind": "sine", "amplitude": 1.0, "frequency": 1.0},
+    "delta": 0.5,
+    "l1": 1.0,
+    "input_range": [-3.0, 3.0],
+    "noise_sigma": 0.1,
+    "n_samples": 400,
+    "seed": 5,
+    "query_grid": [-2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+}
+
+
 class TestTargetFunctions:
     def test_sine_slope_bound(self):
         assert Sine(amplitude=2.0, frequency=3.0).l1 == 6.0
@@ -85,16 +98,35 @@ class TestTargetFunctions:
 
 
 class TestExperimentSpec:
-    def test_valid_spec_roundtrips(self):
-        spec = small_spec()
-        again = ExperimentSpec.from_dict(spec.to_dict())
-        assert again == spec
+    def test_json_spec_reads_as_constructed(self):
+        assert ExperimentSpec.from_dict(SMALL_SPEC) == small_spec()
 
     def test_grid_shorthand(self):
-        data = small_spec().to_dict()
-        data["query_grid"] = {"min": -1.0, "max": 1.0, "count": 5}
+        data = {**SMALL_SPEC, "query_grid": {"min": -1.0, "max": 1.0, "count": 5}}
         spec = ExperimentSpec.from_dict(data)
         assert spec.query_grid == (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+    # Python arguments are checked where JSON values are, by the constructors.
+    @pytest.mark.parametrize("build, change, message", [
+        (lambda: EstimatorConfig(delta=True), {"delta": True}, "delta must be a number, got True"),
+        (lambda: Sine(amplitude="2"), {"function": {"kind": "sine", "amplitude": "2"}},
+         "amplitude must be a number, got '2'"),
+        (lambda: PiecewiseLinear(knots=5), {"function": {"kind": "piecewise_linear", "knots": 5}},
+         "knots must be a list of [x, y] pairs, got 5"),
+        (lambda: small_spec(noise_sigma="0.1"), {"noise_sigma": "0.1"},
+         "noise_sigma must be a number, got '0.1'"),
+    ], ids=["config-bool", "sine-text", "knots-scalar", "spec-text"])
+    def test_python_and_json_refused_alike(self, build, change, message):
+        with pytest.raises(ValueError) as python:
+            build()
+        with pytest.raises(ValueError) as from_json:
+            ExperimentSpec.from_dict({**SMALL_SPEC, **change})
+        assert str(python.value) == str(from_json.value) == message
+
+    def test_numpy_scalars_accepted(self):
+        config = EstimatorConfig(delta=np.float32(0.5), l1=np.int64(2))
+        assert (config.delta, config.l1) == (0.5, 2.0)
+        assert type(config.delta) is float and type(config.l1) is float
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
@@ -114,7 +146,7 @@ class TestExperimentSpec:
 
     def test_load_spec(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(small_spec().to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(SMALL_SPEC), encoding="utf-8")
         assert load_spec(path) == small_spec()
 
     def test_load_spec_invalid_json(self, tmp_path):
@@ -124,7 +156,7 @@ class TestExperimentSpec:
             load_spec(path)
 
     def test_load_spec_missing_field(self, tmp_path):
-        data = small_spec().to_dict()
+        data = dict(SMALL_SPEC)
         del data["n_samples"]
         path = tmp_path / "missing.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -177,19 +209,23 @@ class TestErrorBound:
             assert math.isclose(bound_z, expected, rel_tol=1e-12)
 
 
+# A noiseless line of slope l1 queried at the edge of the input range: every
+# sample lies on one side of x, so the error equals the bound in exact
+# arithmetic and rounding alone decides the comparison.
+EDGE_SPEC = {
+    "function": {"kind": "piecewise_linear", "knots": [[-10.0, -7.3], [10.0, 12.7]]},
+    "delta": 0.05,
+    "l1": 1.0,
+    "input_range": [0.37, 1.0],
+    "noise_sigma": 0.0,
+    "n_samples": 2000,
+    "seed": 0,
+    "query_grid": [0.37, 1.0],
+}
+
+
 def edge_spec():
-    """A noiseless line of slope l1 queried at the edge of the input range:
-    every sample lies on one side of x, so the error equals the bound in
-    exact arithmetic and rounding alone decides the comparison."""
-    return ExperimentSpec(
-        function=PiecewiseLinear(knots=((-10.0, -7.3), (10.0, 12.7))),
-        config=EstimatorConfig(delta=0.05, l1=1.0),
-        input_range=(0.37, 1.0),
-        noise_sigma=0.0,
-        n_samples=2000,
-        seed=0,
-        query_grid=(0.37, 1.0),
-    )
+    return ExperimentSpec.from_dict(EDGE_SPEC)
 
 
 class TestRoundingAllowance:
@@ -202,7 +238,7 @@ class TestRoundingAllowance:
 
     def test_cli_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "edge.json"
-        path.write_text(json.dumps(edge_spec().to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(EDGE_SPEC), encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 0
         assert '"violation_count": 0' in capsys.readouterr().out
 
