@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
-import math
 import os
 import stat
 import sys
@@ -280,18 +279,22 @@ def _stream_forks(args: argparse.Namespace, points: int) -> bool:
     ``dataio._SPLIT_MIN_BYTES``, with at least ``_STREAM_FORK_MIN_LINES``
     lines of snapshots, counted from the file's newlines, and when
     :func:`~rdwo.dataio.can_fork`.  The fork costs about 8 ms, which only the
-    overlap of printing with reading pays back (CHANGES.md)."""
+    overlap of printing with reading pays back (CHANGES.md).  The count
+    stops at ``every * ceil(least / points)`` newlines, where
+    ``lines // every * points`` first reaches the least."""
     if args.emit_every <= 0:
         return False
+    need = args.emit_every * -(-_STREAM_FORK_MIN_LINES // points)
     try:
         info = os.stat(args.input)
         if not stat.S_ISREG(info.st_mode) or info.st_size < dataio._SPLIT_MIN_BYTES:
             return False
         with open(args.input, "rb") as fh:
-            lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+            counts = (block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+            enough = any(lines >= need for lines in itertools.accumulate(counts, initial=0))
     except OSError:
         return False  # the reader names the error
-    return lines // args.emit_every * points >= _STREAM_FORK_MIN_LINES and can_fork()
+    return enough and can_fork()
 
 
 def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[tuple[int, np.ndarray]]:
@@ -369,33 +372,31 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
         supported=supported.tolist(), nullable=QUERY_NULLABLE, prefix=[("type", "query")],
     )
     _emit(out, args.format, QUERY_HEADER, heads)
-    if args.format == "json":
-        print(
-            json_record(
-                [
-                    ("type", "summary"),
-                    ("supported_count", batch.supported_count),
-                    ("no_support_count", batch.no_support_count),
-                    ("violation_count", batch.violation_count),
-                    ("mean_abs_error", batch.mean_abs_error),
-                    ("max_abs_error", batch.max_abs_error),
-                    ("mode_max_rel_dev", deviation),
-                ]
-            ),
-            file=out,
-        )
+    summary = [
+        ("supported_count", batch.supported_count),
+        ("no_support_count", batch.no_support_count),
+        ("violation_count", batch.violation_count),
+        ("mean_abs_error", batch.mean_abs_error),
+        ("max_abs_error", batch.max_abs_error),
+        ("mode_max_rel_dev", deviation),
+    ]
+    text = (f"supported={batch.supported_count} no_support={batch.no_support_count} "
+            f"violations={batch.violation_count} mode_max_rel_dev={deviation:g}")
+    return _conclude(args.format, out, summary, text, failures)
+
+
+def _conclude(fmt: str, out: TextIO, summary, text: str, failures) -> int:
+    """End ``simulate`` or ``verify``: print the fields ``summary`` as a JSON
+    record on ``out``, or ``text`` as a ``summary:`` line on stderr with
+    ``--format csv``, then each of ``failures`` as a ``verification
+    failure:`` line on stderr; exit 1 if there was any failure, else 0."""
+    if fmt == "json":
+        print(json_record([("type", "summary"), *summary]), file=out)
     else:
-        print(
-            f"summary: supported={batch.supported_count} "
-            f"no_support={batch.no_support_count} violations={batch.violation_count} "
-            f"mode_max_rel_dev={deviation:g}",
-            file=sys.stderr,
-        )
-    if failures:
-        for failure in failures:
-            print(f"verification failure: {failure}", file=sys.stderr)
-        return 1
-    return 0
+        print(f"summary: {text}", file=sys.stderr)
+    for failure in failures:
+        print(f"verification failure: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _perturbed_objective(x, phis, config):
@@ -423,20 +424,9 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("--instances must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    header = [
-        "instance",
-        "n",
-        "claimed",
-        "simplex",
-        "signed",
-        "simplex_abs_dev",
-        "signed_excess",
-        "ok",
-    ]
+    header = ("instance", "n", "claimed", "simplex", "signed", "simplex_abs_dev",
+              "signed_excess", "ok")
     rows = []
-    failures = []
-    max_simplex_dev = 0.0
-    max_signed_excess = -math.inf
     for i in range(args.instances):
         n = 2 + (i % 11)
         rng = np.random.default_rng([args.seed, i])
@@ -445,49 +435,28 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             claimed = _perturbed_objective(x, phis, config)
         else:
             claimed = float(grid_solve([x], phis, np.zeros(n), config)[2][0])
-        simplex = maximize_simplex(x, phis, config)
-        signed = maximize_signed(x, phis, config)
-        simplex_dev = abs(claimed - simplex.objective)
-        signed_excess = signed.objective - claimed
-        ok = simplex_dev <= ORACLE_TOL and signed_excess <= ORACLE_TOL
-        if not ok:
-            failures.append(
-                f"instance {i} of seed {args.seed} (n={n}): "
-                f"simplex_abs_dev={simplex_dev:.2g} signed_excess={signed_excess:.2g}"
-            )
-        max_simplex_dev = max(max_simplex_dev, simplex_dev)
-        max_signed_excess = max(max_signed_excess, signed_excess)
-        rows.append(
-            [i, n, claimed, simplex.objective, signed.objective, simplex_dev, signed_excess, ok]
-        )
-    heads = format_heads(
-        args.format, header, "ddfffffb", list(zip(*rows)), prefix=[("type", "instance")]
-    )
+        simplex = maximize_simplex(x, phis, config).objective
+        signed = maximize_signed(x, phis, config).objective
+        dev, excess = abs(claimed - simplex), signed - claimed
+        ok = dev <= ORACLE_TOL and excess <= ORACLE_TOL
+        rows.append((i, n, claimed, simplex, signed, dev, excess, ok))
+    failures = [f"instance {i} of seed {args.seed} (n={n}): "
+                f"simplex_abs_dev={dev:.2g} signed_excess={excess:.2g}"
+                for i, n, *_, dev, excess, ok in rows if not ok]
+    columns = list(zip(*rows))
+    heads = format_heads(args.format, header, "ddfffffb", columns, prefix=[("type", "instance")])
     _emit(out, args.format, header, heads)
-    if args.format == "json":
-        print(
-            json_record(
-                [
-                    ("type", "summary"),
-                    ("instances", args.instances),
-                    ("failures", len(failures)),
-                    ("max_simplex_abs_dev", max_simplex_dev),
-                    ("max_signed_excess", max_signed_excess),
-                    ("fault_injected", args.inject_fault),
-                ]
-            ),
-            file=out,
-        )
-    else:
-        print(
-            f"summary: instances={args.instances} failures={len(failures)} "
-            f"max_simplex_abs_dev={max_simplex_dev:g} "
-            f"max_signed_excess={max_signed_excess:g}",
-            file=sys.stderr,
-        )
-    for failure in failures:
-        print(f"verification failure: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    max_dev, max_excess = max(columns[5]), max(columns[6])
+    summary = [
+        ("instances", args.instances),
+        ("failures", len(failures)),
+        ("max_simplex_abs_dev", max_dev),
+        ("max_signed_excess", max_excess),
+        ("fault_injected", args.inject_fault),
+    ]
+    text = (f"instances={args.instances} failures={len(failures)} "
+            f"max_simplex_abs_dev={max_dev:g} max_signed_excess={max_excess:g}")
+    return _conclude(args.format, out, summary, text, failures)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -282,12 +282,24 @@ def load_spec(path) -> ExperimentSpec:
     return ExperimentSpec.from_dict(data)
 
 
+def _target_values(spec: ExperimentSpec, phis: np.ndarray) -> np.ndarray:
+    """The target at ``phis`` with numpy warnings off, as in
+    :func:`lipschitz_scan`, since ``arctan`` of an overflowed product is
+    finite; a value that is not finite is refused, naming its point."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(spec.function(phis), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"the target function is not finite at {phis[bad[0]].item()!r}")
+    return values
+
+
 def _dataset_arrays(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.input_range
     phis = rng.uniform(lo, hi, spec.n_samples)
     noises = rng.normal(0.0, spec.noise_sigma, spec.n_samples)
-    return phis, noises, np.asarray(spec.function(phis), dtype=float) + noises
+    return phis, noises, _target_values(spec, phis) + noises
 
 
 # Unit roundoff of IEEE double precision.
@@ -371,7 +383,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     gives.
     """
     x = np.asarray(spec.query_grid)
-    truth = np.asarray(spec.function(x), dtype=float)
+    truth = _target_values(spec, x)
     table = np.empty((_ROWS, x.size))
     _answer_grid(spec, x, truth, table)
     count = table[0].astype(int)

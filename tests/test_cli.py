@@ -574,6 +574,37 @@ instance,n,claimed,simplex,signed,simplex_abs_dev,signed_excess,ok
         got = run_cli(capsys, "verify", "--instances", "12", "--seed", "3", *extra)
         assert got[:2] == (code, want)
 
+    # stderr of `rdwo verify --instances 12 --seed 3 --format csv
+    # --inject-fault`: the summary line, then one line per failing instance.
+    VERIFY_FAULT_CSV_ERR = """\
+summary: instances=12 failures=11 max_simplex_abs_dev=0.00223061 max_signed_excess=0.00223061
+verification failure: instance 0 of seed 3 (n=2): simplex_abs_dev=0.00012 signed_excess=0.00012
+verification failure: instance 1 of seed 3 (n=3): simplex_abs_dev=2.2e-06 signed_excess=2.2e-06
+verification failure: instance 2 of seed 3 (n=4): simplex_abs_dev=0.00058 signed_excess=0.00058
+verification failure: instance 3 of seed 3 (n=5): simplex_abs_dev=0.00085 signed_excess=0.00085
+verification failure: instance 4 of seed 3 (n=6): simplex_abs_dev=0.00085 signed_excess=0.00085
+verification failure: instance 5 of seed 3 (n=7): simplex_abs_dev=0.00054 signed_excess=0.00054
+verification failure: instance 6 of seed 3 (n=8): simplex_abs_dev=0.0011 signed_excess=0.0011
+verification failure: instance 7 of seed 3 (n=9): simplex_abs_dev=0.0012 signed_excess=0.0012
+verification failure: instance 8 of seed 3 (n=10): simplex_abs_dev=0.0007 signed_excess=0.0007
+verification failure: instance 9 of seed 3 (n=11): simplex_abs_dev=0.0022 signed_excess=0.0022
+verification failure: instance 10 of seed 3 (n=12): simplex_abs_dev=0.00015 signed_excess=0.00015
+"""
+
+    def test_verify_csv_fault_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--instances", "12", "--seed", "3",
+                                 "--format", "csv", "--inject-fault")
+        assert (code, err) == (1, self.VERIFY_FAULT_CSV_ERR)
+        assert out.count("\n") == 13 and out.count(",false\n") == 11
+
+    def test_simulate_csv_stderr(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--spec",
+                               str(REPO / "demos" / "data" / "sine_experiment.json"),
+                               "--format", "csv")
+        assert (code, err) == (
+            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=1.70766e-15\n"
+        )
+
 
 def stream_reference(xs, phis, ys, delta, fmt, diagnostics, emit_every):
     """stream's stdout from grid_reference, one snapshot per full block of
@@ -833,6 +864,35 @@ class TestBadInput:
         code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
         assert_one_line_error(code, out, err)
         assert err == overflow_error("1.7e308")
+        assert_no_child()
+
+    # The target is evaluated with numpy warnings off, outside the window
+    # arithmetic's overflow check: arctan of an overflowed product is +-pi/2,
+    # which runs, and a target that is not finite at a point is named, not
+    # blamed on delta.  One process and two print the same.
+    @pytest.mark.filterwarnings("error")
+    def test_target_overflowing_inside_runs(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "spec.json"
+        spec = {**demo_spec(), "function": {"kind": "atan", "scale": 1e308}, "l1": 1e308}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert (code, err) == (0, "")
+        summary = json_lines(out)[-1]
+        assert (summary["supported_count"], summary["violation_count"]) == (21, 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
+        assert run_cli(capsys, "simulate", "--spec", str(path)) == (0, out, "")
+        assert_no_child()
+
+    @pytest.mark.filterwarnings("error")
+    def test_target_not_finite(self, capsys, tmp_path, split_grids):
+        path = tmp_path / "spec.json"
+        spec = {**demo_spec(), "function": {"kind": "sine", "frequency": 1e308}, "l1": 1e308,
+                "input_range": [-1, 1], "query_grid": [0, 2]}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == "error: the target function is not finite at 2.0\n"
         assert_no_child()
 
 
@@ -1383,6 +1443,27 @@ class ForkedRuns:
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             return run_cli(capsys, *argv)
+
+
+class TestStreamForkGate:
+    """``_stream_forks`` stops counting the input's newlines once there are
+    enough, and decides as a count of all of them would:
+    ``lines // every * points >= _STREAM_FORK_MIN_LINES``."""
+
+    @pytest.mark.parametrize("points, every", [(1, 3), (7, 2), (500, 1000), (6000, 5), (7000, 1)])
+    def test_decision_is_the_full_count_rule(self, monkeypatch, tmp_path, points, every):
+        monkeypatch.setattr(cli, "can_fork", lambda: True)
+        least = cli._STREAM_FORK_MIN_LINES
+        need = every * math.ceil(least / points)
+        for lines in (need - 1, need, need + 1):
+            # A tail with no newline makes the file pass the size gate.
+            path = tmp_path / f"{lines}.csv"
+            path.write_bytes(b"1,0.5,2.25\n" * lines + b"x" * dataio._SPLIT_MIN_BYTES)
+            args = cli.build_parser().parse_args(
+                ["stream", "--input", str(path), "--delta", "1", "--grid-list", "0",
+                 "--emit-every", str(every)])
+            want = lines // every * points >= least
+            assert cli._stream_forks(args, points) == want == (lines >= need), lines
 
 
 class TestForkedStream(ForkedRuns):
