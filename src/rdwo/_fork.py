@@ -3,19 +3,18 @@
 The child writes its results into an anonymous map made before the fork,
 which it shares with the parent, or into a pipe the parent reads, and
 reports by exit status.  If :func:`beside` says the child did not finish,
-the caller does the work again itself (``simulate`` the whole grid,
-``dataio`` the child's half of the file or of the table, ``stream`` the
-snapshots it has not printed), so every result is the one a single process
-gives.
+the caller does the work again itself (:func:`halves` the whole table,
+``dataio`` the child's half of the file, ``stream`` the snapshots it has
+not printed), so every result is the one a single process gives.
 
-``simulate`` answers the upper half of a wide query grid this way, and
-``stream --emit-every`` reads and folds a large CSV file in the child while
-the parent prints each snapshot the child sends.  ``dataio.read_arrays``
-parses the second half of a large CSV file in the child, which for ``fit``
-then waits on a pipe until the parent takes its rows, and answers the upper
-half of the query grid.  ``dataio`` and ``cli`` load this module only when
-they are about to fork, and :func:`can_fork` lives in ``dataio``, so that
-``import rdwo.cli`` and small or single-CPU runs never load it or ``mmap``.
+:func:`halves` answers the upper half of a query grid this way, for
+``simulate`` on a wide grid and for ``fit`` on a large file.
+``dataio.read_arrays`` parses the second half of a large CSV file in the
+child, and ``stream --emit-every`` reads and folds a large CSV file in the
+child while the parent prints each snapshot the child sends.  ``dataio``
+and ``cli`` load this module only when they are about to fork, and
+:func:`can_fork` lives in ``dataio``, so that ``import rdwo.cli`` and small
+or single-CPU runs never load it or ``mmap``.
 """
 
 from __future__ import annotations
@@ -25,20 +24,13 @@ import mmap
 import os
 import signal
 import warnings
-from typing import BinaryIO, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .dataio import can_fork  # noqa: F401
 
 T = TypeVar("T")
-
-
-def pipe() -> tuple[BinaryIO, BinaryIO]:
-    """The read and the write end of a new pipe, as unbuffered files, which
-    a ``with`` block closes in the parent however the child went."""
-    read_end, write_end = os.pipe()
-    return open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
 
 
 def shared_floats(shape: tuple[int, ...]) -> np.ndarray:
@@ -78,3 +70,28 @@ def beside(child: Callable[[], bool], parent: Callable[[], T]) -> tuple[T, bool]
         os.waitpid(pid, 0)
         raise
     return result, status == 0
+
+
+def halves(solve: Callable[[slice], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The float table of ``shape`` whose columns ``part``, a slice, are
+    ``solve(part)``: a forked child computes the upper half of the columns
+    into a shared map while this process computes the lower half.
+
+    If either half fails, this process computes the whole table, so it
+    returns the table, or raises the error, that one process gives.
+    """
+    table = shared_floats(shape)
+    cut = shape[-1] // 2
+
+    def child() -> bool:
+        table[..., cut:] = solve(slice(cut, None))
+        return True
+
+    def parent() -> None:
+        table[..., :cut] = solve(slice(0, cut))
+
+    try:
+        done = beside(child, parent)[1]
+    except Exception:
+        done = False
+    return table if done else solve(slice(None))

@@ -19,13 +19,11 @@ import contextlib
 import dataclasses
 import itertools
 import os
-import stat
 import sys
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import dataio
 from .core import EstimatorConfig, _grid_sums, _readout, grid_solve
 from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
@@ -34,7 +32,7 @@ from .core import query_weights, simplex_objective
 # module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
     InputFormatError,
-    can_fork,
+    can_split,
     csv_row,
     format_float,
     format_heads,
@@ -211,18 +209,24 @@ class _GridTable:
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     """Answer the query grid in closed form, as ``grid_solve`` does, and print
-    it.  Where ``read_arrays`` reads the file in two processes, the child
-    stays to sum the windows of the upper half of the grid; if it fails,
-    this process sums them, so the output, the error line and the exit code
-    are those of one process."""
+    it.  On a file :func:`~rdwo.dataio.can_split` admits, a forked child sums
+    the windows of the upper half of the grid (see :func:`rdwo._fork.halves`),
+    so the output, the error line and the exit code are those of one
+    process."""
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
+    phis, ys = read_arrays(args.input)
 
-    def window_sums(phis, ys, part):
+    def window_sums(part: slice) -> np.ndarray:
         with _overflow_names(config.delta):
             return _grid_sums(grid[part], phis, ys, config.delta)
 
-    phis, _, sums = read_arrays(args.input, window_sums, (4, grid.size))
+    if can_split(args.input):
+        from . import _fork
+
+        sums = _fork.halves(window_sums, (4, grid.size))
+    else:
+        sums = window_sums(slice(None))
     with _overflow_names(config.delta):
         solution = _readout(config.delta, *sums)
     n_seen = phis.size if args.diagnostics else None
@@ -275,26 +279,21 @@ _STREAM_FORK_MIN_LINES = 6_000
 
 def _stream_forks(args: argparse.Namespace, points: int) -> bool:
     """Whether ``stream`` reads and folds in a forked child: with
-    ``--emit-every``, on a regular file of at least
-    ``dataio._SPLIT_MIN_BYTES``, with at least ``_STREAM_FORK_MIN_LINES``
-    lines of snapshots, counted from the file's newlines, and when
-    :func:`~rdwo.dataio.can_fork`.  The fork costs about 8 ms, which only the
-    overlap of printing with reading pays back (CHANGES.md).  The count
-    stops at ``every * ceil(least / points)`` newlines, where
-    ``lines // every * points`` first reaches the least."""
-    if args.emit_every <= 0:
+    ``--emit-every``, on a file :func:`~rdwo.dataio.can_split` admits, with
+    at least ``_STREAM_FORK_MIN_LINES`` lines of snapshots, counted from the
+    file's newlines.  The fork costs about 8 ms, which only the overlap of
+    printing with reading pays back (CHANGES.md).  The count stops at
+    ``every * ceil(least / points)`` newlines, where ``lines // every *
+    points`` first reaches the least."""
+    if args.emit_every <= 0 or not can_split(args.input):
         return False
     need = args.emit_every * -(-_STREAM_FORK_MIN_LINES // points)
     try:
-        info = os.stat(args.input)
-        if not stat.S_ISREG(info.st_mode) or info.st_size < dataio._SPLIT_MIN_BYTES:
-            return False
         with open(args.input, "rb") as fh:
             counts = (block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
-            enough = any(lines >= need for lines in itertools.accumulate(counts, initial=0))
+            return any(lines >= need for lines in itertools.accumulate(counts, initial=0))
     except OSError:
         return False  # the reader names the error
-    return enough and can_fork()
 
 
 def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[tuple[int, np.ndarray]]:

@@ -279,7 +279,7 @@ def grid_solve(
     Queries with empty support get ``nan`` estimates and objectives and zero
     counts and sums.  ``fit`` reads the same sums, :func:`_grid_sums`, and
     on a large file forks to compute them for the upper half of its grid
-    (see :func:`rdwo.dataio.read_arrays`).
+    (see :func:`rdwo._fork.halves`).
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)

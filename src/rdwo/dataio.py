@@ -231,25 +231,15 @@ def read_samples(path) -> list[tuple[int, float, float]]:
     return list(iter_samples(path))
 
 
-def read_arrays(path, solve=None, shape=None):
+def read_arrays(path):
     """The regressors and outputs of a CSV file as float arrays, in file order.
 
     Accepts and rejects exactly what :func:`iter_samples` does, without
     building a tuple per row.  A large file may be read by two processes
     (see :func:`_split_arrays`), with the same result.
-
-    With ``solve``, the result is ``(phis, ys, table)``: a float table of
-    ``shape`` whose columns ``part``, a slice, are ``solve(phis, ys, part)``.
-    Where two processes read the file, the child computes the upper half of
-    the columns and this process the lower half; if the child fails, this
-    process computes its half too.  So the table, or the error ``solve``
-    raises, is the one a single process gives.
     """
-    split = _split_arrays(path, solve, shape)
-    phis, ys, table = (*_read_in_process(path), None) if split is None else split
-    if solve is None:
-        return phis, ys
-    return phis, ys, solve(phis, ys, slice(None)) if table is None else table
+    split = _split_arrays(path)
+    return _read_in_process(path) if split is None else split
 
 
 def _read_in_process(path) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +284,17 @@ def can_fork() -> bool:
     return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
 
 
+def can_split(path) -> bool:
+    """Whether work on the file ``path`` may run in two processes: a regular
+    file of at least ``_SPLIT_MIN_BYTES``, and :func:`can_fork`.  It gates
+    the split read, ``fit``'s split grid and ``stream``'s forked fold."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return False  # the reader names the error
+    return stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_MIN_BYTES and can_fork()
+
+
 class _Span:
     """The bytes ``start`` to ``end`` of the file ``fd`` as text, read with
     ``os.pread`` so that a forked child and its parent, which share the
@@ -331,42 +332,30 @@ def _scan(fh, size: int):
     return lines, cut, before, at
 
 
-def _split_arrays(path, solve=None, shape=None):
+def _split_arrays(path):
     """:func:`read_arrays` with the file's second half parsed in a forked
-    child, as ``(phis, ys, table)``, or None where that does not apply: not a
-    regular file of at least ``_SPLIT_MIN_BYTES``, no :func:`can_fork`, a
-    byte :func:`_scan` rejects, or a line after the cut that does not start
-    with a decimal index.
+    child, or None where that does not apply: no :func:`can_split`, a byte
+    :func:`_scan` rejects, or a line after the cut that does not start with
+    a decimal index.
 
     The child reads from the cut with :func:`_bulk_columns` alone, assuming
     the header read and the indices going on in order, and writes its rows
     into the shared columns, right after the rows of the lines before the
-    cut.  If every one of its runs was bulk, it says so on a pipe and waits
-    for the parent on another.  The parent reads up to the cut through
-    :func:`_column_runs`.  The child's rows stand only if the child said so
-    and the parent's state at the cut is what the child assumed, with no
-    row of the parent's more or fewer and none of its indices in the child's
-    range; otherwise the parent reads on from the cut itself, so that the
-    result, or the error, is the one a single process gives, and ``table``
-    is None.
-
-    Where the rows stand, the parent tells the child to go on.  With
-    ``solve``, each process then computes its half of the table's columns
-    over all the rows (see :func:`read_arrays`), the child into a second
-    shared map; if the child does not finish, the parent computes the upper
-    half itself.
+    cut.  The parent reads up to the cut through :func:`_column_runs`.  The
+    child's rows stand only if every one of its runs was bulk and the
+    parent's state at the cut is what the child assumed, with no row of the
+    parent's more or fewer and none of its indices in the child's range;
+    otherwise the parent reads on from the cut itself, so that the result,
+    or the error, is the one a single process gives.
     """
+    if not can_split(path):
+        return None
     with open(path, "rb", buffering=0) as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_MIN_BYTES:
-            return None
-        if not can_fork():
-            return None
-        scanned = _scan(fh, info.st_size)
+        fd = fh.fileno()
+        scanned = _scan(fh, os.fstat(fd).st_size)
         if scanned is None:
             return None
         lines, cut, before, end = scanned
-        fd = fh.fileno()
         index, comma, _ = os.pread(fd, 64, cut).partition(b",")
         if not (comma and index.isdigit()):
             return None
@@ -374,58 +363,35 @@ def _split_arrays(path, solve=None, shape=None):
 
         first, row = int(index), before - 1
         child_rows = lines - before - (os.pread(fd, 1, end - 1) == b"\n")
-        rows = row + child_rows
         columns = _fork.shared_floats((2, lines))
-        table = None
-        if solve is not None:
-            table, half = _fork.shared_floats(shape), shape[1] // 2
         state = _ParseState()
         state.header_done, state.run_hi = True, first - 1
-        ready, go = _fork.pipe(), _fork.pipe()
 
         def child() -> bool:
-            go[1].close()  # so that the wait below ends if the parent does
             n = row
             for text in _line_runs(_Span(fd, cut, end)):
                 run = _bulk_columns(text, state)
                 if run is None:
                     return False
                 n = _fill(columns, n, [run])
-            if n != rows:
-                return False
-            ready[1].write(b"1")
-            if go[0].read(1) and solve is not None:
-                table[:, half:] = solve(*columns[:, :rows], slice(half, None))
-            return True
+            return n == row + child_rows
 
         ours = _ParseState()
+        n, done = _fork.beside(
+            child, lambda: _fill(columns, 0, _column_runs(_Span(fd, 0, cut), ours))
+        )
         last = first + child_rows - 1
-
-        def parent():
-            ready[1].close()  # so that the read below ends if the child does
-            n = _fill(columns, 0, _column_runs(_Span(fd, 0, cut), ours))
-            stands = (
-                ready[0].read(1) == b"1"
-                and ours.header_done
-                and n == row
-                and ours.run_hi + 1 == first
-                and not any(first <= k <= last for k in ours.seen)
-            )
-            if stands:
-                go[1].write(b"1")  # no EPIPE if the child died: go[0] is open here
-            go[1].close()
-            if stands and solve is not None:
-                table[:, :half] = solve(*columns[:, :rows], slice(0, half))
-            return stands, n
-
-        with ready[0], ready[1], go[0], go[1]:
-            (stands, n), done = _fork.beside(child, parent)
-        if not stands:
+        if (
+            done
+            and ours.header_done
+            and n == row
+            and ours.run_hi + 1 == first
+            and not any(first <= k <= last for k in ours.seen)
+        ):
+            n += child_rows
+        else:
             n = _fill(columns, n, _column_runs(_Span(fd, cut, end), ours))
-            return columns[0, :n], columns[1, :n], None
-        if solve is not None and not done:
-            table[:, half:] = solve(*columns[:, :rows], slice(half, None))
-    return columns[0, :rows], columns[1, :rows], table
+    return columns[0, :n], columns[1, :n]
 
 
 def iter_runs(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -9,10 +9,11 @@ as its ``stream_estimate`` column, and :func:`max_relative_deviation`
 measures how far they are from the batch estimates.
 
 Each query's answer depends only on the samples in its own window, so on a
-wide grid, with a second CPU free, :func:`run_experiment` answers the two
-halves of the query grid in two processes (see :func:`_forks`): the parent
-the lower half by index, a forked child the upper half.  Each process draws
-the seeded data itself, reduces the batch windows over sorted copies with
+wide grid, with a second CPU free (see :func:`_forks`), :func:`run_experiment`
+answers the two halves of the query grid in two processes through
+``_fork.halves``, the split ``fit`` uses too: the parent the lower half by
+index, a forked child the upper half.  Each process draws the seeded data
+itself, reduces the batch windows over sorted copies with
 ``core._window_dots``, the reduction ``grid_solve`` reads, checks the error
 bounds, then draws the data again and streams it.  The child returns its
 columns through a shared anonymous map.  Every output bit, and every error,
@@ -172,14 +173,8 @@ class ExperimentSpec:
         if sigma < 0.0:
             raise ValueError(f"noise_sigma must be nonnegative, got {sigma}")
         object.__setattr__(self, "noise_sigma", sigma)
-        n = _require_int("n_samples", self.n_samples)
-        if n < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n}")
-        object.__setattr__(self, "n_samples", n)
-        seed = _require_int("seed", self.seed)
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_samples", _require_int("n_samples", self.n_samples, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         grid = _numbers("query_grid", self.query_grid)
         if not grid:
             raise ValueError("query_grid must be nonempty")
@@ -228,13 +223,15 @@ def _reject_unknown(where: str, data: dict, known) -> None:
         raise ValueError(f"unknown {where} field(s): {', '.join(map(repr, unknown))}")
 
 
-def _require_int(name: str, value) -> int:
-    """``value`` as an int; whole floats pass, fractions and booleans do not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; whole floats pass,
+    fractions and booleans do not.  An error names the value as given."""
+    whole = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(whole, bool) or not isinstance(whole, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if whole < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(whole)
 
 
 def _function_from_dict(data: dict) -> FunctionSpec:
@@ -257,9 +254,7 @@ def _grid_from_value(value):
     """A spec's ``query_grid``, its ``{min, max, count}`` shorthand expanded."""
     if isinstance(value, dict):
         _reject_unknown("query_grid", value, ("min", "max", "count"))
-        count = _require_int("grid count", value["count"])
-        if count < 1:
-            raise ValueError(f"grid count must be >= 1, got {count}")
+        count = _require_int("grid count", value["count"], 1)
         lo = _number("query_grid min", value["min"])
         hi = _number("query_grid max", value["max"])
         return _even_grid("query_grid", lo, hi, count)
@@ -384,8 +379,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     x = np.asarray(spec.query_grid)
     truth = _target_values(spec, x)
-    table = np.empty((_ROWS, x.size))
-    _answer_grid(spec, x, truth, table)
+
+    def answer(part: slice) -> np.ndarray:
+        return _answer(spec, x[part], truth[part])
+
+    table = _fork.halves(answer, (_ROWS, x.size)) if _forks(spec) else answer(slice(None))
     count = table[0].astype(int)
     bound_holds = table[4].astype(bool)
     supported = count > 0
@@ -406,9 +404,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 _ROWS = 7
 
 
-def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.ndarray):
-    """Fill ``table``, ``_ROWS`` by ``x.size``, with the checked answers at
-    the query points ``x``, whose targets are ``truth``.
+def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """The table, ``_ROWS`` by ``x.size``, of the checked answers at the
+    query points ``x``, whose targets are ``truth``.
 
     The batch windows read φ-sorted copies of the seeded data, each array
     replaced by its copy one at a time, and the error check follows.  Then
@@ -426,11 +424,13 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.nd
     del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
     means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]
+    table = np.empty((_ROWS, x.size))
     table[0], table[1], table[5] = sums[0], means[0], means[3]
     table[2:5] = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
     engine = StreamingGrid(x, spec.config)
     engine.extend(*_dataset_arrays(spec)[::2])
     table[6] = engine.estimates()
+    return table
 
 
 # The least query points worth a split.  Measured on a 2-vCPU x86-64 VM (see
@@ -448,35 +448,6 @@ def _forks(spec: ExperimentSpec) -> bool:
     dominate.
     """
     return len(spec.query_grid) >= _SPLIT_MIN_QUERIES and _fork.can_fork()
-
-
-def _answer_grid(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray, table: np.ndarray):
-    """:func:`_answer` over the whole grid, its upper half in a forked child
-    where :func:`_forks` allows; the same bits either way.
-
-    The child writes its columns into a map it shares with the parent (see
-    :func:`_fork.beside`).  If either half fails, the split is dropped and
-    this process answers the whole grid, so it raises what one process
-    raises.
-    """
-    if _forks(spec):
-        cut = x.size // 2
-        shared = _fork.shared_floats((_ROWS, x.size - cut))
-
-        def child() -> bool:
-            _answer(spec, x[cut:], truth[cut:], shared)
-            return True
-
-        try:
-            _, done = _fork.beside(
-                child, lambda: _answer(spec, x[:cut], truth[:cut], table[:, :cut])
-            )
-        except Exception:
-            done = False
-        if done:
-            table[:, cut:] = shared
-            return
-    _answer(spec, x, truth, table)
 
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:

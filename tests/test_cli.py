@@ -748,12 +748,13 @@ class TestBadInput:
 
     # The last span overflows, which np.linspace would turn into inf and nan
     # points with two RuntimeWarnings on stderr.
-    @pytest.mark.parametrize("grid", ["0:1", "0:1:0", "1:2:x", "-1e308:1e308:3"])
+    # A row that starts with "--" is the whole flag.
+    @pytest.mark.parametrize("grid", ["0:1", "0:1:0", "1:2:x", "-1e308:1e308:3", "inf:1:3",
+                                      "--grid-list=", "--grid-list=inf"])
     def test_malformed_grid(self, capsys, tiny_csv, grid):
+        flag = grid if grid.startswith("--") else f"--grid={grid}"
         for command in ("fit", "stream"):
-            code, out, err = run_cli(
-                capsys, command, "--input", tiny_csv, "--delta", "1.0", f"--grid={grid}"
-            )
+            code, out, err = run_cli(capsys, command, "--input", tiny_csv, "--delta", "1.0", flag)
             assert_one_line_error(code, out, err)
 
     @pytest.mark.parametrize(
@@ -1136,6 +1137,10 @@ class TestSpecErrors:
             (None, "query_grid", ["0.5", 1]),
             ("query_grid", "max", None),
             (None, "query_grid", {"min": -1e308, "max": 1e308, "count": 3}),
+            (None, "n_samples", 0),
+            (None, "seed", -1),
+            (None, "function", {"kind": 3}),
+            ("query_grid", "count", 0),
         ],
     )
     def test_rejected(self, capsys, tmp_path, section, key, value):
@@ -1156,15 +1161,23 @@ class TestSpecErrors:
             ("knots", [[0, 0], [1]], "knot must be a list of 2 numbers, got [1]"),
             ("knots", [[0, 0], [1, "2"]], "knot item must be a number, got '2'"),
             ("min", "min", "query_grid min must be a number, got 'min'"),
+            # A whole float out of range is named as given, not as its int.
+            ("seed", -1e300, "seed must be >= 0, got -1e+300"),
+            ("n_samples", -1e300, "n_samples must be >= 1, got -1e+300"),
+            ("count", -1e300, "grid count must be >= 1, got -1e+300"),
+            (None, ["sine"], "experiment spec must be a JSON object, got list"),
         ],
-        ids=["range-scalar", "range-three", "knots-scalar", "knot-short", "knot-text", "grid-min"],
+        ids=["range-scalar", "range-three", "knots-scalar", "knot-short", "knot-text", "grid-min",
+             "seed-huge", "n-samples-huge", "count-huge", "spec-list"],
     )
     def test_wrong_shape_names_the_field(self, capsys, tmp_path, field, value, message):
         spec = demo_spec()
-        if field == "knots":
+        if field is None:
+            spec = value
+        elif field == "knots":
             spec["function"] = {"kind": "piecewise_linear", "knots": value}
-        elif field == "min":
-            spec["query_grid"]["min"] = value
+        elif field in ("min", "count"):
+            spec["query_grid"][field] = value
         else:
             spec[field] = value
         path = tmp_path / "spec.json"
@@ -1288,6 +1301,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--instances", "0")
         assert code == 2
         assert "instances" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--instances", "-3"), "--instances must be >= 1"),
+        (("--seed", "-1"), "--seed must be >= 0"),
+    ], ids=["instances", "seed"])
+    def test_rejected_options(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {message}\n"
 
 
 class TestTracerContract:
@@ -1452,7 +1474,7 @@ class TestStreamForkGate:
 
     @pytest.mark.parametrize("points, every", [(1, 3), (7, 2), (500, 1000), (6000, 5), (7000, 1)])
     def test_decision_is_the_full_count_rule(self, monkeypatch, tmp_path, points, every):
-        monkeypatch.setattr(cli, "can_fork", lambda: True)
+        monkeypatch.setattr(dataio, "can_fork", lambda: True)
         least = cli._STREAM_FORK_MIN_LINES
         need = every * math.ceil(least / points)
         for lines in (need - 1, need, need + 1):
@@ -1593,8 +1615,9 @@ class TestForkedStream(ForkedRuns):
 
 
 class TestForkedFit(ForkedRuns):
-    """``fit`` on a file read in two processes: the child stays to sort all
-    the rows and sum the windows of the upper half of the grid."""
+    """``fit`` on a file its gate admits forks twice: a child parses the
+    second half of the file, then another sorts all the rows and sums the
+    windows of the upper half of the grid."""
 
     @pytest.fixture()
     def rows_csv(self, tmp_path):
@@ -1614,7 +1637,7 @@ class TestForkedFit(ForkedRuns):
         code, out, err = self.same_as_one_cpu(capsys, monkeypatch, "fit", "--input", rows_csv,
                                               *self.GRID_ARGS, *fmt)
         assert code == 0 and err == "" and len(out.splitlines()) >= 9
-        assert forks == [True]
+        assert forks == [True, True]
 
     def test_ties_and_signed_zeros_on_both_sides_of_the_cut(self, capsys, monkeypatch, forks,
                                                             tmp_path):
@@ -1631,7 +1654,7 @@ class TestForkedFit(ForkedRuns):
         argv = ("fit", "--input", path, "--delta", "0.3", "--grid-list", ",".join(map(str, xs)))
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv, "--diagnostics")
         assert code == 0
-        assert forks == [True]
+        assert forks == [True, True]
         # Each window sums its ties in file order.
         _, s, _, sy = core._window_dots(np.array(xs), phis[order], 0.3, (ys[order],))
         assert [row["estimate"] for row in json_lines(out)] == (sy / s).tolist()
@@ -1642,7 +1665,7 @@ class TestForkedFit(ForkedRuns):
         argv = ("fit", "--input", rows_csv, "--delta", "0.3", "--grid-list", points)
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
         assert code == 0 and len(json_lines(out)) == points.count(",") + 1
-        assert forks == [True]
+        assert forks == [True, True]
 
     def test_windows_of_several_dot_blocks(self, capsys, monkeypatch, forks, tmp_path):
         rng = np.random.default_rng(25)
@@ -1652,10 +1675,12 @@ class TestForkedFit(ForkedRuns):
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
         assert code == 0
         assert min(row["active_count"] for row in json_lines(out)) > 2 * core._DOT_BLOCK
-        assert forks == [True]
+        assert forks == [True, True]
 
-    @pytest.mark.parametrize("killed_in", ["parse", "waiting", "after-go", "solve"])
-    def test_child_killed(self, capsys, monkeypatch, forks, rows_csv, killed_in):
+    # The read's child dies in its parse, or the grid's after two windows.
+    @pytest.mark.parametrize("killed_in, forked", [("parse", [False, True]),
+                                                   ("solve", [True, False])], ids=["parse", "solve"])
+    def test_child_killed(self, capsys, monkeypatch, forks, rows_csv, killed_in, forked):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
         want = self.one_cpu(capsys, monkeypatch, *argv)
         parent = os.getpid()
@@ -1664,44 +1689,23 @@ class TestForkedFit(ForkedRuns):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        def killing(real):
-            def call(*args):
-                kill_the_child()
-                return real(*args)
+        def bulk_columns(*args):
+            kill_the_child()
+            return real_bulk(*args)
 
-            return call
-
-        def windows(*args):  # the child dies after its first two windows
+        def windows(*args):
             for i, window in enumerate(real_windows(*args)):
                 if i == 2:
                     kill_the_child()
                 yield window
 
-        class KillingWriter(io.FileIO):
-            """A pipe end whose write, in the child, is its last act."""
-
-            def write(self, data):
-                written = super().write(data)
-                kill_the_child()
-                return written
-
-        def pipe():  # the child dies once it says its rows are in
-            read_end, write_end = os.pipe()
-            return open(read_end, "rb", buffering=0), KillingWriter(write_end, "wb")
-
-        real_windows = core._sorted_windows
+        real_bulk, real_windows = dataio._bulk_columns, core._sorted_windows
         if killed_in == "parse":
-            monkeypatch.setattr(dataio, "_bulk_columns", killing(dataio._bulk_columns))
-        elif killed_in == "waiting":
-            from rdwo import _fork
-
-            monkeypatch.setattr(_fork, "pipe", pipe)
-        elif killed_in == "after-go":
-            monkeypatch.setattr(cli, "_grid_sums", killing(cli._grid_sums))
+            monkeypatch.setattr(dataio, "_bulk_columns", bulk_columns)
         else:
             monkeypatch.setattr(core, "_sorted_windows", windows)
         assert run_cli(capsys, *argv) == want
-        assert forks == [False]
+        assert forks == forked
 
     def test_failed_fork(self, capsys, monkeypatch, forks, rows_csv):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
@@ -1712,7 +1716,35 @@ class TestForkedFit(ForkedRuns):
 
         monkeypatch.setattr(os, "fork", fork)
         assert run_cli(capsys, *argv) == want
-        assert forks == [False]
+        assert forks == [False, False]
+
+    def test_failed_fork_at_the_grid_split(self, capsys, monkeypatch, forks, rows_csv):
+        argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
+        want = self.one_cpu(capsys, monkeypatch, *argv)
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(capsys, *argv) == want
+        assert forks == [True, False]
+
+    def test_second_half_not_bulk(self, capsys, monkeypatch, forks, tmp_path):
+        # Spaces after the commas of the second half: the read's child
+        # refuses its runs, the parent reads them, and the grid still splits.
+        rng = np.random.default_rng(27)
+        path = Path(write_rows(tmp_path / "spaced.csv", rng.uniform(-1, 1, (240, 2)).tolist()))
+        lines = path.read_text("utf-8").splitlines()
+        lines[121:] = [line.replace(",", ", ") for line in lines[121:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ("fit", "--input", str(path), *self.GRID_ARGS, "--diagnostics")
+        code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
+        assert code == 0 and json_lines(out)[0]["n_seen"] == 240
+        assert forks == [False, True]
 
     def test_second_thread_runs_in_process(self, capsys, monkeypatch, forks, rows_csv):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
@@ -1730,8 +1762,8 @@ class TestForkedFit(ForkedRuns):
         assert forks == []
 
     # A delta this large overflows delta * S in the parent's readout.  Outputs
-    # of 1.7e308 overflow SY in the windows that hold two: the child's half
-    # of the grid, which the parent then sums itself, or both halves.
+    # of 1.7e308 overflow SY in the windows that hold two: the grid child's
+    # half, or both halves; the parent then sums the whole grid itself.
     @pytest.mark.parametrize("huge, delta, points, forked", [
         (None, "1.7e308", "-0.5,0.5", True),
         ((0.6, 1.0), "0.3", "-0.5,0.8", False),
@@ -1746,7 +1778,7 @@ class TestForkedFit(ForkedRuns):
         path = write_rows(tmp_path / "huge.csv", zip(phis.tolist(), ys.tolist()))
         argv = ("fit", "--input", path, "--delta", delta, f"--grid-list={points}")
         assert self.same_as_one_cpu(capsys, monkeypatch, *argv) == (2, "", overflow_error(delta))
-        assert forks == [forked]
+        assert forks == [True, forked]
 
 
 def readme_examples():

@@ -237,6 +237,8 @@ class TestStreamingGrid:
         grid = StreamingGrid(np.array([0.0]), CFG)
         with pytest.raises(ValueError):
             grid.extend([math.nan], [1.0])
+        with pytest.raises(ValueError, match="^phis and ys must be aligned 1-D arrays$"):
+            grid.extend([0.0, 0.5], [1.0])
         assert grid.n_seen == 0
 
     def test_grid_is_readonly(self):
