@@ -8,7 +8,8 @@ the caller does the work again itself (:func:`halves` the whole table,
 not printed), so every result is the one a single process gives.
 
 :func:`halves` answers the upper half of a query grid this way, for
-``simulate`` on a wide grid and for ``fit`` on a large file.
+``simulate`` on a grid of 512 points or more, and for ``fit`` on a grid of
+1,024 points or more and a large file.
 ``dataio.read_arrays`` parses the second half of a large CSV file in the
 child, and ``stream --emit-every`` reads and folds a large CSV file in the
 child while the parent prints each snapshot the child sends.  ``dataio``

@@ -207,12 +207,20 @@ class _GridTable:
         _emit(out, self.fmt, self.header, self.heads.tolist(), suffix, with_header)
 
 
+# The least query points worth summing in two processes.  With the moment
+# kernel a point's windows cost a few microseconds, and each process sorts
+# every row: on the 100k-row fit-grid file (2-vCPU x86-64 VM, 16 alternating
+# in-process runs, CHANGES.md) the split was slower or even at 200 to 1,000
+# points and faster in 13 of 16 runs at 2,000.
+_FIT_SPLIT_MIN_QUERIES = 1024
+
+
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     """Answer the query grid in closed form, as ``grid_solve`` does, and print
-    it.  On a file :func:`~rdwo.dataio.can_split` admits, a forked child sums
-    the windows of the upper half of the grid (see :func:`rdwo._fork.halves`),
-    so the output, the error line and the exit code are those of one
-    process."""
+    it.  On a grid of at least ``_FIT_SPLIT_MIN_QUERIES`` points and a file
+    :func:`~rdwo.dataio.can_split` admits, a forked child sums the windows
+    of the upper half of the grid (see :func:`rdwo._fork.halves`), so the
+    output, the error line and the exit code are those of one process."""
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
     phis, ys = read_arrays(args.input)
@@ -221,7 +229,7 @@ def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
         with _overflow_names(config.delta):
             return _grid_sums(grid[part], phis, ys, config.delta)
 
-    if can_split(args.input):
+    if grid.size >= _FIT_SPLIT_MIN_QUERIES and can_split(args.input):
         from . import _fork
 
         sums = _fork.halves(window_sums, (4, grid.size))

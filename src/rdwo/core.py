@@ -7,16 +7,26 @@ proportional to its margin from the nearer window endpoint, which maximizes
 a worst-case accuracy objective over the probability simplex.  This module
 holds the parameters and the closed form: the weights and objective of one
 query, and :func:`grid_solve` for many.  Over data in stable φ order
-(:func:`_sort_order`) each window is a slice, :func:`_window_dots` is the
-one reduction of the windows to sums, and :func:`_readout` the one readout
-of sums, which :mod:`rdwo.streaming`, the one-pass variant, keeps as running
-sums.
+(:func:`_sort_order`) each window is a slice, :func:`_window_sums` reduces
+the windows to sums, and :func:`_readout` is the one readout of sums, which
+:mod:`rdwo.streaming`, the one-pass variant, keeps as running sums.
 
-A window longer than ``_DOT_BLOCK`` samples is summed as dots of whole
+Two reductions give the same table, and :func:`_window_sums` takes each
+cell, one quantity of one query, from one of them:
+
+- the moment kernel of :mod:`rdwo._moments` answers a cell of a window of
+  at least ``_MOMENT_MIN`` samples from block-centred running moments, with
+  no Python loop per query, where its a-priori bound proves the cell within
+  ``_MOMENT_TOL`` of its sum of absolute terms;
+- the loop :func:`_window_dots` answers every other cell: small windows,
+  windows with a margin <= 0 at an end, sides over more than two blocks,
+  and cells that fail the kernel's condition test or are not finite.
+
+The loop sums a window longer than ``_DOT_BLOCK`` samples as dots of whole
 blocks, added in order.  OpenBLAS runs a ``ddot`` of more than about 10,000
 elements on several threads, which changes its summation order; the
 blocks keep every sum on one thread, and the printed bits independent of
-the BLAS thread count.
+the BLAS thread count.  The kernel calls no BLAS.
 """
 
 from __future__ import annotations
@@ -250,6 +260,26 @@ def _window_dots(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
     return table
 
 
+def _window_sums(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
+                 distances: bool = False, magnitudes: bool = False) -> np.ndarray:
+    """The :func:`_window_dots` table of the queries ``xs`` over the
+    ascending regressors ``phis``, with ``magnitudes`` also a row ``r .
+    |v|`` for each column after the rest: each cell from
+    :func:`rdwo._moments._moment_table` where its condition test passes,
+    and from the loop :func:`_window_dots` elsewhere.  A cell's bits depend
+    only on the data, ``delta``, its query and its own column."""
+    from ._moments import _moment_table
+
+    table, loop = _moment_table(xs, phis, delta, columns, distances, magnitudes)
+    redo = np.flatnonzero(loop.any(axis=0))
+    if redo.size:
+        if magnitudes:
+            columns = (*columns, *map(np.abs, columns))
+        fallback = _window_dots(xs[redo], phis, delta, columns, distances)
+        table[:, redo] = np.where(loop[:, redo], fallback, table[:, redo])
+    return table
+
+
 def _readout(delta: float, counts, s, sq, sy):
     """The ``(estimates, active_counts, objectives, support_sums)`` of window
     sums in scaled margins, for batch and streaming alike, given as the rows
@@ -278,8 +308,8 @@ def grid_solve(
     :func:`simplex_objective`, the Euclidean norm of the window's margins.
     Queries with empty support get ``nan`` estimates and objectives and zero
     counts and sums.  ``fit`` reads the same sums, :func:`_grid_sums`, and
-    on a large file forks to compute them for the upper half of its grid
-    (see :func:`rdwo._fork.halves`).
+    on a wide grid and a large file forks to compute them for the upper half
+    of its grid (see :func:`rdwo._fork.halves`).
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -290,11 +320,11 @@ def grid_solve(
 
 
 def _grid_sums(xs: np.ndarray, phis: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
-    """The :func:`_window_dots` rows count, ``S``, ``SQ`` and ``SY`` of the
+    """The :func:`_window_sums` rows count, ``S``, ``SQ`` and ``SY`` of the
     queries ``xs`` over the regressors ``phis`` and outputs ``ys``, in any
     order, through sorted copies; the order is freed before ``phis`` is
     copied, so that no more than two arrays of the data's size are made at
     once."""
     ys = ys[_sort_order(phis)]
-    return _window_dots(xs, np.sort(phis), delta, (ys,))
+    return _window_sums(xs, np.sort(phis), delta, (ys,))
 

@@ -14,7 +14,7 @@ answers the two halves of the query grid in two processes through
 ``_fork.halves``, the split ``fit`` uses too: the parent the lower half by
 index, a forked child the upper half.  Each process draws the seeded data
 itself, reduces the batch windows over sorted copies with
-``core._window_dots``, the reduction ``grid_solve`` reads, checks the error
+``core._window_sums``, the reduction ``grid_solve`` reads, checks the error
 bounds, then draws the data again and streams it.  The child returns its
 columns through a shared anonymous map.  Every output bit, and every error,
 is the one a single process gives.
@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork
+from ._moments import _MOMENT_TOL, _U
 from .core import (
     EstimatorConfig,
     _even_grid,
@@ -36,7 +37,7 @@ from .core import (
     _numbers,
     _readout,
     _sort_order,
-    _window_dots,
+    _window_sums,
 )
 from .streaming import StreamingGrid
 
@@ -297,10 +298,6 @@ def _dataset_arrays(spec: ExperimentSpec):
     return phis, noises, _target_values(spec, phis) + noises
 
 
-# Unit roundoff of IEEE double precision.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
 def _error_check(est, truth, smooth_sum, noise_sum, y_magnitude, noise_magnitude, count,
                  l1: float):
     """Absolute errors of the estimates ``est``, their computable bounds,
@@ -311,23 +308,28 @@ def _error_check(est, truth, smooth_sum, noise_sum, y_magnitude, noise_magnitude
     The bound ``l1 * w . |x - phi| + |w . noise|`` holds exactly for
     nonnegative weights summing to one, as ``r / S`` do over the computed
     ``r``.  The check allows for the rounding of ``est`` and the bound, each
-    a quotient ``fl(N) / fl(S)`` of window sums.  An n-term sum or dot
-    product is within ``gamma_n * sum(|r| * |v|)`` of the exact one in any
-    order, ``gamma_n = n*u/(1 - n*u)``, and the n - 1 roundings of ``S`` and
-    the division's one are within ``gamma_n`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 3.1, lemmas 3.1 and 3.3).
-    As ``|N| / S <= w . |v|``, a quotient is within ``gamma_n * (2 +
-    gamma_n) <= gamma_2n`` times ``w . |v|`` of its exact value, with no
-    term in ``|truth|``.  One rounding more in the data (an output's sum, a
-    gap's subtraction) and three in the check (the error, the product by
-    ``l1``, the bound's sum) make ``2n + 4``.  A query without support has
-    nan sums, so its bound does not hold.
+    a quotient ``fl(N) / fl(S)`` of window sums.  Every window sum ``N = r .
+    v`` of ``core._window_sums``, and ``S``, is within ``rho * r . |v|`` of
+    its exact value over the computed ``r``: ``rho = gamma_n = n*u/(1 -
+    n*u)`` where the loop adds its ``n`` terms, in any order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1, lemmas
+    3.1 and 3.3), and ``rho = _moments._MOMENT_TOL`` where the moment kernel
+    answers, which its condition test guarantees; so ``rho`` is the larger
+    of the two.  As ``|N| / S <= w . |v|``, ``|fl(N) / fl(S) - N / S| <= 2
+    rho / (1 - rho) * w . |v|``, with no term in ``|truth|``, and the
+    division rounds once more: within ``2 rho + 2u`` to first order.  One
+    rounding more in the data (an output's sum, a gap's subtraction) and
+    three in the check (the error, the product by ``l1``, the bound's sum)
+    make ``nu = 2 rho + 6u``, and ``nu / (1 - nu)`` covers the higher
+    orders.  A query without support has nan sums, so its bound does not
+    hold.
     """
     err = np.abs(est - truth)
     smooth = l1 * smooth_sum
     bound = smooth + np.abs(noise_sum)
     magnitude = y_magnitude + smooth + noise_magnitude
-    nu = (2 * count + 4) * _UNIT_ROUNDOFF
+    terms = count * _U
+    nu = 2.0 * np.maximum(terms / (1.0 - terms), _MOMENT_TOL) + 6.0 * _U
     return err, bound, err <= bound + nu / (1.0 - nu) * magnitude
 
 
@@ -420,7 +422,7 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarra
     ys = ys[order]
     del order
     # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
-    sums = _window_dots(x, phis, spec.config.delta, (ys, noises, np.abs(ys), np.abs(noises)), True)
+    sums = _window_sums(x, phis, spec.config.delta, (ys, noises), True, True)
     del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
     means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]

@@ -7,11 +7,11 @@ kept as running sums over the samples absorbed so far, in scaled margins
     S = sum r,    SQ = sum r * r,    SY = sum r * y,
 
 and the count.  A read gives them as one table in the row order of
-``core._window_dots`` (count, ``S``, ``SQ``, ``SY``), which
+``core._window_sums`` (count, ``S``, ``SQ``, ``SY``), which
 ``core._readout`` reads out.  The scaling bounds each term of ``SY`` by
 ``|y|`` and each term of ``S`` and ``SQ`` by one, whatever ``delta`` is.
 The batch path of :mod:`rdwo.core` forms the same quotient over the same
-window; the two differ only in the order they add.
+window; the two differ only in how they add.
 
 :class:`StreamingGrid` holds the sums of a grid of query points and pays
 only for the grid points inside each sample's window, found by binary
@@ -71,7 +71,7 @@ class StreamingGrid:
     @property
     def sums(self) -> np.ndarray:
         """The count, ``S``, ``SQ`` and ``SY`` of each grid point, the rows
-        of ``core._window_dots``, as a new ``(4, G)`` table in grid order:
+        of ``core._window_sums``, as a new ``(4, G)`` table in grid order:
         writing into it leaves the state as it was."""
         table = np.empty((4, self.xs.size))
         # The ranks are in range; mode "clip" lets take write into its out

@@ -1,7 +1,8 @@
-"""Scalar references the tests compare the package against, and the
-order the batch references scan in."""
+"""Scalar references the tests compare the package against, the order the
+batch references scan in, and the exact window sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,3 +47,34 @@ def in_phi_order(phis, *columns):
     order every batch window sums in."""
     order = np.argsort(phis, kind="stable")
     return [phis[order], *(column[order] for column in columns)]
+
+
+def exact_sums(x, phis, ys, delta):
+    """The window sums of the query ``x``, exactly: ``(count, S, SQ, SY,
+    D)`` with ``SY = r . y`` and ``D = r . |x - phi|``, each sum a
+    ``Fraction``.  The terms are the floats both modes compute, the scaled
+    margins ``r = fl(fl(delta - fl|x - phi|) / delta)`` and the distances
+    ``fl|x - phi|``, over the samples whose float margin is positive; only
+    their products and sums are exact."""
+    phis = np.asarray(phis, dtype=float)
+    distances = np.abs(x - phis)
+    margins = delta - distances
+    inside = margins > 0.0
+    r = margins[inside] / delta
+    return (int(np.count_nonzero(inside)), exact_dot(r), exact_dot(r, r),
+            exact_dot(r, np.asarray(ys, dtype=float)[inside]), exact_dot(r, distances[inside]))
+
+
+def exact_dot(*factors):
+    """The sum of the elementwise products of float arrays, as a Fraction.
+    Each float is an integer mantissa times a power of two, so each product
+    is too; the products are added as integers over the least power."""
+    parts = [np.frexp(np.asarray(f, dtype=float)) for f in factors]
+    mantissas = [(m * 2.0**53).astype(np.int64).tolist() for m, _ in parts]
+    powers = sum(e.astype(np.int64) for _, e in parts) - 53 * len(factors)
+    if not np.size(powers):
+        return Fraction(0)
+    low = int(np.min(powers))
+    total = sum(math.prod(m) << shift
+                for m, shift in zip(zip(*mantissas), (powers - low).tolist()))
+    return Fraction(total) * Fraction(2) ** low

@@ -602,7 +602,7 @@ verification failure: instance 10 of seed 3 (n=12): simplex_abs_dev=0.00015 sign
                                str(REPO / "demos" / "data" / "sine_experiment.json"),
                                "--format", "csv")
         assert (code, err) == (
-            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=1.70766e-15\n"
+            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=2.04919e-15\n"
         )
 
 
@@ -996,14 +996,14 @@ class TestSimulate:
         # the parent answers the whole grid again, so nothing printed moves
         want = run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt)
         parent = os.getpid()
-        real = simulate._window_dots
+        real = simulate._window_sums
 
         def fails_in_the_child(*args):
             if os.getpid() != parent:
                 raise MemoryError
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_child)
+        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_child)
         assert run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt) == want
         assert_no_child()
 
@@ -1444,6 +1444,7 @@ class ForkedRuns:
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
         monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(cli, "_FIT_SPLIT_MIN_QUERIES", 0)
         monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdwo import core, simulate
+from rdwo import _moments, core, simulate
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig, _sorted_windows, window_margins
 from rdwo.simulate import (
@@ -249,8 +249,9 @@ class TestRoundingAllowance:
         windows = _sorted_windows(np.array([x]), phis, spec.config.delta)
         a, b, distances, margins = next(iter(windows))
         assert distances.tolist() == np.abs(x - phis[a:b]).tolist()
-        scaled = margins / spec.config.delta
-        est, *sums = window_means(scaled, ys[a:b], distances, noises[a:b])
+        # The window sums run_experiment reads, as it reads them.
+        sums = core._window_sums(np.array([x]), phis, spec.config.delta, (ys, noises), True, True)
+        est, *sums = (sums[[4, 3, 5, 6, 7], 0] / sums[1, 0]).tolist()
         truth = float(spec.function(x))
         args = (truth, *sums, b - a, 1.0)
         err, bound, holds = _error_check(est, *args)
@@ -273,14 +274,16 @@ def window_means(scaled, window_ys, distances, window_noises):
 def reference_columns(spec):
     """The query columns, keyed as QUERY_HEADER, from the single-query window
     helper over all samples in stable φ order and a scalar target call per
-    query point; nan and False where a query has no support."""
+    query point; nan and False where a query has no support.  Then the
+    scales ``w . |y|`` and ``l1 * w . |x - phi| + w . |noise|`` of the
+    estimate and of the bound, keyed ``y_scale`` and ``bound_scale``."""
     phis, noises, ys = in_phi_order(*_dataset_arrays(spec))
     rows = []
     for x in spec.query_grid:
         truth = float(spec.function(x))
         positions, margins = window_margins(x, phis, spec.config.delta)
         if positions.size == 0:
-            rows.append((x, truth, math.nan, math.nan, math.nan, False, 0))
+            rows.append((x, truth, math.nan, math.nan, math.nan, False, 0, 0.0, 0.0))
             continue
         est, *sums = window_means(
             margins / spec.config.delta, ys[positions], np.abs(x - phis[positions]),
@@ -289,8 +292,9 @@ def reference_columns(spec):
         err, bound, holds = _error_check(
             est, truth, *sums, positions.size, spec.config.l1
         )
-        rows.append((x, truth, est, float(err), float(bound), bool(holds), positions.size))
-    return dict(zip(QUERY_HEADER, map(np.array, zip(*rows))))
+        rows.append((x, truth, est, float(err), float(bound), bool(holds), positions.size,
+                     sums[2], spec.config.l1 * sums[0] + sums[3]))
+    return dict(zip((*QUERY_HEADER, "y_scale", "bound_scale"), map(np.array, zip(*rows))))
 
 
 # Each grid holds points outside the input range (-1.5, 1.5) that still
@@ -328,8 +332,17 @@ def test_records_match_a_per_query_reference(function, grid):
     )
     report = run_experiment(spec)
     reference = reference_columns(spec)
-    for key in QUERY_HEADER:
+    for key in ("x", "truth", "bound_holds", "active_count"):
         assert np.array_equal(getattr(report, key), reference[key], equal_nan=True), key
+    # The moment kernel sums these windows: each quotient of its sums is
+    # within about 2 * _moments._MOMENT_TOL of its scale from the loop's.
+    tol = 4 * _moments._MOMENT_TOL
+    for key, scale in [("estimate", "y_scale"), ("abs_error", "y_scale"),
+                       ("bound_z", "bound_scale")]:
+        got, want = getattr(report, key), reference[key]
+        assert np.array_equal(np.isnan(got), np.isnan(want)), key
+        assert np.all(np.abs(got - want)[~np.isnan(want)]
+                      <= tol * reference[scale][~np.isnan(want)]), key
     supported = (reference["active_count"] > 0).tolist()
     outside = [abs(x) > 1.5 for x in grid]
     assert any(supported) and not all(supported)
@@ -481,7 +494,7 @@ class TestTwoProcesses:
         spec = demo_spec()
         want = run_counting_forks(spec, cpus=(0,))[0]
         parent = os.getpid()
-        real = simulate._window_dots
+        real = simulate._window_sums
 
         def fails_in_the_child(*args):
             if os.getpid() != parent:
@@ -490,7 +503,7 @@ class TestTwoProcesses:
                 warnings.warn("in the child", fault)
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_child)
+        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_child)
         got, forks, statuses = run_counting_forks(spec)
         assert forks == 1 and len(statuses) == 1 and statuses[0] != 0
         assert_same_report(got, want)
@@ -498,14 +511,14 @@ class TestTwoProcesses:
 
     def test_an_error_of_the_parent_reaps_the_child(self, monkeypatch):
         parent = os.getpid()
-        real = simulate._window_dots
+        real = simulate._window_sums
 
         def fails_in_the_parent(*args):
             if os.getpid() == parent:
                 raise ValueError("the parent's half failed")
             return real(*args)
 
-        monkeypatch.setattr(simulate, "_window_dots", fails_in_the_parent)
+        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_parent)
         with pytest.raises(ValueError, match="^the parent's half failed$"):
             run_counting_forks(demo_spec())
         assert_no_child()

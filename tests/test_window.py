@@ -4,14 +4,18 @@ The batch path sums every window in stable φ order: over the regressors
 sorted ascending, ties in sample order.  ``_sorted_windows`` must hand every
 query the same operands, in the same order, as a scan of all samples in
 that order, so every sum and dot product over a window is bit-identical:
-counts equal, and distances, estimates, objectives and support sums compared
-with ``==``, not a tolerance.  Each case is also streamed through a
+counts equal, and distances, estimates, objectives and support sums of the
+loop ``_window_dots`` compared with ``==``, not a tolerance.  ``grid_solve``
+may answer a window from the moment kernel instead, so its counts are
+compared with ``==`` and the rest against exact sums, within the bounds
+``simulate._error_check`` derives.  Each case is also streamed through a
 ``StreamingGrid``, which must agree with the batch path within
 ``MODE_AGREEMENT_RTOL``.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,16 +23,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdwo.cli import MODE_AGREEMENT_RTOL, main
+from rdwo._moments import _MOMENT_TOL
 from rdwo.core import (
     EstimatorConfig,
+    _readout,
     _sort_order,
     _sorted_windows,
+    _window_dots,
     grid_solve,
     window_margins,
 )
 from rdwo.simulate import ExperimentSpec, Sine, _dataset_arrays, run_experiment
 from rdwo.streaming import StreamingGrid
-from reference import in_phi_order
+from reference import exact_sums, in_phi_order
 
 ULP = 2.0**-52
 
@@ -87,14 +94,39 @@ def assert_matches_full_scan(xs, phis, ys, delta):
         assert fm.tolist() == sm.tolist()
     rows = window_rows(slow, ordered_ys, delta)
     assert window_rows(fast, ordered_ys, delta) == rows
-    estimates, counts, objectives, sums = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
+    estimates, counts, objectives, sums = _readout(
+        delta, *_window_dots(xs, ordered, delta, (ordered_ys,)))
     assert counts.tolist() == [r[0] for r in rows]
     assert [None if math.isnan(e) else e for e in estimates.tolist()] == [r[1] for r in rows]
     assert [None if math.isnan(o) else o for o in objectives.tolist()] == [r[2] for r in rows]
     assert [s if c else None for s, c in zip(sums.tolist(), counts.tolist())] == [
         r[3] for r in rows
     ]
-    assert_stream_agrees(xs, phis, ys, delta, (estimates, counts, objectives, sums))
+    solution = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
+    assert solution[1].tolist() == counts.tolist()
+    assert_within_exact_bounds(xs, ordered, ordered_ys, delta, solution)
+    assert_stream_agrees(xs, phis, ys, delta, solution)
+
+
+def assert_within_exact_bounds(xs, ordered, ordered_ys, delta, solution):
+    """Each supported readout of ``grid_solve`` within its bound of the
+    exact window sums: every sum within ``rho`` of its sum of absolute
+    terms, with ``rho`` the larger of ``gamma_n`` and the kernel's
+    ``_MOMENT_TOL``; the estimate ``SY / S`` within ``(2 rho + 2u) / (1 -
+    rho)`` of ``w . |y|``, and the objective and support sum within ``rho``
+    and a few roundings of ``delta sqrt(SQ)`` and ``delta S``."""
+    u = Fraction(1, 2**53)
+    width = Fraction(delta)
+    for x, estimate, count, objective, support in zip(xs.tolist(), *map(list, solution)):
+        if not count:
+            continue
+        n, s, sq, sy, _ = exact_sums(x, ordered, ordered_ys, delta)
+        scale = exact_sums(x, ordered, np.abs(ordered_ys), delta)[3]
+        rho = max(n * u / (1 - n * u), Fraction(_MOMENT_TOL))
+        assert abs(Fraction(estimate) - sy / s) <= (2 * rho + 2 * u) / (1 - rho) * scale / s
+        norm = width**2 * sq
+        assert abs(Fraction(objective) ** 2 - norm) <= ((1 + rho) * (1 + u) ** 4 - 1) * norm
+        assert abs(Fraction(support) - width * s) <= ((1 + rho) * (1 + u) - 1) * width * s
 
 
 def assert_stream_agrees(xs, phis, ys, delta, solution):
