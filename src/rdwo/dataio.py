@@ -10,6 +10,7 @@ import json
 import os
 import stat
 import threading
+import warnings
 from functools import lru_cache
 from math import isfinite
 from typing import Iterator, Sequence
@@ -51,6 +52,10 @@ _CHUNK_CHARS = 1 << 14
 # Whitespace, and ``_``, which ``float()`` would read as a digit separator: a
 # run of lines holding any of them goes to the line parser.
 _NOT_BULK = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+# One row as the bulk reader parses it, and the largest index it can hold.
+_ROW = np.dtype([("k", np.int64), ("phi", float), ("y", float)])
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 class _ParseState:
@@ -149,33 +154,36 @@ def _bulk_columns(text: str, state: _ParseState):
     newline, if every line is a bare row ``k,phi,y`` whose ``k`` continues the
     run of indices; otherwise None, and ``state`` is left as it was.
 
-    What this accepts :func:`_parse_rows` accepts with the same values: the
-    text is ASCII with no whitespace or ``_``, each line has exactly two
-    commas, each ``k`` is the decimal text of the next index, and numpy reads
-    the float fields as ``float()`` does (``tests/test_dataio.py`` checks
-    this), all finite.
+    numpy's C text reader parses the run in one call.  What this accepts
+    :func:`_parse_rows` accepts with the same values: ASCII text with no
+    whitespace or ``_``, each line a row of three fields that starts with a
+    digit 1 to 9 (no sign, no leading zero), the ``k`` column the next
+    indices, none of them seen, and float fields the reader converts as
+    ``float()`` does (``tests/test_dataio.py`` checks this), all finite.  A
+    field the reader refuses, or a warning, refuses the run.
     """
     if not state.header_done or not text.isascii() or any(c in text for c in _NOT_BULK):
         return None
-    n = text.count("\n") + 1
-    codes = np.frombuffer(text.encode("ascii"), np.uint8)
-    commas = np.flatnonzero(codes == 44)
-    # Two commas a line: the i-th newline has 2 * (i + 1) commas before it.
-    if commas.size != 2 * n or not np.array_equal(
-        np.searchsorted(commas, np.flatnonzero(codes == 10)), np.arange(2, 2 * n, 2)
-    ):
-        return None
-    fields = text.replace("\n", ",").split(",")
+    lines = text.split("\n")
+    n = len(lines)
     first = state.run_hi + 1
-    if fields[0::3] != list(map(str, range(first, first + n))):
+    # Past int64, np.arange gives float64, whose 2**63 equals 2**63 - 1.
+    if first + n > _INDEX_MAX or state.seen and not state.seen.isdisjoint(range(first, first + n)):
         return None
-    if state.seen and not state.seen.isdisjoint(range(first, first + n)):
+    codes = np.frombuffer(("\n" + text).encode("ascii"), np.uint8)
+    heads = codes[1:][codes[:-1] == 10]
+    if not ((heads >= ord("1")) & (heads <= ord("9"))).all():
         return None
-    try:
-        phis = np.array(fields[1::3], dtype=float)
-        ys = np.array(fields[2::3], dtype=float)
-    except ValueError:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    # The reader skips blank lines, so there must be a row for every line.
+    if rows.size != n or not np.array_equal(rows["k"], np.arange(first, first + n)):
         return None
+    phis, ys = rows["phi"], rows["y"]
     if not (np.isfinite(phis).all() and np.isfinite(ys).all()):
         return None
     state.line_no += n

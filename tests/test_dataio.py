@@ -1,7 +1,7 @@
 import contextlib
-import math
 import os
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -236,6 +236,15 @@ def split_every_file():
     forks.check()
 
 
+@contextlib.contextmanager
+def warnings_raised():
+    """Within the block every warning raises: numpy's text reader, which the
+    bulk reader runs, must warn no caller."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 class TestReadArrays:
     @pytest.fixture()
     def path(self, tmp_path):
@@ -264,7 +273,8 @@ class TestReadArrays:
     @staticmethod
     def _outcome(read, path):
         try:
-            return "ok", read(path)
+            with warnings_raised():
+                return "ok", read(path)
         except InputFormatError as exc:
             return "error", str(exc)
 
@@ -319,8 +329,9 @@ def _ingest_outcomes(path):
 
     def run(rows, iterate):
         try:
-            for row in iterate():
-                rows.append(row)
+            with warnings_raised():
+                for row in iterate():
+                    rows.append(row)
         except InputFormatError as exc:
             return "error", str(exc)
         return "ok", rows
@@ -385,6 +396,10 @@ class TestChunkedIngest:
             "3,0.5,0,",
             "+3,0.5,0",
             "3,\u00bd,0",
+            # An index numpy could read through a float.
+            "3e0,0.5,0",
+            "3.0,0.5,0",
+            "3.,0.5,0",
             # Four fields, then two: the commas balance over the two lines,
             # and the tokens 3 and 4 still fall where indices belong.
             "3,0.5,0.5,4\n0.5,0.5",
@@ -396,6 +411,9 @@ class TestChunkedIngest:
         rows = [*self.ROWS[:2], bad, *self.ROWS[2 + bad.count("\n") + 1 :]]
         kind, message = self.check(path, "\n".join([EXPECTED_HEADER, *rows, ""]).encode())
         assert kind == "error" and message.startswith("line 4: ")
+        index = bad.partition(",")[0]
+        if not index.isdigit():
+            assert message == f"line 4: sample index must be decimal digits, got {index!r}"
 
     def test_leading_zeros_in_an_index(self, chunk, path):
         rows = [*self.ROWS[:2], "003,0.5,1.5", *self.ROWS[3:]]
@@ -432,6 +450,14 @@ class TestChunkedIngest:
         lines = [EXPECTED_HEADER, *self.ROWS[:10], "50,0,0", *self.ROWS[10:], *more]
         kind, message = self.check(path, ("\n".join(lines) + "\n").encode())
         assert (kind, message) == ("error", "line 52: duplicate sample index 50")
+
+    def test_indices_at_the_int64_edge(self, chunk, path):
+        # Past 2**63 - 1 the bulk reader leaves the run to the line parser:
+        # np.arange would give float64, and float64 2**63 equals the int64
+        # index 2**63 - 1.
+        data = b"k,phi,y\n9223372036854775807,0.5,1\n9223372036854775807,0.5,2\n"
+        kind, message = self.check(path, data)
+        assert (kind, message) == ("error", "line 3: duplicate sample index 9223372036854775807")
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -657,7 +683,6 @@ class TestSplitGate:
         forks.check()
 
 
-SPACES = st.sampled_from(["", " ", "  ", "\t"])
 DECIMALS = st.builds(
     "{}{}{}{}".format,
     st.sampled_from(["", "+", "-"]),
@@ -671,33 +696,31 @@ DECIMALS = st.builds(
 )
 SPECIALS = st.sampled_from(
     ["inf", "-Inf", "+INF", "infinity", "-Infinity", "iNfInItY", "nan", "-NaN", "+nan",
-     "NAN", "nan(1)", "infinit", "1e-324", "2.4703282292062328e-324", "4.9e-324", "1e309",
-     "0x10", "1_0", "", ".", "e5", "1e", "--1"]
+     "NAN", "nan(1)", "nan(123)", "infinit", "1e-324", "2.4703282292062328e-324", "4.9e-324",
+     "1e309", "1e-400", "-0", "-0.0", "0x10", "1d5", "1.0j", "1\x00", "1_0", "", ".", "e5",
+     "1e", "--1"]
 )
 
 
 class TestNumpyFloatParse:
-    """The bulk reader converts its float fields with numpy; this holds it to
-    Python's float(), the line parser's conversion."""
+    """The bulk reader converts its float fields with numpy's text reader;
+    this holds it to Python's float(), the line parser's conversion."""
 
-    @staticmethod
-    def _parse(convert, text):
+    @given(body=st.one_of(DECIMALS, SPECIALS))
+    def test_numpy_reads_like_float(self, body):
+        # The bulk reader may refuse a row float() reads, which then goes to
+        # the line parser, but what it takes it takes bit for bit.
+        state = dataio._ParseState()
+        state.header_done = True
+        with warnings_raised():
+            got = dataio._bulk_columns(f"1,{body},0", state)
         try:
-            return convert(text)
+            want = float(body)
         except ValueError:
-            return "error"
-
-    @given(pad_left=SPACES, body=st.one_of(DECIMALS, SPECIALS), pad_right=SPACES)
-    def test_numpy_reads_like_float(self, pad_left, body, pad_right):
-        text = pad_left + body + pad_right
-        want = self._parse(float, text)
-        got = self._parse(lambda s: float(np.array([s], dtype=float)[0]), text)
-        if want == "error" or got == "error":
-            assert got == want
-        elif math.isnan(want):
-            assert math.isnan(got)
-        else:
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got is None
+            return
+        if got is not None:
+            assert got[0].tobytes() == np.float64(want).tobytes()
 
 
 EDGE_FLOATS = st.one_of(
