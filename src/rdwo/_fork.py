@@ -7,15 +7,14 @@ the caller does the work again itself (:func:`halves` the whole table,
 ``dataio`` the child's half of the file, ``stream`` the snapshots it has
 not printed), so every result is the one a single process gives.
 
-:func:`halves` answers the upper half of a query grid this way, for
-``simulate`` on a grid of 512 points or more, and for ``fit`` on a grid of
-1,024 points or more and a large file.
-``dataio.read_arrays`` parses the second half of a large CSV file in the
-child, and ``stream --emit-every`` reads and folds a large CSV file in the
-child while the parent prints each snapshot the child sends.  ``dataio``
-and ``cli`` load this module only when they are about to fork, and
-:func:`can_fork` lives in ``dataio``, so that ``import rdwo.cli`` and small
-or single-CPU runs never load it or ``mmap``.
+:func:`halves` answers the upper half of ``simulate``'s query grid this
+way, on a grid of 512 points or more.  ``dataio.read_arrays``, which
+``fit`` calls, parses the second half of a large CSV file in the child,
+and ``stream --emit-every`` reads and folds a large CSV file in the child
+while the parent prints each snapshot the child sends.  ``dataio`` and
+``cli`` load this module only when they are about to fork, and the gate
+:func:`rdwo.dataio.can_fork` lives in ``dataio``, so that ``import
+rdwo.cli`` and small or single-CPU runs never load it or ``mmap``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import warnings
 from typing import Callable, TypeVar
 
 import numpy as np
-
-from .dataio import can_fork  # noqa: F401
 
 T = TypeVar("T")
 

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import EstimatorConfig, _grid_sums, _readout, grid_solve
+from .core import EstimatorConfig, _readout, grid_solve
 from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
 # through read_arrays and iter_runs, and tables print through format_heads
@@ -207,36 +207,15 @@ class _GridTable:
         _emit(out, self.fmt, self.header, self.heads.tolist(), suffix, with_header)
 
 
-# The least query points worth summing in two processes.  With the moment
-# kernel a point's windows cost a few microseconds, and each process sorts
-# every row: on the 100k-row fit-grid file (2-vCPU x86-64 VM, 16 alternating
-# in-process runs, CHANGES.md) the split was slower or even at 200 to 1,000
-# points and faster in 13 of 16 runs at 2,000.
-_FIT_SPLIT_MIN_QUERIES = 1024
-
-
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
-    """Answer the query grid in closed form, as ``grid_solve`` does, and print
-    it.  On a grid of at least ``_FIT_SPLIT_MIN_QUERIES`` points and a file
-    :func:`~rdwo.dataio.can_split` admits, a forked child sums the windows
-    of the upper half of the grid (see :func:`rdwo._fork.halves`), so the
-    output, the error line and the exit code are those of one process."""
+    """Read the input with :func:`~rdwo.dataio.read_arrays`, answer the query
+    grid in closed form with :func:`~rdwo.core.grid_solve`, as the library
+    and ``verify`` do, and print it."""
     grid = _query_grid(args)
     config = EstimatorConfig(delta=args.delta)
     phis, ys = read_arrays(args.input)
-
-    def window_sums(part: slice) -> np.ndarray:
-        with _overflow_names(config.delta):
-            return _grid_sums(grid[part], phis, ys, config.delta)
-
-    if grid.size >= _FIT_SPLIT_MIN_QUERIES and can_split(args.input):
-        from . import _fork
-
-        sums = _fork.halves(window_sums, (4, grid.size))
-    else:
-        sums = window_sums(slice(None))
     with _overflow_names(config.delta):
-        solution = _readout(config.delta, *sums)
+        solution = grid_solve(grid, phis, ys, config)
     n_seen = phis.size if args.diagnostics else None
     _GridTable(args, grid).write(out, solution, n_seen, True)
     return 0

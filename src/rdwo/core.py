@@ -307,24 +307,14 @@ def grid_solve(
     the same :func:`_readout`.  An objective is the maximum of
     :func:`simplex_objective`, the Euclidean norm of the window's margins.
     Queries with empty support get ``nan`` estimates and objectives and zero
-    counts and sums.  ``fit`` reads the same sums, :func:`_grid_sums`, and
-    on a wide grid and a large file forks to compute them for the upper half
-    of its grid (see :func:`rdwo._fork.halves`).
+    counts and sums.  ``fit`` and ``verify`` answer their queries with it.
     """
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if phis.shape != ys.shape or phis.ndim != 1:
         raise ValueError("phis and ys must be aligned 1-D arrays")
-    return _readout(config.delta, *_grid_sums(xs, phis, ys, config.delta))
-
-
-def _grid_sums(xs: np.ndarray, phis: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
-    """The :func:`_window_sums` rows count, ``S``, ``SQ`` and ``SY`` of the
-    queries ``xs`` over the regressors ``phis`` and outputs ``ys``, in any
-    order, through sorted copies; the order is freed before ``phis`` is
-    copied, so that no more than two arrays of the data's size are made at
-    once."""
+    # The windows read sorted copies.  The sort order is freed before phis is
+    # copied, so that no more than two arrays of the data's size exist at once.
     ys = ys[_sort_order(phis)]
-    return _window_sums(xs, np.sort(phis), delta, (ys,))
-
+    return _readout(config.delta, *_window_sums(xs, np.sort(phis), config.delta, (ys,)))

@@ -295,8 +295,7 @@ def can_fork() -> bool:
 def can_split(path) -> bool:
     """Whether work on the file ``path`` may run in two processes: a regular
     file of at least ``_SPLIT_MIN_BYTES``, and :func:`can_fork`.  It gates
-    the split read, ``fit``'s split grid, with a width gate of its own, and
-    ``stream``'s forked fold."""
+    the split read and ``stream``'s forked fold."""
     try:
         info = os.stat(path)
     except OSError:

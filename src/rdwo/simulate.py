@@ -11,13 +11,12 @@ measures how far they are from the batch estimates.
 Each query's answer depends only on the samples in its own window, so on a
 wide grid, with a second CPU free (see :func:`_forks`), :func:`run_experiment`
 answers the two halves of the query grid in two processes through
-``_fork.halves``, the split ``fit`` uses too: the parent the lower half by
-index, a forked child the upper half.  Each process draws the seeded data
-itself, reduces the batch windows over sorted copies with
-``core._window_sums``, the reduction ``grid_solve`` reads, checks the error
-bounds, then draws the data again and streams it.  The child returns its
-columns through a shared anonymous map.  Every output bit, and every error,
-is the one a single process gives.
+``_fork.halves``: the parent the lower half by index, a forked child the
+upper half.  Each process draws the seeded data itself, reduces the batch
+windows over sorted copies with ``core._window_sums``, the reduction
+``grid_solve`` reads, checks the error bounds, then draws the data again
+and streams it.  The child returns its columns through a shared anonymous
+map.  Every output bit, and every error, is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _fork
+from . import _fork, dataio
 from ._moments import _MOMENT_TOL, _U
 from .core import (
     EstimatorConfig,
@@ -444,12 +443,12 @@ _SPLIT_MIN_QUERIES = 512
 def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
-    Only where :func:`_fork.can_fork` allows.  Each half still draws, sorts
-    and streams the whole dataset, and the fork itself costs milliseconds,
-    so the split pays only on grids wide enough for the work per point to
-    dominate.
+    Only where :func:`~rdwo.dataio.can_fork` allows.  Each half still
+    draws, sorts and streams the whole dataset, and the fork itself costs
+    milliseconds, so the split pays only on grids wide enough for the work
+    per point to dominate.
     """
-    return len(spec.query_grid) >= _SPLIT_MIN_QUERIES and _fork.can_fork()
+    return len(spec.query_grid) >= _SPLIT_MIN_QUERIES and dataio.can_fork()
 
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:

@@ -1444,7 +1444,6 @@ class ForkedRuns:
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
         monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(cli, "_FIT_SPLIT_MIN_QUERIES", 0)
         monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = []
@@ -1616,9 +1615,9 @@ class TestForkedStream(ForkedRuns):
 
 
 class TestForkedFit(ForkedRuns):
-    """``fit`` on a file its gate admits forks twice: a child parses the
-    second half of the file, then another sorts all the rows and sums the
-    windows of the upper half of the grid."""
+    """``fit`` on a file its gate admits forks once: a child parses the
+    second half of the file, and the parent sorts all the rows and sums the
+    windows of the whole grid."""
 
     @pytest.fixture()
     def rows_csv(self, tmp_path):
@@ -1638,7 +1637,7 @@ class TestForkedFit(ForkedRuns):
         code, out, err = self.same_as_one_cpu(capsys, monkeypatch, "fit", "--input", rows_csv,
                                               *self.GRID_ARGS, *fmt)
         assert code == 0 and err == "" and len(out.splitlines()) >= 9
-        assert forks == [True, True]
+        assert forks == [True]
 
     def test_ties_and_signed_zeros_on_both_sides_of_the_cut(self, capsys, monkeypatch, forks,
                                                             tmp_path):
@@ -1655,7 +1654,7 @@ class TestForkedFit(ForkedRuns):
         argv = ("fit", "--input", path, "--delta", "0.3", "--grid-list", ",".join(map(str, xs)))
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv, "--diagnostics")
         assert code == 0
-        assert forks == [True, True]
+        assert forks == [True]
         # Each window sums its ties in file order.
         _, s, _, sy = core._window_dots(np.array(xs), phis[order], 0.3, (ys[order],))
         assert [row["estimate"] for row in json_lines(out)] == (sy / s).tolist()
@@ -1666,7 +1665,7 @@ class TestForkedFit(ForkedRuns):
         argv = ("fit", "--input", rows_csv, "--delta", "0.3", "--grid-list", points)
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
         assert code == 0 and len(json_lines(out)) == points.count(",") + 1
-        assert forks == [True, True]
+        assert forks == [True]
 
     def test_windows_of_several_dot_blocks(self, capsys, monkeypatch, forks, tmp_path):
         rng = np.random.default_rng(25)
@@ -1676,37 +1675,22 @@ class TestForkedFit(ForkedRuns):
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
         assert code == 0
         assert min(row["active_count"] for row in json_lines(out)) > 2 * core._DOT_BLOCK
-        assert forks == [True, True]
+        assert forks == [True]
 
-    # The read's child dies in its parse, or the grid's after two windows.
-    @pytest.mark.parametrize("killed_in, forked", [("parse", [False, True]),
-                                                   ("solve", [True, False])], ids=["parse", "solve"])
-    def test_child_killed(self, capsys, monkeypatch, forks, rows_csv, killed_in, forked):
+    def test_child_killed(self, capsys, monkeypatch, forks, rows_csv):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
         want = self.one_cpu(capsys, monkeypatch, *argv)
         parent = os.getpid()
 
-        def kill_the_child():
+        def bulk_columns(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-
-        def bulk_columns(*args):
-            kill_the_child()
             return real_bulk(*args)
 
-        def windows(*args):
-            for i, window in enumerate(real_windows(*args)):
-                if i == 2:
-                    kill_the_child()
-                yield window
-
-        real_bulk, real_windows = dataio._bulk_columns, core._sorted_windows
-        if killed_in == "parse":
-            monkeypatch.setattr(dataio, "_bulk_columns", bulk_columns)
-        else:
-            monkeypatch.setattr(core, "_sorted_windows", windows)
+        real_bulk = dataio._bulk_columns
+        monkeypatch.setattr(dataio, "_bulk_columns", bulk_columns)
         assert run_cli(capsys, *argv) == want
-        assert forks == forked
+        assert forks == [False]
 
     def test_failed_fork(self, capsys, monkeypatch, forks, rows_csv):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
@@ -1717,26 +1701,11 @@ class TestForkedFit(ForkedRuns):
 
         monkeypatch.setattr(os, "fork", fork)
         assert run_cli(capsys, *argv) == want
-        assert forks == [False, False]
-
-    def test_failed_fork_at_the_grid_split(self, capsys, monkeypatch, forks, rows_csv):
-        argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
-        want = self.one_cpu(capsys, monkeypatch, *argv)
-        real_fork, calls = os.fork, []
-
-        def fork():
-            calls.append(None)
-            if len(calls) == 2:
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert run_cli(capsys, *argv) == want
-        assert forks == [True, False]
+        assert forks == [False]
 
     def test_second_half_not_bulk(self, capsys, monkeypatch, forks, tmp_path):
         # Spaces after the commas of the second half: the read's child
-        # refuses its runs, the parent reads them, and the grid still splits.
+        # refuses its runs, and the parent reads them.
         rng = np.random.default_rng(27)
         path = Path(write_rows(tmp_path / "spaced.csv", rng.uniform(-1, 1, (240, 2)).tolist()))
         lines = path.read_text("utf-8").splitlines()
@@ -1745,7 +1714,7 @@ class TestForkedFit(ForkedRuns):
         argv = ("fit", "--input", str(path), *self.GRID_ARGS, "--diagnostics")
         code, out, _ = self.same_as_one_cpu(capsys, monkeypatch, *argv)
         assert code == 0 and json_lines(out)[0]["n_seen"] == 240
-        assert forks == [False, True]
+        assert forks == [False]
 
     def test_second_thread_runs_in_process(self, capsys, monkeypatch, forks, rows_csv):
         argv = ("fit", "--input", rows_csv, *self.GRID_ARGS)
@@ -1762,15 +1731,15 @@ class TestForkedFit(ForkedRuns):
         assert got == want
         assert forks == []
 
-    # A delta this large overflows delta * S in the parent's readout.  Outputs
-    # of 1.7e308 overflow SY in the windows that hold two: the grid child's
-    # half, or both halves; the parent then sums the whole grid itself.
-    @pytest.mark.parametrize("huge, delta, points, forked", [
-        (None, "1.7e308", "-0.5,0.5", True),
-        ((0.6, 1.0), "0.3", "-0.5,0.8", False),
-        ((-1.0, 1.0), "0.3", "-0.5,0.8", None),
-    ], ids=["delta", "outputs-in-the-child", "outputs-in-both"])
-    def test_overflow(self, capsys, monkeypatch, forks, tmp_path, huge, delta, points, forked):
+    # A delta this large overflows delta * S in the readout.  Outputs of
+    # 1.7e308 overflow SY in the windows that hold two: the window of one
+    # grid point, or of both.
+    @pytest.mark.parametrize("huge, delta, points", [
+        (None, "1.7e308", "-0.5,0.5"),
+        ((0.6, 1.0), "0.3", "-0.5,0.8"),
+        ((-1.0, 1.0), "0.3", "-0.5,0.8"),
+    ], ids=["delta", "outputs-at-one-point", "outputs-in-both"])
+    def test_overflow(self, capsys, monkeypatch, forks, tmp_path, huge, delta, points):
         rng = np.random.default_rng(26)
         phis = rng.uniform(-1, 1, 240)
         ys = rng.uniform(-1, 1, 240)
@@ -1779,7 +1748,7 @@ class TestForkedFit(ForkedRuns):
         path = write_rows(tmp_path / "huge.csv", zip(phis.tolist(), ys.tolist()))
         argv = ("fit", "--input", path, "--delta", delta, f"--grid-list={points}")
         assert self.same_as_one_cpu(capsys, monkeypatch, *argv) == (2, "", overflow_error(delta))
-        assert forks == [True, forked]
+        assert forks == [True]
 
 
 def readme_examples():
