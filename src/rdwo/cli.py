@@ -175,11 +175,8 @@ class _GridTable:
     ``--diagnostics``, and ``n_seen``, when given, is one literal tail
     joined onto every line.
 
-    Each point's ``x`` text is formatted once, and the table keeps each
-    point's line up to that tail (its head) between snapshots.  A snapshot
-    formats a head again only when the point's active count moved: a point
-    that absorbed no sample has the same support sum, estimate and sum of
-    squares, bit for bit.  A table printed once formats each row once.
+    Each point's ``x`` text is formatted once; every snapshot formats every
+    point's line up to that tail (its head) again.
     """
 
     def __init__(self, args: argparse.Namespace, xs: np.ndarray):
@@ -187,24 +184,16 @@ class _GridTable:
         self.width = 5 if args.diagnostics else 4
         self.header = _GRID_HEADER[: self.width]
         self.kinds = "sfdff"[: self.width]
-        self.x_cells = np.array(list(map(format_float, xs.tolist())), dtype=object)
-        self.heads = np.empty(xs.size, dtype=object)
-        self.counts = np.full(xs.size, -1)
+        self.x_cells = list(map(format_float, xs.tolist()))
 
     def write(self, out: TextIO, solution, n_seen: int | None, with_header: bool) -> None:
-        counts = solution[1]
-        changed = np.flatnonzero(counts != self.counts)
-        self.counts = counts
-        if changed.size:
-            # Free the stale lines first, so that their memory takes the new ones.
-            self.heads[changed] = None
-            self.heads[changed] = format_heads(
-                self.fmt, self.header, self.kinds,
-                [column[changed].tolist() for column in (self.x_cells, *solution)[: self.width]],
-                supported=(counts[changed] > 0).tolist(), nullable=_GRID_NULLABLE,
-            )
+        heads = format_heads(
+            self.fmt, self.header, self.kinds,
+            [self.x_cells, *(column.tolist() for column in solution[: self.width - 1])],
+            supported=(solution[1] > 0).tolist(), nullable=_GRID_NULLABLE,
+        )
         suffix = [] if n_seen is None else [("n_seen", n_seen)]
-        _emit(out, self.fmt, self.header, self.heads.tolist(), suffix, with_header)
+        _emit(out, self.fmt, self.header, heads, suffix, with_header)
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:

@@ -8,15 +8,16 @@ over the same seeded data, in stream order; the report keeps those estimates
 as its ``stream_estimate`` column, and :func:`max_relative_deviation`
 measures how far they are from the batch estimates.
 
-Each query's answer depends only on the samples in its own window, so on a
-wide grid, with a second CPU free (see :func:`_forks`), :func:`run_experiment`
-answers the two halves of the query grid in two processes through
-``_fork.halves``: the parent the lower half by index, a forked child the
-upper half.  Each process draws the seeded data itself, reduces the batch
-windows over sorted copies with ``core._window_sums``, the reduction
-``grid_solve`` reads, checks the error bounds, then draws the data again
-and streams it.  The child returns its columns through a shared anonymous
-map.  Every output bit, and every error, is the one a single process gives.
+On a wide grid, with a second CPU free (see :func:`_forks`),
+:func:`run_experiment` answers the two halves of the query grid in two
+processes through ``_fork.halves``: the parent the lower half by index, a
+forked child the upper half.  Each process draws the seeded data itself,
+reduces its half's batch windows over sorted copies with
+``core._window_sums``, the reduction ``grid_solve`` reads, and checks the
+error bounds; the child then draws the data again and streams it over the
+whole grid, whose breakpoints cut the streaming state.  The child returns its
+columns and the stream's estimates through shared anonymous maps.  Every
+output bit, and every error, is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -380,17 +381,27 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     x = np.asarray(spec.query_grid)
     truth = _target_values(spec, x)
+    forks = _forks(spec)
+    stream = _fork.shared_floats((x.size,)) if forks else np.empty(x.size)
 
     def answer(part: slice) -> np.ndarray:
-        return _answer(spec, x[part], truth[part])
+        table = _answer(spec, x[part], truth[part])
+        # The part that ends the grid, the child's or the whole, streams the
+        # whole grid, whose breakpoints cut the streaming state's segments
+        # (see rdwo.streaming), so that the stream has the bits of one pass.
+        if part.stop is None:
+            engine = StreamingGrid(x, spec.config)
+            engine.extend(*_dataset_arrays(spec)[::2])
+            stream[:] = engine.estimates()
+        return table
 
-    table = _fork.halves(answer, (_ROWS, x.size)) if _forks(spec) else answer(slice(None))
+    table = _fork.halves(answer, (_ROWS, x.size)) if forks else answer(slice(None))
     count = table[0].astype(int)
     bound_holds = table[4].astype(bool)
     supported = count > 0
     errors = table[2][supported]
     return ExperimentReport(
-        x, truth, table[1], table[2], table[3], bound_holds, count, table[6], table[5],
+        x, truth, table[1], table[2], table[3], bound_holds, count, stream, table[5],
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
@@ -400,19 +411,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 # The rows of a run's answer table, one column per query: the active count,
-# the batch estimate, abs_error, bound_z, bound_holds (0 or 1), y_magnitude
-# and the streaming estimate.
-_ROWS = 7
+# the batch estimate, abs_error, bound_z, bound_holds (0 or 1) and
+# y_magnitude.
+_ROWS = 6
 
 
 def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """The table, ``_ROWS`` by ``x.size``, of the checked answers at the
-    query points ``x``, whose targets are ``truth``.
+    """The table, ``_ROWS`` by ``x.size``, of the checked batch answers at
+    the query points ``x``, whose targets are ``truth``.
 
     The batch windows read φ-sorted copies of the seeded data, each array
-    replaced by its copy one at a time, and the error check follows.  Then
-    the data is drawn again and streamed in stream order.  An error raises
-    in that order.
+    replaced by its copy one at a time, and the error check follows.  An
+    error raises in that order, before the data is drawn again to stream.
     """
     phis, noises, ys = _dataset_arrays(spec)
     order = _sort_order(phis)
@@ -422,15 +432,12 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarra
     del order
     # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
     sums = _window_sums(x, phis, spec.config.delta, (ys, noises), True, True)
-    del phis, noises, ys  # before the data is drawn again, in stream order
+    del phis, noises, ys
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
     means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]
     table = np.empty((_ROWS, x.size))
     table[0], table[1], table[5] = sums[0], means[0], means[3]
     table[2:5] = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
-    engine = StreamingGrid(x, spec.config)
-    engine.extend(*_dataset_arrays(spec)[::2])
-    table[6] = engine.estimates()
     return table
 
 
@@ -444,7 +451,7 @@ def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
     Only where :func:`~rdwo.dataio.can_fork` allows.  Each half still
-    draws, sorts and streams the whole dataset, and the fork itself costs
+    draws and sorts the whole dataset, the child streams it, and the fork itself costs
     milliseconds, so the split pays only on grids wide enough for the work
     per point to dominate.
     """

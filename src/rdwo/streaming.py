@@ -1,25 +1,66 @@
 """One-pass streaming form of the windowed direct-weight estimator.
 
 A query point's streaming state is the window state of :mod:`rdwo.core`,
-kept as running sums over the samples absorbed so far, in scaled margins
-``r = m / delta`` with ``m = delta - |x - phi|``, which lie in (0, 1]::
+kept as sums over the samples absorbed so far, in scaled margins ``r = m /
+delta`` with ``m = delta - |x - phi|``, which lie in (0, 1]::
 
     S = sum r,    SQ = sum r * r,    SY = sum r * y,
 
 and the count.  A read gives them as one table in the row order of
 ``core._window_sums`` (count, ``S``, ``SQ``, ``SY``), which
-``core._readout`` reads out.  The scaling bounds each term of ``SY`` by
-``|y|`` and each term of ``S`` and ``SQ`` by one, whatever ``delta`` is.
-The batch path of :mod:`rdwo.core` forms the same quotient over the same
-window; the two differ only in how they add.
+``core._readout`` reads out.  The batch path of :mod:`rdwo.core` forms the
+same quotient over the same window; the two differ only in how they add.
 
-:class:`StreamingGrid` holds the sums of a grid of query points and pays
-only for the grid points inside each sample's window, found by binary
-search in the sorted grid.  It keeps its state in sorted-grid order, so a
-pair of a sample and a grid point is added at the point's sorted position
-with no lookup.  The count, a whole number that any order of adds leaves
-exact, is kept as a +1 step where each window starts and a -1 step where
-it ends, two adds per sample, not one per pair, and summed when read.
+:class:`StreamingGrid` does not add one term per (sample, grid point) pair.
+The margin is piecewise linear in ``phi``, with breakpoints only at the
+points ``x`` and ``x +- delta``.  With ``tau = _TAU``, the breakpoints ``B =
+x - (1 - tau) delta``, ``x`` and ``C = x + (1 - tau) delta`` of every point
+cut the line into segments, and each point's window into a core ``[B, C)``
+and two edge bands of width ``tau delta``:
+
+- A sample in some core adds ten moments to its one segment: from either
+  end of the segment, the count and the sums of ``tau y``, ``t``, ``t^2``
+  and ``t tau y``, with ``t`` its distance from that end in units of
+  ``delta``.
+- A read shifts these moments up a binary tree over the segments, into
+  each node's moments from either end.  Each side of a core, ``[B, x)`` and
+  ``[x, C)``, is the union of at most two nodes a level (:func:`_cover`).
+  Over a node its margins are ``a + t``, with ``a >= tau`` the margin at the
+  node's end farther from ``x``, so ``S``, ``SQ`` and ``SY`` are sums of
+  nonnegative multiples of the moments, never a difference of them.
+- A sample in a point's edge band is added as a pair to that point's band
+  sums, with the float margin of ``core._margins``, and dropped where that
+  rounds to zero or below, as ``core._sorted_windows`` drops it.  A sample
+  lies in the bands of only a few points.
+- The count is a +1 step where each sample's window starts in the sorted
+  grid and a -1 step where it ends, summed when read.
+
+Every add into the state goes through ``np.add.at``, which applies its
+updates one by one in index order, so each segment and each band meets its
+samples in stream order, and the state has the same bits however the
+samples are split between calls.  A point's bits depend on the whole grid,
+whose breakpoints cut the segments.  The moments of ``y`` are in units of
+``tau y``, an exact scaling, so that none overflows before the ``SY`` it
+feeds.
+
+**Bound.**  Let ``R`` be a cell's sum of absolute terms (the cell itself for
+``S`` and ``SQ``, and ``r . |y|`` for ``SY``), ``n`` its count, ``L`` the
+tree's levels and ``u = 2^-53``.  A core margin ``a + t`` adds at most ``L +
+2`` rounded distances, each within ``2 u`` of its own size and all within
+one ``delta``, to ``a``, within ``3 u``; the float margin is within ``3 u``
+of the exact one too, and every core margin is at least ``tau / 2``.  So
+the two are within ``eps = 2 (L + 9) u / tau`` of each other, relative, and
+each cell, a sum of nonnegative multiples of its terms at most ``n + 8 L +
+10`` roundings deep, is within::
+
+    (gamma(n + 8 L + 10) + 3 eps) R
+
+of the exact sum of the float terms, ``gamma(k) = k u / (1 - k u)`` (Higham,
+*Accuracy and Stability of Numerical Algorithms*, lemma 3.1), save for
+products that underflow.  A point has a core only where ``2^-960 <= delta
+<= 2^1000`` and ``|x| <= 2^40 delta``, so that rounding cannot move a core
+sample out of the window or below ``tau / 2``; elsewhere its whole window
+is band, and its sums are those of one running sum per point.
 """
 
 from __future__ import annotations
@@ -30,12 +71,15 @@ from .core import EstimatorConfig, _margins, _number, _readout
 
 __all__ = ["StreamingGrid"]
 
-# Samples whose windows the grid kernel looks up at once, and the
-# (sample, grid point) pairs it folds at once.  A chunk holds whole samples,
-# so a sample whose window alone holds more pairs is a chunk by itself.  At
-# 8 bytes an entry, every chunk array of a full chunk stays under glibc's
-# 128 KiB mmap threshold and is recycled from the heap rather than mapped
-# and faulted in afresh.
+# The edge bands' width, and about the least core margin, in units of delta.
+# A power of two, so that the moments of tau * y are exact.
+_TAU = 2.0**-6
+
+# Samples whose windows the kernel looks up at once, and the (sample, grid
+# point) band pairs it folds at once.  A chunk holds whole samples, so a
+# sample whose bands alone hold more pairs is a chunk by itself.  At 8 bytes
+# an entry, every chunk array of a full chunk stays under glibc's 128 KiB
+# mmap threshold and is recycled from the heap rather than mapped afresh.
 _SUB_BLOCK = 1024
 _PAIR_BUDGET = 8192
 
@@ -43,10 +87,9 @@ _PAIR_BUDGET = 8192
 class StreamingGrid:
     """Streaming estimator states for many query points at once.
 
-    Each grid point adds its own samples into its sums one at a time, in
-    stream order, so the state after :meth:`extend` is bit for bit the one
-    a scalar running sum per grid point gives, however the samples are split
-    between calls.
+    The state after :meth:`extend` has the same bits however the samples
+    are split between calls, and every read is within the bound of the
+    module docstring of the exact window sums.
     """
 
     def __init__(self, xs: np.ndarray, config: EstimatorConfig):
@@ -60,29 +103,135 @@ class StreamingGrid:
         self.config = config
         self.n_seen = 0
         # In sorted-grid order: the count steps, one more than the points for
-        # a window that ends past the last one, and S, SQ and SY.
+        # a window that ends past the last one, and the band S, SQ and SY.
         self._steps = np.zeros(xs.size + 1)
-        self._sums = np.zeros((3, xs.size))
+        self._bands = np.zeros((3, xs.size))
         order = np.argsort(self.xs, kind="stable")
         self._sorted = self.xs[order]
         # Each point's position in the sorted grid.
         self._rank = np.argsort(order)
+        # Planned by the first fold (see _plan): a forked ``stream`` folds in
+        # its child, and the parent, which only prints, never plans.
+        self._find = None
+        # Samples waiting to be absorbed, as (2, n) arrays of phi and y.
+        self._waiting, self._held = [], 0
+
+    def _plan(self) -> None:
+        """Cut the segments, lay out the tree over them and the nodes that
+        cover each core side, and tabulate what a sample's one search finds."""
+        delta, x = self.config.delta, self._sorted
+        first = last = 0
+        if 2.0**-960 <= delta <= 2.0**1000:
+            first, last = np.searchsorted(x, [-(2.0**40) * delta, 2.0**40 * delta], side="right")
+        cored, reach = x[first:last], (1.0 - _TAU) * delta
+        edges, where = np.unique(np.concatenate([cored - reach, cored, cored + reach]),
+                                 return_inverse=True)
+        segments = max(edges.size - 1, 0)
+        b, mid, c = where.reshape(3, cored.size)
+        self._cored, self._edges = slice(first, last), edges
+        # Level h of the tree has `count` nodes; node i holds segments i 2^h
+        # up to (i + 1) 2^h.  Its moments from its left end are column `offset
+        # + i` of `_tree`, and from its right end `offset + count + i`.  The
+        # last column stays zero.  A read fills each level from the one below
+        # (`_ups`): a node from its left end is its left child, and its right
+        # child shifted by the left one's width; from its right end, its right
+        # child, and its left child shifted by the right one's width.
+        #
+        # The nodes that cover the core sides [B, x) and [x, C), level by
+        # level, at most two a side a level: at level h a side still to cover
+        # runs over nodes [lo, hi), and takes its odd ends.  Each entry is its
+        # node's column, its point, and the margin at the node's end farther
+        # from the point.
+        lo, hi = np.stack([b, mid], 1).ravel(), np.stack([mid, c], 1).ravel()
+        sides = np.arange(lo.size)
+        entries, levels = [], []
+        count, offset, h = segments, 0, 0
+        while sides.size:
+            take = np.concatenate([lo & 1, hi & 1]).astype(bool)
+            nodes = np.concatenate([lo, hi - 1])[take]
+            taken = np.concatenate([sides, sides])[take]
+            right = taken & 1
+            ends = edges[np.minimum((nodes + right) << h, segments)]
+            entries.append((offset + right * count + nodes, taken >> 1,
+                            1.0 - np.abs(ends - cored[taken >> 1]) / delta))
+            lo, hi = (lo + 1) >> 1, hi >> 1
+            live = lo < hi
+            lo, hi, sides = lo[live], hi[live], sides[live]
+            levels.append((offset, count))
+            offset, count, h = offset + 2 * count, -(-count // 2), h + 1
+        columns, points, margin = (np.concatenate(parts) for parts in zip(([], [], []), *entries))
+        order = np.argsort(points, kind="stable")
+        self._columns, self._margin = columns[order].astype(np.intp), margin[order]
+        self._runs = np.flatnonzero(np.diff(points[order], prepend=-1))
+        self._tree = np.zeros((5, offset + 1))
+        self._ups = []
+        for h, ((below, count), (above, parents)) in enumerate(zip(levels, levels[1:])):
+            width = np.diff(edges[np.minimum(np.arange(count + 1) << h, segments)]) / delta
+            even = 2 * np.arange(parents)
+            odd = np.minimum(even + 1, count - 1)
+            pair = even + 1 < count
+            # The stay and the moved child of each node from its left end,
+            # then from its right end; a lone child moves the zero column.
+            stay = below + np.concatenate([even, np.where(pair, odd, even) + count])
+            move = np.where(np.concatenate([pair, pair]),
+                            below + np.concatenate([odd, even + count]), offset)
+            shift = np.concatenate([width[even], np.where(pair, width[odd], 0.0)])
+            self._ups.append((stay, move, shift, slice(above, above + 2 * parents)))
+        # Where a sample's moments go in the tree's first level: its count,
+        # tau y, t, t^2 and t tau y from its segment's left end, then from
+        # its right end.
+        self._slots = (np.arange(5) * self._tree.shape[1] + [[0], [segments]]).reshape(10, 1)
+        # A sample's one search: the count of bounds at or below it picks its
+        # column of `_find`.  Its window runs from the points whose window
+        # ends below it, fl(x + delta) < phi, up to those whose window starts
+        # at or below it, fl(x - delta) <= phi: no double lies strictly
+        # between a real number and its nearest double, and margins <= 0 are
+        # dropped.  The points whose C and whose B lie at or below it bound
+        # the cores that hold it, between its two bands.  Then its segment.
+        closed, opened = np.nextafter(x + delta, np.inf), x - delta
+        self._bounds = np.sort(np.concatenate([closed, opened, edges]))
+        lo, hi, slot = (np.searchsorted(keys, np.append(-np.inf, self._bounds), side="right")
+                        for keys in (closed, opened, edges))
+        far, near = (np.cumsum(np.bincount(ends, minlength=edges.size)) for ends in (c, b))
+        far = np.clip(np.append(0, far)[slot] + first, lo, hi)
+        near = np.clip(np.append(0, near)[slot] + first, far, hi)
+        self._find = np.stack([lo, far, near, hi, slot - 1]).astype(np.int32)
 
     @property
     def sums(self) -> np.ndarray:
         """The count, ``S``, ``SQ`` and ``SY`` of each grid point, the rows
         of ``core._window_sums``, as a new ``(4, G)`` table in grid order:
         writing into it leaves the state as it was."""
+        self._flush()
+        sums = self._bands.copy()
+        if self._find is not None and self._columns.size:
+            tree = self._tree
+            # Each level from the one below: a shift by d takes a node's
+            # moments to t + d, and adds them into the other child's.
+            for stay, move, d, level in self._ups:
+                n, y, t, t2, ty = moved = tree.take(move, axis=1)
+                nd = n * d
+                t2 += d * (t + t + nd)
+                ty += d * y
+                t += nd
+                np.add(tree.take(stay, axis=1), moved, out=tree[:, level])
+            n, y, t, t2, ty = tree.take(self._columns, axis=1)
+            a = self._margin
+            s = n * a + t
+            cores = np.add.reduceat([s, a * (s + t) + t2, a * y + ty], self._runs, axis=1)
+            cores[2] /= _TAU
+            sums[:, self._cored] += cores
         table = np.empty((4, self.xs.size))
         # The ranks are in range; mode "clip" lets take write into its out
         # directly, where the default mode gathers into a buffer first.
         np.cumsum(self._steps[:-1]).take(self._rank, out=table[0], mode="clip")
-        self._sums.take(self._rank, axis=1, out=table[1:], mode="clip")
+        sums.take(self._rank, axis=1, out=table[1:], mode="clip")
         return table
 
     @property
     def n_active(self) -> np.ndarray:
         """The samples absorbed by each grid point, as a new float row."""
+        self._flush()
         return np.cumsum(self._steps[:-1]).take(self._rank)
 
     def extend(self, phis: np.ndarray, ys: np.ndarray) -> None:
@@ -90,32 +239,60 @@ class StreamingGrid:
 
         The same as one call per sample in turn, bit for bit.  A non-finite
         sample raises :class:`ValueError` after every sample before it has
-        been absorbed, as that loop would.
+        been absorbed, as that loop would.  Calls of fewer than
+        ``_SUB_BLOCK`` samples wait, as copies, until a sub-block of them or
+        a read is due, so that many short calls fold as a few long ones.
         """
         phis = np.asarray(phis, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if phis.shape != ys.shape or phis.ndim != 1:
             raise ValueError("phis and ys must be aligned 1-D arrays")
-        for start in range(0, phis.size, _SUB_BLOCK):
-            block_phis = phis[start : start + _SUB_BLOCK]
-            block_ys = ys[start : start + _SUB_BLOCK]
-            finite = np.isfinite(block_phis) & np.isfinite(block_ys)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                self._absorb(block_phis[:bad], block_ys[:bad])
-                _number("phi", block_phis[bad])
-                _number("y", block_ys[bad])
-            self._absorb(block_phis, block_ys)
+        finite = np.isfinite(phis) & np.isfinite(ys)
+        good = phis.size if finite.all() else int(np.argmin(finite))
+        self.n_seen += good
+        if good < _SUB_BLOCK:
+            self._waiting.append(np.array([phis[:good], ys[:good]]))
+            self._held += good
+        if good >= _SUB_BLOCK or good < phis.size or self._held >= _SUB_BLOCK:
+            self._flush()
+        if good >= _SUB_BLOCK:
+            self._absorb(phis[:good], ys[:good])
+        if good < phis.size:
+            _number("phi", phis[good])
+            _number("y", ys[good])
+
+    def _flush(self) -> None:
+        """Absorb the samples that wait."""
+        if self._held:
+            waiting, self._waiting, self._held = self._waiting, [], 0
+            self._absorb(*np.concatenate(waiting, axis=1))
 
     def _absorb(self, phis: np.ndarray, ys: np.ndarray) -> None:
-        """Fold a sub-block of finite samples in chunks of whole samples,
-        about ``_PAIR_BUDGET`` (sample, grid point) pairs each."""
-        delta = self.config.delta
-        # A positive margin means |x - phi| < delta exactly, so x lies between
-        # fl(phi - delta) and fl(phi + delta); see core._sorted_windows.
-        lo = np.searchsorted(self._sorted, phis - delta, side="left")
-        hi = np.searchsorted(self._sorted, phis + delta, side="right")
-        ends = (hi - lo).cumsum()
+        """Fold finite samples a sub-block at a time."""
+        if self._find is None:
+            self._plan()
+        for start in range(0, phis.size, _SUB_BLOCK):
+            self._fold(phis[start : start + _SUB_BLOCK], ys[start : start + _SUB_BLOCK])
+
+    def _fold(self, phis: np.ndarray, ys: np.ndarray) -> None:
+        """Fold a sub-block of finite samples: the count steps, the segment
+        moments, then the band pairs in chunks of whole samples, about
+        ``_PAIR_BUDGET`` pairs each."""
+        # The searches run over the samples in ascending order, which keeps
+        # each search's path through the bounds in cache, and are put back.
+        order = np.argsort(phis)
+        slots = np.empty(phis.size, dtype=np.intp)
+        slots[order] = np.searchsorted(self._bounds, phis[order], side="right")
+        lo, far, near, hi, segment = self._find.take(slots, axis=1)
+        bands = far - lo + hi - near
+        # A float 1.0: numpy 2.4 adds a Python int into a float row by a path
+        # about 30 times slower.
+        np.add.at(self._steps, lo, 1.0)
+        np.add.at(self._steps, hi, -1.0)
+        cored = np.flatnonzero(near > far)
+        if cored.size:
+            self._moments(segment[cored], phis[cored], ys[cored])
+        ends = bands.cumsum()
         total = int(ends[-1]) if ends.size else 0
         start = done = 0
         while done < total:
@@ -126,30 +303,37 @@ class StreamingGrid:
             end = int(ends[stop - 1])
             if end > done:
                 chunk = slice(start, stop)
-                self._chunk(lo[chunk], hi[chunk], phis[chunk], ys[chunk], end - done)
+                self._chunk(lo[chunk], far[chunk], near[chunk], bands[chunk],
+                            phis[chunk], ys[chunk], end - done)
             start, done = stop, end
-        self.n_seen += phis.size
 
-    def _chunk(self, lo, hi, phis, ys, total: int) -> None:
-        """Add the ``total`` pairs of a run of samples into the state, laid
-        out sample by sample: the count steps at the ends of each window,
-        then ``S``, ``SQ`` and ``SY``, each in one ``np.add.at``, which
-        applies its updates one by one in index order, so each grid point
-        meets its samples in stream order.  A pair whose margin rounds to
-        zero or below takes back its count step."""
+    def _moments(self, segment, phis: np.ndarray, ys: np.ndarray) -> None:
+        """Add each sample's moments into its segment's first-level nodes, in
+        one ``np.add.at`` that takes them moment by moment, and each moment's
+        samples in stream order."""
         delta = self.config.delta
-        counts = hi - lo
+        y = ys * _TAU
+        left = (phis - self._edges[segment]) / delta
+        right = (self._edges[segment + 1] - phis) / delta
+        terms = []
+        for t in (left, right):
+            terms += [np.ones_like(y), y, t, t * t, t * y]
+        np.add.at(self._tree.reshape(-1), (self._slots + segment).reshape(-1), np.concatenate(terms))
+
+    def _chunk(self, lo, far, near, counts, phis, ys, total: int) -> None:
+        """Add the ``total`` band pairs of a run of samples, ``counts`` each,
+        laid out sample by sample, ``[lo, far)`` then ``[near, hi)``, into
+        the band ``S``, ``SQ`` and ``SY``, each in one ``np.add.at``, so each
+        point meets its samples in stream order.  A pair whose margin rounds
+        to zero or below takes back its count step."""
+        delta = self.config.delta
         # Pairs sample by sample: position in the sorted grid, margin, y.
         pos = np.arange(total) - np.repeat(counts.cumsum() - counts - lo, counts)
+        pos += np.repeat(near - far, counts) * (pos >= np.repeat(far, counts))
         dist = self._sorted[pos]
         dist -= np.repeat(phis, counts)
         m = _margins(np.abs(dist, out=dist), delta)
         y = np.repeat(ys, counts)
-        # A window counts at every point from lo up to hi, less the pairs
-        # trimmed below.  A float 1.0: numpy 2.4 adds a Python int into a
-        # float row by a path about 30 times slower.
-        np.add.at(self._steps, lo, 1.0)
-        np.add.at(self._steps, hi, -1.0)
         inside = m > 0.0
         if not inside.all():
             # Rounding can leave a margin <= 0 at either end of a window.
@@ -159,7 +343,7 @@ class StreamingGrid:
             keep = np.flatnonzero(inside)
             pos, m, y = pos[keep], m[keep], y[keep]
         r = np.divide(m, delta, out=m)
-        s, sq, sy = self._sums
+        s, sq, sy = self._bands
         np.add.at(s, pos, r)
         np.add.at(sq, pos, np.multiply(r, r, out=dist[: r.size]))
         np.add.at(sy, pos, np.multiply(r, y, out=y))
@@ -181,3 +365,4 @@ class StreamingGrid:
     def support_sums(self) -> np.ndarray:
         """Per-point sums of the absorbed margins, ``delta * S``."""
         return self._readout()[3]
+

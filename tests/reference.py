@@ -1,12 +1,16 @@
 """Scalar references the tests compare the package against, the order the
 batch references scan in, and the exact window sums."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from rdwo.core import grid_solve
+from rdwo.streaming import _TAU
+
+U = Fraction(1, 2**53)
 
 
 def optimum(x, phis, config):
@@ -17,11 +21,12 @@ def optimum(x, phis, config):
 
 
 def running_sums(x, phis, ys, delta):
-    """The scalar running sums, the bit-for-bit reference for
-    ``StreamingGrid``: fold samples into the state of the one query point
-    ``x``, in order, with the IEEE operations the grid runs for each point:
-    ``S += r``, ``SY += r * y`` and ``SQ += r * r``, with the scaled margin
-    ``r = m / delta``, for each sample with margin ``m = delta - |x - phi| > 0``.
+    """The scalar running sums of the one query point ``x``: fold samples
+    into its state, in order, with the IEEE operations ``StreamingGrid``
+    runs for each pair of its edge bands: ``S += r``, ``SY += r * y`` and
+    ``SQ += r * r``, with the scaled margin ``r = m / delta``, for each sample
+    with margin ``m = delta - |x - phi| > 0``.  So a window that holds only
+    edge-band samples has these bits in the grid too.
 
     Returns ``(estimate, S, SY, SQ, positions, scaled)``: the estimate
     ``SY / S``, nan while no sample is absorbed; the three sums; and the
@@ -78,3 +83,36 @@ def exact_dot(*factors):
     total = sum(math.prod(m) << shift
                 for m, shift in zip(zip(*mantissas), (powers - low).tolist()))
     return Fraction(total) * Fraction(2) ** low
+
+
+def gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``, exactly."""
+    return n * U / (1 - n * U)
+
+
+@functools.lru_cache(maxsize=None)
+def stream_bound(n, points):
+    """The a-priori bound of the ``rdwo.streaming`` docstring on a window sum
+    of ``n`` samples in a ``StreamingGrid`` of ``points`` points: ``gamma(n +
+    8 L + 10) + 3 eps``, relative to the sum's absolute terms, with ``eps =
+    2 (L + 9) u / tau``; then the absolute slack ``(n + 8 L + 10) 2^-1068``
+    of products that underflow.  The tree's levels ``L`` are at most one
+    more than the bit length of its at most ``3 * points`` segments."""
+    levels = (3 * points).bit_length() + 1
+    depth = n + 8 * levels + 10
+    return gamma(depth) + 6 * (levels + 9) * U / Fraction(_TAU), depth * Fraction(2) ** -1068
+
+
+def assert_stream_exact(sums, x, phis, ys, delta, points):
+    """A ``StreamingGrid.sums`` column of the point ``x``, in a grid of
+    ``points`` points, against the exact sums of the samples: the count
+    equal, and ``S``, ``SQ`` and ``SY`` each within ``stream_bound`` of
+    exact, relative to its sum of absolute terms (the cell itself for ``S``
+    and ``SQ``, and ``r . |y|`` for ``SY``)."""
+    n, s, sq, sy, _ = exact_sums(x, phis, ys, delta)
+    scale = exact_sums(x, phis, np.abs(np.asarray(ys, dtype=float)), delta)[3]
+    count, *got = (float(value) for value in sums)
+    assert count == n, (x, count, n)
+    bound, slack = stream_bound(n, points)
+    for value, exact, terms in zip(got, (s, sq, sy), (s, sq, scale)):
+        assert abs(Fraction(value) - exact) <= bound * terms + slack, (x, value, exact)

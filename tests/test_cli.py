@@ -244,22 +244,22 @@ TINY_SNAPSHOTS = {
     "json": (
         '{"x": 0, "estimate": 1, "active_count": 1, "objective": 0.5, "n_seen": 1}\n'
         '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 1}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 2}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 2}\n'
         '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 2}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 3}\n'
         '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 3}\n'
         '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
     ),
     "csv": (
         'x,estimate,active_count,objective,n_seen\n'
         '0,1,1,0.5,1\n'
         '1.5,,0,,1\n'
-        '0,1.6153846153846154,2,0.94339811320566047,2\n'
+        '0,1.6153846153846154,2,0.94339811320566036,2\n'
         '1.5,,0,,2\n'
-        '0,1.6153846153846154,2,0.94339811320566047,3\n'
+        '0,1.6153846153846154,2,0.94339811320566036,3\n'
         '1.5,100,1,0.5,3\n'
-        '0,1.6153846153846154,2,0.94339811320566047,3\n'
+        '0,1.6153846153846154,2,0.94339811320566036,3\n'
         '1.5,100,1,0.5,3\n'
     ),
 }
@@ -602,7 +602,7 @@ verification failure: instance 10 of seed 3 (n=12): simplex_abs_dev=0.00015 sign
                                str(REPO / "demos" / "data" / "sine_experiment.json"),
                                "--format", "csv")
         assert (code, err) == (
-            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=2.04919e-15\n"
+            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=1.39831e-15\n"
         )
 
 
@@ -625,10 +625,9 @@ def stream_reference(xs, phis, ys, delta, fmt, diagnostics, emit_every):
     return "".join(want)
 
 
-class TestChangeDrivenSnapshots:
-    """stream keeps each grid point's line between snapshots and formats it
-    again only when the point absorbed a sample; fit formats a text at a
-    time.  Both print what grid_reference prints field by field."""
+class TestSnapshots:
+    """stream formats every grid point's line at each snapshot, and fit once.
+    Both print what grid_reference prints field by field."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -665,46 +664,6 @@ class TestChangeDrivenSnapshots:
         solution = grid_solve(xs, phis, ys, EstimatorConfig(delta=delta))
         assert out == grid_reference(fmt, xs, solution, diagnostics,
                                      phis.size if diagnostics else None)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_a_snapshot_formats_only_the_rows_that_changed(
-        self, capsys, monkeypatch, tmp_path, stream_rows, fmt
-    ):
-        grid = (*STREAM_GRID, 5.0, STREAM_GRID[1])
-        formatted, x_texts = [], []
-        real_heads, real_float = cli.format_heads, cli.format_float
-
-        def heads_spy(fmt, header, kinds, columns, **rows):
-            formatted.append(list(columns[0]))
-            return real_heads(fmt, header, kinds, columns, **rows)
-
-        def float_spy(value):
-            x_texts.append(value)
-            return real_float(value)
-
-        monkeypatch.setattr(cli, "format_heads", heads_spy)
-        monkeypatch.setattr(cli, "format_float", float_spy)
-        path = write_rows(tmp_path / "rows.csv", stream_rows)
-        code, out, _ = run_cli(
-            capsys, "stream", "--input", path, "--delta", "0.5",
-            "--grid-list=" + ",".join(map(str, grid)), "--emit-every", "3", "--format", fmt,
-        )
-        assert code == 0
-        phis, ys = read_arrays(path)
-        assert out == stream_reference(np.array(grid), phis, ys, 0.5, fmt, False, 3)
-        # each x is formatted once; a snapshot formats the rows whose active
-        # count moved since the last one, all of them at the first
-        assert x_texts == list(grid)
-        engine = StreamingGrid(np.array(grid), EstimatorConfig(delta=0.5))
-        before, want = np.full(len(grid), -1), []
-        for n_seen in [*range(3, 25, 3), 24]:
-            engine.extend(phis[engine.n_seen : n_seen], ys[engine.n_seen : n_seen])
-            changed = np.flatnonzero(engine.n_active != before)
-            before = engine.active_counts()
-            if changed.size:
-                want.append([real_float(grid[i]) for i in changed])
-        assert formatted == want
-        assert len(want) < 9 and sum(map(len, want)) < 9 * len(grid)
 
 
 class TestBadInput:

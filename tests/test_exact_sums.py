@@ -7,10 +7,11 @@ those exact sums, relative to the cell's sum of absolute terms ``R`` (the
 cell itself for ``S``, ``SQ`` and ``r . |x - phi|``, and ``r . |y|`` for ``r
 . y``):
 
-- the loop ``core._window_dots`` and ``StreamingGrid``, which add the same
-  n terms in different orders: ``gamma_n R``, for an n-term sum or dot in
-  any order (Higham, *Accuracy and Stability of Numerical Algorithms*,
+- the loop ``core._window_dots``: ``gamma_n R``, for an n-term sum or dot
+  in any order (Higham, *Accuracy and Stability of Numerical Algorithms*,
   lemma 3.1);
+- ``StreamingGrid``, which adds segment moments and edge-band pairs:
+  ``reference.stream_bound``, the bound its module docstring derives;
 - the moment kernel ``_moments._moment_table``: ``_MOMENT_TOL R`` on every cell
   it keeps.  The others go to the loop.
 """
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from rdwo import _moments, core
 from rdwo.core import EstimatorConfig
 from rdwo.streaming import StreamingGrid
-from reference import exact_sums
+from reference import assert_stream_exact, exact_sums, running_sums
 
 U = Fraction(1, 2**53)
 TOL = Fraction(_moments._MOMENT_TOL)
@@ -72,17 +73,18 @@ def check_loop(xs, phis, ys, delta):
             assert within(got, exact, gamma(n) * scale), (x, got, exact)
 
 
-def check_stream(xs, phis, ys, delta):
+def check_stream(xs, phis, ys, delta, grid=None):
+    """Stream the samples over ``grid``, an ascending one that holds ``xs``,
+    or over ``xs``, and check the sums of the points ``xs`` against the
+    exact ones; return their columns."""
     # The samples in stream order, not sorted: any order meets the bound.
     order = np.random.default_rng(phis.size).permutation(phis.size)
-    engine = StreamingGrid(xs, EstimatorConfig(delta=delta))
+    engine = StreamingGrid(xs if grid is None else grid, EstimatorConfig(delta=delta))
     engine.extend(phis[order], ys[order])
+    table = engine.sums if grid is None else engine.sums[:, np.searchsorted(grid, xs)]
     for q, x in enumerate(xs.tolist()):
-        n, cells = exact_cells(x, phis, ys, delta)
-        count, *sums = engine.sums[:, q]
-        assert count == n
-        for got, (exact, scale) in zip(sums, [cells[0], cells[1], cells[3]]):
-            assert within(got, exact, gamma(n) * scale), (x, got, exact)
+        assert_stream_exact(table[:, q], x, phis, ys, delta, engine.xs.size)
+    return table
 
 
 @st.composite
@@ -199,3 +201,54 @@ def test_small_windows_keep_the_loops_bits():
     assert loop.all()
     assert np.array_equal(core._window_sums(xs, phis, 0.1, (ys,)),
                           core._window_dots(xs, phis, 0.1, (ys,)))
+
+
+def huge_delta():
+    return np.array([0.5]), np.array([0.5]), np.array([1.0]), 1e300
+
+
+def wide_windows():
+    # Windows of about 6,000 samples per delta, more than the moment
+    # kernel's 4,096 a block.
+    rng = np.random.default_rng(32)
+    phis = np.sort(rng.uniform(0.0, 1.0, 30_000))
+    return np.linspace(0.1, 0.9, 5), phis, np.cos(phis) + rng.normal(0, 0.1, phis.size), 0.2
+
+
+@pytest.mark.parametrize(
+    "case", [edge_only, tie_cluster, offset_data, subnormal_delta, huge_delta, wide_windows],
+    ids=["edge-only", "tie-cluster", "offset-1e8", "delta-1e-320", "delta-1e300", "wide-windows"])
+def test_hostile_windows_stream_within_the_bound(case):
+    xs, phis, ys, delta = case()
+    check_stream(xs, phis, ys, delta)
+
+
+def test_stream_overflows_no_sooner_past_the_cored_deltas():
+    # Past 2^1000 no point has a core, and a window is all band pairs.
+    xs, phis, ys, _ = huge_delta()
+    check_stream(xs, phis, ys, 1e308)
+
+
+def test_tie_cluster_sq_within_the_kernel_tolerance():
+    # The 10^4 ties at 0.5 on a 3,000-point grid over [0, 1]: each point
+    # within delta of the cluster holds it, and its SQ stays within
+    # _MOMENT_TOL of exact.
+    xs, phis, ys, delta = tie_cluster()
+    grid = np.linspace(0.0, 1.0, 3000)
+    near = grid[np.abs(grid - 0.5) < delta][::4]
+    table = check_stream(near, phis, ys, delta, grid)
+    for q, x in enumerate(near.tolist()):
+        n, _, sq, _, _ = exact_sums(x, phis, ys, delta)
+        assert n > 10_000
+        assert within(table[2, q], sq, TOL * sq)
+
+
+def test_edge_band_windows_keep_the_running_sums_bits():
+    # A window that holds only edge-band samples is summed pair by pair, in
+    # stream order, as the scalar running sums add it.
+    xs, phis, ys, delta = edge_only()
+    order = np.random.default_rng(33).permutation(phis.size)
+    engine = StreamingGrid(xs, EstimatorConfig(delta=delta))
+    engine.extend(phis[order], ys[order])
+    _, s, sy, sq, positions, _ = running_sums(0.5, phis[order], ys[order], delta)
+    assert engine.sums[:, 0].tolist() == [len(positions), s, sq, sy]
