@@ -14,10 +14,10 @@ processes through ``_fork.halves``: the parent the lower half by index, a
 forked child the upper half.  Each process draws the seeded data itself,
 reduces its half's batch windows over sorted copies with
 ``core._window_sums``, the reduction ``grid_solve`` reads, and checks the
-error bounds; the child then draws the data again and streams it over the
-whole grid, whose breakpoints cut the streaming state.  The child returns its
-columns and the stream's estimates through shared anonymous maps.  Every
-output bit, and every error, is the one a single process gives.
+error bounds; the child returns its columns through a shared anonymous map.
+Then the data is drawn again and streamed over the whole grid, whose
+breakpoints cut the streaming state, in one process.  Every output bit, and
+every error, is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -374,34 +374,26 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     Every query is answered from the closed-form weights over the full
     dataset, and its error bound is evaluated from the same weights and the
-    distances they came from; one streaming pass over the same data answers
-    it again (see :func:`_answer`).  The target is evaluated once on the
+    distances they came from (see :func:`_answer`); then one streaming pass
+    over the same data answers it again.  The target is evaluated once on the
     whole grid; its elementwise ufuncs give each point what a scalar call
     gives.
     """
     x = np.asarray(spec.query_grid)
     truth = _target_values(spec, x)
-    forks = _forks(spec)
-    stream = _fork.shared_floats((x.size,)) if forks else np.empty(x.size)
 
     def answer(part: slice) -> np.ndarray:
-        table = _answer(spec, x[part], truth[part])
-        # The part that ends the grid, the child's or the whole, streams the
-        # whole grid, whose breakpoints cut the streaming state's segments
-        # (see rdwo.streaming), so that the stream has the bits of one pass.
-        if part.stop is None:
-            engine = StreamingGrid(x, spec.config)
-            engine.extend(*_dataset_arrays(spec)[::2])
-            stream[:] = engine.estimates()
-        return table
+        return _answer(spec, x[part], truth[part])
 
-    table = _fork.halves(answer, (_ROWS, x.size)) if forks else answer(slice(None))
+    table = _fork.halves(answer, (_ROWS, x.size)) if _forks(spec) else answer(slice(None))
+    stream = StreamingGrid(x, spec.config)
+    stream.extend(*_dataset_arrays(spec)[::2])
     count = table[0].astype(int)
     bound_holds = table[4].astype(bool)
     supported = count > 0
     errors = table[2][supported]
     return ExperimentReport(
-        x, truth, table[1], table[2], table[3], bound_holds, count, stream, table[5],
+        x, truth, table[1], table[2], table[3], bound_holds, count, stream.estimates(), table[5],
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
@@ -432,7 +424,7 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarra
     del order
     # count, S, SQ, r . |x - phi|, r . y, r . noise, r . |y|, r . |noise|
     sums = _window_sums(x, phis, spec.config.delta, (ys, noises), True, True)
-    del phis, noises, ys
+    del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
     means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]
     table = np.empty((_ROWS, x.size))
@@ -451,7 +443,7 @@ def _forks(spec: ExperimentSpec) -> bool:
     """Whether to answer the upper half of the query grid in a child process.
 
     Only where :func:`~rdwo.dataio.can_fork` allows.  Each half still
-    draws and sorts the whole dataset, the child streams it, and the fork itself costs
+    draws and sorts the whole dataset, and the fork itself costs
     milliseconds, so the split pays only on grids wide enough for the work
     per point to dominate.
     """

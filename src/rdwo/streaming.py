@@ -1,66 +1,58 @@
 """One-pass streaming form of the windowed direct-weight estimator.
 
-A query point's streaming state is the window state of :mod:`rdwo.core`,
-kept as sums over the samples absorbed so far, in scaled margins ``r = m /
-delta`` with ``m = delta - |x - phi|``, which lie in (0, 1]::
+A query point's streaming state is the window state of :mod:`rdwo.core`:
+the count and, in scaled margins ``r = m / delta`` with ``m = delta - |x -
+phi|`` in (0, 1], the sums ``S = sum r``, ``SQ = sum r * r`` and ``SY = sum
+r * y`` over the samples absorbed so far.  A read gives them as one table in
+the row order of ``core._window_sums`` (count, ``S``, ``SQ``, ``SY``), which
+``core._readout`` reads out, as for the batch path.
 
-    S = sum r,    SQ = sum r * r,    SY = sum r * y,
+A sample's window is a run of the sorted grid, found by binary search, and
+the count a +1 step where it starts and a -1 step where it ends, summed
+when read.  On most grids each point adds the sample as a pair: its margin,
+its square and its product with ``y``.  Where windows hold many points, the margin's
+structure is cheaper (:mod:`rdwo._segments`): it is piecewise linear in
+``phi``, and with ``tau = _TAU`` the breakpoints ``B = x - (1 - tau)
+delta``, ``x`` and ``C = x + (1 - tau) delta`` of every point cut the line
+into segments, and each window into the core sides ``[B, x)`` and ``[x,
+C)`` and two edge bands:
 
-and the count.  A read gives them as one table in the row order of
-``core._window_sums`` (count, ``S``, ``SQ``, ``SY``), which
-``core._readout`` reads out.  The batch path of :mod:`rdwo.core` forms the
-same quotient over the same window; the two differ only in how they add.
+- a sample in some core adds its count and its sums of ``d``, ``d^2``, ``tau
+  y`` and ``d tau y`` to its one segment, ``d`` its distance from the
+  segment's middle in units of ``delta``;
+- a read shifts these moments to the centre of each segment's block, a cell
+  of width ``delta``, and takes running sums along the segments, exactly
+  but for a small remainder; a core side spans at most two blocks, over each of which
+  its margins are ``g + d`` on the left and ``g - d`` on the right, ``g`` the
+  margin at the centre and ``d`` the distance from it;
+- a sample in a point's edge band is added to its band sums as a pair, with
+  the float margin of ``core._margins``, and dropped where that is <= 0.
 
-:class:`StreamingGrid` does not add one term per (sample, grid point) pair.
-The margin is piecewise linear in ``phi``, with breakpoints only at the
-points ``x`` and ``x +- delta``.  With ``tau = _TAU``, the breakpoints ``B =
-x - (1 - tau) delta``, ``x`` and ``C = x + (1 - tau) delta`` of every point
-cut the line into segments, and each point's window into a core ``[B, C)``
-and two edge bands of width ``tau delta``:
+Every add goes through ``np.add.at``, which applies its updates in index
+order, so the state has the same bits however the samples are split between
+calls; a point's bits depend on the whole grid.  A point has a core only
+where ``2^-960 <= delta <= 2^960`` and ``|x| <= 2^40 delta``, so that every
+core sample stays in the window with a margin of at least ``tau / 2``, and
+only on a grid whose windows hold ``_CORE_POINTS`` points on average;
+elsewhere its sums are pairs all through, a running sum's bits.  The moments of
+``y`` are in units of ``tau y``, an exact scaling, so that none overflows
+before the ``SY`` it feeds.
 
-- A sample in some core adds ten moments to its one segment: from either
-  end of the segment, the count and the sums of ``tau y``, ``t``, ``t^2``
-  and ``t tau y``, with ``t`` its distance from that end in units of
-  ``delta``.
-- A read shifts these moments up a binary tree over the segments, into
-  each node's moments from either end.  Each side of a core, ``[B, x)`` and
-  ``[x, C)``, is the union of at most two nodes a level (:func:`_cover`).
-  Over a node its margins are ``a + t``, with ``a >= tau`` the margin at the
-  node's end farther from ``x``, so ``S``, ``SQ`` and ``SY`` are sums of
-  nonnegative multiples of the moments, never a difference of them.
-- A sample in a point's edge band is added as a pair to that point's band
-  sums, with the float margin of ``core._margins``, and dropped where that
-  rounds to zero or below, as ``core._sorted_windows`` drops it.  A sample
-  lies in the bands of only a few points.
-- The count is a +1 step where each sample's window starts in the sorted
-  grid and a -1 step where it ends, summed when read.
+**Bound.**  With ``R`` a cell's sum of absolute terms (itself for ``S`` and
+``SQ``, ``r . |y|`` for ``SY``), ``n`` its count, ``u = 2^-53``, ``gamma(k) =
+k u / (1 - k u)`` (Higham, *Accuracy and Stability of Numerical
+Algorithms*, lemma 3.1), ``W`` the widest core segment over ``delta`` and
+``Q = 1 + (2 + 4 W) / tau``: a core term's ``|g| + |d|`` is at most ``Q``
+times its margin, and its margin ``g +- d`` within ``11 u Q`` of the float
+one, relative; the segment sums run ``n`` roundings deep on terms in ``d``
+and ``tau y`` alone, and every other step at most 16 on terms of at most
+``Q^2`` times their part of ``R``.  So each cell is within::
 
-Every add into the state goes through ``np.add.at``, which applies its
-updates one by one in index order, so each segment and each band meets its
-samples in stream order, and the state has the same bits however the
-samples are split between calls.  A point's bits depend on the whole grid,
-whose breakpoints cut the segments.  The moments of ``y`` are in units of
-``tau y``, an exact scaling, so that none overflows before the ``SY`` it
-feeds.
+    (gamma(16) Q^2 + gamma(n + 1) Q (1 + 3 W / tau) + 24 u Q) R + T
 
-**Bound.**  Let ``R`` be a cell's sum of absolute terms (the cell itself for
-``S`` and ``SQ``, and ``r . |y|`` for ``SY``), ``n`` its count, ``L`` the
-tree's levels and ``u = 2^-53``.  A core margin ``a + t`` adds at most ``L +
-2`` rounded distances, each within ``2 u`` of its own size and all within
-one ``delta``, to ``a``, within ``3 u``; the float margin is within ``3 u``
-of the exact one too, and every core margin is at least ``tau / 2``.  So
-the two are within ``eps = 2 (L + 9) u / tau`` of each other, relative, and
-each cell, a sum of nonnegative multiples of its terms at most ``n + 8 L +
-10`` roundings deep, is within::
-
-    (gamma(n + 8 L + 10) + 3 eps) R
-
-of the exact sum of the float terms, ``gamma(k) = k u / (1 - k u)`` (Higham,
-*Accuracy and Stability of Numerical Algorithms*, lemma 3.1), save for
-products that underflow.  A point has a core only where ``2^-960 <= delta
-<= 2^1000`` and ``|x| <= 2^40 delta``, so that rounding cannot move a core
-sample out of the window or below ``tau / 2``; elsewhere its whole window
-is band, and its sums are those of one running sum per point.
+of the exact sum of the float terms, where ``T = 2^-97 Q K^4 u M`` bounds
+the remainders' running sums over the ``K`` segments, ``M`` the largest
+shifted moment, and products that underflow.
 """
 
 from __future__ import annotations
@@ -75,13 +67,17 @@ __all__ = ["StreamingGrid"]
 # A power of two, so that the moments of tau * y are exact.
 _TAU = 2.0**-6
 
-# Samples whose windows the kernel looks up at once, and the (sample, grid
-# point) band pairs it folds at once.  A chunk holds whole samples, so a
-# sample whose bands alone hold more pairs is a chunk by itself.  At 8 bytes
-# an entry, every chunk array of a full chunk stays under glibc's 128 KiB
-# mmap threshold and is recycled from the heap rather than mapped afresh.
+# Samples whose windows the kernel looks up at once, and the band pairs it
+# folds at once.  A chunk holds whole samples, so a sample whose bands alone
+# hold more pairs is a chunk by itself.  At 8 bytes an entry, every chunk
+# array of a full chunk stays under glibc's 128 KiB mmap threshold and is
+# recycled from the heap rather than mapped and faulted in afresh.
 _SUB_BLOCK = 1024
 _PAIR_BUDGET = 8192
+# The fewest grid points a window holds, on average, for the grid to keep
+# cores.  Cutting and reading the segments costs about as much per point as
+# a hundred pairs, which a core saves only where many points share a window.
+_CORE_POINTS = 128
 
 
 class StreamingGrid:
@@ -110,117 +106,31 @@ class StreamingGrid:
         self._sorted = self.xs[order]
         # Each point's position in the sorted grid.
         self._rank = np.argsort(order)
-        # Planned by the first fold (see _plan): a forked ``stream`` folds in
-        # its child, and the parent, which only prints, never plans.
-        self._find = None
-        # Samples waiting to be absorbed, as (2, n) arrays of phi and y.
-        self._waiting, self._held = [], 0
+        # The segments of the cores, cut by the first fold (see _plan), or
+        # False without cores: a forked ``stream`` folds in its child, and the
+        # parent, which only prints, never cuts.
+        self._segments = None
 
     def _plan(self) -> None:
-        """Cut the segments, lay out the tree over them and the nodes that
-        cover each core side, and tabulate what a sample's one search finds."""
+        """Find the points that keep cores, and cut their segments."""
         delta, x = self.config.delta, self._sorted
         first = last = 0
-        if 2.0**-960 <= delta <= 2.0**1000:
+        if 2.0**-960 <= delta <= 2.0**960:
             first, last = np.searchsorted(x, [-(2.0**40) * delta, 2.0**40 * delta], side="right")
-        cored, reach = x[first:last], (1.0 - _TAU) * delta
-        edges, where = np.unique(np.concatenate([cored - reach, cored, cored + reach]),
-                                 return_inverse=True)
-        segments = max(edges.size - 1, 0)
-        b, mid, c = where.reshape(3, cored.size)
-        self._cored, self._edges = slice(first, last), edges
-        # Level h of the tree has `count` nodes; node i holds segments i 2^h
-        # up to (i + 1) 2^h.  Its moments from its left end are column `offset
-        # + i` of `_tree`, and from its right end `offset + count + i`.  The
-        # last column stays zero.  A read fills each level from the one below
-        # (`_ups`): a node from its left end is its left child, and its right
-        # child shifted by the left one's width; from its right end, its right
-        # child, and its left child shifted by the right one's width.
-        #
-        # The nodes that cover the core sides [B, x) and [x, C), level by
-        # level, at most two a side a level: at level h a side still to cover
-        # runs over nodes [lo, hi), and takes its odd ends.  Each entry is its
-        # node's column, its point, and the margin at the node's end farther
-        # from the point.
-        lo, hi = np.stack([b, mid], 1).ravel(), np.stack([mid, c], 1).ravel()
-        sides = np.arange(lo.size)
-        entries, levels = [], []
-        count, offset, h = segments, 0, 0
-        while sides.size:
-            take = np.concatenate([lo & 1, hi & 1]).astype(bool)
-            nodes = np.concatenate([lo, hi - 1])[take]
-            taken = np.concatenate([sides, sides])[take]
-            right = taken & 1
-            ends = edges[np.minimum((nodes + right) << h, segments)]
-            entries.append((offset + right * count + nodes, taken >> 1,
-                            1.0 - np.abs(ends - cored[taken >> 1]) / delta))
-            lo, hi = (lo + 1) >> 1, hi >> 1
-            live = lo < hi
-            lo, hi, sides = lo[live], hi[live], sides[live]
-            levels.append((offset, count))
-            offset, count, h = offset + 2 * count, -(-count // 2), h + 1
-        columns, points, margin = (np.concatenate(parts) for parts in zip(([], [], []), *entries))
-        order = np.argsort(points, kind="stable")
-        self._columns, self._margin = columns[order].astype(np.intp), margin[order]
-        self._runs = np.flatnonzero(np.diff(points[order], prepend=-1))
-        self._tree = np.zeros((5, offset + 1))
-        self._ups = []
-        for h, ((below, count), (above, parents)) in enumerate(zip(levels, levels[1:])):
-            width = np.diff(edges[np.minimum(np.arange(count + 1) << h, segments)]) / delta
-            even = 2 * np.arange(parents)
-            odd = np.minimum(even + 1, count - 1)
-            pair = even + 1 < count
-            # The stay and the moved child of each node from its left end,
-            # then from its right end; a lone child moves the zero column.
-            stay = below + np.concatenate([even, np.where(pair, odd, even) + count])
-            move = np.where(np.concatenate([pair, pair]),
-                            below + np.concatenate([odd, even + count]), offset)
-            shift = np.concatenate([width[even], np.where(pair, width[odd], 0.0)])
-            self._ups.append((stay, move, shift, slice(above, above + 2 * parents)))
-        # Where a sample's moments go in the tree's first level: its count,
-        # tau y, t, t^2 and t tau y from its segment's left end, then from
-        # its right end.
-        self._slots = (np.arange(5) * self._tree.shape[1] + [[0], [segments]]).reshape(10, 1)
-        # A sample's one search: the count of bounds at or below it picks its
-        # column of `_find`.  Its window runs from the points whose window
-        # ends below it, fl(x + delta) < phi, up to those whose window starts
-        # at or below it, fl(x - delta) <= phi: no double lies strictly
-        # between a real number and its nearest double, and margins <= 0 are
-        # dropped.  The points whose C and whose B lie at or below it bound
-        # the cores that hold it, between its two bands.  Then its segment.
-        closed, opened = np.nextafter(x + delta, np.inf), x - delta
-        self._bounds = np.sort(np.concatenate([closed, opened, edges]))
-        lo, hi, slot = (np.searchsorted(keys, np.append(-np.inf, self._bounds), side="right")
-                        for keys in (closed, opened, edges))
-        far, near = (np.cumsum(np.bincount(ends, minlength=edges.size)) for ends in (c, b))
-        far = np.clip(np.append(0, far)[slot] + first, lo, hi)
-        near = np.clip(np.append(0, near)[slot] + first, far, hi)
-        self._find = np.stack([lo, far, near, hi, slot - 1]).astype(np.int32)
+        probe = x[first:last:(last - first) // 1024 + 1]
+        self._segments = False
+        if probe.size and np.mean(np.searchsorted(x, probe + delta, side="right")
+                                  - np.searchsorted(x, probe - delta)) >= _CORE_POINTS:
+            from ._segments import Segments
+
+            self._segments = Segments(x, delta, first, last)
 
     @property
     def sums(self) -> np.ndarray:
         """The count, ``S``, ``SQ`` and ``SY`` of each grid point, the rows
         of ``core._window_sums``, as a new ``(4, G)`` table in grid order:
         writing into it leaves the state as it was."""
-        self._flush()
-        sums = self._bands.copy()
-        if self._find is not None and self._columns.size:
-            tree = self._tree
-            # Each level from the one below: a shift by d takes a node's
-            # moments to t + d, and adds them into the other child's.
-            for stay, move, d, level in self._ups:
-                n, y, t, t2, ty = moved = tree.take(move, axis=1)
-                nd = n * d
-                t2 += d * (t + t + nd)
-                ty += d * y
-                t += nd
-                np.add(tree.take(stay, axis=1), moved, out=tree[:, level])
-            n, y, t, t2, ty = tree.take(self._columns, axis=1)
-            a = self._margin
-            s = n * a + t
-            cores = np.add.reduceat([s, a * (s + t) + t2, a * y + ty], self._runs, axis=1)
-            cores[2] /= _TAU
-            sums[:, self._cored] += cores
+        sums = self._segments.add(self._bands) if self._segments else self._bands
         table = np.empty((4, self.xs.size))
         # The ranks are in range; mode "clip" lets take write into its out
         # directly, where the default mode gathers into a buffer first.
@@ -231,7 +141,6 @@ class StreamingGrid:
     @property
     def n_active(self) -> np.ndarray:
         """The samples absorbed by each grid point, as a new float row."""
-        self._flush()
         return np.cumsum(self._steps[:-1]).take(self._rank)
 
     def extend(self, phis: np.ndarray, ys: np.ndarray) -> None:
@@ -239,59 +148,45 @@ class StreamingGrid:
 
         The same as one call per sample in turn, bit for bit.  A non-finite
         sample raises :class:`ValueError` after every sample before it has
-        been absorbed, as that loop would.  Calls of fewer than
-        ``_SUB_BLOCK`` samples wait, as copies, until a sub-block of them or
-        a read is due, so that many short calls fold as a few long ones.
+        been absorbed, as that loop would.
         """
         phis = np.asarray(phis, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if phis.shape != ys.shape or phis.ndim != 1:
             raise ValueError("phis and ys must be aligned 1-D arrays")
-        finite = np.isfinite(phis) & np.isfinite(ys)
-        good = phis.size if finite.all() else int(np.argmin(finite))
-        self.n_seen += good
-        if good < _SUB_BLOCK:
-            self._waiting.append(np.array([phis[:good], ys[:good]]))
-            self._held += good
-        if good >= _SUB_BLOCK or good < phis.size or self._held >= _SUB_BLOCK:
-            self._flush()
-        if good >= _SUB_BLOCK:
-            self._absorb(phis[:good], ys[:good])
-        if good < phis.size:
-            _number("phi", phis[good])
-            _number("y", ys[good])
-
-    def _flush(self) -> None:
-        """Absorb the samples that wait."""
-        if self._held:
-            waiting, self._waiting, self._held = self._waiting, [], 0
-            self._absorb(*np.concatenate(waiting, axis=1))
+        for start in range(0, phis.size, _SUB_BLOCK):
+            block_phis = phis[start : start + _SUB_BLOCK]
+            block_ys = ys[start : start + _SUB_BLOCK]
+            finite = np.isfinite(block_phis) & np.isfinite(block_ys)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                self._absorb(block_phis[:bad], block_ys[:bad])
+                _number("phi", block_phis[bad])
+                _number("y", block_ys[bad])
+            self._absorb(block_phis, block_ys)
 
     def _absorb(self, phis: np.ndarray, ys: np.ndarray) -> None:
-        """Fold finite samples a sub-block at a time."""
-        if self._find is None:
+        """Fold a sub-block of finite samples: the count steps, the moments
+        of the samples in a core, then the band pairs in chunks of whole
+        samples, about ``_PAIR_BUDGET`` pairs each."""
+        if self._segments is None:
             self._plan()
-        for start in range(0, phis.size, _SUB_BLOCK):
-            self._fold(phis[start : start + _SUB_BLOCK], ys[start : start + _SUB_BLOCK])
-
-    def _fold(self, phis: np.ndarray, ys: np.ndarray) -> None:
-        """Fold a sub-block of finite samples: the count steps, the segment
-        moments, then the band pairs in chunks of whole samples, about
-        ``_PAIR_BUDGET`` pairs each."""
-        # The searches run over the samples in ascending order, which keeps
-        # each search's path through the bounds in cache, and are put back.
-        order = np.argsort(phis)
-        slots = np.empty(phis.size, dtype=np.intp)
-        slots[order] = np.searchsorted(self._bounds, phis[order], side="right")
-        lo, far, near, hi, segment = self._find.take(slots, axis=1)
-        bands = far - lo + hi - near
+        # A positive margin means |x - phi| < delta exactly, so x lies between
+        # fl(phi - delta) and fl(phi + delta) (see core._sorted_windows): a
+        # sample's pairs are its window [lo, hi) in the sorted grid, less the
+        # points whose core holds it, [far, near).
+        if self._segments:
+            lo, hi, far, near = self._segments.fold(phis, ys)
+            bands = far - lo + hi - near
+        else:
+            delta = self.config.delta
+            lo = np.searchsorted(self._sorted, phis - delta, side="left")
+            hi = far = near = np.searchsorted(self._sorted, phis + delta, side="right")
+            bands = hi - lo
         # A float 1.0: numpy 2.4 adds a Python int into a float row by a path
         # about 30 times slower.
         np.add.at(self._steps, lo, 1.0)
         np.add.at(self._steps, hi, -1.0)
-        cored = np.flatnonzero(near > far)
-        if cored.size:
-            self._moments(segment[cored], phis[cored], ys[cored])
         ends = bands.cumsum()
         total = int(ends[-1]) if ends.size else 0
         start = done = 0
@@ -306,19 +201,7 @@ class StreamingGrid:
                 self._chunk(lo[chunk], far[chunk], near[chunk], bands[chunk],
                             phis[chunk], ys[chunk], end - done)
             start, done = stop, end
-
-    def _moments(self, segment, phis: np.ndarray, ys: np.ndarray) -> None:
-        """Add each sample's moments into its segment's first-level nodes, in
-        one ``np.add.at`` that takes them moment by moment, and each moment's
-        samples in stream order."""
-        delta = self.config.delta
-        y = ys * _TAU
-        left = (phis - self._edges[segment]) / delta
-        right = (self._edges[segment + 1] - phis) / delta
-        terms = []
-        for t in (left, right):
-            terms += [np.ones_like(y), y, t, t * t, t * y]
-        np.add.at(self._tree.reshape(-1), (self._slots + segment).reshape(-1), np.concatenate(terms))
+        self.n_seen += phis.size
 
     def _chunk(self, lo, far, near, counts, phis, ys, total: int) -> None:
         """Add the ``total`` band pairs of a run of samples, ``counts`` each,
@@ -329,7 +212,8 @@ class StreamingGrid:
         delta = self.config.delta
         # Pairs sample by sample: position in the sorted grid, margin, y.
         pos = np.arange(total) - np.repeat(counts.cumsum() - counts - lo, counts)
-        pos += np.repeat(near - far, counts) * (pos >= np.repeat(far, counts))
+        if self._segments:
+            pos += np.repeat(near - far, counts) * (pos >= np.repeat(far, counts))
         dist = self._sorted[pos]
         dist -= np.repeat(phis, counts)
         m = _margins(np.abs(dist, out=dist), delta)
@@ -365,4 +249,3 @@ class StreamingGrid:
     def support_sums(self) -> np.ndarray:
         """Per-point sums of the absorbed margins, ``delta * S``."""
         return self._readout()[3]
-

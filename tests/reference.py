@@ -1,5 +1,5 @@
 """Scalar references the tests compare the package against, the order the
-batch references scan in, and the exact window sums."""
+batch references scan in, the exact window sums and the streaming bound."""
 
 import functools
 import math
@@ -21,12 +21,12 @@ def optimum(x, phis, config):
 
 
 def running_sums(x, phis, ys, delta):
-    """The scalar running sums of the one query point ``x``: fold samples
-    into its state, in order, with the IEEE operations ``StreamingGrid``
-    runs for each pair of its edge bands: ``S += r``, ``SY += r * y`` and
-    ``SQ += r * r``, with the scaled margin ``r = m / delta``, for each sample
-    with margin ``m = delta - |x - phi| > 0``.  So a window that holds only
-    edge-band samples has these bits in the grid too.
+    """The scalar running sums, the bit-for-bit reference for a
+    ``StreamingGrid`` point without a core, and for its edge bands: fold
+    samples into the state of the one query point ``x``, in order, with the
+    IEEE operations the grid runs for each pair: ``S += r``, ``SY += r * y``
+    and ``SQ += r * r``, with the scaled margin ``r = m / delta``, for each
+    sample with margin ``m = delta - |x - phi| > 0``.
 
     Returns ``(estimate, S, SY, SQ, positions, scaled)``: the estimate
     ``SY / S``, nan while no sample is absorbed; the three sums; and the
@@ -90,29 +90,52 @@ def gamma(n):
     return n * U / (1 - n * U)
 
 
-@functools.lru_cache(maxsize=None)
-def stream_bound(n, points):
+def stream_bound(engine, n):
     """The a-priori bound of the ``rdwo.streaming`` docstring on a window sum
-    of ``n`` samples in a ``StreamingGrid`` of ``points`` points: ``gamma(n +
-    8 L + 10) + 3 eps``, relative to the sum's absolute terms, with ``eps =
-    2 (L + 9) u / tau``; then the absolute slack ``(n + 8 L + 10) 2^-1068``
-    of products that underflow.  The tree's levels ``L`` are at most one
-    more than the bit length of its at most ``3 * points`` segments."""
-    levels = (3 * points).bit_length() + 1
-    depth = n + 8 * levels + 10
-    return gamma(depth) + 6 * (levels + 9) * U / Fraction(_TAU), depth * Fraction(2) ** -1068
+    of ``n`` samples in ``engine`` after its folds: ``(relative, absolute)``,
+    the first relative to the sum's absolute terms.  Without cores a sum is
+    a running sum, within ``gamma(n)``; both allow ``2^-1060`` a term for
+    products that underflow."""
+    slack = (n + 16) * Fraction(2) ** -1060
+    if not engine._segments:
+        return gamma(n), slack
+    w, q, remainder = _core_terms(engine, engine.n_seen)
+    relative = gamma(16) * q * q + gamma(n + 1) * q * (1 + 3 * w / Fraction(_TAU)) + 24 * U * q
+    return relative, remainder + slack
 
 
-def assert_stream_exact(sums, x, phis, ys, delta, points):
-    """A ``StreamingGrid.sums`` column of the point ``x``, in a grid of
-    ``points`` points, against the exact sums of the samples: the count
-    equal, and ``S``, ``SQ`` and ``SY`` each within ``stream_bound`` of
-    exact, relative to its sum of absolute terms (the cell itself for ``S``
-    and ``SQ``, and ``r . |y|`` for ``SY``)."""
+@functools.lru_cache(maxsize=4)
+def _core_terms(engine, n_seen):
+    """``W``, ``Q`` and ``T`` of the bound for ``engine`` after ``n_seen``
+    samples."""
+    segments, delta = engine._segments, engine.config.delta
+    edges = segments.edges
+    cover = np.zeros(edges.size)
+    np.add.at(cover, segments.bounds[0], 1.0)
+    np.add.at(cover, segments.bounds[4], -1.0)
+    inside = np.cumsum(cover)[:-1] > 0
+    # Each difference of two edges is within a rounding of exact.
+    w = Fraction(float(np.diff(edges)[inside].max())) * (1 + 2 * U) / Fraction(delta)
+    q = 1 + (2 + 4 * w) / Fraction(_TAU)
+    count, v, v2, y, vy = segments.moments.T
+    s = segments.shift
+    shifted = v + count * s
+    largest = max(float(np.abs(m).max()) for m in (count, shifted, v2 + s * (v + shifted), y,
+                                                      vy + s * y))
+    k = edges.size - 1
+    return w, q, Fraction(2) ** -97 * q * k**4 * U * Fraction(largest) + k * Fraction(2) ** -1060
+
+
+def assert_stream_exact(sums, x, phis, ys, delta, engine):
+    """A ``StreamingGrid.sums`` column of the point ``x`` of ``engine``
+    against the exact sums of the samples: the count equal, and ``S``,
+    ``SQ`` and ``SY`` each within ``stream_bound`` of exact, relative to its
+    sum of absolute terms (the cell itself for ``S`` and ``SQ``, and ``r .
+    |y|`` for ``SY``)."""
     n, s, sq, sy, _ = exact_sums(x, phis, ys, delta)
     scale = exact_sums(x, phis, np.abs(np.asarray(ys, dtype=float)), delta)[3]
     count, *got = (float(value) for value in sums)
     assert count == n, (x, count, n)
-    bound, slack = stream_bound(n, points)
+    relative, slack = stream_bound(engine, n)
     for value, exact, terms in zip(got, (s, sq, sy), (s, sq, scale)):
-        assert abs(Fraction(value) - exact) <= bound * terms + slack, (x, value, exact)
+        assert abs(Fraction(value) - exact) <= relative * terms + slack, (x, value, exact)

@@ -244,22 +244,22 @@ TINY_SNAPSHOTS = {
     "json": (
         '{"x": 0, "estimate": 1, "active_count": 1, "objective": 0.5, "n_seen": 1}\n'
         '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 1}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 2}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 2}\n'
         '{"x": 1.5, "estimate": null, "active_count": 0, "objective": null, "n_seen": 2}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 3}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
         '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
-        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566036, "n_seen": 3}\n'
+        '{"x": 0, "estimate": 1.6153846153846154, "active_count": 2, "objective": 0.94339811320566047, "n_seen": 3}\n'
         '{"x": 1.5, "estimate": 100, "active_count": 1, "objective": 0.5, "n_seen": 3}\n'
     ),
     "csv": (
         'x,estimate,active_count,objective,n_seen\n'
         '0,1,1,0.5,1\n'
         '1.5,,0,,1\n'
-        '0,1.6153846153846154,2,0.94339811320566036,2\n'
+        '0,1.6153846153846154,2,0.94339811320566047,2\n'
         '1.5,,0,,2\n'
-        '0,1.6153846153846154,2,0.94339811320566036,3\n'
+        '0,1.6153846153846154,2,0.94339811320566047,3\n'
         '1.5,100,1,0.5,3\n'
-        '0,1.6153846153846154,2,0.94339811320566036,3\n'
+        '0,1.6153846153846154,2,0.94339811320566047,3\n'
         '1.5,100,1,0.5,3\n'
     ),
 }
@@ -602,7 +602,7 @@ verification failure: instance 10 of seed 3 (n=12): simplex_abs_dev=0.00015 sign
                                str(REPO / "demos" / "data" / "sine_experiment.json"),
                                "--format", "csv")
         assert (code, err) == (
-            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=1.39831e-15\n"
+            0, "summary: supported=21 no_support=0 violations=0 mode_max_rel_dev=2.04919e-15\n"
         )
 
 

@@ -10,8 +10,9 @@ cell itself for ``S``, ``SQ`` and ``r . |x - phi|``, and ``r . |y|`` for ``r
 - the loop ``core._window_dots``: ``gamma_n R``, for an n-term sum or dot
   in any order (Higham, *Accuracy and Stability of Numerical Algorithms*,
   lemma 3.1);
-- ``StreamingGrid``, which adds segment moments and edge-band pairs:
-  ``reference.stream_bound``, the bound its module docstring derives;
+- ``StreamingGrid``, streamed over a grid dense enough to keep cores, which
+  adds segment moments and edge-band pairs: ``reference.stream_bound``, the
+  bound its module docstring derives;
 - the moment kernel ``_moments._moment_table``: ``_MOMENT_TOL R`` on every cell
   it keeps.  The others go to the loop.
 """
@@ -73,18 +74,27 @@ def check_loop(xs, phis, ys, delta):
             assert within(got, exact, gamma(n) * scale), (x, got, exact)
 
 
+def cored_grid(xs, delta):
+    """``xs`` among 3,000 evenly spaced points from ``delta`` below the least
+    to ``delta`` above the greatest: a window holds more of them than a grid
+    needs to keep cores."""
+    lo, hi = float(xs.min()) - delta, float(xs.max()) + delta
+    return np.union1d(xs, np.linspace(lo, hi, 3000))
+
+
 def check_stream(xs, phis, ys, delta, grid=None):
     """Stream the samples over ``grid``, an ascending one that holds ``xs``,
-    or over ``xs``, and check the sums of the points ``xs`` against the
-    exact ones; return their columns."""
+    by default ``cored_grid``, and check the sums of the points ``xs``
+    against the exact ones; return the engine and their columns."""
+    grid = cored_grid(xs, delta) if grid is None else grid
     # The samples in stream order, not sorted: any order meets the bound.
     order = np.random.default_rng(phis.size).permutation(phis.size)
-    engine = StreamingGrid(xs if grid is None else grid, EstimatorConfig(delta=delta))
+    engine = StreamingGrid(grid, EstimatorConfig(delta=delta))
     engine.extend(phis[order], ys[order])
-    table = engine.sums if grid is None else engine.sums[:, np.searchsorted(grid, xs)]
+    table = engine.sums[:, np.searchsorted(grid, xs)]
     for q, x in enumerate(xs.tolist()):
-        assert_stream_exact(table[:, q], x, phis, ys, delta, engine.xs.size)
-    return table
+        assert_stream_exact(table[:, q], x, phis, ys, delta, engine)
+    return engine, table
 
 
 @st.composite
@@ -216,39 +226,68 @@ def wide_windows():
 
 
 @pytest.mark.parametrize(
-    "case", [edge_only, tie_cluster, offset_data, subnormal_delta, huge_delta, wide_windows],
-    ids=["edge-only", "tie-cluster", "offset-1e8", "delta-1e-320", "delta-1e300", "wide-windows"])
-def test_hostile_windows_stream_within_the_bound(case):
+    "case, cored",
+    [(edge_only, True), (tie_cluster, True), (offset_data, True), (wide_windows, True),
+     (subnormal_delta, False), (huge_delta, False)],
+    ids=["edge-only", "tie-cluster", "offset-1e8", "wide-windows", "delta-1e-320",
+         "delta-1e300"])
+def test_hostile_windows_stream_within_the_bound(case, cored):
+    # A delta far from 1 leaves every window to band pairs.
     xs, phis, ys, delta = case()
-    check_stream(xs, phis, ys, delta)
-
-
-def test_stream_overflows_no_sooner_past_the_cored_deltas():
-    # Past 2^1000 no point has a core, and a window is all band pairs.
-    xs, phis, ys, _ = huge_delta()
-    check_stream(xs, phis, ys, 1e308)
+    engine, _ = check_stream(xs, phis, ys, delta)
+    assert bool(engine._segments) == cored
 
 
 def test_tie_cluster_sq_within_the_kernel_tolerance():
-    # The 10^4 ties at 0.5 on a 3,000-point grid over [0, 1]: each point
-    # within delta of the cluster holds it, and its SQ stays within
-    # _MOMENT_TOL of exact.
+    # The 10^4 ties at 0.5, each in the cores of the points within about
+    # delta of it: their SQ stays within _MOMENT_TOL of exact.
     xs, phis, ys, delta = tie_cluster()
-    grid = np.linspace(0.0, 1.0, 3000)
+    grid = np.linspace(0.0, 1.0, 10_001)
     near = grid[np.abs(grid - 0.5) < delta][::4]
-    table = check_stream(near, phis, ys, delta, grid)
+    engine, table = check_stream(near, phis, ys, delta, grid)
+    assert engine._segments.offset.shape[1] == grid.size
     for q, x in enumerate(near.tolist()):
         n, _, sq, _, _ = exact_sums(x, phis, ys, delta)
         assert n > 10_000
         assert within(table[2, q], sq, TOL * sq)
 
 
+def test_split_calls_and_reruns_keep_the_bits():
+    # On a grid with cores: one call, calls of 777 and calls of one sample
+    # leave the same state, and so does a second run.
+    xs, phis, ys, delta = tie_cluster()
+    order = np.random.default_rng(34).permutation(phis.size)[:3000]
+    phis, ys = phis[order], ys[order]
+    states = []
+    for step in (phis.size, 777, 1, phis.size):
+        engine = StreamingGrid(cored_grid(xs, delta), EstimatorConfig(delta=delta))
+        for start in range(0, phis.size, step):
+            engine.extend(phis[start : start + step], ys[start : start + step])
+        assert bool(engine._segments)
+        states.append(engine.sums.tobytes())
+    assert len(set(states)) == 1
+
+
 def test_edge_band_windows_keep_the_running_sums_bits():
     # A window that holds only edge-band samples is summed pair by pair, in
-    # stream order, as the scalar running sums add it.
+    # stream order, as the scalar running sums add it, though the grid
+    # around it keeps cores.
     xs, phis, ys, delta = edge_only()
     order = np.random.default_rng(33).permutation(phis.size)
-    engine = StreamingGrid(xs, EstimatorConfig(delta=delta))
+    grid = cored_grid(xs, delta)
+    engine = StreamingGrid(grid, EstimatorConfig(delta=delta))
     engine.extend(phis[order], ys[order])
+    assert bool(engine._segments)
     _, s, sy, sq, positions, _ = running_sums(0.5, phis[order], ys[order], delta)
-    assert engine.sums[:, 0].tolist() == [len(positions), s, sq, sy]
+    column = engine.sums[:, np.searchsorted(grid, 0.5)]
+    assert column.tolist() == [len(positions), s, sq, sy]
+
+
+def test_only_a_grid_dense_in_its_windows_keeps_cores():
+    # Cores pay only where a window holds many points: a grid of 40 points
+    # over [0, 1] at delta 0.1 keeps none, and one of 3,000 keeps them all.
+    phis = np.linspace(0.0, 1.0, 50)
+    for points, cored in ((40, 0), (3000, 3000)):
+        engine = StreamingGrid(np.linspace(0.0, 1.0, points), EstimatorConfig(delta=0.1))
+        engine.extend(phis, phis)
+        assert (engine._segments.offset.shape[1] if engine._segments else 0) == cored

@@ -19,7 +19,7 @@ from rdwo.streaming import StreamingGrid
 REPO = Path(__file__).resolve().parents[1]
 TINY = str(REPO / "demos" / "data" / "tiny.csv")
 SPEC = str(REPO / "demos" / "data" / "sine_experiment.json")
-DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._fork", "mmap")
+DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._segments", "rdwo._fork", "mmap")
 
 RUN_AND_LIST = """
 import contextlib, io, sys

@@ -47,7 +47,7 @@ class TestRunningSums:
         grid = StreamingGrid([0.0], CFG)
         grid.extend(HAND_PHIS, HAND_YS)
         assert grid.n_seen == 3 and grid.n_active[0] == 2
-        assert_stream_exact(grid.sums[:, 0], 0.0, HAND_PHIS, HAND_YS, 1.0, 1)
+        assert grid.estimates()[0] == estimate
         assert abs(estimate - 21.0 / 13.0) <= 1e-12
         batch = batch_estimate(0.0, HAND_PHIS, HAND_YS, CFG)
         assert math.isclose(estimate, batch, rel_tol=1e-12)
@@ -78,8 +78,7 @@ class TestRunningSums:
         # 2e5 samples of margin 1, then 1e6 of margin 2**-53: each tiny term
         # vanishes when added to a running sum, so the tiny samples' weight,
         # 5.6e-22 each, is lost in full, and the estimate is off by 5.5e-15
-        # relative, within the 1e-14 allowed.  The grid adds the tiny samples
-        # in an edge band of their own, apart from the core's margin of 1.
+        # relative, within the 1e-14 allowed.
         tiny = 1.0 - 2.0**-53
         phis = [0.0] * 200_000 + [tiny] * 1_000_000
         ys = [1.0] * 200_000 + [11.0] * 1_000_000
@@ -88,10 +87,10 @@ class TestRunningSums:
         assert s == sy == 200_000.0 and 0.0 < scaled[-1] / s < 1e-21
         grid = StreamingGrid([0.0], CFG)
         grid.extend(phis, ys)
+        assert grid.estimates()[0] == estimate
         d = Fraction(2) ** -53
         exact = (200_000 * 1 + 1_000_000 * d * 11) / (200_000 + 1_000_000 * d)
-        for got in (estimate, grid.estimates()[0]):
-            assert abs(Fraction(got) - exact) / exact <= Fraction(1, 10**14)
+        assert abs(Fraction(estimate) - exact) / exact <= Fraction(1, 10**14)
 
     @given(streams())
     @settings(max_examples=100)
@@ -182,14 +181,11 @@ class TestWeightsSnapshot:
 
 class TestStreamingGrid:
     def test_bit_identical_to_scalar_states(self):
-        # Every sample lies in an edge band of one point and in no other
-        # window, where the grid adds pairs as the scalar running sums do.
         rng = np.random.default_rng(4)
-        xs = np.linspace(-2, 2, 9)
-        config = EstimatorConfig(delta=0.2, l1=1.0)
-        side = rng.choice([-1.0, 1.0], 400) * config.delta
-        phis = rng.choice(xs, 400) + side * (1.0 - streaming._TAU * rng.random(400))
+        phis = rng.uniform(-3, 3, 400)
         ys = rng.normal(0, 2, 400)
+        xs = np.linspace(-2, 2, 9)
+        config = EstimatorConfig(delta=0.35, l1=1.0)
         grid = StreamingGrid(xs, config)
         for p, y in zip(phis, ys):
             grid.extend([float(p)], [float(y)])
@@ -199,20 +195,17 @@ class TestStreamingGrid:
             assert np.array_equal(ests[i], estimate, equal_nan=True)
             assert grid.sums[1:, i].tolist() == [s, sq, sy]
             assert grid.support_sums()[i] == config.delta * s
-            assert grid.n_active[i] == len(positions) > 20
+            assert grid.n_active[i] == len(positions)
 
     @given(streams(min_n=1, max_n=30))
     @settings(max_examples=50)
     def test_bit_identical_small_streams(self, stream):
-        # One sample a call or all in one: the same bits, within the bound.
         x, phis, ys, config = stream
         grid = StreamingGrid(np.array([x]), config)
         for p, y in zip(phis, ys):
             grid.extend([p], [y])
-        whole = StreamingGrid(np.array([x]), config)
-        whole.extend(phis, ys)
-        assert_same_state(grid, whole)
-        assert_stream_exact(grid.sums[:, 0], x, phis, ys, config.delta, 1)
+        estimate = running_sums(x, phis, ys, config.delta)[0]
+        assert np.array_equal(grid.estimates()[0], estimate, equal_nan=True)
 
     def test_objectives_and_counts(self):
         grid = StreamingGrid(np.array([0.0, 10.0]), CFG)
@@ -270,8 +263,10 @@ class TestStreamingGrid:
 
 def run_three_ways(xs, delta, phis, ys):
     """Feed one stream to ``extend`` at once, in calls of 777 samples and in
-    calls of one: the three states must be equal, bit for bit, and each grid
-    point's sums within the a-priori bound of its exact sums."""
+    one-sample calls: the three states must be equal, bit for bit.  On a
+    grid without cores every point's state equals its scalar
+    ``running_sums`` with ``==``; on one with cores each point's sums are
+    within the a-priori bound of its exact sums."""
     config = EstimatorConfig(delta=delta, l1=1.0)
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -285,10 +280,23 @@ def run_three_ways(xs, delta, phis, ys):
     assert extended.n_seen == phis.size
     assert_same_state(split, extended)
     assert_same_state(looped, extended)
+    if not extended._segments:
+        states = [running_sums(x, phis, ys, delta) for x in extended.xs.tolist()]
+        assert_states(extended, states)
+        return extended
     sums = extended.sums
     for i, x in enumerate(extended.xs.tolist()):
-        assert_stream_exact(sums[:, i], x, phis, ys, delta, extended.xs.size)
+        assert_stream_exact(sums[:, i], x, phis, ys, delta, extended)
     return extended
+
+
+def assert_states(grid, states, points=slice(None)):
+    """The count, sums and estimate of each grid point in ``points`` equal
+    its ``running_sums`` state, with ``==``."""
+    estimate, s, sy, sq, positions, _ = zip(*states)
+    assert grid.n_active[points].tolist() == list(map(len, positions))
+    assert grid.sums[1:, points].tolist() == [list(s), list(sq), list(sy)]
+    assert np.array_equal(grid.estimates()[points], estimate, equal_nan=True)
 
 
 def assert_same_state(a, b):
@@ -367,22 +375,22 @@ class TestGridKernel:
         run_three_ways(xs, 0.1, phis, rng.normal(0, 1, 900))
 
     def test_point_hit_more_often_than_the_pair_budget(self):
-        # Every sample lands in the left edge bands of the first nine points:
-        # a chunk holds whole samples, each sub-block is cut into more than
-        # one chunk, and every one of the nine points is hit more often than
-        # one chunk holds, so its sums carry across chunks.
+        # Every sample lands in the windows of the first nine points: a
+        # chunk holds whole samples, each sub-block is cut into more than one
+        # chunk, and every one of the nine points is hit more often than one
+        # chunk holds, so its sums carry across chunks.
         n = streaming._PAIR_BUDGET + 700
         rng = np.random.default_rng(32)
-        xs = np.append(np.linspace(0.0, 0.001, 9), 5.0)
-        phis = rng.uniform(-0.0989, -0.0985, n)
-        grid = run_three_ways(xs, 0.1, phis, rng.normal(0, 1, n))
+        xs = np.append(np.linspace(0.0, 0.05, 9), 5.0)
+        grid = run_three_ways(xs, 0.1, rng.uniform(-0.04, 0.04, n), rng.normal(0, 1, n))
         assert grid.n_active.tolist() == [n] * 9 + [0]
         assert 9 * streaming._SUB_BLOCK > streaming._PAIR_BUDGET
 
     def test_window_wider_than_the_pair_budget(self, monkeypatch):
         # Samples near -0.0495 lie in the edge bands of a dense cluster of
-        # more grid points than the budget, so each is a chunk by itself; the
-        # samples between them see a few sparse points and share chunks.
+        # more grid points than the budget, which keeps cores, so each is a
+        # chunk by itself; the samples between them see a few sparse points
+        # and share chunks.
         budget = streaming._PAIR_BUDGET
         xs = np.concatenate([np.linspace(0.0, 0.0002, budget + 500), np.linspace(1.0, 2.0, 41)])
         rng = np.random.default_rng(34)
@@ -390,16 +398,16 @@ class TestGridKernel:
         phis[::5] = rng.uniform(-0.0497, -0.0493, 5)
         sizes = spy_chunks(monkeypatch)
         grid = run_three_ways(xs, 0.05, phis, rng.normal(0, 1, 24))
+        assert grid._segments
         assert grid.n_active[: budget + 500].tolist() == [5] * (budget + 500)
         assert max(pairs for _, pairs in sizes) > budget
         assert all(pairs <= budget or samples == 1 for samples, pairs in sizes)
 
     def test_sparse_windows_on_a_200001_point_grid(self, monkeypatch):
         # 60k samples on a 200,001-point grid with windows of about one grid
-        # step: each chunk's band pairs span most of the grid but touch few
-        # of its points.  Every count is the batch count; a point's exact
-        # sums, checked at one hit point in 60, run over the samples near it;
-        # the others leave its sums untouched.
+        # step: each chunk's pairs span most of the grid but touch few of its
+        # points.  The scalar reference of a point runs over the samples near
+        # it, in stream order; the others leave its sums untouched.
         xs = np.linspace(0.0, 1.0, 200_001)
         rng = np.random.default_rng(35)
         phis = rng.uniform(0.0, 1.0, 60_000)
@@ -413,11 +421,11 @@ class TestGridKernel:
         lo = np.searchsorted(phis[order], xs - 2 * delta)
         hi = np.searchsorted(phis[order], xs + 2 * delta)
         hit = np.flatnonzero(hi > lo)
-        sums = grid.sums
-        assert (sums[0] == grid_solve(xs, phis, ys, grid.config)[1]).all()
-        for i in hit[::60].tolist():
-            near = order[lo[i] : hi[i]]
-            assert_stream_exact(sums[:, i], float(xs[i]), phis[near], ys[near], delta, xs.size)
+        states = []
+        for i in hit.tolist():
+            near = np.sort(order[lo[i] : hi[i]])
+            states.append(running_sums(float(xs[i]), phis[near], ys[near], delta))
+        assert_states(grid, states, hit)
         missed = np.ones(xs.size, dtype=bool)
         missed[hit] = False
         assert not grid.sums[:, missed].any()
@@ -497,8 +505,8 @@ class TestGridKernel:
     @settings(max_examples=12, deadline=None)
     def test_extend_is_a_loop_of_update_across_chunks(self, seed, n, points, delta, bad):
         # Dense windows put more than _PAIR_BUDGET pairs in a sub-block, so
-        # the stream crosses sub-block boundaries, and a non-finite sample
-        # may stop it anywhere inside a sub-block.
+        # the stream crosses sub-block and chunk boundaries, and a non-finite
+        # sample may stop it anywhere inside a sub-block.
         rng = np.random.default_rng(seed)
         phis = rng.uniform(-0.5, 0.5, n)
         ys = rng.normal(0, 10, n)
