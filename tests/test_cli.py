@@ -817,6 +817,28 @@ class TestBadInput:
             assert err == overflow_error("1.0"), command
 
     @pytest.mark.filterwarnings("error")
+    def test_outputs_overflow_alike_on_a_grid_with_cores(self, capsys, tmp_path):
+        # 3,001 points at delta 1 keep cores, whose moments hold tau * y:
+        # same-sign outputs overflow in both modes, and opposite-sign ones
+        # are answered by both, within MODE_AGREEMENT_RTOL of 1.7e308.
+        argv = ("--delta", "1", "--grid=-1:1:3001")
+        for sign, want in (("", 2), ("-", 0)):
+            path = tmp_path / f"huge{sign}.csv"
+            path.write_text(f"k,phi,y\n1,0,1.7e308\n2,0.1,{sign}1.7e308\n", encoding="utf-8")
+            fit, stream = (run_cli(capsys, command, "--input", str(path), *argv)
+                           for command in ("fit", "stream"))
+            if want:
+                for code, out, err in (fit, stream):
+                    assert_one_line_error(code, out, err)
+                    assert err == overflow_error("1.0")
+                continue
+            assert fit[0] == stream[0] == 0
+            for got, ref in zip(json_lines(stream[1]), json_lines(fit[1])):
+                assert got["active_count"] == ref["active_count"]
+                if ref["estimate"] is not None:
+                    assert abs(got["estimate"] - ref["estimate"]) <= MODE_AGREEMENT_RTOL * 1.7e308
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_spec_delta(self, capsys, tmp_path, split_grids):
         # exit 2, not 1: batch and stream do not really disagree here
         path = tmp_path / "spec.json"
