@@ -3,18 +3,17 @@
 The child writes its results into an anonymous map made before the fork,
 which it shares with the parent, or into a pipe the parent reads, and
 reports by exit status.  If :func:`beside` says the child did not finish,
-the caller does the work again itself (:func:`halves` the whole table,
-``dataio`` the child's half of the file, ``stream`` the snapshots it has
-not printed), so every result is the one a single process gives.
+the caller does the work again itself (``dataio`` the child's half of the
+file, ``stream`` the snapshots it has not printed), so every result is the
+one a single process gives.
 
-:func:`halves` answers the upper half of ``simulate``'s query grid this
-way, on a grid of 512 points or more.  ``dataio.read_arrays``, which
-``fit`` calls, parses the second half of a large CSV file in the child,
-and ``stream --emit-every`` reads and folds a large CSV file in the child
-while the parent prints each snapshot the child sends.  ``dataio`` and
-``cli`` load this module only when they are about to fork, and the gate
-:func:`rdwo.dataio.can_fork` lives in ``dataio``, so that ``import
-rdwo.cli`` and small or single-CPU runs never load it or ``mmap``.
+``dataio.read_arrays``, which ``fit`` calls, parses the second half of a
+large CSV file in the child, and ``stream --emit-every`` reads and folds a
+large CSV file in the child while the parent prints each snapshot the child
+sends.  ``dataio`` and ``cli`` load this module only when they are about to
+fork, and the gate :func:`rdwo.dataio.can_split` lives in ``dataio``, so
+that ``import rdwo.cli`` and small or single-CPU runs never load it or
+``mmap``.
 """
 
 from __future__ import annotations
@@ -69,27 +68,3 @@ def beside(child: Callable[[], bool], parent: Callable[[], T]) -> tuple[T, bool]
         raise
     return result, status == 0
 
-
-def halves(solve: Callable[[slice], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The float table of ``shape`` whose columns ``part``, a slice, are
-    ``solve(part)``: a forked child computes the upper half of the columns
-    into a shared map while this process computes the lower half.
-
-    If either half fails, this process computes the whole table, so it
-    returns the table, or raises the error, that one process gives.
-    """
-    table = shared_floats(shape)
-    cut = shape[-1] // 2
-
-    def child() -> bool:
-        table[..., cut:] = solve(slice(cut, None))
-        return True
-
-    def parent() -> None:
-        table[..., :cut] = solve(slice(0, cut))
-
-    try:
-        done = beside(child, parent)[1]
-    except Exception:
-        done = False
-    return table if done else solve(slice(None))

@@ -284,23 +284,21 @@ def _fill(columns: np.ndarray, n: int, runs) -> int:
 _SPLIT_MIN_BYTES = 1 << 19
 
 
-def can_fork() -> bool:
-    """Whether a second CPU can run a child, and no other thread runs, whose
-    locks a fork could copy held.  It lives here, not in ``rdwo._fork``, so
-    that asking it loads neither that module nor ``mmap``."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
-
-
 def can_split(path) -> bool:
     """Whether work on the file ``path`` may run in two processes: a regular
-    file of at least ``_SPLIT_MIN_BYTES``, and :func:`can_fork`.  It gates
-    the split read and ``stream``'s forked fold."""
+    file of at least ``_SPLIT_MIN_BYTES``, a second CPU to run a child, and
+    no other thread, whose locks a fork could copy held.  It gates the split
+    read and ``stream``'s forked fold, and lives here, not in
+    ``rdwo._fork``, so that asking it loads neither that module nor
+    ``mmap``."""
     try:
         info = os.stat(path)
     except OSError:
         return False  # the reader names the error
-    return stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_MIN_BYTES and can_fork()
+    if not (stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_MIN_BYTES):
+        return False
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
 
 
 class _Span:

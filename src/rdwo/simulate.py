@@ -8,16 +8,11 @@ over the same seeded data, in stream order; the report keeps those estimates
 as its ``stream_estimate`` column, and :func:`max_relative_deviation`
 measures how far they are from the batch estimates.
 
-On a wide grid, with a second CPU free (see :func:`_forks`),
-:func:`run_experiment` answers the two halves of the query grid in two
-processes through ``_fork.halves``: the parent the lower half by index, a
-forked child the upper half.  Each process draws the seeded data itself,
-reduces its half's batch windows over sorted copies with
-``core._window_sums``, the reduction ``grid_solve`` reads, and checks the
-error bounds; the child returns its columns through a shared anonymous map.
-Then the data is drawn again and streamed over the whole grid, whose
-breakpoints cut the streaming state, in one process.  Every output bit, and
-every error, is the one a single process gives.
+:func:`run_experiment` answers the whole grid in the calling process: the
+batch windows reduce φ-sorted copies of the seeded data with
+``core._window_sums``, the reduction ``grid_solve`` reads, the error bounds
+are checked, and then the data is drawn again, in stream order, and
+streamed over the grid, whose breakpoints cut the streaming state.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _fork, dataio
 from ._moments import _MOMENT_TOL, _U
 from .core import (
     EstimatorConfig,
@@ -381,19 +375,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     x = np.asarray(spec.query_grid)
     truth = _target_values(spec, x)
-
-    def answer(part: slice) -> np.ndarray:
-        return _answer(spec, x[part], truth[part])
-
-    table = _fork.halves(answer, (_ROWS, x.size)) if _forks(spec) else answer(slice(None))
+    count, estimate, abs_error, bound_z, bound_holds, y_magnitude = _answer(spec, x, truth)
     stream = StreamingGrid(x, spec.config)
     stream.extend(*_dataset_arrays(spec)[::2])
-    count = table[0].astype(int)
-    bound_holds = table[4].astype(bool)
     supported = count > 0
-    errors = table[2][supported]
+    errors = abs_error[supported]
     return ExperimentReport(
-        x, truth, table[1], table[2], table[3], bound_holds, count, stream.estimates(), table[5],
+        x, truth, estimate, abs_error, bound_z, bound_holds, count, stream.estimates(),
+        y_magnitude,
         supported_count=errors.size,
         no_support_count=x.size - errors.size,
         violation_count=int(np.count_nonzero(supported & ~bound_holds)),
@@ -402,15 +391,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
 
 
-# The rows of a run's answer table, one column per query: the active count,
-# the batch estimate, abs_error, bound_z, bound_holds (0 or 1) and
-# y_magnitude.
-_ROWS = 6
-
-
-def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """The table, ``_ROWS`` by ``x.size``, of the checked batch answers at
-    the query points ``x``, whose targets are ``truth``.
+def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray):
+    """The checked batch answers at the query points ``x``, whose targets
+    are ``truth``: the columns ``active_count``, ``estimate``,
+    ``abs_error``, ``bound_z``, ``bound_holds`` and ``y_magnitude`` of the
+    report.
 
     The batch windows read φ-sorted copies of the seeded data, each array
     replaced by its copy one at a time, and the error check follows.  An
@@ -426,28 +411,9 @@ def _answer(spec: ExperimentSpec, x: np.ndarray, truth: np.ndarray) -> np.ndarra
     sums = _window_sums(x, phis, spec.config.delta, (ys, noises), True, True)
     del phis, noises, ys  # before the data is drawn again, in stream order
     # w . y, w . |x - phi|, w . noise, w . |y|, w . |noise| with w = r / S
-    means = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[0]
-    table = np.empty((_ROWS, x.size))
-    table[0], table[1], table[5] = sums[0], means[0], means[3]
-    table[2:5] = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
-    return table
-
-
-# The least query points worth a split.  Measured on a 2-vCPU x86-64 VM (see
-# ROADMAP.md, dead ends): narrower grids ran up to 2.2 times slower in two
-# processes than in one.
-_SPLIT_MIN_QUERIES = 512
-
-
-def _forks(spec: ExperimentSpec) -> bool:
-    """Whether to answer the upper half of the query grid in a child process.
-
-    Only where :func:`~rdwo.dataio.can_fork` allows.  Each half still
-    draws and sorts the whole dataset, and the fork itself costs
-    milliseconds, so the split pays only on grids wide enough for the work
-    per point to dominate.
-    """
-    return len(spec.query_grid) >= _SPLIT_MIN_QUERIES and dataio.can_fork()
+    means, count = _readout(spec.config.delta, *sums[:3], sums[[4, 3, 5, 6, 7]])[:2]
+    checked = _error_check(means[0], truth, *means[1:], sums[0], spec.config.l1)
+    return count, means[0], *checked, means[3]
 
 
 def max_relative_deviation(report: ExperimentReport, estimates: Sequence) -> float:

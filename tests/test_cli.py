@@ -72,14 +72,6 @@ def sim_spec(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def split_grids(monkeypatch):
-    """A second CPU in this process's affinity, and a split of any grid of
-    two or more points, so simulate forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
-
-
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -839,7 +831,7 @@ class TestBadInput:
                     assert abs(got["estimate"] - ref["estimate"]) <= MODE_AGREEMENT_RTOL * 1.7e308
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_spec_delta(self, capsys, tmp_path, split_grids):
+    def test_overflowing_spec_delta(self, capsys, tmp_path):
         # exit 2, not 1: batch and stream do not really disagree here
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**demo_spec(), "delta": 1.7e308}), encoding="utf-8")
@@ -851,7 +843,7 @@ class TestBadInput:
     # The target is evaluated with numpy warnings off, outside the window
     # arithmetic's overflow check: arctan of an overflowed product is +-pi/2,
     # which runs, and a target that is not finite at a point is named, not
-    # blamed on delta.  One process and two print the same.
+    # blamed on delta.  One CPU and two print the same.
     @pytest.mark.filterwarnings("error")
     def test_target_overflowing_inside_runs(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "spec.json"
@@ -862,12 +854,11 @@ class TestBadInput:
         summary = json_lines(out)[-1]
         assert (summary["supported_count"], summary["violation_count"]) == (21, 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
         assert run_cli(capsys, "simulate", "--spec", str(path)) == (0, out, "")
         assert_no_child()
 
     @pytest.mark.filterwarnings("error")
-    def test_target_not_finite(self, capsys, tmp_path, split_grids):
+    def test_target_not_finite(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         spec = {**demo_spec(), "function": {"kind": "sine", "frequency": 1e308}, "l1": 1e308,
                 "input_range": [-1, 1], "query_grid": [0, 2]}
@@ -898,7 +889,7 @@ def query_records(report):
 
 
 class TestSimulate:
-    def test_json_records_and_summary(self, capsys, sim_spec, split_grids):
+    def test_json_records_and_summary(self, capsys, sim_spec):
         code, out, err = run_cli(capsys, "simulate", "--spec", sim_spec)
         assert code == 0 and err == ""
         assert_no_child()
@@ -941,7 +932,7 @@ class TestSimulate:
         holds[i] = False
         return dataclasses.replace(report, **columns, bound_holds=holds, violation_count=1)
 
-    def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch, split_grids):
+    def test_violation_names_the_worst_query(self, capsys, sim_spec, monkeypatch):
         report = run_experiment(load_spec(sim_spec))
         bound = report.bound_z[3].item()
         stub = self.with_violation(report, 3, bound + 0.25, bound)
@@ -971,31 +962,13 @@ class TestSimulate:
         )
         assert "np.float64" not in err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_a_failing_child_changes_no_output(self, capsys, sim_spec, monkeypatch, split_grids,
-                                               fmt):
-        # the parent answers the whole grid again, so nothing printed moves
-        want = run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt)
-        parent = os.getpid()
-        real = simulate._window_sums
-
-        def fails_in_the_child(*args):
-            if os.getpid() != parent:
-                raise MemoryError
-            return real(*args)
-
-        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_child)
-        assert run_cli(capsys, "simulate", "--spec", sim_spec, "--format", fmt) == want
-        assert_no_child()
-
     # Noise this large draws inf outputs, which the streaming pass rejects;
     # but the batch sums of the noise overflow first on the demo spec, and
     # the error check's magnitude w . |y| + l1 * w . |x - phi| + w . |noise|
-    # on the second.  The batch error wins, with no warning, on one process
-    # or two.
+    # on the second.  The batch error wins, with no warning, on one CPU or
+    # two.
     def test_a_batch_overflow_comes_before_a_streaming_error(self, capsys, tmp_path,
                                                              monkeypatch):
-        monkeypatch.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
         for overrides in (
             {"noise_sigma": 1e308},
             {"delta": 0.01, "l1": 1e308, "noise_sigma": 1e308, "n_samples": 40, "seed": 0,
@@ -1455,7 +1428,7 @@ class TestStreamForkGate:
 
     @pytest.mark.parametrize("points, every", [(1, 3), (7, 2), (500, 1000), (6000, 5), (7000, 1)])
     def test_decision_is_the_full_count_rule(self, monkeypatch, tmp_path, points, every):
-        monkeypatch.setattr(dataio, "can_fork", lambda: True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         least = cli._STREAM_FORK_MIN_LINES
         need = every * math.ceil(least / points)
         for lines in (need - 1, need, need + 1):

@@ -73,7 +73,7 @@ def test_fit_loads_the_fork_helper_only_to_split(tmp_path):
     rows = (f"{k},{k * 1e-5!r},{k % 7}.25\n" for k in range(1, dataio._SPLIT_MIN_BYTES // 10))
     path.write_text("k,phi,y\n" + "".join(rows), encoding="ascii")
     assert path.stat().st_size >= dataio._SPLIT_MIN_BYTES
-    loaded = ["mmap", "rdwo._fork"] if dataio.can_fork() else []
+    loaded = ["mmap", "rdwo._fork"] if dataio.can_split(path) else []
     assert run_and_list("fit", "--input", str(path), "--delta", "0.1", "--grid-list", "1") == (
         0, loaded
     )
@@ -90,13 +90,13 @@ def test_stream_loads_the_fork_helper_only_to_fork(tmp_path, large):
         encoding="ascii",
     )
     assert (path.stat().st_size >= dataio._SPLIT_MIN_BYTES) == large
-    loaded = ["mmap", "rdwo._fork"] if large and dataio.can_fork() else []
+    loaded = ["mmap", "rdwo._fork"] if dataio.can_split(path) else []
     argv = ("--input", str(path), "--delta", "0.1", "--grid-list", "1", "--emit-every", str(every))
     assert run_and_list("stream", *argv) == (0, loaded)
 
 
 def test_simulate_and_verify_load_their_modules():
-    assert run_and_list("simulate", "--spec", SPEC) == (0, ["mmap", "rdwo._fork", "rdwo.simulate"])
+    assert run_and_list("simulate", "--spec", SPEC) == (0, ["rdwo.simulate"])
     assert run_and_list("verify", "--instances", "3") == (0, ["rdwo.oracle"])
 
 

@@ -1,21 +1,17 @@
-import dataclasses
 import json
 import math
 import os
-import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdwo import _moments, core, simulate
+from rdwo import _moments, core
 from rdwo.cli import main
 from rdwo.core import EstimatorConfig, _sorted_windows, window_margins
 from rdwo.simulate import (
     QUERY_HEADER,
     Atan,
-    ExperimentReport,
     ExperimentSpec,
     PiecewiseLinear,
     Sine,
@@ -409,9 +405,9 @@ def demo_spec():
     return load_spec(REPO / "demos" / "data" / "sine_experiment.json")
 
 
-# Grids the two halves split unevenly, out of order, with repeated points,
-# or with queries without support in both halves; one query never forks.
-SPLIT_SPECS = {
+# Grids of an odd width, out of order with repeated points, of one point,
+# and with queries without support.
+GRID_SPECS = {
     "demo": demo_spec,
     "odd": lambda: small_spec(query_grid=tuple(np.linspace(-3.2, 3.2, 13))),
     "unsorted-duplicates": lambda: small_spec(
@@ -422,63 +418,20 @@ SPLIT_SPECS = {
 }
 
 
-def run_counting_forks(spec, cpus=(0, 1), min_queries=2):
-    """``run_experiment(spec)`` with ``cpus`` as this process's CPU
-    affinity, or no affinity call if None, and grids of ``min_queries``
-    points or more split; the report, the forks it made and the exit
-    statuses of the children it reaped."""
-    forks, statuses = [], []
-    real_fork, real_waitpid = os.fork, os.waitpid
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    def waitpid(pid, options):
-        reaped = real_waitpid(pid, options)
-        statuses.append(reaped[1])
-        return reaped
-
-    with pytest.MonkeyPatch.context() as mp:
-        if cpus is None:
-            mp.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-        mp.setattr(os, "fork", fork)
-        mp.setattr(os, "waitpid", waitpid)
-        mp.setattr(simulate, "_SPLIT_MIN_QUERIES", min_queries)
-        return run_experiment(spec), len(forks), statuses
-
-
-def assert_same_report(got, want):
-    for field in dataclasses.fields(ExperimentReport):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
-        else:
-            assert a == b, field.name
-
-
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestTwoProcesses:
-    @pytest.mark.parametrize("make_spec", SPLIT_SPECS.values(), ids=SPLIT_SPECS)
-    def test_same_report_as_one_process(self, make_spec):
-        spec = make_spec()
-        split, forks, statuses = run_counting_forks(spec)
-        assert (forks, statuses) == ((1, [0]) if len(spec.query_grid) > 1 else (0, []))
-        alone, forks, _ = run_counting_forks(spec, cpus=(0,))
-        assert forks == 0
-        assert_same_report(split, alone)
-        assert_no_child()
+    """A run answers its whole grid in the calling process, however many
+    CPUs it may use: the report is the one a serial pass gives, and no
+    second process runs."""
 
-    @pytest.mark.parametrize("make_spec", SPLIT_SPECS.values(), ids=SPLIT_SPECS)
+    @pytest.mark.parametrize("make_spec", GRID_SPECS.values(), ids=GRID_SPECS)
     def test_stream_estimate_is_one_serial_pass(self, make_spec):
         spec = make_spec()
-        report = run_counting_forks(spec)[0]
+        report = run_experiment(spec)
         phis, _, ys = _dataset_arrays(spec)
         engine = StreamingGrid(np.asarray(spec.query_grid), spec.config)
         engine.extend(phis, ys)
@@ -488,91 +441,33 @@ class TestTwoProcesses:
         assert (report.stream_estimate[supported] == serial[supported]).all()
         assert max_relative_deviation(report, report.stream_estimate) <= 1e-10
 
-    # A warning fails the child too, so that only the parent writes to stderr.
-    @pytest.mark.parametrize("fault", [MemoryError, RuntimeWarning])
-    def test_a_failing_child_is_answered_by_the_parent(self, monkeypatch, fault):
-        spec = demo_spec()
-        want = run_counting_forks(spec, cpus=(0,))[0]
-        parent = os.getpid()
-        real = simulate._window_sums
+    def test_a_wide_grid_on_two_cpus_forks_nothing(self, monkeypatch):
+        forks = []
 
-        def fails_in_the_child(*args):
-            if os.getpid() != parent:
-                if fault is MemoryError:
-                    raise MemoryError
-                warnings.warn("in the child", fault)
-            return real(*args)
-
-        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_child)
-        got, forks, statuses = run_counting_forks(spec)
-        assert forks == 1 and len(statuses) == 1 and statuses[0] != 0
-        assert_same_report(got, want)
-        assert_no_child()
-
-    def test_an_error_of_the_parent_reaps_the_child(self, monkeypatch):
-        parent = os.getpid()
-        real = simulate._window_sums
-
-        def fails_in_the_parent(*args):
-            if os.getpid() == parent:
-                raise ValueError("the parent's half failed")
-            return real(*args)
-
-        monkeypatch.setattr(simulate, "_window_sums", fails_in_the_parent)
-        with pytest.raises(ValueError, match="^the parent's half failed$"):
-            run_counting_forks(demo_spec())
-        assert_no_child()
-
-    def test_a_failed_fork_runs_in_process(self, monkeypatch):
-        spec = demo_spec()
-        want = run_counting_forks(spec, cpus=(0,))[0]
-
-        def no_fork():
+        def fork():
+            forks.append(os.getpid())
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            mp.setattr(simulate, "_SPLIT_MIN_QUERIES", 2)
-            assert_same_report(run_experiment(spec), want)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", fork)
+        spec = small_spec(n_samples=300, query_grid=tuple(np.linspace(-3.0, 3.0, 1000)))
+        report = run_experiment(spec)
+        assert forks == []
+        assert report.supported_count == 1000
+        assert_no_child()
 
-    @pytest.mark.parametrize("cpus", [(0,), None], ids=["one-cpu", "no-affinity-call"])
-    def test_runs_in_process_without_a_second_cpu(self, cpus):
-        spec = demo_spec()
-        report, forks, _ = run_counting_forks(spec, cpus=cpus)
-        assert forks == 0
-        assert_same_report(report, run_counting_forks(spec)[0])
-
-    def test_runs_in_process_beside_another_thread(self):
-        spec = demo_spec()
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            report, forks, _ = run_counting_forks(spec)
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert forks == 0
-        assert_same_report(report, run_counting_forks(spec)[0])
-
-    def test_splits_only_grids_of_the_minimum_width(self):
-        least = simulate._SPLIT_MIN_QUERIES
-        for count, want in [(least - 1, 0), (least, 1)]:
-            spec = small_spec(n_samples=300, query_grid=tuple(np.linspace(-3.0, 3.0, count)))
-            report, forks, _ = run_counting_forks(spec, min_queries=least)
-            assert forks == want, count
-            assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
-
-    def test_splits_windows_of_several_dot_blocks(self):
+    def test_windows_of_several_dot_blocks(self):
         # delta 0.5 on a range of width 6: a window expects n / 6 samples,
         # here about 2.5 blocks of core._DOT_BLOCK, each summed on one thread
         spec = small_spec(n_samples=15 * core._DOT_BLOCK, query_grid=(-1.0, 1.0, 0.0))
-        report, forks, _ = run_counting_forks(spec)
-        assert forks == 1
+        report = run_experiment(spec)
         assert report.active_count.min() > 2 * core._DOT_BLOCK
-        assert_same_report(report, run_counting_forks(spec, cpus=(0,))[0])
+        reference = reference_columns(spec)
+        for key in ("active_count", "bound_holds"):
+            assert np.array_equal(getattr(report, key), reference[key]), key
+        tol = 4 * _moments._MOMENT_TOL
+        assert np.all(np.abs(report.estimate - reference["estimate"])
+                      <= tol * reference["y_scale"])
 
 
 class TestMaxRelativeDeviation:
