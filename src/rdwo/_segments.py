@@ -3,7 +3,7 @@ grid's breakpoints cut, their moments, and the read of every core from
 them.  The module docstring of :mod:`rdwo.streaming` says what they hold
 and how far a read may be from exact.
 
-A grid loads this module at its first fold, and only if it keeps cores, so
+A grid loads this module when it is built, and only if it keeps cores, so
 that ``import rdwo.cli`` and a ``stream`` over a sparse grid never compile it.
 """
 

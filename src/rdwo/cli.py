@@ -24,6 +24,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import dataio
 from .core import EstimatorConfig, _readout, grid_solve
 from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
@@ -230,6 +231,9 @@ def cmd_stream(args: argparse.Namespace, out: TextIO) -> int:
     config = EstimatorConfig(delta=args.delta)
     if args.emit_every < 0:
         raise ValueError("--emit-every must be >= 0")
+    # The grid cuts its segments here, outside _overflow_names, and before a
+    # fork, so a child inherits the cut; that arithmetic cannot overflow, as
+    # only points with |x| <= 2^40 delta <= 2^1000 keep cores.
     engine = StreamingGrid(grid, config)
     table = _GridTable(args, engine.xs)
     track_n = args.emit_every > 0 or args.diagnostics
@@ -289,12 +293,10 @@ def _records(args: argparse.Namespace, engine: StreamingGrid) -> Iterator[tuple[
 
 
 def _fork_records(args: argparse.Namespace, engine: StreamingGrid, show) -> bool:
-    """Run :func:`_records` in a forked child that writes each record to a
-    pipe, ``n_seen`` as a float and then the table, and ``show`` each whole
-    record here as it comes; whether the child finished.  ``engine`` is left
-    as it was."""
-    from . import _fork
-
+    """Run :func:`_records` in a child forked by :func:`rdwo.dataio.beside`
+    that writes each record to a pipe, ``n_seen`` as a float and then the
+    table, and ``show`` each whole record here as it comes; whether the
+    child finished.  ``engine`` is left as it was."""
     record = np.empty(1 + 4 * engine.xs.size)
     sums = record[1:].reshape(4, engine.xs.size)
     read_end, write_end = os.pipe()
@@ -313,7 +315,7 @@ def _fork_records(args: argparse.Namespace, engine: StreamingGrid, show) -> bool
             while source.readinto(record) == record.nbytes:
                 show(int(record[0]), sums)
 
-        return _fork.beside(child, parent)[1]
+        return dataio.beside(child, parent)[1]
 
 
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:

@@ -2,6 +2,13 @@
 
 Floats are emitted with 17 significant digits, enough to round-trip IEEE
 doubles exactly, so repeated runs over the same input are byte-identical.
+
+On a large CSV file that :func:`can_split` admits, a child run by
+:func:`beside` parses the second half for :func:`read_arrays` into a shared
+anonymous map (``mmap``, loaded only then), or reads and folds the file for
+``stream --emit-every`` and pipes each snapshot to the parent that prints
+it.  Where the child does not finish, the caller does its part again, so
+every result is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import threading
 import warnings
 from functools import lru_cache
 from math import isfinite
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -288,9 +295,7 @@ def can_split(path) -> bool:
     """Whether work on the file ``path`` may run in two processes: a regular
     file of at least ``_SPLIT_MIN_BYTES``, a second CPU to run a child, and
     no other thread, whose locks a fork could copy held.  It gates the split
-    read and ``stream``'s forked fold, and lives here, not in
-    ``rdwo._fork``, so that asking it loads neither that module nor
-    ``mmap``."""
+    read and ``stream``'s forked fold, the two callers of :func:`beside`."""
     try:
         info = os.stat(path)
     except OSError:
@@ -299,6 +304,45 @@ def can_split(path) -> bool:
         return False
     affinity = getattr(os, "sched_getaffinity", None)
     return affinity is not None and len(affinity(0)) > 1 and threading.active_count() == 1
+
+
+T = TypeVar("T")
+
+
+def beside(child: Callable[[], bool], parent: Callable[[], T]) -> tuple[T, bool]:
+    """Run ``child()`` in a forked child while ``parent()`` runs here; the
+    result of ``parent()``, and whether ``child()`` returned true.
+
+    The child never returns into the caller's stack: every way out of it
+    ends in ``os._exit``, which also skips the buffers and exit handlers it
+    shares with the parent.  A warning raises in the child, so that only the
+    parent writes to stderr.  If the fork fails, ``parent()`` runs alone and
+    the child's part counts as not done.  If ``parent()`` raises, the child
+    is killed and reaped first.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return parent(), False
+    if pid == 0:
+        code = 1
+        try:
+            warnings.simplefilter("error")
+            if child():
+                code = 0
+        finally:
+            os._exit(code)
+    try:
+        result = parent()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        # Loaded only here, so that a fork which ends well loads no module.
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    return result, status == 0
 
 
 class _Span:
@@ -365,11 +409,11 @@ def _split_arrays(path):
         index, comma, _ = os.pread(fd, 64, cut).partition(b",")
         if not (comma and index.isdigit()):
             return None
-        from . import _fork
+        import mmap
 
         first, row = int(index), before - 1
         child_rows = lines - before - (os.pread(fd, 1, end - 1) == b"\n")
-        columns = _fork.shared_floats((2, lines))
+        columns = np.frombuffer(mmap.mmap(-1, 16 * lines)).reshape(2, lines)
         state = _ParseState()
         state.header_done, state.run_hi = True, first - 1
 
@@ -383,7 +427,7 @@ def _split_arrays(path):
             return n == row + child_rows
 
         ours = _ParseState()
-        n, done = _fork.beside(
+        n, done = beside(
             child, lambda: _fill(columns, 0, _column_runs(_Span(fd, 0, cut), ours))
         )
         last = first + child_rows - 1

@@ -106,24 +106,22 @@ class StreamingGrid:
         self._sorted = self.xs[order]
         # Each point's position in the sorted grid.
         self._rank = np.argsort(order)
-        # The segments of the cores, cut by the first fold (see _plan), or
-        # False without cores: a forked ``stream`` folds in its child, and the
-        # parent, which only prints, never cuts.
-        self._segments = None
+        self._segments = self._plan()
 
-    def _plan(self) -> None:
-        """Find the points that keep cores, and cut their segments."""
+    def _plan(self):
+        """The segments of the points that keep cores, or None without
+        cores."""
         delta, x = self.config.delta, self._sorted
         first = last = 0
         if 2.0**-960 <= delta <= 2.0**960:
             first, last = np.searchsorted(x, [-(2.0**40) * delta, 2.0**40 * delta], side="right")
         probe = x[first:last:(last - first) // 1024 + 1]
-        self._segments = False
         if probe.size and np.mean(np.searchsorted(x, probe + delta, side="right")
                                   - np.searchsorted(x, probe - delta)) >= _CORE_POINTS:
             from ._segments import Segments
 
-            self._segments = Segments(x, delta, first, last)
+            return Segments(x, delta, first, last)
+        return None
 
     @property
     def sums(self) -> np.ndarray:
@@ -169,8 +167,6 @@ class StreamingGrid:
         """Fold a sub-block of finite samples: the count steps, the moments
         of the samples in a core, then the band pairs in chunks of whole
         samples, about ``_PAIR_BUDGET`` pairs each."""
-        if self._segments is None:
-            self._plan()
         # A positive margin means |x - phi| < delta exactly, so x lies between
         # fl(phi - delta) and fl(phi + delta) (see core._sorted_windows): a
         # sample's pairs are its window [lo, hi) in the sorted grid, less the

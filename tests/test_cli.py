@@ -1119,10 +1119,12 @@ class TestSpecErrors:
             ("seed", -1e300, "seed must be >= 0, got -1e+300"),
             ("n_samples", -1e300, "n_samples must be >= 1, got -1e+300"),
             ("count", -1e300, "grid count must be >= 1, got -1e+300"),
+            # A JSON integer beyond the largest float is named as given.
+            ("delta", 10**400, "delta must be finite, got 1" + "0" * 400),
             (None, ["sine"], "experiment spec must be a JSON object, got list"),
         ],
         ids=["range-scalar", "range-three", "knots-scalar", "knot-short", "knot-text", "grid-min",
-             "seed-huge", "n-samples-huge", "count-huge", "spec-list"],
+             "seed-huge", "n-samples-huge", "count-huge", "delta-huge-int", "spec-list"],
     )
     def test_wrong_shape_names_the_field(self, capsys, tmp_path, field, value, message):
         spec = demo_spec()
@@ -1390,18 +1392,16 @@ class ForkedRuns:
 
     @pytest.fixture()
     def forks(self, monkeypatch):
-        """Open the gates on any file and list the runs of ``_fork.beside``:
+        """Open the gates on any file and list the runs of ``dataio.beside``:
         whether the child finished, or None where the parent raised.  No
         descriptor or child may outlive the test."""
-        from rdwo import _fork
-
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
         monkeypatch.setattr(dataio, "_SPLIT_MIN_BYTES", 0)
         monkeypatch.setattr(cli, "_STREAM_FORK_MIN_LINES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         runs = []
-        real = _fork.beside
+        real = dataio.beside
 
         def beside(child, parent):
             runs.append(None)
@@ -1409,7 +1409,7 @@ class ForkedRuns:
             runs[-1] = result[1]
             return result
 
-        monkeypatch.setattr(_fork, "beside", beside)
+        monkeypatch.setattr(dataio, "beside", beside)
         yield runs
         assert_no_child()
         if fds is not None:

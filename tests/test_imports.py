@@ -1,8 +1,8 @@
 """Command-scoped loading: ``import rdwo``, ``import rdwo.cli`` and the
 ``fit`` and ``stream`` commands never load the modules that only
-``simulate`` and ``verify`` run, nor, on inputs too small to split, the
-fork helper and ``mmap``.  Each check runs in a fresh interpreter, since
-this test session has long loaded every module."""
+``simulate`` and ``verify`` run, and only ``fit``'s split read of a large
+input loads ``mmap``.  Each check runs in a fresh interpreter, since this
+test session has long loaded every module."""
 
 import contextlib
 import importlib.util
@@ -19,7 +19,7 @@ from rdwo.streaming import StreamingGrid
 REPO = Path(__file__).resolve().parents[1]
 TINY = str(REPO / "demos" / "data" / "tiny.csv")
 SPEC = str(REPO / "demos" / "data" / "sine_experiment.json")
-DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._segments", "rdwo._fork", "mmap")
+DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._segments", "mmap")
 
 RUN_AND_LIST = """
 import contextlib, io, sys
@@ -68,19 +68,19 @@ def test_fit_and_stream_load_no_deferred_module(argv):
     assert run_and_list(*full) == (0, [])
 
 
-def test_fit_loads_the_fork_helper_only_to_split(tmp_path):
+def test_fit_loads_mmap_only_to_split(tmp_path):
     path = tmp_path / "large.csv"
     rows = (f"{k},{k * 1e-5!r},{k % 7}.25\n" for k in range(1, dataio._SPLIT_MIN_BYTES // 10))
     path.write_text("k,phi,y\n" + "".join(rows), encoding="ascii")
     assert path.stat().st_size >= dataio._SPLIT_MIN_BYTES
-    loaded = ["mmap", "rdwo._fork"] if dataio.can_split(path) else []
+    loaded = ["mmap"] if dataio.can_split(path) else []
     assert run_and_list("fit", "--input", str(path), "--delta", "0.1", "--grid-list", "1") == (
         0, loaded
     )
 
 
 @pytest.mark.parametrize("large", [True, False], ids=["at-the-gate", "small"])
-def test_stream_loads_the_fork_helper_only_to_fork(tmp_path, large):
+def test_stream_forks_without_loading_a_module(tmp_path, large):
     # One grid point, and just enough snapshots at the gate.
     rows = dataio._SPLIT_MIN_BYTES // 10 if large else 40
     every = rows // cli._STREAM_FORK_MIN_LINES if large else 1
@@ -90,9 +90,8 @@ def test_stream_loads_the_fork_helper_only_to_fork(tmp_path, large):
         encoding="ascii",
     )
     assert (path.stat().st_size >= dataio._SPLIT_MIN_BYTES) == large
-    loaded = ["mmap", "rdwo._fork"] if dataio.can_split(path) else []
     argv = ("--input", str(path), "--delta", "0.1", "--grid-list", "1", "--emit-every", str(every))
-    assert run_and_list("stream", *argv) == (0, loaded)
+    assert run_and_list("stream", *argv) == (0, [])
 
 
 def test_simulate_and_verify_load_their_modules():
