@@ -1,10 +1,10 @@
 """The moment kernel of the batch window sums: every query's window sums
 from block-centred running moments, with no Python loop per query.
 
-``core._window_sums`` loads this module on first use, so that ``stream``,
-``verify`` and the import of ``rdwo.cli`` never compile it, and takes each
-cell of its table from :func:`_moment_table` where the cell passes its
-condition test, and from the loop ``core._window_dots`` elsewhere.
+``core._window_sums`` loads this module on first use, so that ``stream``
+and the import of ``rdwo.cli`` never compile it, and takes each cell of its
+table from :func:`_moment_table` where the cell passes its condition test,
+and from the loop ``core._window_dots`` elsewhere.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def _moment_table(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
     ``v``, ``d v``, ``|v|`` and ``d |v|`` over the part of a block it covers:
     differences of running sums kept within each block only
     (:func:`_block_sums`).  A side spans at most two blocks, or its query
-    goes to the loop.
+    goes to the loop, so a window of more than ``4 * _MOMENT_BLOCK``
+    samples goes there untried.
 
     Each cell also gets an a-priori bound on its distance from the exact sum
     over the loop's own scaled margins ``fl(fl(delta - fl|x - phi|) /
@@ -99,7 +100,7 @@ def _moment_table(xs: np.ndarray, phis: np.ndarray, delta: float, columns,
     with np.errstate(all="ignore"):
         lo = np.searchsorted(phis, xs - delta, side="left")
         hi = np.searchsorted(phis, xs + delta, side="right")
-        q = np.flatnonzero(hi - lo >= _MOMENT_MIN)
+        q = np.flatnonzero((hi - lo >= _MOMENT_MIN) & (hi - lo <= 4 * _MOMENT_BLOCK))
         q = q[(_margins(np.abs(xs[q] - phis[lo[q]]), delta) > 0.0)
               & (_margins(np.abs(xs[q] - phis[hi[q] - 1]), delta) > 0.0)]
         q = q[np.argsort(xs[q], kind="stable")]

@@ -28,24 +28,22 @@ from . import dataio
 from .core import EstimatorConfig, _readout, grid_solve
 from .core import query_weights, simplex_objective
 # iter_samples, read_samples and csv_row are unused here: fit and stream read
-# through read_arrays and iter_runs, and tables print through format_heads
-# and join_lines.  perfbench/tracer.py still wraps the three by name in this
+# through read_arrays and iter_runs, and every table prints through
+# write_table.  perfbench/tracer.py still wraps the three by name in this
 # module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
     InputFormatError,
     can_split,
     csv_row,
     format_float,
-    format_heads,
     iter_runs,
     iter_samples,
-    join_lines,
     json_record,
-    line_tail,
     parse_grid,
     parse_grid_list,
     read_arrays,
     read_samples,
+    write_table,
 )
 from .streaming import StreamingGrid
 
@@ -134,16 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out: TextIO, fmt: str, header, heads, suffix=(), with_header=True) -> None:
-    """Write a table: the CSV header line if asked for, then the lines
-    ``heads`` of :func:`~rdwo.dataio.format_heads`, each ended by the
-    ``suffix`` fields."""
-    if fmt == "csv" and with_header:
-        out.write(",".join([*header, *(key for key, _ in suffix)]) + "\n")
-    for text in join_lines(heads, line_tail(fmt, suffix)):
-        out.write(text)
-
-
 @contextlib.contextmanager
 def _overflow_names(delta: float):
     """Raise a float overflow in the window arithmetic as a one-line error
@@ -173,11 +161,11 @@ class _GridTable:
 
     A snapshot is a ``solution``: the per-point estimates, active counts,
     objectives and support sums.  ``support_sum`` is a column with
-    ``--diagnostics``, and ``n_seen``, when given, is one literal tail
-    joined onto every line.
+    ``--diagnostics``, and ``n_seen``, when given, is one literal field
+    ending every line.
 
     Each point's ``x`` text is formatted once; every snapshot formats every
-    point's line up to that tail (its head) again.
+    point's line again.
     """
 
     def __init__(self, args: argparse.Namespace, xs: np.ndarray):
@@ -188,13 +176,12 @@ class _GridTable:
         self.x_cells = list(map(format_float, xs.tolist()))
 
     def write(self, out: TextIO, solution, n_seen: int | None, with_header: bool) -> None:
-        heads = format_heads(
-            self.fmt, self.header, self.kinds,
+        write_table(
+            out, self.fmt, self.header, self.kinds,
             [self.x_cells, *(column.tolist() for column in solution[: self.width - 1])],
             supported=(solution[1] > 0).tolist(), nullable=_GRID_NULLABLE,
+            suffix=[] if n_seen is None else [("n_seen", n_seen)], with_header=with_header,
         )
-        suffix = [] if n_seen is None else [("n_seen", n_seen)]
-        _emit(out, self.fmt, self.header, heads, suffix, with_header)
 
 
 def cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
@@ -343,12 +330,11 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
             f"abs_error={err!r} bound_z={bound!r} excess={err - bound!r}"
         )
 
-    heads = format_heads(
-        args.format, QUERY_HEADER, QUERY_KINDS,
+    write_table(
+        out, args.format, QUERY_HEADER, QUERY_KINDS,
         [getattr(batch, key).tolist() for key in QUERY_HEADER],
         supported=supported.tolist(), nullable=QUERY_NULLABLE, prefix=[("type", "query")],
     )
-    _emit(out, args.format, QUERY_HEADER, heads)
     summary = [
         ("supported_count", batch.supported_count),
         ("no_support_count", batch.no_support_count),
@@ -377,18 +363,12 @@ def _conclude(fmt: str, out: TextIO, summary, text: str, failures) -> int:
 
 
 def _perturbed_objective(x, phis, config):
-    """Shift a little mass off the best coordinate of the closed-form
-    weights; must trip the check."""
+    """Shift a little mass from the largest closed-form weight to the least,
+    or to the last where all are equal; must trip the check."""
     w = query_weights(x, phis, config)
-    src = int(np.argmax(w))
-    zeros = np.nonzero(w == 0.0)[0]
-    if zeros.size:
-        dst = int(zeros[0])
-    else:
-        positive = np.nonzero(w > 0.0)[0]
-        dst = int(positive[np.argmin(w[positive])])
-        if dst == src:
-            dst = int(positive[-1]) if positive[-1] != src else int(positive[0])
+    src, dst = int(np.argmax(w)), int(np.argmin(w))
+    if dst == src:
+        dst = w.size - 1
     w[src] -= 1e-3
     w[dst] += 1e-3
     return simplex_objective(w, x, phis, config)
@@ -421,8 +401,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                 f"simplex_abs_dev={dev:.2g} signed_excess={excess:.2g}"
                 for i, n, *_, dev, excess, ok in rows if not ok]
     columns = list(zip(*rows))
-    heads = format_heads(args.format, header, "ddfffffb", columns, prefix=[("type", "instance")])
-    _emit(out, args.format, header, heads)
+    write_table(out, args.format, header, "ddfffffb", columns, prefix=[("type", "instance")])
     max_dev, max_excess = max(columns[5]), max(columns[6])
     summary = [
         ("instances", args.instances),

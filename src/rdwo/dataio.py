@@ -13,12 +13,12 @@ every result is the one a single process gives.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
 import threading
 import warnings
-from functools import lru_cache
 from math import isfinite
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -36,9 +36,7 @@ __all__ = [
     "format_float",
     "json_record",
     "csv_row",
-    "format_heads",
-    "join_lines",
-    "line_tail",
+    "write_table",
     "parse_grid",
     "parse_grid_list",
 ]
@@ -487,8 +485,8 @@ def csv_row(values: Sequence[object]) -> str:
     return ",".join(_cell("csv", v) for v in values)
 
 
-# Lines per text that join_lines hands out, about 8 KiB of them: a whole
-# table as one string raised the peak memory of `stream` by 0.25 MiB.
+# Lines per write of write_table, about 8 KiB of them: a whole table as one
+# string raised the peak memory of `stream` by 0.25 MiB.
 _EMIT_ROWS = 64
 
 # Cell templates by column kind: float, int, bool (fed as its text), and
@@ -497,70 +495,52 @@ _CELLS = {"f": "%.17g", "d": "%d", "b": "%s", "s": "%s"}
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _row_template(fmt: str, header, kinds: str, nulls, prefix) -> str:
-    """One ``%`` template for a line up to its tail (see :func:`line_tail`).
-    A null cell swallows its value with ``%.0s``, so every row feeds the
-    template the same tuple."""
+def _row_template(fmt: str, header, kinds: str, nulls, prefix, suffix) -> str:
+    """One ``%`` template for a whole line, newline included.  A null cell
+    swallows its value with ``%.0s``, so every row feeds the template the
+    same tuple."""
     null = ("null" if fmt == "json" else "") + "%.0s"
     cells = [null if key in nulls else _CELLS[kind] for key, kind in zip(header, kinds)]
     if fmt == "csv":
-        return ",".join(cells)
+        return ",".join(cells + [_literal(_cell(fmt, value)) for _, value in suffix]) + "\n"
     fields = [_literal(f'"{key}": {_cell(fmt, value)}') for key, value in prefix]
     fields += [f'"{_literal(key)}": {cell}' for key, cell in zip(header, cells)]
-    return "{" + ", ".join(fields)
+    fields += [_literal(f'"{key}": {_cell(fmt, value)}') for key, value in suffix]
+    return "{" + ", ".join(fields) + "}\n"
 
 
 def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-@lru_cache(maxsize=32)
-def _templates(fmt: str, header: tuple, kinds: str, nullable: tuple, prefix: tuple):
-    """The full and the null row template of one table shape, built once:
-    ``stream --emit-every`` prints a table of the same shape per snapshot."""
-    return (
-        _row_template(fmt, header, kinds, (), prefix),
-        _row_template(fmt, header, kinds, nullable, prefix),
-    )
-
-
-def line_tail(fmt: str, suffix=()) -> str:
-    """The end of every line of a table: the ``suffix`` fields, which hold
-    the same value in every row, then the newline, after a JSON record's
-    closing brace."""
-    if fmt == "csv":
-        return "".join("," + _cell(fmt, value) for _, value in suffix) + "\n"
-    return "".join(f', "{key}": {_cell(fmt, value)}' for key, value in suffix) + "}\n"
-
-
-def format_heads(fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=()):
-    """Each row's line up to its tail, as a list: one ``%`` format of the
-    row per line, through the cached templates of the table shape.
+def write_table(out, fmt, header, kinds, columns, *, supported=None, nullable=(), prefix=(),
+                suffix=(), with_header=True) -> None:
+    """Write a table to ``out``: with ``fmt`` "csv" and ``with_header``, the
+    header line, then one line per row, ``_EMIT_ROWS`` lines to a write.
 
     ``columns`` holds the cells column by column, and ``kinds`` one letter
     per column: ``f`` float, ``d`` int, ``b`` bool, ``s`` text printed as it
     is.  A row whose ``supported`` entry is false prints null in the
     ``nullable`` columns, whatever they hold; all rows are supported when
     ``supported`` is None.  JSON records lead with the ``prefix`` fields,
-    CSV rows leave them out.
+    CSV rows leave them out, and every line ends with the ``suffix`` fields,
+    which hold the same value in every row.  Each line is one ``%`` format
+    of its row.
     """
-    full, null = _templates(
-        fmt, tuple(header), kinds, tuple(nullable), tuple(map(tuple, prefix))
-    )
+    if fmt == "csv" and with_header:
+        out.write(",".join([*header, *(key for key, _ in suffix)]) + "\n")
+    full = _row_template(fmt, header, kinds, (), prefix, suffix)
     rows = zip(*(
         [_BOOL_TEXT.get(value) for value in column] if kind == "b" else column
         for kind, column in zip(kinds, columns)
     ))
     if supported is None or all(supported):
-        return list(map(full.__mod__, rows))
-    return [(null, full)[ok] % row for ok, row in zip(supported, rows)]
-
-
-def join_lines(heads, tail: str) -> Iterator[str]:
-    """The lines ``heads``, each ended by ``tail``, in texts of up to
-    ``_EMIT_ROWS`` lines."""
-    for start in range(0, len(heads), _EMIT_ROWS):
-        yield tail.join(heads[start : start + _EMIT_ROWS]) + tail
+        lines = map(full.__mod__, rows)
+    else:
+        null = _row_template(fmt, header, kinds, nullable, prefix, suffix)
+        lines = ((null, full)[ok] % row for ok, row in zip(supported, rows))
+    while text := "".join(itertools.islice(lines, _EMIT_ROWS)):
+        out.write(text)
 
 
 def _require_plain(text: str, what: str) -> None:

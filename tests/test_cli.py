@@ -187,27 +187,13 @@ class TestStream:
         assert not any(line.startswith("x,") for line in lines[1:])
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_emit_every_builds_each_template_once(self, capsys, monkeypatch, fmt):
-        built = []
-        original = dataio._row_template
-
-        def spy(*args):
-            built.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(dataio, "_row_template", spy)
-        dataio._templates.cache_clear()
+    def test_emit_every_prints_one_snapshot_per_sample(self, capsys, fmt):
         code, out, _ = run_cli(
             capsys,
             "stream", "--input", str(REPO / "demos" / "data" / "tiny.csv"), "--delta", "1.0",
             "--grid-list", "0,1.5", "--emit-every", "1", "--format", fmt,
         )
-        dataio._templates.cache_clear()
-        assert code == 0
-        assert out == TINY_SNAPSHOTS[fmt]
-        # every snapshot is one table shape: its full and its null row
-        # template are built once each
-        assert len(built) == 2
+        assert (code, out) == (0, TINY_SNAPSHOTS[fmt])
 
     def test_header_only_input(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -451,14 +437,14 @@ class TestPinnedOutput:
     def test_fit_formats_each_row_once(self, capsys, monkeypatch, data, fmt):
         # fit's one table formats every row once, in one call
         sizes = []
-        real = dataio.format_heads
+        real = dataio.write_table
 
-        def spy(fmt, header, kinds, columns, **rows):
+        def spy(out, fmt, header, kinds, columns, **rows):
             sizes.append(len(columns[0]))
-            return real(fmt, header, kinds, columns, **rows)
+            return real(out, fmt, header, kinds, columns, **rows)
 
-        monkeypatch.setattr(dataio, "format_heads", spy)
-        monkeypatch.setattr(cli, "format_heads", spy)
+        monkeypatch.setattr(dataio, "write_table", spy)
+        monkeypatch.setattr(cli, "write_table", spy)
         code, out, _ = run_cli(capsys, "fit", "--input", data, "--delta", "0.1",
                                "--grid=-3.5:3.5:150", "--format", fmt)
         assert code == 0 and out.count("\n") == 150 + (fmt == "csv")
@@ -1213,6 +1199,13 @@ class TestVerify:
         summary = json_lines(out)[-1]
         assert summary["failures"] >= 1
         assert summary["fault_injected"] is True
+
+    def test_fault_on_equal_weights_lowers_the_objective(self):
+        # Both weights are the largest and the least, so the mass moves from
+        # the first sample to the last, far enough to trip the check.
+        x, phis, config = 0.0, np.array([-0.5, 0.5]), EstimatorConfig(delta=1.0)
+        closed = float(grid_solve([x], phis, np.zeros(2), config)[2][0])
+        assert closed - cli._perturbed_objective(x, phis, config) > cli.ORACLE_TOL
 
     def test_fault_injection_names_each_failing_instance(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--instances", "10", "--inject-fault")

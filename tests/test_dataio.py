@@ -2,6 +2,7 @@ import contextlib
 import os
 import threading
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,16 +16,14 @@ from rdwo.dataio import (
     InputFormatError,
     csv_row,
     format_float,
-    format_heads,
     iter_runs,
     iter_samples,
-    join_lines,
     json_record,
-    line_tail,
     parse_grid,
     parse_grid_list,
     read_arrays,
     read_samples,
+    write_table,
 )
 
 
@@ -732,11 +731,12 @@ EDGE_FLOATS = st.one_of(
 )
 
 
-def table_texts(fmt, header, kinds, columns, *, suffix=(), **rows):
-    """A table's texts as the command line writes them after any CSV header:
-    each row's head, then the tail of every line."""
-    heads = format_heads(fmt, header, kinds, columns, **rows)
-    return list(join_lines(heads, line_tail(fmt, suffix)))
+def table_texts(fmt, header, kinds, columns, **rows):
+    """A table's texts as write_table writes them after any CSV header."""
+    texts = []
+    write_table(SimpleNamespace(write=texts.append), fmt, header, kinds, columns,
+                with_header=False, **rows)
+    return texts
 
 
 class TestFormatRows:

@@ -213,6 +213,30 @@ def test_small_windows_keep_the_loops_bits():
                           core._window_dots(xs, phis, 0.1, (ys,)))
 
 
+def test_windows_past_four_blocks_skip_the_kernel(monkeypatch):
+    # A side spans at most two blocks of _MOMENT_BLOCK samples, so a window
+    # of about 20,000 samples goes to the loop without the kernel's work, and
+    # one of about 4,000 still reaches the kernel.
+    rng = np.random.default_rng(35)
+    phis = np.sort(rng.uniform(-1.5, 1.5, 50_000))
+    ys = np.sin(phis) + rng.normal(0, 0.1, phis.size)
+    xs = np.linspace(-0.9, 0.9, 9)
+    calls = []
+    real = _moments._moment_cells
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(_moments, "_moment_cells", spy)
+    for delta, answered in ((0.6, []), (0.12, [xs.size])):
+        calls.clear()
+        table = core._window_sums(xs, phis, delta, (ys,))
+        assert calls == answered
+        if not answered:
+            assert np.array_equal(table, core._window_dots(xs, phis, delta, (ys,)))
+
+
 def huge_delta():
     return np.array([0.5]), np.array([0.5]), np.array([1.0]), 1e300
 

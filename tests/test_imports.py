@@ -1,8 +1,9 @@
 """Command-scoped loading: ``import rdwo``, ``import rdwo.cli`` and the
 ``fit`` and ``stream`` commands never load the modules that only
-``simulate`` and ``verify`` run, and only ``fit``'s split read of a large
-input loads ``mmap``.  Each check runs in a fresh interpreter, since this
-test session has long loaded every module."""
+``simulate`` and ``verify`` run, ``stream`` never loads the batch moment
+kernel, and only ``fit``'s split read of a large input loads ``mmap``.
+Each check runs in a fresh interpreter, since this test session has long
+loaded every module."""
 
 import contextlib
 import importlib.util
@@ -19,7 +20,7 @@ from rdwo.streaming import StreamingGrid
 REPO = Path(__file__).resolve().parents[1]
 TINY = str(REPO / "demos" / "data" / "tiny.csv")
 SPEC = str(REPO / "demos" / "data" / "sine_experiment.json")
-DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._segments", "mmap")
+DEFERRED = ("rdwo.simulate", "rdwo.oracle", "rdwo._segments", "rdwo._moments", "mmap")
 
 RUN_AND_LIST = """
 import contextlib, io, sys
@@ -63,9 +64,10 @@ def test_import_cli_loads_no_deferred_module():
     ids=" ".join,
 )
 def test_fit_and_stream_load_no_deferred_module(argv):
+    # Only fit's window sums load the moment kernel.
     command, *options = argv
     full = [command, "--input", TINY, "--delta", "1.0", "--grid-list", "0,1.5", *options]
-    assert run_and_list(*full) == (0, [])
+    assert run_and_list(*full) == (0, ["rdwo._moments"] if command == "fit" else [])
 
 
 def test_fit_loads_mmap_only_to_split(tmp_path):
@@ -73,7 +75,7 @@ def test_fit_loads_mmap_only_to_split(tmp_path):
     rows = (f"{k},{k * 1e-5!r},{k % 7}.25\n" for k in range(1, dataio._SPLIT_MIN_BYTES // 10))
     path.write_text("k,phi,y\n" + "".join(rows), encoding="ascii")
     assert path.stat().st_size >= dataio._SPLIT_MIN_BYTES
-    loaded = ["mmap"] if dataio.can_split(path) else []
+    loaded = ["mmap", "rdwo._moments"] if dataio.can_split(path) else ["rdwo._moments"]
     assert run_and_list("fit", "--input", str(path), "--delta", "0.1", "--grid-list", "1") == (
         0, loaded
     )
@@ -95,8 +97,8 @@ def test_stream_forks_without_loading_a_module(tmp_path, large):
 
 
 def test_simulate_and_verify_load_their_modules():
-    assert run_and_list("simulate", "--spec", SPEC) == (0, ["rdwo.simulate"])
-    assert run_and_list("verify", "--instances", "3") == (0, ["rdwo.oracle"])
+    assert run_and_list("simulate", "--spec", SPEC) == (0, ["rdwo._moments", "rdwo.simulate"])
+    assert run_and_list("verify", "--instances", "3") == (0, ["rdwo._moments", "rdwo.oracle"])
 
 
 def test_all_names_are_the_defining_modules_objects():
