@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streaming import _TAU
+from .streaming import _TAU, _windows
 
 # Grid points whose cores a read forms at once, so that its work arrays stay
 # small.
@@ -80,15 +80,7 @@ class Segments:
         return each sample's window ``[lo, hi)`` in the sorted grid and the
         cores that hold it, ``[far, near)``."""
         delta = self.delta
-        # The searches run over the samples in ascending order, which keeps
-        # each one's path through the keys in cache, and are put back.
-        order = np.argsort(phis)
-        ahead = phis[order]
-        found = np.empty((3, phis.size), dtype=np.intp)
-        found[:, order] = (np.searchsorted(self.x, ahead - delta, side="left"),
-                           np.searchsorted(self.x, ahead + delta, side="right"),
-                           np.searchsorted(self.edges, ahead, side="right"))
-        lo, hi, slot = found
+        lo, hi, slot = _windows(self.x, delta, phis, self.edges)
         far = np.clip(self.cores[0, slot], lo, hi)
         near = np.clip(self.cores[1, slot], far, hi)
         cored = np.flatnonzero(near > far)

@@ -71,10 +71,14 @@ def _number(name: str, value) -> float:
 # that is the largest module, compiled by the simulate command, and with
 # this in it that command's peak memory read higher (ROADMAP.md, dead ends).
 def _numbers(name: str, value, count: int | None = None) -> tuple[float, ...]:
-    """A spec's list or tuple of numbers as floats, of ``count`` items if given."""
+    """A spec's list or tuple of numbers as floats, of ``count`` items if given.
+    A list of finite built-in floats, as JSON and ``_even_grid`` give, is
+    taken in one pass; any other goes item by item through ``_number``."""
     if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
         shape = "a list of numbers" if count is None else f"a list of {count} numbers"
         raise ValueError(f"{name} must be {shape}, got {value!r}")
+    if all(type(item) is float and math.isfinite(item) for item in value):
+        return tuple(value)
     return tuple(_number(f"{name} item", item) for item in value)
 
 

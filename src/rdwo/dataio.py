@@ -373,7 +373,7 @@ def _scan(fh, size: int):
             if found >= 0:
                 cut = at + found + 1
                 before = lines + block.count(b"\n", 0, found)
-        lines += block.count(b"\n")
+        lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
         at += len(block)
     if cut is None:
         return None

@@ -69,15 +69,35 @@ _TAU = 2.0**-6
 
 # Samples whose windows the kernel looks up at once, and the band pairs it
 # folds at once.  A chunk holds whole samples, so a sample whose bands alone
-# hold more pairs is a chunk by itself.  At 8 bytes an entry, every chunk
-# array of a full chunk stays under glibc's 128 KiB mmap threshold and is
-# recycled from the heap rather than mapped and faulted in afresh.
-_SUB_BLOCK = 1024
+# hold more pairs is a chunk by itself.  The state has the same bits however
+# the samples are blocked, so the sizes only weigh numpy's fixed cost a call
+# against the size of the arrays: at 8 bytes an entry, every array of a full
+# sub-block or chunk, the largest ``Segments.fold``'s 80 KB of stacked
+# moments, stays under glibc's 128 KiB mmap threshold and is recycled from
+# the heap rather than mapped and faulted in afresh.
+_SUB_BLOCK = 2048
 _PAIR_BUDGET = 8192
 # The fewest grid points a window holds, on average, for the grid to keep
 # cores.  Cutting and reading the segments costs about as much per point as
 # a hundred pairs, which a core saves only where many points share a window.
 _CORE_POINTS = 128
+
+
+def _windows(x: np.ndarray, delta: float, phis: np.ndarray,
+             edges: np.ndarray | None = None) -> np.ndarray:
+    """Each sample's window ``[lo, hi)`` in the ascending grid ``x`` and, with
+    ``edges``, the count of edges at or below it, as the rows of one array.
+    The searches run over the samples in ascending order, which keeps each
+    one's path through the keys in cache, and are put back in stream order."""
+    order = np.argsort(phis)
+    ahead = phis[order]
+    searches = [np.searchsorted(x, ahead - delta, side="left"),
+                np.searchsorted(x, ahead + delta, side="right")]
+    if edges is not None:
+        searches.append(np.searchsorted(edges, ahead, side="right"))
+    found = np.empty((len(searches), phis.size), dtype=np.intp)
+    found[:, order] = searches
+    return found
 
 
 class StreamingGrid:
@@ -175,9 +195,8 @@ class StreamingGrid:
             lo, hi, far, near = self._segments.fold(phis, ys)
             bands = far - lo + hi - near
         else:
-            delta = self.config.delta
-            lo = np.searchsorted(self._sorted, phis - delta, side="left")
-            hi = far = near = np.searchsorted(self._sorted, phis + delta, side="right")
+            lo, hi = _windows(self._sorted, self.config.delta, phis)
+            far = near = hi
             bands = hi - lo
         # A float 1.0: numpy 2.4 adds a Python int into a float row by a path
         # about 30 times slower.

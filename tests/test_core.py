@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rdwo import core
 from rdwo.core import (
     EstimatorConfig,
     NoSupportError,
@@ -15,6 +18,7 @@ from rdwo.core import (
 )
 from rdwo.dataio import InputFormatError, iter_samples
 from rdwo.oracle import signed_objective
+from rdwo.simulate import load_spec
 from reference import optimum
 
 CFG = EstimatorConfig(delta=1.0, l1=1.0)
@@ -78,6 +82,59 @@ class TestEstimatorConfig:
     def test_rejects_bad_l1(self, l1):
         with pytest.raises(ValueError):
             EstimatorConfig(delta=1.0, l1=l1)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, each float as its repr so that -0.0
+    counts, or the message of the ValueError it raises."""
+    try:
+        return [(type(item), repr(item)) for item in call(*args)]
+    except ValueError as error:
+        return str(error)
+
+
+LIST_ITEMS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "1.0", 2**1024, -(2**1100)]),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=True).map(np.float64),
+)
+
+
+class TestNumbers:
+    """A spec's lists: the one pass over finite built-in floats gives what
+    the item-by-item path gives, value or message."""
+
+    @given(st.lists(LIST_ITEMS, max_size=8))
+    def test_same_as_item_by_item(self, value):
+        def item_by_item(name, value):
+            return tuple(core._number(f"{name} item", item) for item in value)
+
+        assert outcome(core._numbers, "query_grid", value) == outcome(item_by_item, "query_grid", value)
+        assert outcome(core._numbers, "grid", tuple(value)) == outcome(item_by_item, "grid", value)
+
+    def test_an_even_grid_and_a_seed_check_no_point(self, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        spec = {"function": {"kind": "sine"}, "delta": 0.5, "l1": 1.0,
+                "input_range": [-3.0, 3.0], "noise_sigma": 0.1, "n_samples": 10, "seed": 7,
+                "query_grid": {"min": -2.9, "max": 2.9, "count": 1000}}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        names, number = [], core._number
+
+        def spy(name, value):
+            names.append(name)
+            return number(name, value)
+
+        monkeypatch.setattr(core, "_number", spy)
+        loaded = load_spec(path)
+        seeded = dataclasses.replace(loaded, seed=8)
+        assert len(seeded.query_grid) == 1000 and seeded.query_grid == loaded.query_grid
+        assert "query_grid item" not in names
+        # A grid of ints still goes item by item, through the spy.
+        spec["query_grid"] = [-2, 0, 2]
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert load_spec(path).query_grid == (-2.0, 0.0, 2.0)
+        assert names.count("query_grid item") == 3
 
 
 class TestCenteredDistance:

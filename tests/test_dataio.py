@@ -599,6 +599,32 @@ class TestSplitRead:
         assert kind == "ok" and rows[0].size == 40
         assert (made.forks, made.statuses, made.starts) == (1, [0], [0])
 
+    # The file holds four blocks of _CHUNK_CHARS bytes and 123 more, so its
+    # middle byte is 61 bytes into the third block.  The first newline from
+    # there on is the first byte of the fourth block, the last byte of the
+    # third, or, in a file with no trailing newline, 10 bytes past the middle.
+    CHUNK = dataio._CHUNK_CHARS
+    SCAN_CUTS = {
+        "first-byte-of-a-block": (3 * CHUNK, True),
+        "last-byte-of-a-block": (3 * CHUNK - 1, True),
+        "no-trailing-newline": (2 * CHUNK + 71, False),
+    }
+
+    @pytest.mark.parametrize("newline, trailing", SCAN_CUTS.values(), ids=SCAN_CUTS)
+    def test_scan_counts_as_bytes_count_does(self, path, newline, trailing):
+        data = bytearray(b"x" * (4 * self.CHUNK + 123))
+        middle = len(data) // 2
+        for at in [*range(50, middle, 97), newline, *range(newline + 97, len(data), 97)]:
+            data[at] = ord("\n")
+        data[-1] = ord("\n") if trailing else ord("x")
+        path.write_bytes(data)
+        data = bytes(data)
+        assert data.find(b"\n", middle) == newline
+        want = (1 + data.count(b"\n"), newline + 1, 1 + data.count(b"\n", 0, newline), len(data))
+        with open(path, "rb", buffering=0) as fh:
+            got = dataio._scan(fh, len(data))
+        assert got == want and all(type(value) is int for value in got)
+
 
 class TestSplitGate:
     """The inputs read_arrays keeps in one process, and its faults."""

@@ -468,7 +468,8 @@ class TestGridKernel:
         ys = [y for _, y in pairs]
         run_three_ways(np.array(xs), delta, phis, ys)
 
-    @pytest.mark.parametrize("where", [0, 5, streaming._SUB_BLOCK + 3])
+    # inside the first sub-block, and just past its end
+    @pytest.mark.parametrize("where", [0, 5, 1027, streaming._SUB_BLOCK + 3])
     @pytest.mark.parametrize("field", ["phi", "y"])
     def test_non_finite_sample_stops_where_the_loop_stops(self, where, field):
         rng = np.random.default_rng(33)
