@@ -32,7 +32,6 @@ from .core import query_weights, simplex_objective
 # write_table.  perfbench/tracer.py still wraps the three by name in this
 # module, so they stay bound until the tracer follows.
 from .dataio import (  # noqa: F401
-    InputFormatError,
     can_split,
     csv_row,
     format_float,
@@ -433,7 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (InputFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

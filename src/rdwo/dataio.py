@@ -3,6 +3,10 @@
 Floats are emitted with 17 significant digits, enough to round-trip IEEE
 doubles exactly, so repeated runs over the same input are byte-identical.
 
+CSV input is decoded as UTF-8 with ``surrogateescape``, so a byte that is
+not UTF-8 fails the grammar on its own line, and every reader names the
+first bad line in file order.
+
 On a large CSV file that :func:`can_split` admits, a child run by
 :func:`beside` parses the second half for :func:`read_arrays` into a shared
 anonymous map (``mmap``, loaded only then), or reads and folds the file for
@@ -236,7 +240,7 @@ def iter_samples(path) -> Iterator[tuple[int, float, float]]:
     for the grammar.  This is the line-by-line reference that
     :func:`read_arrays` and :func:`iter_runs` are tested against.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from _parse_rows(fh, _ParseState())
 
 
@@ -248,21 +252,22 @@ def read_arrays(path):
     """The regressors and outputs of a CSV file as float arrays, in file order.
 
     Accepts and rejects exactly what :func:`iter_samples` does, without
-    building a tuple per row.  A large file may be read by two processes
-    (see :func:`_split_arrays`), with the same result.
+    building a tuple per row.  A pipe is read once and its runs are held.
+    Any other file is counted by :func:`_scan`, so that each column is
+    allocated once (growing it run by run leaves freed blocks on the heap),
+    then read again, or split between two processes (see
+    :func:`_split_arrays`), with the same result.
     """
-    split = _split_arrays(path)
-    return _read_in_process(path) if split is None else split
-
-
-def _read_in_process(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         if fh.seekable():
-            # A first pass counts the lines, so that each column is allocated
-            # once: growing it run by run leaves freed blocks on the heap.
-            size = 1 + sum(text.count("\n") for text in iter(lambda: fh.read(_CHUNK_CHARS), ""))
+            fd = fh.fileno()
+            lines, cut, before, end = _scan(fh.buffer, os.fstat(fd).st_size)
+            if cut is not None and can_split(path):
+                index, comma, _ = os.pread(fd, 64, cut).partition(b",")
+                if comma and index.isdigit():
+                    return _split_arrays(fd, int(index), lines, cut, before, end)
             fh.seek(0)
-            runs = _column_runs(fh)
+            runs, size = _column_runs(fh), lines
         else:  # a pipe is read once, so its runs are held
             runs = list(_column_runs(fh))
             size = sum(phi_run.size for phi_run, _ in runs)
@@ -358,33 +363,36 @@ class _Span:
 
 
 def _scan(fh, size: int):
-    """One binary pass over ``fh``: its line count, as :func:`read_arrays`
-    counts lines, the cut just past the first newline from the middle byte
-    on, and the number of lines before the cut; None if the file holds a
-    byte that is not ASCII or a ``\\r``, which the text reader would
-    translate, or no newline from the middle byte on."""
-    lines, cut, before, at = 1, None, 0, 0
+    """One binary pass over ``fh``: its line count, the cut just past the
+    first newline from the middle byte on, the number of lines before the
+    cut, and the number of bytes read.
+
+    Each ``\\r`` counts as a line end too, so the count bounds the one the
+    text reader makes and equals it in a file without ``\\r``.  The cut is
+    None if the file holds a byte that is not ASCII or a ``\\r``, which the
+    text reader would translate, or no newline from the middle byte on.
+    """
+    lines, cut, before, at, plain = 1, None, 0, 0, True
     middle = size // 2
     for block in iter(lambda: fh.read(_CHUNK_CHARS), b""):
-        if b"\r" in block or not block.isascii():
-            return None
-        if cut is None and at + len(block) > middle:
+        if b"\r" in block:
+            lines += block.count(b"\r")
+            plain = False
+        plain = plain and block.isascii()
+        if plain and cut is None and at + len(block) > middle:
             found = block.find(b"\n", max(middle - at, 0))
             if found >= 0:
                 cut = at + found + 1
                 before = lines + block.count(b"\n", 0, found)
         lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
         at += len(block)
-    if cut is None:
-        return None
-    return lines, cut, before, at
+    return lines, cut if plain else None, before, at
 
 
-def _split_arrays(path):
-    """:func:`read_arrays` with the file's second half parsed in a forked
-    child, or None where that does not apply: no :func:`can_split`, a byte
-    :func:`_scan` rejects, or a line after the cut that does not start with
-    a decimal index.
+def _split_arrays(fd: int, first: int, lines: int, cut: int, before: int, end: int):
+    """:func:`read_arrays` of the file ``fd``, as :func:`_scan` found it,
+    with the part from the cut on, whose first line starts with the index
+    ``first``, parsed in a forked child.
 
     The child reads from the cut with :func:`_bulk_columns` alone, assuming
     the header read and the indices going on in order, and writes its rows
@@ -396,49 +404,36 @@ def _split_arrays(path):
     otherwise the parent reads on from the cut itself, so that the result,
     or the error, is the one a single process gives.
     """
-    if not can_split(path):
-        return None
-    with open(path, "rb", buffering=0) as fh:
-        fd = fh.fileno()
-        scanned = _scan(fh, os.fstat(fd).st_size)
-        if scanned is None:
-            return None
-        lines, cut, before, end = scanned
-        index, comma, _ = os.pread(fd, 64, cut).partition(b",")
-        if not (comma and index.isdigit()):
-            return None
-        import mmap
+    import mmap
 
-        first, row = int(index), before - 1
-        child_rows = lines - before - (os.pread(fd, 1, end - 1) == b"\n")
-        columns = np.frombuffer(mmap.mmap(-1, 16 * lines)).reshape(2, lines)
-        state = _ParseState()
-        state.header_done, state.run_hi = True, first - 1
+    row = before - 1
+    child_rows = lines - before - (os.pread(fd, 1, end - 1) == b"\n")
+    columns = np.frombuffer(mmap.mmap(-1, 16 * lines)).reshape(2, lines)
+    state = _ParseState()
+    state.header_done, state.run_hi = True, first - 1
 
-        def child() -> bool:
-            n = row
-            for text in _line_runs(_Span(fd, cut, end)):
-                run = _bulk_columns(text, state)
-                if run is None:
-                    return False
-                n = _fill(columns, n, [run])
-            return n == row + child_rows
+    def child() -> bool:
+        n = row
+        for text in _line_runs(_Span(fd, cut, end)):
+            run = _bulk_columns(text, state)
+            if run is None:
+                return False
+            n = _fill(columns, n, [run])
+        return n == row + child_rows
 
-        ours = _ParseState()
-        n, done = beside(
-            child, lambda: _fill(columns, 0, _column_runs(_Span(fd, 0, cut), ours))
-        )
-        last = first + child_rows - 1
-        if (
-            done
-            and ours.header_done
-            and n == row
-            and ours.run_hi + 1 == first
-            and not any(first <= k <= last for k in ours.seen)
-        ):
-            n += child_rows
-        else:
-            n = _fill(columns, n, _column_runs(_Span(fd, cut, end), ours))
+    ours = _ParseState()
+    n, done = beside(child, lambda: _fill(columns, 0, _column_runs(_Span(fd, 0, cut), ours)))
+    last = first + child_rows - 1
+    if (
+        done
+        and ours.header_done
+        and n == row
+        and ours.run_hi + 1 == first
+        and not any(first <= k <= last for k in ours.seen)
+    ):
+        n += child_rows
+    else:
+        n = _fill(columns, n, _column_runs(_Span(fd, cut, end), ours))
     return columns[0, :n], columns[1, :n]
 
 
@@ -451,7 +446,7 @@ def iter_runs(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     building a tuple per row.  The rows before a malformed line come out,
     and then the error is raised.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from _column_runs(fh)
 
 

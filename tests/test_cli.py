@@ -674,6 +674,28 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: line 2: ") and "Traceback" not in err
 
+    def test_a_file_a_pipe_and_a_stream_name_the_same_first_bad_line(self, tmp_path):
+        # Line 3 holds a bad float, and line 3001, about 21,000 bytes on, a
+        # byte that is not UTF-8: every reader names line 3.
+        lines = ["k,phi,y", "1,0.5,1", "2,abc,2", *(f"{k},0.5,{k}" for k in range(3, 3001))]
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(lines).encode() + b"\xff\n")
+        data = path.read_bytes()
+        assert data.count(b"\n", 0, data.index(b"\xff")) + 1 == 3001
+        args = ["--delta", "0.5", "--grid-list", "0"]
+        runs = [
+            (["fit", "--input", str(path), *args], None),
+            (["fit", "--input", "/dev/stdin", *args], data),
+            (["stream", "--input", str(path), *args, "--emit-every", "1000"], None),
+        ]
+        for argv, stdin in runs:
+            result = subprocess.run(
+                [sys.executable, "-m", "rdwo", *argv], input=stdin, capture_output=True,
+                check=False,
+            )
+            assert (result.returncode, result.stdout) == (2, b"")
+            assert result.stderr == b"error: line 3: could not convert string to float: 'abc'\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

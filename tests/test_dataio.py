@@ -320,10 +320,35 @@ class TestReadArrays:
         assert sum((ys for _, ys in runs), []) == want[1].tolist()
 
 
+def read_piped(path):
+    """read_arrays of the bytes of ``path`` through a pipe, which a thread
+    feeds until the reader stops."""
+    read, write = os.pipe()
+
+    def feed():
+        try:
+            os.write(write, path.read_bytes())
+        except BrokenPipeError:
+            pass  # the reader stopped at an error and closed the pipe
+        finally:
+            os.close(write)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read_arrays(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
+
+
 def _ingest_outcomes(path):
-    """What iter_samples, read_arrays and iter_runs make of one file, each
-    its rows or its error, and the rows iter_samples and iter_runs gave
-    before an error."""
+    """What iter_samples, read_arrays on the file, iter_runs and read_arrays
+    on a pipe make of one file, each its rows or its error, and the rows
+    iter_samples and iter_runs gave before an error.  A ValueError outside
+    the grammar, such as a decode error, is an outcome too, named by its
+    type."""
     given = [], []
 
     def run(rows, iterate):
@@ -333,20 +358,26 @@ def _ingest_outcomes(path):
                     rows.append(row)
         except InputFormatError as exc:
             return "error", str(exc)
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
         return "ok", rows
 
+    def columns(read):
+        return lambda: zip(*(column.tolist() for column in read(path)))
+
     reference = run(given[0], lambda: ((phi, y) for _, phi, y in iter_samples(path)))
-    arrays = run([], lambda: zip(*(column.tolist() for column in read_arrays(path))))
+    arrays = run([], columns(read_arrays))
     runs = run(given[1], lambda: (
         row for phis, ys in iter_runs(path) for row in zip(phis.tolist(), ys.tolist())
     ))
-    return reference, arrays, runs, given
+    piped = run([], columns(read_piped))
+    return reference, arrays, runs, piped, given
 
 
 class TestChunkedIngest:
     """read_arrays and iter_runs with runs of a few characters, so that
     files span many runs and rows straddle their ends; read_arrays in one
-    process and again through the split."""
+    process, again through the split, and through a pipe."""
 
     ROWS = [f"{k},{k / 8 - 3!r},{(-1) ** k * k / 7!r}" for k in range(1, 41)]
 
@@ -361,8 +392,8 @@ class TestChunkedIngest:
 
     def check(self, path, data: bytes):
         path.write_bytes(data)
-        reference, arrays, runs, (want, got) = _ingest_outcomes(path)
-        assert arrays == reference
+        reference, arrays, runs, piped, (want, got) = _ingest_outcomes(path)
+        assert arrays == reference and piped == reference
         with split_every_file():
             assert _ingest_outcomes(path)[1] == reference
         assert runs == reference and got == want
@@ -422,6 +453,53 @@ class TestChunkedIngest:
     def test_crlf_line_endings(self, chunk, path):
         kind, rows = self.check(path, "\r\n".join([EXPECTED_HEADER, *self.ROWS, ""]).encode())
         assert kind == "ok" and len(rows) == 40
+
+    def test_lone_cr_line_endings(self, chunk, path):
+        # The scan counts each \r as a line end, as text mode reads it, and
+        # gives no cut, so even a forced split reads in one process.
+        path.write_bytes("\r".join([EXPECTED_HEADER, *self.ROWS, ""]).encode())
+        with open(path, "rb") as fh:
+            assert dataio._scan(fh, path.stat().st_size)[:2] == (42, None)
+        kind, rows = self.check(path, path.read_bytes())
+        assert kind == "ok" and len(rows) == 40
+        with split_every_file() as forks:
+            phis, _ = read_arrays(path)
+        assert forks.forks == 0 and phis.size == 40
+
+    def with_undecodable_byte(self, gap, bad="2,abc,2"):
+        """The header, the rows 1 and ``bad``, rows up to at least ``gap``
+        bytes past ``bad``'s line, then a row whose ``y`` holds the byte
+        0xff, and one row more."""
+        lines = [EXPECTED_HEADER, self.ROWS[0], bad]
+        k, size = 3, 0
+        while size < gap:
+            lines.append(f"{k},0.5,{k}")
+            size += len(lines[-1]) + 1
+            k += 1
+        text = "\n".join(lines) + f"\n{k},0.5,1"
+        return text.encode() + b"\xff" + f"\n{k + 1},0.5,1\n".encode()
+
+    # Where the byte lies after the bad row: in the same run, or two runs on.
+    @pytest.mark.parametrize("runs", [0, 2])
+    def test_an_undecodable_byte_after_a_bad_row(self, chunk, path, runs):
+        # Every reader names the bad row, wherever it decodes the byte.
+        kind, message = self.check(path, self.with_undecodable_byte(runs * chunk))
+        assert (kind, message) == ("error", "line 3: could not convert string to float: 'abc'")
+
+    def test_an_undecodable_byte_alone(self, chunk, path):
+        data = self.with_undecodable_byte(100, bad=self.ROWS[1])
+        kind, message = self.check(path, data)
+        line = 1 + data.count(b"\n", 0, data.index(b"\xff"))
+        assert (kind, message) == (
+            "error", f"line {line}: fields may hold only ASCII characters and no '_'"
+        )
+
+    def test_an_undecodable_byte_in_the_header(self, chunk, path):
+        data = "\n".join([EXPECTED_HEADER, *self.ROWS, ""]).encode()
+        kind, message = self.check(path, data.replace(b"\n", b"\xff\n", 1))
+        assert (kind, message) == (
+            "error", "line 1: expected header 'k,phi,y', got 'k,phi,y\\udcff'"
+        )
 
     def test_no_trailing_newline(self, chunk, path):
         kind, rows = self.check(path, "\n".join([EXPECTED_HEADER, *self.ROWS]).encode())
